@@ -8,8 +8,10 @@ absorbs: lambda (rho+1) beta(t) >= beta'(t) on [0, T], i.e.
 
     lambda_lo = sup_t beta'(t) / ((rho+1) beta(t))
 
-(closed form for the constant and exponential families, dense sampling plus
-golden-section refinement for the polynomial family).
+It is 0 for constant beta and mu/(rho+1) for exponential beta. For
+polynomial beta the supremum is the largest of beta'/beta at t = 0, at
+t = T (when finite) and at the real roots of beta'' beta - beta'^2 in
+(0, T), divided by rho+1.
 
 From above, the quadratic forms produced by the multiplier (u_t + lambda u)
 with weight phi = exp(lambda t) must stay negative semidefinite and the
@@ -30,8 +32,18 @@ domain, |Omega*| = alpha(T):
     (iv)  lambda |Omega*| <= 0.9               (coercivity headroom)
 
 lambda_hi is the top of the connected admissible component containing 0,
-located by a grid scan refined by bisection to 1e-6. The window is
-[lambda_lo, lambda_hi] and is empty when lambda_lo > lambda_hi.
+in closed form. For b > 0, (ii) reads g(lambda) >= 0 with the cubic
+
+    g(lambda) = -lambda^3 + 2a lambda^2 - (a^2 + 3b) lambda + 2ab,
+
+whose discriminant -4b (a^4 - 9 a^2 b + 27 b^2) is negative, so g has one
+real root r; g(0) = 2ab > 0 and g(2a/3) = -2a^3/27 < 0 put it below 2a/3,
+so (i) never binds and lambda_hi = min(0.9 sqrt(b), r). For b = 0, (iii)
+gives lambda <= a/(3 + a^2 |Omega*|^2), which is below both 2a/3 and
+1/(a |Omega*|^2), so neither (i) nor the strict budget (ii) binds and
+lambda_hi = min(a/(3 + a^2 |Omega*|^2), 0.9/|Omega*|). An edge that misses
+its own inequality by a rounding error is moved down by a few ulps. The
+window is [lambda_lo, lambda_hi] and is empty when lambda_lo > lambda_hi.
 
 The constant: for b > 0, C = (1 + lambda/sqrt(b)) / (1 - lambda/sqrt(b))
 from |lambda u u_t| <= (lambda/sqrt(b)) (u_t^2/2 + b u^2/2). For b = 0 the
@@ -59,9 +71,6 @@ from .model import (
     PolynomialBeta,
     eval_alpha,
 )
-
-_BISECT_TOL = 1e-6
-_SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -120,25 +129,6 @@ class BoundReport:
 # window
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
-    """Maximum value of fn on [lo, hi] by golden-section search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = fn(x1)
-    mid = 0.5 * (lo + hi)
-    return max(fn(mid), fn(lo), fn(hi))
-
-
 def lambda_floor(beta: BetaFamily, rho: float, T: float) -> float:
     """lambda_lo = sup over [0, T] of beta'/((rho+1) beta)."""
     if rho <= 0.0:
@@ -148,18 +138,24 @@ def lambda_floor(beta: BetaFamily, rho: float, T: float) -> float:
     if isinstance(beta, ExponentialBeta):
         return beta.mu / (rho + 1.0)
     if isinstance(beta, PolynomialBeta):
-        horizon = min(T, 1e6)
-
-        def ratio(t: float) -> float:
-            val, der = beta.eval(t)
-            return der / ((rho + 1.0) * val)
-
-        samples = np.linspace(0.0, horizon, _SCAN_POINTS)
-        values = np.array([ratio(t) for t in samples])
-        k = int(np.argmax(values))
-        lo = samples[max(k - 1, 0)]
-        hi = samples[min(k + 1, samples.size - 1)]
-        return float(_golden_max(ratio, lo, hi))
+        # (beta'/beta)' = (beta'' beta - beta'^2) / beta^2, so the supremum sits
+        # at t = 0, at t = T, or at a root of the numerator. The roots are taken
+        # in s = t/T (s = t on an unbounded horizon). Leading numerator
+        # coefficients below sqrt(eps) of the largest are zeroed: they move a
+        # root in [0, 1] by O(sqrt(eps)), hence beta'/beta, stationary there,
+        # by O(eps), and their own roots far outside [0, 1] would swamp
+        # np.roots. Clipping every root into [0, 1] only adds candidates, and
+        # no candidate can exceed the supremum.
+        scale = T if math.isfinite(T) else 1.0
+        c = (np.asarray(beta.coeffs) * scale ** np.arange(len(beta.coeffs)))[::-1]
+        d1 = np.polyder(c)
+        num = np.polysub(np.polymul(np.polyder(d1), c), np.polymul(d1, d1))
+        num = num / (np.abs(num).max() or 1.0)
+        num[: np.argmax(np.abs(num) > math.sqrt(np.finfo(float).eps))] = 0.0
+        roots = scale * np.clip(np.roots(num).real, 0.0, T / scale)
+        ends = [0.0, T] if math.isfinite(T) else [0.0]
+        ratios = [der / val for val, der in map(beta.eval, [*ends, *roots.tolist()])]
+        return max(ratios) / (rho + 1.0)
     raise ConfigError(f"unknown beta family {type(beta).__name__}")
 
 
@@ -176,27 +172,13 @@ def _omega_star(alpha: AlphaFamily, T: float) -> float:
     return eval_alpha(alpha, T)[0]
 
 
-def _scan_and_bisect(predicate, hi0: float) -> float:
-    """Top of the connected {predicate true} component containing 0 in [0, hi0]."""
-    if not predicate(0.0):
-        return 0.0
-    if predicate(hi0):
-        return hi0
-    grid = np.linspace(0.0, hi0, _SCAN_POINTS)
-    lo = 0.0
-    hi = hi0
-    for k in range(1, grid.size):
-        if not predicate(float(grid[k])):
-            lo = float(grid[k - 1])
-            hi = float(grid[k])
-            break
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _cross_term_root(a: float, b: float) -> float:
+    """The one real root of the cubic g of condition (ii), b > 0 (see above).
+
+    The minimum guards against a complex pair rounded onto the real axis.
+    """
+    roots = np.roots([-1.0, 2.0 * a, -(a * a + 3.0 * b), 2.0 * a * b])
+    return float(roots[roots.imag == 0.0].real.min())
 
 
 def _standard_conditions(params: DampingParams, lam: float) -> tuple[CertCondition, ...]:
@@ -237,17 +219,23 @@ def window_edges(
     lo = lambda_floor(beta, params.rho, T)
 
     if b > 0.0:
+        hi = min(0.9 * math.sqrt(b), _cross_term_root(a, b))
+
         def ok(lam: float) -> bool:
             return all(c.satisfied for c in _standard_conditions(params, lam))
 
-        hi = _scan_and_bisect(ok, a)
     else:
         omega = _omega_star(alpha, T)
+        hi = min(a / (3.0 + a * a * omega * omega), 0.9 / omega)
 
         def ok(lam: float) -> bool:
             return all(c.satisfied for c in _remark1_conditions(params, omega, lam))
 
-        hi = _scan_and_bisect(ok, a)
+    # an exact edge can miss its own inequality by a rounding error
+    step = math.ulp(hi)
+    while not ok(hi):
+        hi -= step
+        step *= 2.0
     return (lo, hi)
 
 

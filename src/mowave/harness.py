@@ -655,6 +655,9 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         _err(str(exc))
         return EXIT_BLOWUP
+    except MowaveError as exc:
+        _err(str(exc))
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

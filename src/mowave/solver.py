@@ -15,8 +15,9 @@ every stage and every step, so the boundary invariant holds exactly.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
-source f = u_tt - u_xx + a u_t + b u + beta |u|^rho u is built symbolically
-(sympy), mapped to reference coordinates, and compiled to a numpy callable.
+source f = u_tt - u_xx + a u_t + b u + beta |u|^rho u is written in closed
+form from (alpha, alpha', alpha''), which every alpha family returns, and
+evaluated directly in reference coordinates.
 """
 
 from __future__ import annotations
@@ -289,66 +290,39 @@ def simulate(
 # manufactured solutions
 
 
-def _sympy_alpha(alpha, t):
-    import sympy as sp
-
-    from .model import AffineAlpha, ConstantAlpha, SaturatingAlpha
-
-    if isinstance(alpha, ConstantAlpha):
-        return sp.Integer(1)
-    if isinstance(alpha, AffineAlpha):
-        return 1 + sp.Float(alpha.k) * t
-    if isinstance(alpha, SaturatingAlpha):
-        return 1 + sp.Float(alpha.k) * (1 - sp.exp(-t / sp.Float(alpha.tau)))
-    raise ConfigError(f"unknown alpha family {type(alpha).__name__}")
-
-
-def _sympy_beta(beta, t):
-    import sympy as sp
-
-    from .model import ConstantBeta, ExponentialBeta, PolynomialBeta
-
-    if isinstance(beta, ConstantBeta):
-        return sp.Float(beta.c)
-    if isinstance(beta, ExponentialBeta):
-        return sp.Float(beta.beta0) * sp.exp(sp.Float(beta.mu) * t)
-    if isinstance(beta, PolynomialBeta):
-        return sum(sp.Float(c) * t**i for i, c in enumerate(beta.coeffs))
-    raise ConfigError(f"unknown beta family {type(beta).__name__}")
-
-
-def _exact_physical_field(field: ManufacturedField, spec: ProblemSpec):
-    import sympy as sp
-
-    x, t = sp.symbols("x t", real=True)
-    al = _sympy_alpha(spec.alpha, t)
-    u = sp.Float(field.amp) * sp.sin(field.mode * sp.pi * x / al) * sp.exp(-sp.Float(field.rate) * t)
-    return x, t, u
-
-
 def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callable:
     """Source term f(y, t) that makes the descriptor's field an exact solution.
 
-    f = u_tt - u_xx + a u_t + b u + beta |u|^rho u is formed symbolically on
-    the physical field, then pulled back to reference coordinates by the
-    substitution x = alpha(t) y and compiled with lambdify.
-    """
-    import sympy as sp
+    f = u_tt - u_xx + a u_t + b u + beta |u|^rho u in reference coordinates,
+    written out by hand from (alpha, alpha', alpha'') with theta = mode pi y,
+    E = amp exp(-rate t), g = alpha'/alpha and g' = alpha''/alpha - g^2:
 
-    x, t, u = _exact_physical_field(field, spec)
-    a = sp.Float(spec.damping.a)
-    b = sp.Float(spec.damping.b)
-    f = sp.diff(u, t, 2) - sp.diff(u, x, 2) + a * sp.diff(u, t) + b * u
-    if not spec.linear_mode:
-        beta = _sympy_beta(spec.beta, t)
-        f = f + beta * sp.Abs(u) ** sp.Float(spec.damping.rho) * u
-    y = sp.symbols("y", real=True)
-    al = _sympy_alpha(spec.alpha, t)
-    f_ref = f.subs(x, al * y)
-    fn = sp.lambdify((y, t), f_ref, modules="numpy")
+        u    = E sin(theta)
+        u_t  = E (-theta g cos(theta) - rate sin(theta))
+        u_tt = E [(theta g^2 - theta g' + 2 rate theta g) cos(theta)
+                  + (rate^2 - theta^2 g^2) sin(theta)]
+        u_xx = -(mode pi / alpha)^2 u
+    """
+    a, b, rho = spec.damping.a, spec.damping.b, spec.damping.rho
+    amp, rate, k = field.amp, field.rate, field.mode * math.pi
 
     def forcing(y_nodes, t_val):
-        return np.asarray(fn(y_nodes, t_val), dtype=float)
+        al, al1, al2 = spec.alpha.eval(t_val)
+        g = al1 / al
+        g1 = al2 / al - g * g
+        theta = k * y_nodes
+        sin, cos = np.sin(theta), np.cos(theta)
+        scale = amp * math.exp(-rate * t_val)
+        u = scale * sin
+        u_t = scale * (-g * theta * cos - rate * sin)
+        u_tt = scale * (
+            (g * g - g1 + 2.0 * rate * g) * theta * cos + (rate * rate - g * g * theta * theta) * sin
+        )
+        f = u_tt + (k / al) ** 2 * u + a * u_t + b * u
+        bt, _ = spec.beta_at(t_val)
+        if bt != 0.0:
+            f = f + bt * np.abs(u) ** rho * u
+        return f
 
     return forcing
 
@@ -356,24 +330,15 @@ def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callabl
 def exact_reference_fields(field: ManufacturedField, spec: ProblemSpec):
     """Callables (v_exact, w_exact) of (y, t) for the descriptor's field.
 
-    v(y,t) = u(alpha(t) y, t) and w = dv/dt (reference-frame velocity),
-    both obtained symbolically, so initialization and error measurement use
-    the same exact object the forcing was built from.
+    v(y,t) = u(alpha(t) y, t) = amp sin(mode pi y) exp(-rate t), and
+    w = dv/dt = -rate v is the reference-frame velocity.
     """
-    import sympy as sp
-
-    x, t, u = _exact_physical_field(field, spec)
-    y = sp.symbols("y", real=True)
-    al = _sympy_alpha(spec.alpha, t)
-    v_expr = u.subs(x, al * y)
-    w_expr = sp.diff(v_expr, t)
-    v_fn = sp.lambdify((y, t), v_expr, modules="numpy")
-    w_fn = sp.lambdify((y, t), w_expr, modules="numpy")
+    amp, rate, k = field.amp, field.rate, field.mode * math.pi
 
     def v_exact(y_nodes, t_val):
-        return np.asarray(v_fn(y_nodes, t_val), dtype=float)
+        return amp * math.exp(-rate * t_val) * np.sin(k * y_nodes)
 
     def w_exact(y_nodes, t_val):
-        return np.asarray(w_fn(y_nodes, t_val), dtype=float)
+        return -rate * v_exact(y_nodes, t_val)
 
     return v_exact, w_exact

@@ -36,6 +36,43 @@ from mowave import (
 WINDOW_HI_A1_B1 = 0.6388969194710322
 
 
+def standard_slacks(a, b, lam):
+    """The b > 0 inequalities (i)-(iii), restated; admissible iff all >= 0."""
+    return (a - 1.5 * lam, 2.0 * b * (a - 1.5 * lam) - lam * (lam - a) ** 2, 0.9 * math.sqrt(b) - lam)
+
+
+def remark1_slacks(a, omega, lam):
+    """The b = 0 inequalities (i)-(iv), restated; (ii) must stay strictly positive."""
+    return (
+        a - 1.5 * lam,
+        1.0 - a * lam * omega * omega,
+        0.5 * a - lam * (1.5 + 0.5 * a * a * omega * omega),
+        0.9 - lam * omega,
+    )
+
+
+def assert_top_of_component(slacks, hi):
+    """slacks holds on [0, hi] (sampled, plus hi itself) and fails just above hi."""
+    for lam in np.linspace(0.0, hi, 64):
+        assert min(slacks(float(lam))) >= -1e-12
+    assert min(slacks(hi * (1.0 + 1e-7))) < 0.0
+
+
+def scan_floor(beta, rho, T, points=2001, rounds=4):
+    """Dense-scan oracle for lambda_lo: scan [0, T], then rescan around the best sample."""
+    coeffs = np.asarray(beta.coeffs)
+    deriv = np.polynomial.polynomial.polyder(coeffs)
+    best = -math.inf
+    # linear plus geometric spacing, so narrow peaks near t = 0 are seen too
+    t = np.union1d(np.linspace(0.0, T, points), np.geomspace(1e-9 * T, T, points))
+    for _ in range(rounds):
+        ratio = np.polynomial.polynomial.polyval(t, deriv) / np.polynomial.polynomial.polyval(t, coeffs)
+        k = int(np.argmax(ratio))
+        best = max(best, float(ratio[k]))
+        t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, t.size - 1)], points)
+    return best / (rho + 1.0)
+
+
 def series_from(t, E):
     samples = tuple(
         EnergySample(
@@ -71,6 +108,25 @@ class TestLambdaFloor:
         # beta = 1 + t^2: beta'/(2 beta) = t/(1+t^2), maximal value 1/2 at t = 1
         floor = lambda_floor(PolynomialBeta(coeffs=(1.0, 0.0, 1.0)), rho=1.0, T=10.0)
         assert floor == pytest.approx(0.5, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.05, 5.0),
+        st.lists(st.floats(0.0, 5.0), min_size=0, max_size=5),
+        st.floats(0.5, 50.0),
+        st.floats(0.5, 3.0),
+    )
+    def test_polynomial_matches_dense_scan(self, c0, rest, T, rho):
+        beta = PolynomialBeta(coeffs=(c0, *rest))
+        floor = lambda_floor(beta, rho=rho, T=T)
+        oracle = scan_floor(beta, rho, T)
+        assert floor >= oracle - 1e-12 * max(1.0, oracle)
+        assert floor == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    def test_polynomial_infinite_horizon(self):
+        # beta = 1 + t^2 on [0, inf): the interior maximum 1/2 at t = 1 still counts
+        floor = lambda_floor(PolynomialBeta(coeffs=(1.0, 0.0, 1.0)), rho=1.0, T=math.inf)
+        assert floor == pytest.approx(0.5, abs=1e-15)
 
     def test_rho_divides_the_floor(self):
         f1 = lambda_floor(ExponentialBeta(beta0=1.0, mu=0.3), rho=1.0, T=5.0)
@@ -148,6 +204,27 @@ class TestWindow:
         lo2, hi2 = window_edges(params, ExponentialBeta(1.0, mu_big), ConstantAlpha(), 10.0)
         assert lo1 < lo2
         assert hi1 == hi2  # the ceiling depends only on (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 20.0), st.floats(1e-4, 3.0))
+    def test_standard_ceiling_is_the_edge(self, a, ratio):
+        # ratio = b / a^2; ratio <= 1/9 makes the cubic of (ii) non-monotone
+        b = ratio * a * a
+        params = DampingParams(a=a, b=b, rho=1.0)
+        cert = build_certificate(params, ConstantBeta(1.0), ConstantAlpha(), 10.0)
+        assert all(c.satisfied for c in cert.conditions)
+        assert_top_of_component(lambda lam: standard_slacks(a, b, lam), cert.lambda_hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 20.0), st.floats(0.0, 0.95), st.floats(0.1, 20.0))
+    def test_remark1_ceiling_is_the_edge(self, a, k, T):
+        params = DampingParams(a=a, b=0.0, rho=1.0)
+        cert = build_certificate(params, ConstantBeta(1.0), AffineAlpha(k=k), T)
+        assert all(c.satisfied for c in cert.conditions)
+        omega = 1.0 + k * T
+        hi = cert.lambda_hi
+        assert_top_of_component(lambda lam: remark1_slacks(a, omega, lam), hi)
+        assert remark1_slacks(a, omega, hi)[1] > 0.0  # the budget is strict
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0))

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mowave
 from mowave import verify_manifest
 from mowave.harness import main
 
@@ -178,6 +183,16 @@ class TestConvergence:
         code = main(["convergence", write_config(tmp_path, reference_config()), "--grid-n", "50"])
         assert code == 2
 
+    def test_snapshot_budget_exits_without_traceback(self, tmp_path, capsys):
+        # T = 50 at N = 400 would store hundreds of MB of snapshots; simulate
+        # refuses before allocating, and main reports it as a config failure
+        cfg = reference_config(horizon=50.0, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
+        code = main(["convergence", write_config(tmp_path, cfg), "--grid-n", "400,3200"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("mowave: ") and "snapshots" in err
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def sweep_config(self, **kw):
@@ -245,3 +260,21 @@ class TestSweep:
         assert main(["sweep", write_config(tmp_path, cfg, "c2.json"), "--grid-n", "64",
                      "--jobs", "2", "--outdir", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_cli_paths_do_not_import_sympy(tmp_path):
+    poly = reference_config(beta={"variant": "polynomial", "coeffs": [1.0, 0.0, 0.5]})
+    conv = reference_config(horizon=0.25, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
+    script = (
+        "import sys\n"
+        "from mowave.harness import main\n"
+        f"main(['certify', {write_config(tmp_path, poly, 'poly.json')!r}])\n"
+        f"main(['convergence', {write_config(tmp_path, conv, 'conv.json')!r}, '--grid-n', '16,32'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    src = str(Path(mowave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout + done.stderr

@@ -25,6 +25,7 @@ from mowave import (
     Trajectory,
     ValidationError,
     energy,
+    PolynomialBeta,
     exact_reference_fields,
     initialize,
     manufactured_forcing,
@@ -321,3 +322,66 @@ class TestManufactured:
         for t in (0.0, 0.4, 1.7):
             vals = v_fn(np.array([0.0, 1.0]), t)
             assert np.allclose(vals, 0.0, atol=1e-12)
+
+
+def sympy_manufactured(field, spec):
+    """Independent symbolic build of (f, v, w) for the manufactured field.
+
+    u = amp sin(mode pi x / alpha(t)) exp(-rate t) is differentiated in
+    physical coordinates, then pulled back by x = alpha(t) y.
+    """
+    import sympy as sp
+
+    x, y, t = sp.symbols("x y t", real=True)
+    fam = spec.alpha
+    if isinstance(fam, ConstantAlpha):
+        al = sp.Integer(1)
+    elif isinstance(fam, AffineAlpha):
+        al = 1 + sp.Float(fam.k) * t
+    else:
+        al = 1 + sp.Float(fam.k) * (1 - sp.exp(-t / sp.Float(fam.tau)))
+    beta = spec.beta
+    if isinstance(beta, ConstantBeta):
+        bt = sp.Float(beta.c)
+    elif isinstance(beta, ExponentialBeta):
+        bt = sp.Float(beta.beta0) * sp.exp(sp.Float(beta.mu) * t)
+    else:
+        bt = sum(sp.Float(c) * t**i for i, c in enumerate(beta.coeffs))
+    if spec.linear_mode:
+        bt = sp.Integer(0)
+    u = sp.Float(field.amp) * sp.sin(field.mode * sp.pi * x / al) * sp.exp(-sp.Float(field.rate) * t)
+    a, b, rho = (sp.Float(c) for c in (spec.damping.a, spec.damping.b, spec.damping.rho))
+    f = sp.diff(u, t, 2) - sp.diff(u, x, 2) + a * sp.diff(u, t) + b * u + bt * sp.Abs(u) ** rho * u
+    v = u.subs(x, al * y)
+    return tuple(
+        sp.lambdify((y, t), expr, modules="numpy") for expr in (f.subs(x, al * y), v, sp.diff(v, t))
+    )
+
+
+class TestManufacturedAgainstSympy:
+    @pytest.mark.parametrize(
+        "alpha", [ConstantAlpha(), AffineAlpha(k=0.5), SaturatingAlpha(k=0.7, tau=1.3)]
+    )
+    @pytest.mark.parametrize(
+        "beta",
+        [ConstantBeta(2.0), ExponentialBeta(beta0=1.5, mu=0.3), PolynomialBeta(coeffs=(1.0, 0.5, 0.25))],
+    )
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_forcing_and_fields_match_symbolic_build(self, alpha, beta, linear):
+        field = ManufacturedField(amp=2.0, rate=0.3, mode=3)
+        spec = make_spec(
+            damping=DampingParams(a=1.2, b=0.7, rho=1.5),
+            alpha=alpha,
+            beta=beta,
+            source=field,
+            linear_mode=linear,
+        )
+        f_sym, v_sym, w_sym = sympy_manufactured(field, spec)
+        forcing = manufactured_forcing(field, spec)
+        v_fn, w_fn = exact_reference_fields(field, spec)
+        y = Grid(64).y
+        for t in (0.0, 0.37, 1.9):
+            for ours, ref in ((forcing, f_sym), (v_fn, v_sym), (w_fn, w_sym)):
+                expect = np.broadcast_to(ref(y, t), y.shape)
+                scale = np.max(np.abs(expect))
+                assert np.max(np.abs(ours(y, t) - expect)) <= 1e-14 * scale
