@@ -79,6 +79,7 @@ from .solver import (
     rhs,
     simpson_weights,
     simulate,
+    simulate_batch,
     step_size,
 )
 from .transform import (

@@ -269,16 +269,17 @@ def build_certificate(
     alpha: AlphaFamily,
     T: float,
     lam: Optional[float] = None,
+    edges: Optional[tuple[float, float]] = None,
 ) -> Optional[DecayCertificate]:
     """Assemble the decay certificate, or None when the window is empty.
 
     lam defaults to lambda_hi, the fastest certifiable rate; any requested
-    lam outside the window is a config error.
+    lam outside the window is a config error. edges are the window_edges of
+    the same arguments when the caller already has them.
     """
-    window = lambda_window(params, beta, alpha, T)
-    if window is None:
+    lo, hi = window_edges(params, beta, alpha, T) if edges is None else edges
+    if lo > hi:
         return None
-    lo, hi = window
     chosen = hi if lam is None else float(lam)
     if chosen < lo or chosen > hi:
         raise ConfigError(f"lambda = {chosen:g} outside the certified window [{lo:g}, {hi:g}]")

@@ -16,14 +16,21 @@ standard output.
 
 The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
-(floats are written with repr and the pipeline is deterministic); sweep
-cells run in separate processes when --jobs > 1 with results merged in a
-fixed order, so the jobs setting never changes the CSV content.
+(floats are written with repr and the pipeline is deterministic).
+
+sweep groups its cells by (alpha, rho, horizon, linear_mode), cuts each
+group into batches of at most ceil(cells/jobs) rows, and solves every
+batch as one state (solver.simulate_batch), in a pool of min(jobs,
+batches) processes when that is more than one. Each row then goes through
+the same run_simulation tail as a single run; rows are merged back in cell
+order. Batch rows are bit-identical to single runs, so neither --jobs nor
+the batch sizes change any output byte. --jobs must be at least 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -68,7 +75,7 @@ from .model import (
     spec_to_dict,
     validate_assumptions,
 )
-from .solver import Grid, exact_reference_fields, simulate, step_size
+from .solver import Grid, batch_key, exact_reference_fields, simulate, simulate_batch
 from .svgplot import write_decay_svg
 
 EXIT_OK = 0
@@ -169,12 +176,16 @@ def run_simulation(
     sample_every: int = 10,
     paper_literal: bool = False,
     write_trajectory: bool = False,
+    solution=None,
 ) -> tuple[int, dict]:
     """Full single-run pipeline; returns (exit_code, summary dict).
 
     Writes energy.csv, identity.csv, decay.svg, manifest.json (and
     trajectory.csv on request) into outdir. The summary carries the
     certificate edges and the measured decay for sweep aggregation.
+    solution is the run's Trajectory, BlowUpError or ResourceLimitError
+    when the caller has already solved it (sweep solves cells in batches);
+    by default the spec is solved here.
     """
     started = time.perf_counter()
     outdir = Path(outdir)
@@ -195,26 +206,25 @@ def run_simulation(
         summary["exit"] = EXIT_VALIDATION
         return EXIT_VALIDATION, summary
 
-    grid = Grid(grid_n)
-    try:
-        traj = simulate(spec, grid, sample_every=sample_every, cfl=cfl)
-    except BlowUpError as exc:
-        _err(str(exc))
-        summary["exit"] = EXIT_BLOWUP
-        return EXIT_BLOWUP, summary
-    except ResourceLimitError as exc:
-        _err(str(exc))
-        summary["exit"] = EXIT_VALIDATION
-        return EXIT_VALIDATION, summary
+    if solution is None:
+        try:
+            solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl)
+        except (BlowUpError, ResourceLimitError) as exc:
+            solution = exc
+    if isinstance(solution, MowaveError):
+        _err(str(solution))
+        summary["exit"] = EXIT_BLOWUP if isinstance(solution, BlowUpError) else EXIT_VALIDATION
+        return summary["exit"], summary
+    traj = solution
 
     series_exact = EnergySeries.from_trajectory(traj)
     series_out = (
         EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
     )
 
-    lo, hi = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
-    summary["lambda_lo"], summary["lambda_hi"] = lo, hi
-    cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon)
+    edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
+    summary["lambda_lo"], summary["lambda_hi"] = edges
+    cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
     summary["window_empty"] = cert is None
     if cert is not None:
         summary["C"] = cert.C
@@ -333,12 +343,13 @@ def cmd_certify(args) -> int:
         _err("assumption checks failed:\n" + report.summary())
         return EXIT_VALIDATION
     try:
-        cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon)
+        edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
+        cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
     except MowaveError as exc:
         _err(str(exc))
         return EXIT_VALIDATION
     if cert is None:
-        lo, hi = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
+        lo, hi = edges
         _err(
             f"empty window: lambda_lo = {lo:.6g} exceeds lambda_hi = {hi:.6g}; "
             "beta grows too fast for any certified rate"
@@ -466,9 +477,8 @@ def _apply_overrides(base: dict, overrides: dict) -> dict:
     return cfg
 
 
-def _sweep_cell(payload: dict) -> dict:
-    """One sweep cell: simulate + certify in an isolated directory."""
-    cfg = payload["config"]
+def _sweep_row(cfg: dict, code: int, summary: dict | None = None) -> dict:
+    """One sweep.csv row: the cell's axis values, certificate edges and exit code."""
     row = {
         "mu": cfg["beta"].get("mu", "") if cfg["beta"]["variant"] == "exponential" else "",
         "rho": cfg["damping"]["rho"],
@@ -480,31 +490,51 @@ def _sweep_cell(payload: dict) -> dict:
         "lambda_fit": "",
         "C": "",
         "bound_holds": "",
-        "exit": EXIT_OK,
+        "exit": code,
     }
-    celldir = Path(payload["celldir"])
-    celldir.mkdir(parents=True, exist_ok=True)
-    try:
-        spec = spec_from_dict(cfg)
-        code, summary = run_simulation(
-            spec,
-            celldir,
-            grid_n=payload["grid_n"],
-            cfl=payload["cfl"],
-            sample_every=payload["sample_every"],
-        )
-    except MowaveError:
-        row["exit"] = EXIT_VALIDATION
-        return row
-    for key in ("lambda_lo", "lambda_hi", "lambda_fit", "C"):
-        if summary[key] is not None:
-            row[key] = summary[key]
-    if summary["bound_holds"] is not None:
-        row["bound_holds"] = "true" if summary["bound_holds"] else "false"
-    if code == EXIT_OK and summary["window_empty"]:
-        code = EXIT_EMPTY_WINDOW
-    row["exit"] = code
+    if summary is not None:
+        for key in ("lambda_lo", "lambda_hi", "lambda_fit", "C"):
+            if summary[key] is not None:
+                row[key] = summary[key]
+        if summary["bound_holds"] is not None:
+            row["bound_holds"] = "true" if summary["bound_holds"] else "false"
+        if code == EXIT_OK and summary["window_empty"]:
+            row["exit"] = EXIT_EMPTY_WINDOW
     return row
+
+
+def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int) -> list[dict]:
+    """Solve cells that share (alpha, rho, horizon, linear_mode) as one state.
+
+    Each cell then goes through run_simulation with its solved row, which
+    writes the cell's files into its own directory. Returns the sweep.csv
+    rows in the order of cells.
+    """
+    valid = [validate_assumptions(cell["spec"]).ok for cell in cells]
+    specs = [cell["spec"] for cell, ok in zip(cells, valid) if ok]
+    try:
+        solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl) if specs else []
+    except ResourceLimitError as exc:
+        solved = [exc] * len(specs)
+    except MowaveError:
+        return [_sweep_row(cell["config"], EXIT_VALIDATION) for cell in cells]
+    solutions = iter(solved)
+    rows = []
+    for cell, ok in zip(cells, valid):
+        try:
+            code, summary = run_simulation(
+                cell["spec"],
+                cell["celldir"],
+                grid_n=grid_n,
+                cfl=cfl,
+                sample_every=sample_every,
+                solution=next(solutions) if ok else None,
+            )
+        except MowaveError:
+            rows.append(_sweep_row(cell["config"], EXIT_VALIDATION))
+            continue
+        rows.append(_sweep_row(cell["config"], code, summary))
+    return rows
 
 
 def _format_cell(value) -> str:
@@ -518,6 +548,9 @@ def _format_cell(value) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        _err(f"--jobs must be at least 1, got {args.jobs}")
+        return EXIT_VALIDATION
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             sweep_cfg = json.load(fh)
@@ -556,7 +589,8 @@ def cmd_sweep(args) -> int:
         value_lists.append(values)
 
     outdir = _outdir(args.outdir)
-    payloads = []
+    rows: list = []
+    groups: dict = {}  # cells that can share one solver state, in cell order
     for idx, combo in enumerate(itertools.product(*value_lists)):
         overrides = dict(zip(names, combo))
         try:
@@ -564,21 +598,30 @@ def cmd_sweep(args) -> int:
         except ConfigError as exc:
             _err(str(exc))
             return EXIT_VALIDATION
-        payloads.append(
-            {
-                "config": cfg,
-                "celldir": str(outdir / f"cell_{idx:04d}"),
-                "grid_n": args.grid_n,
-                "cfl": args.cfl,
-                "sample_every": args.sample_every,
-            }
-        )
+        celldir = outdir / f"cell_{idx:04d}"
+        celldir.mkdir(parents=True, exist_ok=True)
+        try:
+            spec = spec_from_dict(cfg)
+        except ConfigError:
+            rows.append(_sweep_row(cfg, EXIT_VALIDATION))
+            continue
+        rows.append(None)  # filled in from the cell's batch
+        cell = {"index": idx, "config": cfg, "spec": spec, "celldir": str(celldir)}
+        groups.setdefault(batch_key(spec), []).append(cell)
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, payloads))
+    # at most ceil(cells/jobs) rows per batch, so every worker gets work
+    size = -(-len(rows) // args.jobs)
+    batches = [group[i : i + size] for group in groups.values() for i in range(0, len(group), size)]
+    solve = functools.partial(_sweep_batch, grid_n=args.grid_n, cfl=args.cfl, sample_every=args.sample_every)
+    workers = min(args.jobs, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(solve, batches))
     else:
-        rows = [_sweep_cell(p) for p in payloads]
+        solved = [solve(batch) for batch in batches]
+    for batch, batch_rows in zip(batches, solved):
+        for cell, row in zip(batch, batch_rows):
+            rows[cell["index"]] = row
 
     columns = ["mu", "rho", "k", "a", "b", "lambda_lo", "lambda_hi", "lambda_fit", "C", "bound_holds", "exit"]
     lines = [",".join(columns)]

@@ -10,8 +10,19 @@ system in (v, w) = (v, v_t) on the uniform reference grid y_i = i/N:
 with D the central first-difference and D2 the central second-difference.
 Time stepping is classical four-stage Runge-Kutta with a fixed step chosen
 from the characteristic speed bound s_max = 1 + sup alpha' (the last step is
-shortened to land exactly on T). Dirichlet rows are forced to zero after
-every stage and every step, so the boundary invariant holds exactly.
+shortened to land exactly on T). Only interior nodes are ever written, so
+the Dirichlet rows stay exactly zero.
+
+The kernel advances a (rows, N+1) state: simulate_batch solves several
+specs that share alpha, rho, horizon and linear_mode (hence dt, the step
+count and the stage times) in one loop, and simulate is its batch of one.
+a, b, beta(t) and the source are per-row columns. Every operation is
+elementwise per row, so a row's bits never depend on its neighbours; rho is
+shared because numpy takes scalar fast paths for some exponents (x ** 2.0,
+x ** 0.5) that differ in the last bit from pow with an array exponent. The
+coefficients, beta and the source are evaluated once per distinct stage
+time: stages 2 and 3 share t + h/2, and stage 4's t + h is reused as the
+next step's t when the two are equal.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
@@ -25,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -171,55 +182,145 @@ def step_size(spec: ProblemSpec, grid: Grid, t: float = 0.0, cfl: float = 0.5) -
 
 
 # ---------------------------------------------------------------------------
+# per-row constants of a batch
+
+
+def _column(values: list) -> float | np.ndarray:
+    """Per-row scalars as a (rows, 1) column; a plain float for one row."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def batch_key(spec: ProblemSpec) -> tuple:
+    """What rows of one simulate_batch call share: alpha, rho, horizon, linear_mode."""
+    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode)
+
+
+class _Source:
+    """Manufactured source f(y, t) of several rows on fixed nodes.
+
+    f = u_tt - u_xx + a u_t + b u + beta |u|^rho u in reference coordinates,
+    written out by hand from (alpha, alpha', alpha'') with theta = mode pi y,
+    E = amp exp(-rate t), g = alpha'/alpha and g' = alpha''/alpha - g^2:
+
+        u    = E sin(theta)
+        u_t  = E (-theta g cos(theta) - rate sin(theta))
+        u_tt = E [(theta g^2 - theta g' + 2 rate theta g) cos(theta)
+                  + (rate^2 - theta^2 g^2) sin(theta)]
+        u_xx = -(mode pi / alpha)^2 u
+
+    The rows share alpha, rho and linear_mode; theta, sin and cos do not
+    depend on t and are computed once.
+    """
+
+    def __init__(self, fields: list[ManufacturedField], specs: list[ProblemSpec], y: np.ndarray):
+        self.specs = specs
+        self.alpha, self.rho = specs[0].alpha, specs[0].damping.rho
+        self.amp = [f.amp for f in fields]
+        self.rates = [f.rate for f in fields]
+        self.k = [f.mode * math.pi for f in fields]
+        self.rate = _column(self.rates)
+        self.a = _column([s.damping.a for s in specs])
+        self.b = _column([s.damping.b for s in specs])
+        self.theta = _column(self.k) * y
+        self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
+
+    def __call__(self, t: float) -> np.ndarray:
+        al, al1, al2 = self.alpha.eval(t)
+        g = al1 / al
+        g1 = al2 / al - g * g
+        theta, sin, cos, rate = self.theta, self.sin, self.cos, self.rate
+        scale = _column([amp * math.exp(-r * t) for amp, r in zip(self.amp, self.rates)])
+        u = scale * sin
+        u_t = scale * (-g * theta * cos - rate * sin)
+        u_tt = scale * (
+            (g * g - g1 + 2.0 * rate * g) * theta * cos + (rate * rate - g * g * theta * theta) * sin
+        )
+        f = u_tt + _column([(k / al) ** 2 for k in self.k]) * u + self.a * u_t + self.b * u
+        if not self.specs[0].linear_mode:
+            f = f + _column([s.beta.eval(t)[0] for s in self.specs]) * np.abs(u) ** self.rho * u
+        return f
+
+
+class _Rows:
+    """Per-row constants of specs that share alpha, rho, horizon and linear_mode.
+
+    a, b, beta(t) and the source differ per row and broadcast as columns
+    over the interior nodes. The nonlinear term is on exactly when
+    linear_mode is off: validation (A2) makes beta(t) > 0 then.
+    """
+
+    def __init__(self, specs: list[ProblemSpec], grid: Grid):
+        self.specs = specs
+        self.alpha, self.rho = specs[0].alpha, specs[0].damping.rho
+        self.nonlinear = not specs[0].linear_mode
+        self.y = grid.y[1:-1]
+        self.two_dy, self.dy2 = 2.0 * grid.dy, grid.dy * grid.dy
+        self.a = _column([s.damping.a for s in specs])
+        self.b = _column([s.damping.b for s in specs])
+        forced = [i for i, s in enumerate(specs) if s.source is not None]
+        self.forced = None if len(forced) == len(specs) else forced
+        self.source = (
+            _Source([specs[i].source for i in forced], [specs[i] for i in forced], self.y)
+            if forced
+            else None
+        )
+
+    def at(self, t: float) -> tuple:
+        """Everything the right-hand side needs at time t."""
+        bt = _column([s.beta.eval(t)[0] for s in self.specs]) if self.nonlinear else None
+        f = self.source(t) if self.source is not None else None
+        return (t, *coefficient_grids(self.y, t, self.alpha), bt, f)
+
+
+# ---------------------------------------------------------------------------
 # right-hand side
 
 
-def _rhs_arrays(t, v, w, spec: ProblemSpec, grid: Grid, forcing):
-    dy = grid.dy
-    y = grid.y
-    c_yt, c_yy, c_y, drift = coefficient_grids(y, t, spec.alpha)
-    a = spec.damping.a
-    b = spec.damping.b
-    bt, _ = spec.beta_at(t)
+def _rhs_arrays(v, w, at, rows: _Rows, out) -> None:
+    """Interior dw/dt of every row of (v, w), written into out[:, 1:-1].
 
-    Dv = np.zeros_like(v)
-    Dw = np.zeros_like(v)
-    D2v = np.zeros_like(v)
-    Dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
-    Dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * dy)
-    D2v[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dy * dy)
-
-    dw = -(c_yt * Dw + c_yy * D2v + c_y * Dv) - a * (w - drift * Dv) - b * v
-    if bt != 0.0:
+    dv/dt is w itself: the boundary columns of w are zero at every stage,
+    and those of out are never written.
+    """
+    _, c_yt, c_yy, c_y, drift, bt, f = at
+    vi = v[:, 1:-1]
+    Dv = (v[:, 2:] - v[:, :-2]) / rows.two_dy
+    Dw = (w[:, 2:] - w[:, :-2]) / rows.two_dy
+    D2v = (v[:, 2:] - 2.0 * vi + v[:, :-2]) / rows.dy2
+    dw = out[:, 1:-1]
+    np.subtract(
+        -(c_yt * Dw + c_yy * D2v + c_y * Dv) - rows.a * (w[:, 1:-1] - drift * Dv),
+        rows.b * vi,
+        out=dw,
+    )
+    if bt is not None:
         # |v|^rho v, continuously extended by 0 at v = 0 for every rho > 0
-        dw = dw - bt * np.abs(v) ** spec.damping.rho * v
-    if forcing is not None:
-        dw = dw + forcing(y, t)
-
-    dv = w.copy()
-    dv[0] = dv[-1] = 0.0
-    dw[0] = dw[-1] = 0.0
-    return dv, dw
+        dw -= bt * np.abs(vi) ** rows.rho * vi
+    if f is not None:
+        if rows.forced is None:
+            dw += f
+        else:
+            dw[rows.forced] += f
 
 
-def rhs(
-    state: ReferenceState,
-    spec: ProblemSpec,
-    grid: Grid,
-    forcing: Optional[Callable] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def rhs(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (dv/dt, dw/dt) at one state.
 
+    The one-row case of the solver's kernel, manufactured source included.
     Raises BlowUpError (carrying the time) when the state or the computed
     derivative has left the finite range.
     """
     if not (np.isfinite(state.v).all() and np.isfinite(state.w).all()):
         raise BlowUpError(state.t)
+    rows = _Rows([spec], grid)
+    dw = np.zeros((1, grid.n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        dv, dw = _rhs_arrays(state.t, state.v, state.w, spec, grid, forcing)
-    if not (np.isfinite(dv).all() and np.isfinite(dw).all()):
+        _rhs_arrays(state.v[None], state.w[None], rows.at(state.t), rows, dw)
+    dv = state.w.copy()
+    dv[0] = dv[-1] = 0.0
+    if not np.isfinite(dw).all():
         raise BlowUpError(state.t)
-    return dv, dw
+    return dv, dw[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +334,54 @@ def simulate(
     cfl: float = 0.5,
     snapshot_cap_bytes: int = SNAPSHOT_CAP_BYTES,
 ) -> Trajectory:
-    """Advance the system from 0 to T with classical RK4 at fixed dt.
+    """Advance one spec from 0 to T: the batch of one of simulate_batch.
 
-    Snapshots are recorded at t = 0, every sample_every steps, and at t = T.
     Raises ValidationError if the spec fails the admissibility checks,
     BlowUpError when the solution leaves the finite range, and
     ResourceLimitError if the snapshot storage estimate exceeds the cap.
     """
-    report = validate_assumptions(spec)
-    if not report.ok:
-        raise ValidationError(report)
-    hyperbolicity_check(spec.alpha, spec.horizon)
+    (result,) = simulate_batch([spec], grid, sample_every, cfl, snapshot_cap_bytes)
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def simulate_batch(
+    specs,
+    grid: Grid,
+    sample_every: int = 1,
+    cfl: float = 0.5,
+    snapshot_cap_bytes: int = SNAPSHOT_CAP_BYTES,
+) -> list:
+    """Advance several specs from 0 to T as one (rows, N+1) state.
+
+    The specs must share alpha, rho, horizon and linear_mode, and with them
+    dt, the step count and the stage times; a, b, beta and the source may
+    differ. Classical RK4 at fixed dt; snapshots are recorded at t = 0,
+    every sample_every steps, and at t = T. Every operation is elementwise
+    per row, so each row is bit-identical to its run alone.
+
+    Returns one Trajectory per spec, or the BlowUpError of a row that left
+    the finite range; such a row is dropped and the others carry on. Raises
+    ValidationError if a spec fails the admissibility checks, ConfigError if
+    the rows do not share the above, and ResourceLimitError if one row's
+    snapshot storage estimate exceeds the cap.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ConfigError("simulate_batch needs at least one spec")
+    for spec in specs:
+        report = validate_assumptions(spec)
+        if not report.ok:
+            raise ValidationError(report)
+    if any(batch_key(spec) != batch_key(specs[0]) for spec in specs):
+        raise ConfigError("simulate_batch: rows must share alpha, rho, horizon and linear_mode")
+    hyperbolicity_check(specs[0].alpha, specs[0].horizon)
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
 
-    T = spec.horizon
-    dt = step_size(spec, grid, 0.0, cfl)
+    T = specs[0].horizon
+    dt = step_size(specs[0], grid, 0.0, cfl)
     nsteps = int(math.ceil(T / dt - 1e-12))
     est_snapshots = nsteps // sample_every + 2
     est_bytes = est_snapshots * 2 * (grid.n + 1) * 8
@@ -258,32 +391,57 @@ def simulate(
             f"(cap {snapshot_cap_bytes}); raise sample_every or the cap"
         )
 
-    forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
-    first = initialize(spec, grid)
-    v = first.v.copy()
-    w = first.w.copy()
-    states = [first]
+    firsts = [initialize(spec, grid) for spec in specs]
+    states = [[first] for first in firsts]
+    results: list = [None] * len(specs)
+    live = list(range(len(specs)))  # original index of each state row
+    rows = _Rows(specs, grid)
+    v = np.array([first.v for first in firsts])
+    w = np.array([first.w for first in firsts])
+    dws = [np.zeros_like(v) for _ in range(4)]  # boundary columns stay zero
     t = 0.0
+    at_t = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nsteps):
             t_next = min((k + 1) * dt, T)
             h = t_next - t
-            dv1, dw1 = _rhs_arrays(t, v, w, spec, grid, forcing)
-            dv2, dw2 = _rhs_arrays(t + 0.5 * h, v + 0.5 * h * dv1, w + 0.5 * h * dw1, spec, grid, forcing)
-            dv3, dw3 = _rhs_arrays(t + 0.5 * h, v + 0.5 * h * dv2, w + 0.5 * h * dw2, spec, grid, forcing)
-            dv4, dw4 = _rhs_arrays(t + h, v + h * dv3, w + h * dw3, spec, grid, forcing)
-            v = v + (h / 6.0) * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            hh = 0.5 * h
+            if at_t is None or at_t[0] != t:
+                at_t = rows.at(t)
+            at_half = rows.at(t + 0.5 * h)
+            at_end = rows.at(t + h)
+            dw1, dw2, dw3, dw4 = dws
+            _rhs_arrays(v, w, at_t, rows, dw1)
+            v2, w2 = v + hh * w, w + hh * dw1
+            _rhs_arrays(v2, w2, at_half, rows, dw2)
+            v3, w3 = v + hh * w2, w + hh * dw2
+            _rhs_arrays(v3, w3, at_half, rows, dw3)
+            v4, w4 = v + h * w3, w + h * dw3
+            _rhs_arrays(v4, w4, at_end, rows, dw4)
+            v = v + (h / 6.0) * (w + 2.0 * w2 + 2.0 * w3 + w4)
             w = w + (h / 6.0) * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-            v[0] = v[-1] = 0.0
-            w[0] = w[-1] = 0.0
             t = t_next
+            at_t = at_end
             if not (np.isfinite(v).all() and np.isfinite(w).all()):
-                raise BlowUpError(t)
+                bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(w).all(axis=1))
+                for i in np.flatnonzero(bad):
+                    results[live[i]] = BlowUpError(t)
+                keep = ~bad
+                live = [r for r, ok in zip(live, keep) if ok]
+                if not live:
+                    break
+                v, w = v[keep], w[keep]
+                dws = [np.zeros_like(v) for _ in range(4)]
+                rows = _Rows([specs[r] for r in live], grid)
+                at_t = None
             if (k + 1) % sample_every == 0 or k == nsteps - 1:
-                states.append(ReferenceState(t, v, w))
+                for i, r in enumerate(live):
+                    states[r].append(ReferenceState(t, v[i], w[i]))
 
-    return Trajectory(spec=spec, grid=grid, states=tuple(states), dt=dt)
+    for r in live:
+        results[r] = Trajectory(spec=specs[r], grid=grid, states=tuple(states[r]), dt=dt)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +451,11 @@ def simulate(
 def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callable:
     """Source term f(y, t) that makes the descriptor's field an exact solution.
 
-    f = u_tt - u_xx + a u_t + b u + beta |u|^rho u in reference coordinates,
-    written out by hand from (alpha, alpha', alpha'') with theta = mode pi y,
-    E = amp exp(-rate t), g = alpha'/alpha and g' = alpha''/alpha - g^2:
-
-        u    = E sin(theta)
-        u_t  = E (-theta g cos(theta) - rate sin(theta))
-        u_tt = E [(theta g^2 - theta g' + 2 rate theta g) cos(theta)
-                  + (rate^2 - theta^2 g^2) sin(theta)]
-        u_xx = -(mode pi / alpha)^2 u
+    The one-row case of the solver's source (see _Source for the formula).
     """
-    a, b, rho = spec.damping.a, spec.damping.b, spec.damping.rho
-    amp, rate, k = field.amp, field.rate, field.mode * math.pi
 
     def forcing(y_nodes, t_val):
-        al, al1, al2 = spec.alpha.eval(t_val)
-        g = al1 / al
-        g1 = al2 / al - g * g
-        theta = k * y_nodes
-        sin, cos = np.sin(theta), np.cos(theta)
-        scale = amp * math.exp(-rate * t_val)
-        u = scale * sin
-        u_t = scale * (-g * theta * cos - rate * sin)
-        u_tt = scale * (
-            (g * g - g1 + 2.0 * rate * g) * theta * cos + (rate * rate - g * g * theta * theta) * sin
-        )
-        f = u_tt + (k / al) ** 2 * u + a * u_t + b * u
-        bt, _ = spec.beta_at(t_val)
-        if bt != 0.0:
-            f = f + bt * np.abs(u) ** rho * u
-        return f
+        return _Source([field], [spec], y_nodes)(t_val)
 
     return forcing
 

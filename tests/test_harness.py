@@ -11,7 +11,9 @@ import pytest
 
 import mowave
 from mowave import verify_manifest
-from mowave.harness import main
+from mowave.harness import main, run_simulation
+
+harness = sys.modules["mowave.harness"]
 
 
 def reference_config(**overrides):
@@ -260,6 +262,113 @@ class TestSweep:
         assert main(["sweep", write_config(tmp_path, cfg, "c2.json"), "--grid-n", "64",
                      "--jobs", "2", "--outdir", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the sweep's process pool by an in-process one; lists its sizes."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def outputs_of(outdir):
+    """Bytes of sweep.csv and every cell file; manifests without wall_clock_s."""
+    blobs = {}
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("wall_clock_s")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        blobs[str(path.relative_to(outdir))] = data
+    return blobs
+
+
+class TestBatchedSweep:
+    def sweep_path(self, tmp_path):
+        # k x rho x mu: four (alpha, rho) groups of two; beta0 = 7 with
+        # amplitude 10 makes exactly the k = 0.2, rho = 3, mu = 4 cell blow up
+        base = reference_config(
+            alpha={"variant": "affine", "k": 0.2},
+            beta={"variant": "exponential", "beta0": 7.0, "mu": 0.0},
+            init={"variant": "sine", "m": 1, "amp_u0": 10.0, "amp_u1": 0.0},
+            horizon=1.0,
+        )
+        cfg = {"base": base, "axes": {"k": [0.2, 0.5], "rho": [1.0, 3.0], "mu": [0.0, 4.0]}}
+        return write_config(tmp_path, cfg, "sweep.json")
+
+    def run(self, tmp_path, jobs, name):
+        outdir = tmp_path / name
+        code = main(
+            ["sweep", self.sweep_path(tmp_path), "--jobs", str(jobs), "--grid-n", "32",
+             "--sample-every", "5", "--outdir", str(outdir)]
+        )
+        assert code == 0
+        return outdir
+
+    def test_outputs_byte_identical_across_jobs(self, tmp_path, capsys):
+        serial = self.run(tmp_path, 1, "jobs1")
+        with open(serial / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["k"], r["rho"], r["mu"]) for r in rows if r["exit"] == "3"] == [("0.2", "3.0", "4.0")]
+        # its batch neighbour (same k and rho) finishes
+        assert [r["exit"] for r in rows if (r["k"], r["rho"]) == ("0.2", "3.0")] == ["0", "3"]
+        assert "blew up" in capsys.readouterr().err
+        expected = outputs_of(serial)
+        assert len(expected) == 1 + 7 * 4
+        for jobs in (2, 3):
+            assert outputs_of(self.run(tmp_path, jobs, f"jobs{jobs}")) == expected
+
+    def test_batch_size_does_not_change_outputs(self, tmp_path, pool_sizes):
+        whole = outputs_of(self.run(tmp_path, 1, "whole_groups"))
+        assert pool_sizes == []  # one job: no pool
+        # ceil(8 / 5000) = 1 row per batch: eight batches of one, eight workers
+        assert outputs_of(self.run(tmp_path, 5000, "single_rows")) == whole
+        assert pool_sizes == [8]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        code = main(["sweep", self.sweep_path(tmp_path), "--jobs", jobs, "--outdir", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs" in err
+        assert not (tmp_path / "s").exists()
+
+
+def test_window_edges_computed_once_per_run_and_certify(tmp_path, monkeypatch, capsys):
+    certify = sys.modules["mowave.certify"]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = certify.window_edges
+    monkeypatch.setattr(certify, "window_edges", counted)
+    monkeypatch.setattr(harness, "window_edges", counted)
+    spec = mowave.spec_from_dict(reference_config(horizon=0.5))
+    assert run_simulation(spec, tmp_path / "run", grid_n=32)[0] == 0
+    assert len(calls) == 1
+    for mu, code in ((0.1, 0), (2.0, 5)):  # a certificate, then an empty window
+        calls.clear()
+        cfg = reference_config(beta={"variant": "exponential", "beta0": 1.0, "mu": mu})
+        assert main(["certify", write_config(tmp_path, cfg)]) == code
+        assert len(calls) == 1
 
 
 def test_cli_paths_do_not_import_sympy(tmp_path):

@@ -31,9 +31,11 @@ from mowave import (
     manufactured_forcing,
     rhs,
     simulate,
+    simulate_batch,
     step_size,
 )
 from mowave.solver import simpson_weights
+from mowave.transform import coefficient_grids
 
 
 def make_spec(**kw):
@@ -267,6 +269,153 @@ class TestSimulate:
         traj = simulate(spec, Grid(64), sample_every=10)
         e = [energy(s, spec, traj.grid).E for s in traj.states]
         assert e[-1] < 0.5 * e[0]
+
+
+def assert_same_run(batch_row, solo):
+    assert batch_row.dt == solo.dt
+    assert np.array_equal(batch_row.times, solo.times)
+    for got, want in zip(batch_row.states, solo.states, strict=True):
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.w, want.w)
+
+
+def reference_simulate(spec, grid, sample_every):
+    """The one-row RK4 loop the batched kernel replaced, kept as its oracle."""
+    y, dy = grid.y, grid.dy
+    a, b, rho = spec.damping.a, spec.damping.b, spec.damping.rho
+
+    def source(t):
+        field = spec.source
+        al, al1, al2 = spec.alpha.eval(t)
+        g = al1 / al
+        g1 = al2 / al - g * g
+        k = field.mode * math.pi
+        theta = k * y
+        sin, cos = np.sin(theta), np.cos(theta)
+        scale = field.amp * math.exp(-field.rate * t)
+        u = scale * sin
+        u_t = scale * (-g * theta * cos - field.rate * sin)
+        u_tt = scale * (
+            (g * g - g1 + 2.0 * field.rate * g) * theta * cos
+            + (field.rate * field.rate - g * g * theta * theta) * sin
+        )
+        f = u_tt + (k / al) ** 2 * u + a * u_t + b * u
+        bt, _ = spec.beta_at(t)
+        if bt != 0.0:
+            f = f + bt * np.abs(u) ** rho * u
+        return f
+
+    def rhs_arrays(t, v, w):
+        c_yt, c_yy, c_y, drift = coefficient_grids(y, t, spec.alpha)
+        bt, _ = spec.beta_at(t)
+        Dv, Dw, D2v = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+        Dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
+        Dw[1:-1] = (w[2:] - w[:-2]) / (2.0 * dy)
+        D2v[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dy * dy)
+        dw = -(c_yt * Dw + c_yy * D2v + c_y * Dv) - a * (w - drift * Dv) - b * v
+        if bt != 0.0:
+            dw = dw - bt * np.abs(v) ** rho * v
+        if spec.source is not None:
+            dw = dw + source(t)
+        dv = w.copy()
+        dv[0] = dv[-1] = 0.0
+        dw[0] = dw[-1] = 0.0
+        return dv, dw
+
+    T = spec.horizon
+    dt = step_size(spec, grid)
+    nsteps = int(math.ceil(T / dt - 1e-12))
+    first = initialize(spec, grid)
+    v, w, t = first.v.copy(), first.w.copy(), 0.0
+    states = [(t, v, w)]
+    for k in range(nsteps):
+        t_next = min((k + 1) * dt, T)
+        h = t_next - t
+        dv1, dw1 = rhs_arrays(t, v, w)
+        dv2, dw2 = rhs_arrays(t + 0.5 * h, v + 0.5 * h * dv1, w + 0.5 * h * dw1)
+        dv3, dw3 = rhs_arrays(t + 0.5 * h, v + 0.5 * h * dv2, w + 0.5 * h * dw2)
+        dv4, dw4 = rhs_arrays(t + h, v + h * dv3, w + h * dw3)
+        v = v + (h / 6.0) * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+        w = w + (h / 6.0) * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        v[0] = v[-1] = 0.0
+        w[0] = w[-1] = 0.0
+        t = t_next
+        if (k + 1) % sample_every == 0 or k == nsteps - 1:
+            states.append((t, v, w))
+    return states
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("rho", [0.5, 2.0, 3.0])
+    def test_rows_are_bit_identical_to_solo_runs(self, rho):
+        alpha = SaturatingAlpha(k=0.5, tau=1.0)
+        betas = [ExponentialBeta(beta0=1.0, mu=0.3), PolynomialBeta((1.0, 0.2, 0.05)), ConstantBeta(2.0)]
+        specs = []
+        for i, beta in enumerate(betas):
+            for source in (None, ManufacturedField(amp=0.8, rate=0.5, mode=i + 1)):
+                specs.append(
+                    make_spec(
+                        damping=DampingParams(a=0.5 + 0.4 * i, b=float(i), rho=rho),
+                        beta=beta,
+                        alpha=alpha,
+                        horizon=0.5,
+                        source=source,
+                    )
+                )
+        g = Grid(32)
+        batch = simulate_batch(specs, g, sample_every=3)
+        assert len(batch) == len(specs)
+        for spec, row in zip(specs, batch):
+            assert_same_run(row, simulate(spec, g, sample_every=3))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"beta": ExponentialBeta(beta0=1.0, mu=0.1), "alpha": SaturatingAlpha(k=0.5, tau=1.0)},
+            {"beta": PolynomialBeta((1.0, 0.5)), "alpha": AffineAlpha(k=0.3), "damping": DampingParams(a=1.0, b=0.0, rho=0.5)},
+            {"source": ManufacturedField(amp=1.0, rate=1.0, mode=1), "alpha": SaturatingAlpha(k=0.5, tau=1.0)},
+            {"linear_mode": True, "source": ManufacturedField(amp=0.5, rate=0.3, mode=2)},
+        ],
+    )
+    def test_batch_of_one_matches_reference_loop(self, kw):
+        spec = make_spec(horizon=0.5, **kw)
+        g = Grid(32)
+        traj = simulate(spec, g, sample_every=4)
+        expected = reference_simulate(spec, g, 4)
+        assert len(traj.states) == len(expected)
+        for state, (t, v, w) in zip(traj.states, expected):
+            assert state.t == t and np.array_equal(state.v, v) and np.array_equal(state.w, w)
+
+    def test_blow_up_row_leaves_neighbours_unchanged(self):
+        # a = 2000 at N = 100 exceeds the RK4 real-axis limit a dt < 2.78
+        specs = [
+            make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
+            for a in (1.0, 2000.0, 1.5)
+        ]
+        g = Grid(100)
+        first, blown, last = simulate_batch(specs, g, sample_every=10)
+        with pytest.raises(BlowUpError) as solo:
+            simulate(specs[1], g, sample_every=10)
+        assert isinstance(blown, BlowUpError)
+        assert blown.time == solo.value.time
+        assert_same_run(first, simulate(specs[0], g, sample_every=10))
+        assert_same_run(last, simulate(specs[2], g, sample_every=10))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"alpha": AffineAlpha(k=0.2)},
+            {"damping": DampingParams(a=1.0, b=1.0, rho=2.0)},
+            {"horizon": 0.75},
+            {"linear_mode": True},
+        ],
+    )
+    def test_rows_must_share_alpha_rho_horizon_and_mode(self, other):
+        with pytest.raises(ConfigError):
+            simulate_batch([make_spec(horizon=0.5), make_spec(**{"horizon": 0.5, **other})], Grid(16))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_batch([], Grid(16))
 
 
 class TestTrajectoryInvariants:
