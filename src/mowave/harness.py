@@ -18,10 +18,11 @@ The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
-sweep groups its cells by (alpha, rho, horizon, linear_mode), cuts each
-group into batches of at most ceil(cells/jobs) rows, and solves every
-batch as one state (solver.simulate_batch), in a pool of min(jobs,
-batches) processes when that is more than one. Each row then goes through
+sweep groups its cells by solver.batch_key (alpha, rho, horizon,
+linear_mode, forced or not), cuts each group into batches of at most
+ceil(cells/jobs) rows and of no more rows than the snapshot cap holds
+together, and solves every batch as one state (solver.simulate_batch), in
+a pool of min(jobs, batches) processes when that is more than one. Each row then goes through
 the same run_simulation tail as a single run; rows are merged back in cell
 order. Batch rows are bit-identical to single runs, so neither --jobs nor
 the batch sizes change any output byte. --jobs must be at least 1.
@@ -75,7 +76,15 @@ from .model import (
     spec_to_dict,
     validate_assumptions,
 )
-from .solver import Grid, batch_key, exact_reference_fields, simulate, simulate_batch
+from .solver import (
+    SNAPSHOT_CAP_BYTES,
+    Grid,
+    batch_key,
+    exact_reference_fields,
+    simulate,
+    simulate_batch,
+    snapshot_bytes,
+)
 from .svgplot import write_decay_svg
 
 EXIT_OK = 0
@@ -183,9 +192,9 @@ def run_simulation(
     Writes energy.csv, identity.csv, decay.svg, manifest.json (and
     trajectory.csv on request) into outdir. The summary carries the
     certificate edges and the measured decay for sweep aggregation.
-    solution is the run's Trajectory, BlowUpError or ResourceLimitError
-    when the caller has already solved it (sweep solves cells in batches);
-    by default the spec is solved here.
+    solution is the run's Trajectory or error (ValidationError,
+    BlowUpError, ResourceLimitError) when the caller has already solved it
+    (sweep solves cells in batches); by default the spec is solved here.
     """
     started = time.perf_counter()
     outdir = Path(outdir)
@@ -200,17 +209,15 @@ def run_simulation(
         "exit": EXIT_OK,
     }
 
-    report = validate_assumptions(spec)
-    if not report.ok:
-        _err("assumption checks failed:\n" + report.summary())
-        summary["exit"] = EXIT_VALIDATION
-        return EXIT_VALIDATION, summary
-
     if solution is None:
         try:
             solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl)
-        except (BlowUpError, ResourceLimitError) as exc:
+        except (ValidationError, BlowUpError, ResourceLimitError) as exc:
             solution = exc
+    if isinstance(solution, ValidationError):
+        _err("assumption checks failed:\n" + solution.report.summary())
+        summary["exit"] = EXIT_VALIDATION
+        return EXIT_VALIDATION, summary
     if isinstance(solution, MowaveError):
         _err(str(solution))
         summary["exit"] = EXIT_BLOWUP if isinstance(solution, BlowUpError) else EXIT_VALIDATION
@@ -503,38 +510,47 @@ def _sweep_row(cfg: dict, code: int, summary: dict | None = None) -> dict:
     return row
 
 
-def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int) -> list[dict]:
-    """Solve cells that share (alpha, rho, horizon, linear_mode) as one state.
+def _sweep_batch(
+    cells: list[dict], grid_n: int, cfl: float, sample_every: int, snapshot_cap_bytes: int, outdir: str
+) -> list[dict]:
+    """Solve cells with one batch_key as one state, then write each cell.
 
-    Each cell then goes through run_simulation with its solved row, which
-    writes the cell's files into its own directory. Returns the sweep.csv
-    rows in the order of cells.
+    Each cell goes through run_simulation with its solved row (or that
+    row's error), which writes the cell's files into outdir/cell_XXXX; a
+    row is dropped once written. Returns the sweep.csv rows in the order of
+    cells.
     """
-    valid = [validate_assumptions(cell["spec"]).ok for cell in cells]
-    specs = [cell["spec"] for cell, ok in zip(cells, valid) if ok]
+    specs = [cell["spec"] for cell in cells]
     try:
-        solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl) if specs else []
-    except ResourceLimitError as exc:
-        solved = [exc] * len(specs)
-    except MowaveError:
-        return [_sweep_row(cell["config"], EXIT_VALIDATION) for cell in cells]
-    solutions = iter(solved)
+        solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl, snapshot_cap_bytes)
+    except MowaveError as exc:  # a setting or a limit of the whole batch
+        solved = [exc] * len(cells)
     rows = []
-    for cell, ok in zip(cells, valid):
+    for i, cell in enumerate(cells):
+        solution, solved[i] = solved[i], None
         try:
             code, summary = run_simulation(
                 cell["spec"],
-                cell["celldir"],
+                Path(outdir) / f"cell_{cell['index']:04d}",
                 grid_n=grid_n,
                 cfl=cfl,
                 sample_every=sample_every,
-                solution=next(solutions) if ok else None,
+                solution=solution,
             )
         except MowaveError:
             rows.append(_sweep_row(cell["config"], EXIT_VALIDATION))
             continue
         rows.append(_sweep_row(cell["config"], code, summary))
     return rows
+
+
+def _rows_within_cap(spec: ProblemSpec, args) -> int:
+    """Most rows of spec's group whose snapshots fit the cap together."""
+    try:
+        per_row = snapshot_bytes(spec, Grid(args.grid_n), args.sample_every, args.cfl)
+    except MowaveError:
+        return 1  # the batch reports the error for its cell
+    return max(1, SNAPSHOT_CAP_BYTES // per_row)
 
 
 def _format_cell(value) -> str:
@@ -588,7 +604,6 @@ def cmd_sweep(args) -> int:
             return EXIT_VALIDATION
         value_lists.append(values)
 
-    outdir = _outdir(args.outdir)
     rows: list = []
     groups: dict = {}  # cells that can share one solver state, in cell order
     for idx, combo in enumerate(itertools.product(*value_lists)):
@@ -598,21 +613,33 @@ def cmd_sweep(args) -> int:
         except ConfigError as exc:
             _err(str(exc))
             return EXIT_VALIDATION
-        celldir = outdir / f"cell_{idx:04d}"
-        celldir.mkdir(parents=True, exist_ok=True)
         try:
             spec = spec_from_dict(cfg)
         except ConfigError:
             rows.append(_sweep_row(cfg, EXIT_VALIDATION))
             continue
         rows.append(None)  # filled in from the cell's batch
-        cell = {"index": idx, "config": cfg, "spec": spec, "celldir": str(celldir)}
+        cell = {"index": idx, "config": cfg, "spec": spec}
         groups.setdefault(batch_key(spec), []).append(cell)
 
-    # at most ceil(cells/jobs) rows per batch, so every worker gets work
-    size = -(-len(rows) // args.jobs)
-    batches = [group[i : i + size] for group in groups.values() for i in range(0, len(group), size)]
-    solve = functools.partial(_sweep_batch, grid_n=args.grid_n, cfl=args.cfl, sample_every=args.sample_every)
+    outdir = _outdir(args.outdir)
+    for idx in range(len(rows)):
+        (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
+    # at most ceil(cells/jobs) rows per batch, so every worker gets work,
+    # and no more than the snapshot cap holds
+    jobs_rows = -(-len(rows) // args.jobs)
+    batches = []
+    for group in groups.values():
+        size = min(jobs_rows, _rows_within_cap(group[0]["spec"], args))
+        batches.extend(group[i : i + size] for i in range(0, len(group), size))
+    solve = functools.partial(
+        _sweep_batch,
+        grid_n=args.grid_n,
+        cfl=args.cfl,
+        sample_every=args.sample_every,
+        snapshot_cap_bytes=SNAPSHOT_CAP_BYTES,
+        outdir=str(outdir),
+    )
     workers = min(args.jobs, len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -14,8 +14,9 @@ shortened to land exactly on T). Only interior nodes are ever written, so
 the Dirichlet rows stay exactly zero.
 
 The kernel advances a (rows, N+1) state: simulate_batch solves several
-specs that share alpha, rho, horizon and linear_mode (hence dt, the step
-count and the stage times) in one loop, and simulate is its batch of one.
+specs with one batch_key (alpha, rho, horizon and linear_mode, hence dt,
+the step count and the stage times, and all forced or all unforced) in one
+loop, and simulate is its batch of one.
 a, b, beta(t) and the source are per-row columns. Every operation is
 elementwise per row, so a row's bits never depend on its neighbours; rho is
 shared because numpy takes scalar fast paths for some exponents (x ** 2.0,
@@ -40,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, ResourceLimitError, ValidationError
+from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
 from .model import ManufacturedField, ProblemSpec, sup_alpha_prime, validate_assumptions
 from .transform import coefficient_grids, hyperbolicity_check
 
@@ -191,8 +192,9 @@ def _column(values: list) -> float | np.ndarray:
 
 
 def batch_key(spec: ProblemSpec) -> tuple:
-    """What rows of one simulate_batch call share: alpha, rho, horizon, linear_mode."""
-    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode)
+    """What rows of one simulate_batch call share: alpha, rho, horizon,
+    linear_mode, and whether a manufactured source is present."""
+    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, spec.source is not None)
 
 
 class _Source:
@@ -208,23 +210,21 @@ class _Source:
                   + (rate^2 - theta^2 g^2) sin(theta)]
         u_xx = -(mode pi / alpha)^2 u
 
-    The rows share alpha, rho and linear_mode; theta, sin and cos do not
-    depend on t and are computed once.
+    alpha and rho are shared, a and b are the rows' columns; theta, sin and
+    cos do not depend on t and are computed once.
     """
 
-    def __init__(self, fields: list[ManufacturedField], specs: list[ProblemSpec], y: np.ndarray):
-        self.specs = specs
-        self.alpha, self.rho = specs[0].alpha, specs[0].damping.rho
+    def __init__(self, fields: list[ManufacturedField], alpha, rho: float, a, b, y: np.ndarray):
+        self.alpha, self.rho, self.a, self.b = alpha, rho, a, b
         self.amp = [f.amp for f in fields]
         self.rates = [f.rate for f in fields]
         self.k = [f.mode * math.pi for f in fields]
         self.rate = _column(self.rates)
-        self.a = _column([s.damping.a for s in specs])
-        self.b = _column([s.damping.b for s in specs])
         self.theta = _column(self.k) * y
         self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float, bt) -> np.ndarray:
+        """The source at time t; bt is the beta(t) column, None in linear mode."""
         al, al1, al2 = self.alpha.eval(t)
         g = al1 / al
         g1 = al2 / al - g * g
@@ -236,13 +236,13 @@ class _Source:
             (g * g - g1 + 2.0 * rate * g) * theta * cos + (rate * rate - g * g * theta * theta) * sin
         )
         f = u_tt + _column([(k / al) ** 2 for k in self.k]) * u + self.a * u_t + self.b * u
-        if not self.specs[0].linear_mode:
-            f = f + _column([s.beta.eval(t)[0] for s in self.specs]) * np.abs(u) ** self.rho * u
+        if bt is not None:
+            f = f + bt * np.abs(u) ** self.rho * u
         return f
 
 
 class _Rows:
-    """Per-row constants of specs that share alpha, rho, horizon and linear_mode.
+    """Per-row constants of specs with one batch_key.
 
     a, b, beta(t) and the source differ per row and broadcast as columns
     over the interior nodes. The nonlinear term is on exactly when
@@ -257,18 +257,16 @@ class _Rows:
         self.two_dy, self.dy2 = 2.0 * grid.dy, grid.dy * grid.dy
         self.a = _column([s.damping.a for s in specs])
         self.b = _column([s.damping.b for s in specs])
-        forced = [i for i, s in enumerate(specs) if s.source is not None]
-        self.forced = None if len(forced) == len(specs) else forced
         self.source = (
-            _Source([specs[i].source for i in forced], [specs[i] for i in forced], self.y)
-            if forced
+            _Source([s.source for s in specs], self.alpha, self.rho, self.a, self.b, self.y)
+            if specs[0].source is not None
             else None
         )
 
     def at(self, t: float) -> tuple:
         """Everything the right-hand side needs at time t."""
         bt = _column([s.beta.eval(t)[0] for s in self.specs]) if self.nonlinear else None
-        f = self.source(t) if self.source is not None else None
+        f = self.source(t, bt) if self.source is not None else None
         return (t, *coefficient_grids(self.y, t, self.alpha), bt, f)
 
 
@@ -297,10 +295,7 @@ def _rhs_arrays(v, w, at, rows: _Rows, out) -> None:
         # |v|^rho v, continuously extended by 0 at v = 0 for every rho > 0
         dw -= bt * np.abs(vi) ** rows.rho * vi
     if f is not None:
-        if rows.forced is None:
-            dw += f
-        else:
-            dw[rows.forced] += f
+        dw += f
 
 
 def rhs(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -341,9 +336,23 @@ def simulate(
     ResourceLimitError if the snapshot storage estimate exceeds the cap.
     """
     (result,) = simulate_batch([spec], grid, sample_every, cfl, snapshot_cap_bytes)
-    if isinstance(result, BlowUpError):
+    if isinstance(result, MowaveError):
         raise result
     return result
+
+
+def _step_count(spec: ProblemSpec, grid: Grid, cfl: float) -> tuple[float, int]:
+    """The fixed step dt and the number of steps from 0 to T."""
+    dt = step_size(spec, grid, 0.0, cfl)
+    return dt, int(math.ceil(spec.horizon / dt - 1e-12))
+
+
+def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> int:
+    """Estimated bytes of the snapshots one row of spec stores (v and w)."""
+    if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
+        raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
+    _, nsteps = _step_count(spec, grid, cfl)
+    return (nsteps // sample_every + 2) * 2 * (grid.n + 1) * 8
 
 
 def simulate_batch(
@@ -355,47 +364,47 @@ def simulate_batch(
 ) -> list:
     """Advance several specs from 0 to T as one (rows, N+1) state.
 
-    The specs must share alpha, rho, horizon and linear_mode, and with them
-    dt, the step count and the stage times; a, b, beta and the source may
-    differ. Classical RK4 at fixed dt; snapshots are recorded at t = 0,
-    every sample_every steps, and at t = T. Every operation is elementwise
-    per row, so each row is bit-identical to its run alone.
+    The specs must have one batch_key: they share alpha, rho, horizon and
+    linear_mode, and with them dt, the step count and the stage times, and
+    are all forced or all unforced; a, b, beta and the source may differ.
+    Classical RK4 at fixed dt; snapshots are recorded at t = 0, every
+    sample_every steps, and at t = T. Every operation is elementwise per
+    row, so each row is bit-identical to its run alone.
 
-    Returns one Trajectory per spec, or the BlowUpError of a row that left
-    the finite range; such a row is dropped and the others carry on. Raises
-    ValidationError if a spec fails the admissibility checks, ConfigError if
-    the rows do not share the above, and ResourceLimitError if one row's
-    snapshot storage estimate exceeds the cap.
+    Returns one Trajectory per spec, or the row's error: ValidationError if
+    the spec fails the admissibility checks, BlowUpError once the row left
+    the finite range (it is then dropped and the others carry on). Raises
+    ConfigError if the specs differ in batch_key, and ResourceLimitError if
+    the snapshots of all admissible rows together would exceed the cap.
     """
     specs = list(specs)
     if not specs:
         raise ConfigError("simulate_batch needs at least one spec")
-    for spec in specs:
+    if any(batch_key(spec) != batch_key(specs[0]) for spec in specs):
+        raise ConfigError(
+            "simulate_batch: rows must share alpha, rho, horizon, linear_mode and being forced"
+        )
+    results: list = [None] * len(specs)
+    for i, spec in enumerate(specs):
         report = validate_assumptions(spec)
         if not report.ok:
-            raise ValidationError(report)
-    if any(batch_key(spec) != batch_key(specs[0]) for spec in specs):
-        raise ConfigError("simulate_batch: rows must share alpha, rho, horizon and linear_mode")
+            results[i] = ValidationError(report)
+    live = [i for i, result in enumerate(results) if result is None]  # spec index of each state row
+    if not live:
+        return results
     hyperbolicity_check(specs[0].alpha, specs[0].horizon)
-    if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
-        raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
-
-    T = specs[0].horizon
-    dt = step_size(specs[0], grid, 0.0, cfl)
-    nsteps = int(math.ceil(T / dt - 1e-12))
-    est_snapshots = nsteps // sample_every + 2
-    est_bytes = est_snapshots * 2 * (grid.n + 1) * 8
+    est_bytes = len(live) * snapshot_bytes(specs[0], grid, sample_every, cfl)
     if est_bytes > snapshot_cap_bytes:
         raise ResourceLimitError(
             f"run would store about {est_bytes} bytes of snapshots "
             f"(cap {snapshot_cap_bytes}); raise sample_every or the cap"
         )
 
-    firsts = [initialize(spec, grid) for spec in specs]
-    states = [[first] for first in firsts]
-    results: list = [None] * len(specs)
-    live = list(range(len(specs)))  # original index of each state row
-    rows = _Rows(specs, grid)
+    T = specs[0].horizon
+    dt, nsteps = _step_count(specs[0], grid, cfl)
+    rows = _Rows([specs[r] for r in live], grid)
+    firsts = [initialize(specs[r], grid) for r in live]
+    states = {r: [first] for r, first in zip(live, firsts)}
     v = np.array([first.v for first in firsts])
     w = np.array([first.w for first in firsts])
     dws = [np.zeros_like(v) for _ in range(4)]  # boundary columns stay zero
@@ -427,6 +436,7 @@ def simulate_batch(
                 bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(w).all(axis=1))
                 for i in np.flatnonzero(bad):
                     results[live[i]] = BlowUpError(t)
+                    del states[live[i]]
                 keep = ~bad
                 live = [r for r, ok in zip(live, keep) if ok]
                 if not live:
@@ -454,8 +464,11 @@ def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callabl
     The one-row case of the solver's source (see _Source for the formula).
     """
 
+    damping = spec.damping
+
     def forcing(y_nodes, t_val):
-        return _Source([field], [spec], y_nodes)(t_val)
+        source = _Source([field], spec.alpha, damping.rho, damping.a, damping.b, y_nodes)
+        return source(t_val, None if spec.linear_mode else spec.beta.eval(t_val)[0])
 
     return forcing
 

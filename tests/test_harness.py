@@ -239,6 +239,7 @@ class TestSweep:
         cfg["base"]["beta"] = {"variant": "constant", "c": 1.0}
         code = main(["sweep", write_config(tmp_path, cfg), "--outdir", str(tmp_path / "s")])
         assert code == 2
+        assert not (tmp_path / "s").exists()  # a config error writes nothing
 
     def test_empty_window_cell_recorded(self, tmp_path):
         outdir = tmp_path / "sweep"
@@ -340,6 +341,32 @@ class TestBatchedSweep:
         # ceil(8 / 5000) = 1 row per batch: eight batches of one, eight workers
         assert outputs_of(self.run(tmp_path, 5000, "single_rows")) == whole
         assert pool_sizes == [8]
+
+    def test_batches_respect_the_snapshot_cap(self, tmp_path, monkeypatch):
+        whole = outputs_of(self.run(tmp_path, 1, "whole_groups"))
+        sizes = []
+
+        def recorded(specs, *args):
+            sizes.append(len(specs))
+            return simulate_batch(specs, *args)
+
+        simulate_batch = harness.simulate_batch
+        monkeypatch.setattr(harness, "simulate_batch", recorded)
+        spec = mowave.spec_from_dict(json.loads(Path(self.sweep_path(tmp_path)).read_text())["base"])
+        per_row = mowave.solver.snapshot_bytes(spec, mowave.Grid(32), 5)
+        monkeypatch.setattr(harness, "SNAPSHOT_CAP_BYTES", 2 * per_row - 1)  # one row per batch
+        assert outputs_of(self.run(tmp_path, 1, "capped")) == whole
+        assert sizes == [1] * 8
+
+    def test_inadmissible_cell_fails_alone(self, tmp_path, capsys):
+        cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, -1.0, 2.0]}}
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", write_config(tmp_path, cfg), "--grid-n", "32", "--outdir", str(outdir)])
+        assert code == 0
+        with open(outdir / "sweep.csv", newline="") as fh:
+            assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "2", "0"]
+        assert "assumption checks failed" in capsys.readouterr().err
+        assert list((outdir / "cell_0001").iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

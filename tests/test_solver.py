@@ -34,7 +34,7 @@ from mowave import (
     simulate_batch,
     step_size,
 )
-from mowave.solver import simpson_weights
+from mowave.solver import simpson_weights, snapshot_bytes
 from mowave.transform import coefficient_grids
 
 
@@ -349,23 +349,22 @@ class TestSimulateBatch:
     def test_rows_are_bit_identical_to_solo_runs(self, rho):
         alpha = SaturatingAlpha(k=0.5, tau=1.0)
         betas = [ExponentialBeta(beta0=1.0, mu=0.3), PolynomialBeta((1.0, 0.2, 0.05)), ConstantBeta(2.0)]
-        specs = []
-        for i, beta in enumerate(betas):
-            for source in (None, ManufacturedField(amp=0.8, rate=0.5, mode=i + 1)):
-                specs.append(
-                    make_spec(
-                        damping=DampingParams(a=0.5 + 0.4 * i, b=float(i), rho=rho),
-                        beta=beta,
-                        alpha=alpha,
-                        horizon=0.5,
-                        source=source,
-                    )
-                )
         g = Grid(32)
-        batch = simulate_batch(specs, g, sample_every=3)
-        assert len(batch) == len(specs)
-        for spec, row in zip(specs, batch):
-            assert_same_run(row, simulate(spec, g, sample_every=3))
+        for forced in (False, True):  # forced and unforced rows have different batch keys
+            specs = [
+                make_spec(
+                    damping=DampingParams(a=0.5 + 0.4 * i, b=float(i), rho=rho),
+                    beta=beta,
+                    alpha=alpha,
+                    horizon=0.5,
+                    source=ManufacturedField(amp=0.8, rate=0.5, mode=i + 1) if forced else None,
+                )
+                for i, beta in enumerate(betas)
+            ]
+            batch = simulate_batch(specs, g, sample_every=3)
+            assert len(batch) == len(specs)
+            for spec, row in zip(specs, batch):
+                assert_same_run(row, simulate(spec, g, sample_every=3))
 
     @pytest.mark.parametrize(
         "kw",
@@ -407,11 +406,33 @@ class TestSimulateBatch:
             {"damping": DampingParams(a=1.0, b=1.0, rho=2.0)},
             {"horizon": 0.75},
             {"linear_mode": True},
+            {"source": ManufacturedField()},
         ],
     )
-    def test_rows_must_share_alpha_rho_horizon_and_mode(self, other):
+    def test_rows_must_share_batch_key(self, other):
         with pytest.raises(ConfigError):
             simulate_batch([make_spec(horizon=0.5), make_spec(**{"horizon": 0.5, **other})], Grid(16))
+
+    def test_inadmissible_row_returns_its_validation_error(self):
+        specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, -1.0)]
+        g = Grid(16)
+        good, bad = simulate_batch(specs, g)
+        assert isinstance(bad, ValidationError) and not bad.report.ok
+        assert_same_run(good, simulate(specs[0], g))
+        with pytest.raises(ValidationError):
+            simulate(specs[1], g)
+
+    def test_cap_covers_every_row_of_the_batch(self):
+        specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, 2.0, 3.0)]
+        g = Grid(16)
+        per_row = snapshot_bytes(specs[0], g)
+        assert per_row == (math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 2) * 2 * 17 * 8
+        with pytest.raises(ResourceLimitError):
+            simulate_batch(specs, g, snapshot_cap_bytes=3 * per_row - 1)
+        assert len(simulate_batch(specs, g, snapshot_cap_bytes=3 * per_row)) == 3
+        # inadmissible rows store nothing and do not count
+        specs[2] = make_spec(damping=DampingParams(a=-1.0, b=1.0, rho=1.0), horizon=0.5)
+        assert isinstance(simulate_batch(specs, g, snapshot_cap_bytes=2 * per_row)[2], ValidationError)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigError):
