@@ -25,12 +25,13 @@ from .energy import (
     EnergySeries,
     IdentityReport,
     IdentityTerm,
+    SnapshotIntegrals,
     boundary_flux,
     energy,
     energy_rate_residual,
     first_derivative,
     multiplier_identity_residual,
-    physical_fields,
+    snapshot_integrals,
     write_energy_csv,
     write_identity_csv,
 )
@@ -61,12 +62,9 @@ from .model import (
     SaturatingAlpha,
     SineMode,
     ValidationReport,
-    eval_alpha,
-    eval_beta,
     load_config,
     spec_from_dict,
     spec_to_dict,
-    sup_alpha_prime,
     validate_assumptions,
 )
 from .solver import (
@@ -83,12 +81,10 @@ from .solver import (
     step_size,
 )
 from .transform import (
-    TransformedCoeffs,
     coefficient_grids,
     from_reference,
     hyperbolicity_check,
     to_reference,
-    transformed_coefficients,
 )
 
 __version__ = "0.1.0"

@@ -69,7 +69,6 @@ from .model import (
     DampingParams,
     ExponentialBeta,
     PolynomialBeta,
-    eval_alpha,
 )
 
 
@@ -168,8 +167,8 @@ def _omega_star(alpha: AlphaFamily, T: float) -> float:
                 "uniform domain bound on an unbounded horizon"
             )
         # bounded families: take the limit value
-        return eval_alpha(alpha, 1e9)[0]
-    return eval_alpha(alpha, T)[0]
+        return alpha.eval(1e9)[0]
+    return alpha.eval(T)[0]
 
 
 def _cross_term_root(a: float, b: float) -> float:

@@ -5,6 +5,10 @@ quantities: with y = x/alpha, dx = alpha dy, u_t = w - (y alpha'/alpha) v_y
 and u_x = v_y / alpha. Spatial integrals use the grid's composite Simpson
 weights; space-time integrals add a trapezoid rule over snapshot times.
 
+snapshot_integrals computes every integral the checks below use in one pass
+over a run's snapshots; every check reads that table, and energy and
+boundary_flux are its one-snapshot case.
+
 Three checks are provided.
 
 1. Energy rate. Multiplying the equation by u_t and transporting the time
@@ -39,31 +43,101 @@ row, so either form may be used in the endpoint integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import ProblemSpec, eval_alpha
+from .model import ProblemSpec
 from .solver import Grid, ReferenceState, Trajectory, manufactured_forcing
+
+BLOCK = 64  # snapshots per block of snapshot_integrals; bounds its temporaries
 
 
 def first_derivative(values: np.ndarray, dy: float) -> np.ndarray:
-    """Second-order d/dy on the uniform grid: central inside, 3-point one-sided ends."""
+    """Second-order d/dy along the last axis: central inside, 3-point one-sided ends."""
     d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * dy)
-    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dy)
-    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dy)
+    d[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dy)
+    d[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * dy)
+    d[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (2.0 * dy)
     return d
 
 
-def physical_fields(state: ReferenceState, spec: ProblemSpec, grid: Grid):
-    """Reconstruct (u_t, u_x) node values from a reference snapshot."""
-    al, ap, _ = eval_alpha(spec.alpha, state.t)
-    v_y = first_derivative(state.v, grid.dy)
-    u_t = state.w - (grid.y * (ap / al)) * v_y
-    u_x = v_y / al
-    return u_t, u_x
+@dataclass(frozen=True)
+class SnapshotIntegrals:
+    """Everything the checks use at each snapshot, one (nsnap,) array per field.
+
+    ut2, ux2, u2, uut and nl are int u_t^2, int u_x^2, int u^2, int u u_t and
+    int |u|^(rho+2) over the physical interval; ux_end is u_x at the moving
+    endpoint. fut and fu are int f u_t and int f u for a forced run, else None.
+    """
+
+    t: np.ndarray
+    alpha_p: np.ndarray
+    beta: np.ndarray
+    beta_p: np.ndarray
+    ut2: np.ndarray
+    ux2: np.ndarray
+    u2: np.ndarray
+    uut: np.ndarray
+    nl: np.ndarray
+    ux_end: np.ndarray
+    fut: np.ndarray | None
+    fu: np.ndarray | None
+
+    @property
+    def flux(self) -> np.ndarray:
+        """Moving-endpoint flux (1/2) alpha' (1 - alpha'^2) u_x(alpha(t), t)^2.
+
+        Nonnegative for every accepted family: 0 <= alpha' < 1 under (A1).
+        """
+        ap = self.alpha_p
+        return 0.5 * ap * (1.0 - ap * ap) * self.ux_end**2
+
+
+def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIntegrals:
+    """One pass over the snapshots (times[k], V[k], W[k]), BLOCK at a time.
+
+    u_t, u_x and, for a forced run, the source are built once per snapshot
+    and integrated with the Simpson weights times alpha(t).
+    """
+    times = np.asarray(times, dtype=float)
+    scalars = np.array([(*spec.alpha.eval(t)[:2], *spec.beta_at(t)) for t in times.tolist()])
+    al, ap, bt, bt_p = scalars.T
+    forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
+    names = ("ut2", "ux2", "u2", "uut", "nl") + (("fut", "fu") if forcing is not None else ())
+    ints = {name: np.empty(times.size) for name in names}
+    ux_end = np.empty(times.size)
+    q, y, power = grid.quad_weights, grid.y, spec.damping.rho + 2.0
+    for lo in range(0, times.size, BLOCK):
+        k = slice(lo, lo + BLOCK)
+        v, w, al_k = V[k], W[k], al[k, None]
+        v_y = first_derivative(v, grid.dy)
+        u_t = w - (y * (ap[k, None] / al_k)) * v_y
+        u_x = v_y / al_k
+        ints["ut2"][k] = u_t**2 @ q
+        ints["ux2"][k] = u_x**2 @ q
+        ints["u2"][k] = v**2 @ q
+        ints["uut"][k] = (v * u_t) @ q
+        ints["nl"][k] = np.abs(v) ** power @ q
+        ux_end[k] = u_x[:, -1]
+        if forcing is not None:
+            f = np.array([forcing(y, t) for t in times[k].tolist()])
+            ints["fut"][k] = (f * u_t) @ q
+            ints["fu"][k] = (f * v) @ q
+    for values in ints.values():
+        values *= al  # dx = alpha dy
+    return SnapshotIntegrals(
+        **{"fut": None, "fu": None, **ints},
+        t=times, alpha_p=ap, beta=bt, beta_p=bt_p, ux_end=ux_end,
+    )
+
+
+def _table(traj: Trajectory, table: SnapshotIntegrals | None) -> SnapshotIntegrals:
+    """table if given (it must be traj's), else one pass over traj's snapshots."""
+    if table is None:
+        table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
+    return table
 
 
 @dataclass(frozen=True)
@@ -79,75 +153,57 @@ class EnergySample:
     flux: float
 
 
-def energy(
-    state: ReferenceState,
-    spec: ProblemSpec,
-    grid: Grid,
-    paper_literal: bool = False,
-) -> EnergySample:
-    """Energy E(t) = int (1/2 u_t^2 + 1/2 u_x^2 + b/2 u^2 + beta/(rho+2) |u|^(rho+2)) dx.
-
-    paper_literal swaps the restoring weight b/2 for the literal 1/2; the
-    identity checks always use the exact-primitive form regardless.
-    """
-    al, ap, _ = eval_alpha(spec.alpha, state.t)
-    bt, _ = spec.beta_at(state.t)
-    u_t, u_x = physical_fields(state, spec, grid)
-    weights = grid.quad_weights * al  # dx = alpha dy
-    restoring_coeff = 0.5 if paper_literal else 0.5 * spec.damping.b
-    kinetic = float(weights @ (0.5 * u_t**2))
-    gradient = float(weights @ (0.5 * u_x**2))
-    restoring = float(weights @ (restoring_coeff * state.v**2))
-    if bt != 0.0:
-        nonlinear = float(weights @ ((bt / (spec.damping.rho + 2.0)) * np.abs(state.v) ** (spec.damping.rho + 2.0)))
-    else:
-        nonlinear = 0.0
-    flux = boundary_flux(state, spec, grid)
-    total = kinetic + gradient + restoring + nonlinear
-    return EnergySample(
-        t=state.t,
-        E=total,
-        kinetic=kinetic,
-        gradient=gradient,
-        restoring=restoring,
-        nonlinear=nonlinear,
-        flux=flux,
-    )
-
-
-def boundary_flux(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> float:
-    """Moving-endpoint flux (1/2) alpha' (1 - alpha'^2) u_x(alpha(t), t)^2.
-
-    Nonnegative for every accepted family: 0 <= alpha' < 1 under (A1).
-    """
-    al, ap, _ = eval_alpha(spec.alpha, state.t)
-    v = state.v
-    # one-sided 3-point endpoint slope of v, divided by alpha
-    u_x_end = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * grid.dy * al)
-    return 0.5 * ap * (1.0 - ap * ap) * u_x_end**2
-
-
 @dataclass(frozen=True)
 class EnergySeries:
-    """Energy samples of one trajectory, in time order."""
+    """Energy of a run at its snapshot times, one (nsnap,) array per column.
 
-    samples: tuple[EnergySample, ...]
+    E = int (1/2 u_t^2 + 1/2 u_x^2 + b/2 u^2 + beta/(rho+2) |u|^(rho+2)) dx
+    is the sum of the kinetic, gradient, restoring and nonlinear addends;
+    flux is the moving-endpoint flux.
+    """
+
+    t: np.ndarray
+    E: np.ndarray
+    kinetic: np.ndarray
+    gradient: np.ndarray
+    restoring: np.ndarray
+    nonlinear: np.ndarray
+    flux: np.ndarray
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, paper_literal: bool = False) -> "EnergySeries":
-        return cls(tuple(energy(s, traj.spec, traj.grid, paper_literal) for s in traj.states))
+    def from_table(
+        cls, table: SnapshotIntegrals, spec: ProblemSpec, paper_literal: bool = False
+    ) -> "EnergySeries":
+        """paper_literal swaps the restoring weight b/2 for the literal 1/2; the
+        identity checks always use the exact-primitive form regardless."""
+        kinetic = 0.5 * table.ut2
+        gradient = 0.5 * table.ux2
+        restoring = (0.5 if paper_literal else 0.5 * spec.damping.b) * table.u2
+        nonlinear = (table.beta / (spec.damping.rho + 2.0)) * table.nl
+        E = kinetic + gradient + restoring + nonlinear
+        return cls(table.t, E, kinetic, gradient, restoring, nonlinear, table.flux)
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def E(self) -> np.ndarray:
-        return np.array([s.E for s in self.samples])
+    @classmethod
+    def from_trajectory(
+        cls, traj: Trajectory, paper_literal: bool = False, table: SnapshotIntegrals | None = None
+    ) -> "EnergySeries":
+        return cls.from_table(_table(traj, table), traj.spec, paper_literal)
 
     @property
     def e0(self) -> float:
-        return self.samples[0].E
+        return float(self.E[0])
+
+
+def energy(state: ReferenceState, spec: ProblemSpec, grid: Grid, paper_literal: bool = False) -> EnergySample:
+    """Energy and its addends at one snapshot (see EnergySeries)."""
+    table = snapshot_integrals(spec, grid, [state.t], state.v[None], state.w[None])
+    series = EnergySeries.from_table(table, spec, paper_literal)
+    return EnergySample(*(float(getattr(series, f.name)[0]) for f in fields(EnergySample)))
+
+
+def boundary_flux(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> float:
+    """Moving-endpoint flux (1/2) alpha' (1 - alpha'^2) u_x(alpha(t), t)^2 at one snapshot."""
+    return float(snapshot_integrals(spec, grid, [state.t], state.v[None], state.w[None]).flux[0])
 
 
 def write_energy_csv(series: EnergySeries, path, bound=None) -> None:
@@ -158,8 +214,8 @@ def write_energy_csv(series: EnergySeries, path, bound=None) -> None:
     with repr so identical runs produce bit-identical files.
     """
     rows = ["t,E,kinetic,gradient,restoring,nonlinear,flux,bound"]
-    for i, s in enumerate(series.samples):
-        cells = [s.t, s.E, s.kinetic, s.gradient, s.restoring, s.nonlinear, s.flux]
+    columns = [getattr(series, f.name) for f in fields(EnergySeries)]
+    for i, cells in enumerate(zip(*columns)):
         text = [repr(float(c)) for c in cells]
         text.append(repr(float(bound[i])) if bound is not None else "")
         rows.append(",".join(text))
@@ -171,54 +227,35 @@ def write_energy_csv(series: EnergySeries, path, bound=None) -> None:
 # energy-rate identity
 
 
-def _nonuniform_center_derivative(f0, f1, f2, t0, t1, t2):
-    # three-point derivative at t1, exact on quadratics for any spacing
-    h1 = t1 - t0
-    h2 = t2 - t1
-    return (
-        -h2 / (h1 * (h1 + h2)) * f0
-        + (h2 - h1) / (h1 * h2) * f1
-        + h1 / (h2 * (h1 + h2)) * f2
-    )
+def _needs_three(traj: Trajectory, who: str) -> None:
+    if traj.times.size < 3:
+        raise ConfigError(f"{who} needs at least 3 snapshots, got {traj.times.size}")
 
 
-def energy_rate_residual(traj: Trajectory) -> float:
+def energy_rate_residual(traj: Trajectory, table: SnapshotIntegrals | None = None) -> float:
     """Sup over interior snapshots of the energy-rate identity defect.
 
-    Compares a second-order time difference of E against the exact rate
+    Compares a second-order time difference of E, exact on quadratics for
+    any snapshot spacing, against the exact rate
     -a ||u_t||^2 - flux + (beta'/(rho+2)) int |u|^(rho+2) dx, plus the
     source work int f u_t dx when the run is forced.
     """
-    if len(traj.states) < 3:
-        raise ConfigError("energy_rate_residual needs at least 3 snapshots")
-    spec = traj.spec
-    grid = traj.grid
-    a = spec.damping.a
-    rho = spec.damping.rho
-    forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
-
-    times = [s.t for s in traj.states]
-    E = [energy(s, spec, grid).E for s in traj.states]
-    rate = []
-    for s in traj.states:
-        al, _, _ = eval_alpha(spec.alpha, s.t)
-        _, bt_p = spec.beta_at(s.t)
-        u_t, _ = physical_fields(s, spec, grid)
-        weights = grid.quad_weights * al
-        value = -a * float(weights @ u_t**2) - boundary_flux(s, spec, grid)
-        if bt_p != 0.0:
-            value += (bt_p / (rho + 2.0)) * float(weights @ np.abs(s.v) ** (rho + 2.0))
-        if forcing is not None:
-            value += float(weights @ (forcing(grid.y, s.t) * u_t))
-        rate.append(value)
-
-    worst = 0.0
-    for k in range(1, len(times) - 1):
-        dE = _nonuniform_center_derivative(
-            E[k - 1], E[k], E[k + 1], times[k - 1], times[k], times[k + 1]
-        )
-        worst = max(worst, abs(dE - rate[k]))
-    return float(worst)
+    _needs_three(traj, "energy_rate_residual")
+    table = _table(traj, table)
+    E = EnergySeries.from_table(table, traj.spec).E
+    a, rho = traj.spec.damping.a, traj.spec.damping.rho
+    rate = -a * table.ut2 - table.flux + (table.beta_p / (rho + 2.0)) * table.nl
+    if table.fut is not None:
+        rate = rate + table.fut
+    t = table.t
+    h1 = t[1:-1] - t[:-2]
+    h2 = t[2:] - t[1:-1]
+    dE = (
+        -h2 / (h1 * (h1 + h2)) * E[:-2]
+        + (h2 - h1) / (h1 * h2) * E[1:-1]
+        + h1 / (h2 * (h1 + h2)) * E[2:]
+    )
+    return float(np.max(np.abs(dE - rate[1:-1]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +305,9 @@ class IdentityReport:
         raise KeyError(name)
 
 
-def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) -> IdentityReport:
+def multiplier_identity_residual(
+    traj: Trajectory, lam: float, phi_rate: float, table: SnapshotIntegrals | None = None
+) -> IdentityReport:
     """Evaluate every integral of the multiplier identity with phi = exp(s t).
 
     The equation is multiplied by (u_t + lambda u) phi and integrated over
@@ -277,60 +316,16 @@ def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) 
     endpoint (lateral-boundary) integrals are trapezoid in t; the t = 0 and
     t = T slices come from the first and last snapshots.
     """
-    if len(traj.states) < 3:
-        raise ConfigError("multiplier_identity_residual needs at least 3 snapshots")
+    _needs_three(traj, "multiplier_identity_residual")
     if not (lam > 0.0) or not (phi_rate > 0.0):
         raise ConfigError("multiplier_identity_residual needs lam > 0 and phi_rate > 0")
 
-    spec = traj.spec
-    grid = traj.grid
-    a = spec.damping.a
-    b = spec.damping.b
-    rho = spec.damping.rho
-    s_rate = phi_rate
-    forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
-
-    times = np.array([st.t for st in traj.states])
-    nsnap = times.size
-
-    # per-snapshot spatial integrals (physical measure) and endpoint slopes
-    vol = {
-        "ut2": np.zeros(nsnap),
-        "uut": np.zeros(nsnap),
-        "ux2": np.zeros(nsnap),
-        "u2": np.zeros(nsnap),
-        "nl": np.zeros(nsnap),  # int |u|^(rho+2) dx
-        "fut": np.zeros(nsnap),
-        "fu": np.zeros(nsnap),
-    }
-    ux_end = np.zeros(nsnap)
-    ap_series = np.zeros(nsnap)
-    beta_series = np.zeros(nsnap)
-    betap_series = np.zeros(nsnap)
-
-    for i, st in enumerate(traj.states):
-        al, ap, _ = eval_alpha(spec.alpha, st.t)
-        bt, bt_p = spec.beta_at(st.t)
-        u_t, u_x = physical_fields(st, spec, grid)
-        weights = grid.quad_weights * al
-        vol["ut2"][i] = weights @ u_t**2
-        vol["uut"][i] = weights @ (st.v * u_t)
-        vol["ux2"][i] = weights @ u_x**2
-        vol["u2"][i] = weights @ st.v**2
-        vol["nl"][i] = weights @ np.abs(st.v) ** (rho + 2.0)
-        if forcing is not None:
-            f_vals = forcing(grid.y, st.t)
-            vol["fut"][i] = weights @ (f_vals * u_t)
-            vol["fu"][i] = weights @ (f_vals * st.v)
-        ux_end[i] = u_x[-1]
-        ap_series[i] = ap
-        beta_series[i] = bt
-        betap_series[i] = bt_p
-
-    phi = np.exp(s_rate * times)
-    phi_p = s_rate * phi
-    phi0 = float(phi[0])
-    phiT = float(phi[-1])
+    vol = _table(traj, table)
+    a, b, rho = traj.spec.damping.a, traj.spec.damping.b, traj.spec.damping.rho
+    times, ap, ux_end, beta, beta_p = vol.t, vol.alpha_p, vol.ux_end, vol.beta, vol.beta_p
+    phi = np.exp(phi_rate * times)
+    phi_p = phi_rate * phi
+    phi0, phiT = float(phi[0]), float(phi[-1])
 
     def tint(values: np.ndarray) -> float:
         return float(np.trapezoid(values, times))
@@ -341,56 +336,50 @@ def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) 
         terms.append(IdentityTerm(name=name, group=group, value=float(value)))
 
     # ---- u_tt piece: (1/2 u_t^2 phi + lambda phi u u_t)_t expansion
-    add("ut2_T", "eq2", 0.5 * phiT * vol["ut2"][-1])
-    add("uut_T", "eq2", lam * phiT * vol["uut"][-1])
-    add("ut2_0", "eq2", -0.5 * phi0 * vol["ut2"][0])
-    add("uut_0", "eq2", -lam * phi0 * vol["uut"][0])
+    add("ut2_T", "eq2", 0.5 * phiT * vol.ut2[-1])
+    add("uut_T", "eq2", lam * phiT * vol.uut[-1])
+    add("ut2_0", "eq2", -0.5 * phi0 * vol.ut2[0])
+    add("uut_0", "eq2", -lam * phi0 * vol.uut[0])
     # lateral boundary: + int 1/2 u_t^2 phi n_t dsigma, with u_t = -alpha' u_x there
-    add("bdry_ut2", "boundary", tint(-0.5 * ap_series**3 * ux_end**2 * phi))
-    add("vol_lam_ut2", "eq2", -lam * tint(phi * vol["ut2"]))
-    add("vol_phip_ut2", "eq2", -0.5 * tint(phi_p * vol["ut2"]))
-    add("vol_lam_phip_uut", "eq2", -lam * tint(phi_p * vol["uut"]))
+    add("bdry_ut2", "boundary", tint(-0.5 * ap**3 * ux_end**2 * phi))
+    add("vol_lam_ut2", "eq2", -lam * tint(phi * vol.ut2))
+    add("vol_phip_ut2", "eq2", -0.5 * tint(phi_p * vol.ut2))
+    add("vol_lam_phip_uut", "eq2", -lam * tint(phi_p * vol.uut))
 
     # ---- -u_xx piece
-    add("ux2_T", "eq3", 0.5 * phiT * vol["ux2"][-1])
-    add("ux2_0", "eq3", -0.5 * phi0 * vol["ux2"][0])
+    add("ux2_T", "eq3", 0.5 * phiT * vol.ux2[-1])
+    add("ux2_0", "eq3", -0.5 * phi0 * vol.ux2[0])
     # lateral boundary: + int 1/2 u_x^2 phi n_t dsigma
-    add("bdry_ux2", "boundary", tint(-0.5 * ap_series * ux_end**2 * phi))
+    add("bdry_ux2", "boundary", tint(-0.5 * ap * ux_end**2 * phi))
     # - int [u_x u_t phi] at the endpoints; only the moving endpoint survives
-    add("div_uxut", "boundary", tint(ap_series * ux_end**2 * phi))
-    add("vol_phip_ux2", "eq3", -0.5 * tint(phi_p * vol["ux2"]))
-    add("vol_lam_ux2", "eq3", lam * tint(phi * vol["ux2"]))
+    add("div_uxut", "boundary", tint(ap * ux_end**2 * phi))
+    add("vol_phip_ux2", "eq3", -0.5 * tint(phi_p * vol.ux2))
+    add("vol_lam_ux2", "eq3", lam * tint(phi * vol.ux2))
 
     # ---- a u_t piece
-    add("vol_a_ut2", "eq4", a * tint(phi * vol["ut2"]))
-    add("vol_a_lam_uut", "eq4", a * lam * tint(phi * vol["uut"]))
+    add("vol_a_ut2", "eq4", a * tint(phi * vol.ut2))
+    add("vol_a_lam_uut", "eq4", a * lam * tint(phi * vol.uut))
 
     # ---- b u piece
-    add("u2_T", "eq5", 0.5 * b * phiT * vol["u2"][-1])
-    add("u2_0", "eq5", -0.5 * b * phi0 * vol["u2"][0])
-    add("vol_b_phip_u2", "eq5", -0.5 * b * tint(phi_p * vol["u2"]))
-    add("vol_b_lam_u2", "eq5", b * lam * tint(phi * vol["u2"]))
+    add("u2_T", "eq5", 0.5 * b * phiT * vol.u2[-1])
+    add("u2_0", "eq5", -0.5 * b * phi0 * vol.u2[0])
+    add("vol_b_phip_u2", "eq5", -0.5 * b * tint(phi_p * vol.u2))
+    add("vol_b_lam_u2", "eq5", b * lam * tint(phi * vol.u2))
 
     # ---- nonlinear piece
-    add("nl_T", "eq6", (beta_series[-1] * phiT / (rho + 2.0)) * vol["nl"][-1])
-    add("nl_0", "eq6", -(beta_series[0] * phi0 / (rho + 2.0)) * vol["nl"][0])
-    add("vol_betp_nl", "eq6", -tint(betap_series * phi * vol["nl"]) / (rho + 2.0))
-    add("vol_bet_phip_nl", "eq6", -tint(beta_series * phi_p * vol["nl"]) / (rho + 2.0))
-    add("vol_lam_bet_nl", "eq6", lam * tint(beta_series * phi * vol["nl"]))
+    add("nl_T", "eq6", (beta[-1] * phiT / (rho + 2.0)) * vol.nl[-1])
+    add("nl_0", "eq6", -(beta[0] * phi0 / (rho + 2.0)) * vol.nl[0])
+    add("vol_betp_nl", "eq6", -tint(beta_p * phi * vol.nl) / (rho + 2.0))
+    add("vol_bet_phip_nl", "eq6", -tint(beta * phi_p * vol.nl) / (rho + 2.0))
+    add("vol_lam_bet_nl", "eq6", lam * tint(beta * phi * vol.nl))
 
     # ---- source piece (zero unless manufactured)
-    if forcing is not None:
-        add("vol_f", "source", -tint(phi * (vol["fut"] + lam * vol["fu"])))
+    if vol.fut is not None:
+        add("vol_f", "source", -tint(phi * (vol.fut + lam * vol.fu)))
 
     residual_plu = float(sum(t.value for t in terms))
-    residual_rate = energy_rate_residual(traj)
-    return IdentityReport(
-        residual_rate=residual_rate,
-        residual_plu=residual_plu,
-        terms=tuple(terms),
-        lam=float(lam),
-        phi_rate=float(s_rate),
-    )
+    rate = energy_rate_residual(traj, table=vol)
+    return IdentityReport(rate, residual_plu, tuple(terms), float(lam), float(phi_rate))
 
 
 def write_identity_csv(report: IdentityReport, path) -> None:

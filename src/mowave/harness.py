@@ -48,8 +48,8 @@ import numpy as np
 from .certify import build_certificate, check_decay_bound, fit_decay, window_edges
 from .energy import (
     EnergySeries,
-    energy_rate_residual,
     multiplier_identity_residual,
+    snapshot_integrals,
     write_energy_csv,
     write_identity_csv,
 )
@@ -162,13 +162,9 @@ def verify_manifest(manifest_path) -> list[str]:
 
 def _write_trajectory_csv(traj, path: Path) -> None:
     rows = ["t,y,v,w"]
-    y = traj.grid.y
-    for state in traj.states:
-        for i in range(y.size):
-            rows.append(
-                f"{repr(float(state.t))},{repr(float(y[i]))},"
-                f"{repr(float(state.v[i]))},{repr(float(state.w[i]))}"
-            )
+    y = traj.grid.y.tolist()
+    for t, v, w in zip(traj.times.tolist(), traj.V.tolist(), traj.W.tolist()):
+        rows.extend(f"{t!r},{yi!r},{vi!r},{wi!r}" for yi, vi, wi in zip(y, v, w))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -223,11 +219,17 @@ def run_simulation(
         summary["exit"] = EXIT_BLOWUP if isinstance(solution, BlowUpError) else EXIT_VALIDATION
         return summary["exit"], summary
     traj = solution
+    if len(traj.times) < 3:
+        _err(
+            f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
+            "the identity checks need at least 3: lower --sample-every"
+        )
+        summary["exit"] = EXIT_VALIDATION
+        return EXIT_VALIDATION, summary
 
-    series_exact = EnergySeries.from_trajectory(traj)
-    series_out = (
-        EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
-    )
+    table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
+    series_exact = EnergySeries.from_trajectory(traj, table=table)
+    series_out = EnergySeries.from_trajectory(traj, paper_literal, table)
 
     edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
     summary["lambda_lo"], summary["lambda_hi"] = edges
@@ -237,7 +239,7 @@ def run_simulation(
         summary["C"] = cert.C
 
     lam = cert.lam if cert is not None else 0.1
-    identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
+    identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam, table=table)
 
     bound_report = None
     if cert is not None:
@@ -292,7 +294,7 @@ def run_simulation(
         "cfl": cfl,
         "dt": traj.dt,
         "sample_every": sample_every,
-        "snapshots": len(traj.states),
+        "snapshots": len(traj.times),
     }
     write_manifest(
         outdir / "manifest.json",
@@ -371,12 +373,9 @@ def cmd_certify(args) -> int:
 
 
 def _l2_error(traj, v_exact) -> float:
-    from .model import eval_alpha
-
-    last = traj.states[-1]
-    grid = traj.grid
-    al = eval_alpha(traj.spec.alpha, last.t)[0]
-    diff = last.v - v_exact(grid.y, last.t)
+    t, grid = float(traj.times[-1]), traj.grid
+    al = traj.spec.alpha.eval(t)[0]
+    diff = traj.V[-1] - v_exact(grid.y, t)
     return math.sqrt(float((grid.quad_weights * al) @ diff**2))
 
 
@@ -546,10 +545,7 @@ def _sweep_batch(
 
 def _rows_within_cap(spec: ProblemSpec, args) -> int:
     """Most rows of spec's group whose snapshots fit the cap together."""
-    try:
-        per_row = snapshot_bytes(spec, Grid(args.grid_n), args.sample_every, args.cfl)
-    except MowaveError:
-        return 1  # the batch reports the error for its cell
+    per_row = snapshot_bytes(spec, Grid(args.grid_n), args.sample_every, args.cfl)
     return max(1, SNAPSHOT_CAP_BYTES // per_row)
 
 
@@ -590,9 +586,14 @@ def cmd_sweep(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        spec_from_dict(sweep_cfg["base"])
+        base = spec_from_dict(sweep_cfg["base"])
     except ConfigError as exc:
         _err(f"sweep base config invalid: {exc}")
+        return EXIT_VALIDATION
+    try:  # --grid-n, --sample-every and --cfl hold for every cell alike
+        snapshot_bytes(base, Grid(args.grid_n), args.sample_every, args.cfl)
+    except ConfigError as exc:
+        _err(str(exc))
         return EXIT_VALIDATION
 
     names = sorted(axes)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -119,11 +120,6 @@ class PolynomialBeta:
 BetaFamily = Union[ConstantBeta, ExponentialBeta, PolynomialBeta]
 
 
-def eval_beta(beta: BetaFamily, t: float) -> tuple[float, float]:
-    """Return (beta(t), beta'(t))."""
-    return beta.eval(t)
-
-
 # ---------------------------------------------------------------------------
 # alpha families
 
@@ -180,16 +176,6 @@ class SaturatingAlpha:
 
 
 AlphaFamily = Union[ConstantAlpha, AffineAlpha, SaturatingAlpha]
-
-
-def eval_alpha(alpha: AlphaFamily, t: float) -> tuple[float, float, float]:
-    """Return (alpha(t), alpha'(t), alpha''(t))."""
-    return alpha.eval(t)
-
-
-def sup_alpha_prime(alpha: AlphaFamily) -> float:
-    """Exact supremum of alpha' over t >= 0, closed form per family."""
-    return alpha.sup_prime()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +413,24 @@ def _check_beta(beta: BetaFamily, linear_mode: bool) -> AssumptionCheck:
     return AssumptionCheck("A2", False, f"unknown beta family {name}")
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _check_beta_range(beta: BetaFamily, T: float) -> AssumptionCheck:
+    """beta(T) and beta'(T) must be finite doubles; under (A2) they bound beta, beta' on [0, T]."""
+    if isinstance(beta, ExponentialBeta):
+        # in logs, so that the check cannot overflow; eval forms exp(mu T) first
+        log_val = beta.mu * T + (math.log(beta.beta0) if beta.beta0 > 0.0 else 0.0)
+        log_der = log_val + (math.log(beta.mu) if beta.mu > 0.0 else -math.inf)
+        if max(beta.mu * T, log_val, log_der) >= _LOG_MAX:
+            logs = f"mu T = {beta.mu * T:.6g}, log beta(T) = {log_val:.6g}, log beta'(T) = {log_der:.6g}"
+            return AssumptionCheck("beta(T)", False, f"{logs}; the largest double is e^{_LOG_MAX:.6g}")
+    val, der = beta.eval(T)
+    ok = math.isfinite(val) and math.isfinite(der)
+    detail = f"beta(T) = {val:.6g}, beta'(T) = {der:.6g} at T = {T:g}"
+    return AssumptionCheck("beta(T)", ok, detail if ok else detail + " are not finite doubles")
+
+
 def _check_init(init: InitialData) -> AssumptionCheck:
     if isinstance(init, SineMode):
         return AssumptionCheck("init", True, f"SineMode m={init.m} vanishes at both endpoints")
@@ -454,7 +458,11 @@ def _check_init(init: InitialData) -> AssumptionCheck:
 
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     """Check (A1), (A2), (A3) plus the structural requirements of a run."""
-    checks = [_check_alpha(spec.alpha), _check_beta(spec.beta, spec.linear_mode)]
+    checks = [
+        _check_alpha(spec.alpha),
+        _check_beta(spec.beta, spec.linear_mode),
+        _check_beta_range(spec.beta, spec.horizon),
+    ]
 
     rho = spec.damping.rho
     if rho > 0.0:

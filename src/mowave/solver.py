@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
-from .model import ManufacturedField, ProblemSpec, sup_alpha_prime, validate_assumptions
+from .model import ManufacturedField, ProblemSpec, validate_assumptions
 from .transform import coefficient_grids, hyperbolicity_check
 
 SNAPSHOT_CAP_BYTES = 256 * 2**20
@@ -102,7 +102,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class ReferenceState:
-    """One snapshot (t, v, w) on the reference grid; arrays are frozen copies."""
+    """One state (t, v, w) on the reference grid, as initialize, rhs, energy and
+    boundary_flux take or return it; arrays are frozen copies."""
 
     t: float
     v: np.ndarray
@@ -122,25 +123,30 @@ class ReferenceState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered snapshots of one run plus the fixed step the run used."""
+    """The snapshots of one run plus the fixed step the run used: row k of V
+    and W, shape (nsnap, N+1), holds v and w at times[k]. The arrays are
+    taken as given, not copied, and made read-only."""
 
     spec: ProblemSpec
     grid: Grid
-    states: tuple[ReferenceState, ...]
     dt: float
+    times: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
 
     def __post_init__(self):
-        times = [s.t for s in self.states]
-        if len(times) < 1 or times[0] != 0.0:
+        times, V, W = (np.asarray(x, dtype=float) for x in (self.times, self.V, self.W))
+        if times.ndim != 1 or V.shape != (times.size, self.grid.n + 1) or W.shape != V.shape:
+            raise ConfigError("trajectory: times must have shape (nsnap,), V and W (nsnap, N+1)")
+        if times.size < 1 or times[0] != 0.0:
             raise ConfigError("trajectory: snapshots must start at t = 0")
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if np.any(times[1:] <= times[:-1]):
             raise ConfigError("trajectory: snapshot times must be strictly increasing")
-        if len(times) > 1 and abs(times[-1] - self.spec.horizon) > 1e-12 * max(1.0, self.spec.horizon):
+        if times.size > 1 and abs(times[-1] - self.spec.horizon) > 1e-12 * max(1.0, self.spec.horizon):
             raise ConfigError("trajectory: snapshots must end at t = T")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        for name, array in (("times", times), ("V", V), ("W", W)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def initialize(spec: ProblemSpec, grid: Grid) -> ReferenceState:
     return ReferenceState(0.0, v0, w0)
 
 
-def step_size(spec: ProblemSpec, grid: Grid, t: float = 0.0, cfl: float = 0.5) -> float:
+def step_size(spec: ProblemSpec, grid: Grid, cfl: float = 0.5) -> float:
     """Fixed stable step dt = CFL dy / s_max with s_max = 1 + sup alpha'.
 
     The transformed characteristic speeds satisfy |y alpha' +/- 1|/alpha
@@ -178,7 +184,7 @@ def step_size(spec: ProblemSpec, grid: Grid, t: float = 0.0, cfl: float = 0.5) -
     """
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise ConfigError(f"cfl must be positive and finite, got {cfl!r}")
-    s_max = 1.0 + max(sup_alpha_prime(spec.alpha), 0.0)
+    s_max = 1.0 + max(spec.alpha.sup_prime(), 0.0)
     return cfl * grid.dy / s_max
 
 
@@ -343,7 +349,7 @@ def simulate(
 
 def _step_count(spec: ProblemSpec, grid: Grid, cfl: float) -> tuple[float, int]:
     """The fixed step dt and the number of steps from 0 to T."""
-    dt = step_size(spec, grid, 0.0, cfl)
+    dt = step_size(spec, grid, cfl)
     return dt, int(math.ceil(spec.horizon / dt - 1e-12))
 
 
@@ -404,9 +410,15 @@ def simulate_batch(
     dt, nsteps = _step_count(specs[0], grid, cfl)
     rows = _Rows([specs[r] for r in live], grid)
     firsts = [initialize(specs[r], grid) for r in live]
-    states = {r: [first] for r, first in zip(live, firsts)}
     v = np.array([first.v for first in firsts])
     w = np.array([first.w for first in firsts])
+    # snapshots at t = 0, after every sample_every-th step and after the last
+    nsnap = 1 + nsteps // sample_every + (nsteps % sample_every != 0)
+    times = np.zeros(nsnap)
+    snaps = {r: (np.empty((nsnap, grid.n + 1)), np.empty((nsnap, grid.n + 1))) for r in live}
+    for i, r in enumerate(live):
+        snaps[r][0][0], snaps[r][1][0] = v[i], w[i]
+    taken = 1
     dws = [np.zeros_like(v) for _ in range(4)]  # boundary columns stay zero
     t = 0.0
     at_t = None
@@ -436,7 +448,7 @@ def simulate_batch(
                 bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(w).all(axis=1))
                 for i in np.flatnonzero(bad):
                     results[live[i]] = BlowUpError(t)
-                    del states[live[i]]
+                    del snaps[live[i]]
                 keep = ~bad
                 live = [r for r, ok in zip(live, keep) if ok]
                 if not live:
@@ -446,11 +458,13 @@ def simulate_batch(
                 rows = _Rows([specs[r] for r in live], grid)
                 at_t = None
             if (k + 1) % sample_every == 0 or k == nsteps - 1:
+                times[taken] = t
                 for i, r in enumerate(live):
-                    states[r].append(ReferenceState(t, v[i], w[i]))
+                    snaps[r][0][taken], snaps[r][1][taken] = v[i], w[i]
+                taken += 1
 
     for r in live:
-        results[r] = Trajectory(spec=specs[r], grid=grid, states=tuple(states[r]), dt=dt)
+        results[r] = Trajectory(specs[r], grid, dt, times, *snaps[r])
     return results
 
 

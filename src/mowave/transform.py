@@ -23,26 +23,15 @@ assumption (A1) guarantees uniformly with margin 1 - sup alpha'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, MowaveError
-from .model import AlphaFamily, eval_alpha, sup_alpha_prime
-
-
-@dataclass(frozen=True)
-class TransformedCoeffs:
-    """Pointwise coefficients of the transformed equation at one (y, t)."""
-
-    c_yt: float
-    c_yy: float
-    c_y: float
+from .model import AlphaFamily
 
 
 def to_reference(x: float, t: float, alpha: AlphaFamily) -> float:
     """Map a physical position x in [0, alpha(t)] to y = x/alpha(t)."""
-    al, _, _ = eval_alpha(alpha, t)
+    al, _, _ = alpha.eval(t)
     if x < 0.0 or x > al:
         raise DomainError(f"x = {x:g} outside [0, {al:g}] at t = {t:g}")
     return x / al
@@ -52,28 +41,17 @@ def from_reference(y: float, t: float, alpha: AlphaFamily) -> float:
     """Map a reference coordinate y in [0, 1] back to x = y alpha(t)."""
     if y < 0.0 or y > 1.0:
         raise DomainError(f"y = {y:g} outside the reference interval [0, 1]")
-    al, _, _ = eval_alpha(alpha, t)
+    al, _, _ = alpha.eval(t)
     return y * al
 
 
-def transformed_coefficients(y: float, t: float, alpha: AlphaFamily) -> TransformedCoeffs:
-    """Coefficients (c_yt, c_yy, c_y) at a single point of the reference cylinder."""
-    al, ap, app = eval_alpha(alpha, t)
-    drift = y * ap / al
-    return TransformedCoeffs(
-        c_yt=-2.0 * drift,
-        c_yy=drift * drift - 1.0 / (al * al),
-        c_y=-(y * app / al - 2.0 * y * (ap / al) ** 2),
-    )
-
-
 def coefficient_grids(y: np.ndarray, t: float, alpha: AlphaFamily):
-    """Vectorized coefficients on a node array.
+    """Coefficients of the transformed equation at nodes y (an array or a scalar).
 
     Returns (c_yt, c_yy, c_y, drift) with drift = y alpha'/alpha, the term the
     damping correction and the velocity reconstruction both need.
     """
-    al, ap, app = eval_alpha(alpha, t)
+    al, ap, app = alpha.eval(t)
     drift = y * (ap / al)
     c_yt = -2.0 * drift
     c_yy = drift * drift - 1.0 / (al * al)
@@ -87,7 +65,7 @@ def hyperbolicity_check(alpha: AlphaFamily, T: float) -> float:
     (A1) validation makes a nonpositive margin unreachable; the raise is a
     defensive guard for callers that skip validation.
     """
-    margin = 1.0 - sup_alpha_prime(alpha)
+    margin = 1.0 - alpha.sup_prime()
     if margin <= 0.0:
         raise MowaveError(
             f"hyperbolicity margin {margin:g} <= 0; the moving boundary is not time-like"

@@ -15,7 +15,6 @@ from mowave import (
     DampingParams,
     DecayCertificate,
     DegenerateDataError,
-    EnergySample,
     EnergySeries,
     ExponentialBeta,
     PolynomialBeta,
@@ -74,14 +73,11 @@ def scan_floor(beta, rho, T, points=2001, rounds=4):
 
 
 def series_from(t, E):
-    samples = tuple(
-        EnergySample(
-            t=float(ti), E=float(Ei), kinetic=0.0, gradient=0.0,
-            restoring=0.0, nonlinear=0.0, flux=0.0,
-        )
-        for ti, Ei in zip(t, E)
+    zero = np.zeros(len(t))
+    return EnergySeries(
+        t=np.asarray(t, dtype=float), E=np.asarray(E, dtype=float), kinetic=zero, gradient=zero,
+        restoring=zero, nonlinear=zero, flux=zero,
     )
-    return EnergySeries(samples=samples)
 
 
 def make_cert(lam, C):

@@ -28,6 +28,7 @@ from mowave import (
     first_derivative,
     multiplier_identity_residual,
     simulate,
+    snapshot_integrals,
     write_energy_csv,
     write_identity_csv,
 )
@@ -166,11 +167,82 @@ class TestBoundaryFlux:
         assert boundary_flux(state, make_spec(alpha=alpha), g) >= 0.0
 
 
+def forced_run(horizon=2.0, sample_every=1):
+    from mowave import ManufacturedField
+
+    spec = make_spec(
+        source=ManufacturedField(amp=1.0, rate=1.0, mode=2),
+        beta=ExponentialBeta(beta0=1.0, mu=0.3),
+        alpha=SaturatingAlpha(k=0.5, tau=1.0),
+        horizon=horizon,
+    )
+    return simulate(spec, Grid(24), sample_every=sample_every)
+
+
+class TestSnapshotIntegrals:
+    def test_matches_per_snapshot_oracle_across_blocks(self):
+        from mowave import manufactured_forcing
+
+        traj = forced_run()
+        assert len(traj.times) > 2 * 64  # several blocks, the last one partial
+        spec, g = traj.spec, traj.grid
+        table = snapshot_integrals(spec, g, traj.times, traj.V, traj.W)
+        forcing = manufactured_forcing(spec.source, spec)
+        for k, (t, v, w) in enumerate(zip(traj.times, traj.V, traj.W)):
+            al, ap, _ = spec.alpha.eval(t)
+            v_y = np.gradient(v, g.dy, edge_order=2)
+            u_t = w - g.y * (ap / al) * v_y
+            u_x = v_y / al
+            f = forcing(g.y, t)
+            weights = g.quad_weights * al
+            oracle = {
+                "ut2": weights @ u_t**2, "ux2": weights @ u_x**2, "u2": weights @ v**2,
+                "uut": weights @ (v * u_t), "nl": weights @ np.abs(v) ** 4.0,
+                "fut": weights @ (f * u_t), "fu": weights @ (f * v), "ux_end": u_x[-1],
+                "alpha_p": ap, "beta": spec.beta.eval(t)[0], "beta_p": spec.beta.eval(t)[1],
+            }
+            for name, want in oracle.items():
+                assert getattr(table, name)[k] == pytest.approx(want, rel=1e-12, abs=1e-14), (name, k)
+
+    def test_unforced_run_has_no_source_columns(self):
+        traj = simulate(make_spec(horizon=0.5), Grid(16))
+        table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
+        assert table.fut is None and table.fu is None
+        assert table.t.shape == table.ut2.shape == table.flux.shape == traj.times.shape
+
+    def test_one_snapshot_functions_read_the_same_table(self):
+        traj = forced_run(sample_every=7)
+        spec = traj.spec
+        series = EnergySeries.from_trajectory(traj)
+        for k, state in enumerate(zip(traj.times, traj.V, traj.W)):
+            sample = energy(ReferenceState(*state), spec, traj.grid)
+            for name in ("t", "E", "kinetic", "gradient", "restoring", "nonlinear", "flux"):
+                assert getattr(sample, name) == pytest.approx(getattr(series, name)[k], rel=1e-14, abs=1e-300)
+            assert boundary_flux(ReferenceState(*state), spec, traj.grid) == sample.flux
+
+    def test_paper_literal_reweights_restoring_only(self):
+        spec = make_spec(damping=DampingParams(a=1.0, b=3.0, rho=2.0), horizon=0.5)
+        traj = simulate(spec, Grid(16))
+        table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
+        exact = EnergySeries.from_trajectory(traj, table=table)
+        literal = EnergySeries.from_trajectory(traj, paper_literal=True, table=table)
+        assert np.allclose(literal.restoring, exact.restoring / 3.0, rtol=1e-15, atol=0.0)
+        for name in ("t", "kinetic", "gradient", "nonlinear", "flux"):
+            assert np.array_equal(getattr(literal, name), getattr(exact, name))
+
+    def test_passing_the_table_changes_nothing(self):
+        traj = forced_run(sample_every=3)
+        table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
+        assert energy_rate_residual(traj, table=table) == energy_rate_residual(traj)
+        with_table = multiplier_identity_residual(traj, 0.2, 0.3, table=table)
+        assert with_table == multiplier_identity_residual(traj, 0.2, 0.3)
+
+
 class TestRateResidual:
     def test_needs_three_snapshots(self):
         spec = make_spec(horizon=0.5)
         traj = simulate(spec, Grid(16), sample_every=10**6)
-        assert len(traj.states) == 2
+        assert len(traj.times) == 2
         with pytest.raises(ConfigError):
             energy_rate_residual(traj)
 
@@ -237,7 +309,7 @@ class TestMultiplierIdentity:
         rep = multiplier_identity_residual(traj, 0.1, s)
         times = traj.times
         flux = np.array(
-            [energy(state, spec, traj.grid).flux for state in traj.states]
+            [energy(ReferenceState(*state), spec, traj.grid).flux for state in zip(traj.times, traj.V, traj.W)]
         )
         expected = float(np.trapezoid(np.exp(s * times) * flux, times))
         assert rep.boundary_group == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -267,7 +339,7 @@ class TestCsvWriters:
         write_energy_csv(series, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(series.samples)
+        assert len(rows) == len(series.t)
         header = rows[0].keys()
         assert list(header) == [
             "t",
@@ -279,16 +351,16 @@ class TestCsvWriters:
             "flux",
             "bound",
         ]
-        for row, sample in zip(rows, series.samples):
-            assert float(row["t"]) == sample.t
-            assert float(row["E"]) == sample.E
+        for row, t, E in zip(rows, series.t, series.E):
+            assert float(row["t"]) == t
+            assert float(row["E"]) == E
             assert row["bound"] == ""
 
     def test_energy_csv_with_bound(self, tmp_path):
         spec = make_spec(horizon=0.5)
         traj = simulate(spec, Grid(16), sample_every=4)
         series = EnergySeries.from_trajectory(traj)
-        bound = [2.0 * s.E + 1.0 for s in series.samples]
+        bound = [2.0 * E + 1.0 for E in series.E]
         path = tmp_path / "energy.csv"
         write_energy_csv(series, path, bound=bound)
         with open(path, newline="") as fh:

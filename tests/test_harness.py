@@ -127,6 +127,29 @@ class TestSimulate:
         assert code == 3
         assert "blew up" in capsys.readouterr().err
 
+    def test_beta_beyond_doubles_exits_2(self, tmp_path, capsys):
+        cfg = reference_config(
+            beta={"variant": "exponential", "beta0": 1.0, "mu": 1000.0},
+            init={"variant": "sine", "m": 1, "amp_u0": 0.0, "amp_u1": 0.0},
+            horizon=1.0,
+        )
+        code, outdir = run_simulate(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("[FAIL]") == 1 and "[FAIL] beta(T)" in err
+        assert "Traceback" not in err
+        assert not (outdir / "energy.csv").exists()
+        assert main(["certify", write_config(tmp_path, cfg)]) == 2  # was 5, an empty window
+
+    def test_too_few_snapshots_named_before_the_diagnostics(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, reference_config(horizon=0.05))
+        code = main(["simulate", cfg_path, "--grid-n", "16", "--outdir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "2 snapshots" in err and "--sample-every 10" in err
+        assert "multiplier_identity_residual" not in err
+
     def test_manifest_contents(self, tmp_path):
         _, outdir = run_simulate(tmp_path, reference_config())
         blob = json.loads((outdir / "manifest.json").read_text())
@@ -367,6 +390,31 @@ class TestBatchedSweep:
             assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "2", "0"]
         assert "assumption checks failed" in capsys.readouterr().err
         assert list((outdir / "cell_0001").iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_beta_beyond_doubles_fails_its_cell_alone(self, tmp_path, capsys, jobs):
+        base = reference_config(horizon=1.0)
+        cfg = {"base": base, "axes": {"mu": [0.1, 1000.0]}}
+        outdir = tmp_path / "sweep"
+        code = main(
+            ["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--jobs", jobs,
+             "--outdir", str(outdir)]
+        )
+        assert code == 0
+        with open(outdir / "sweep.csv", newline="") as fh:
+            assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "2"]
+        if jobs == "1":  # a pool worker's stderr is not captured here
+            assert "[FAIL] beta(T)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--sample-every", "0"), ("--grid-n", "4"), ("--cfl", "-1")]
+    )
+    def test_run_wide_flags_checked_once(self, tmp_path, capsys, flag, value):
+        code = main(["sweep", self.sweep_path(tmp_path), flag, value, "--outdir", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

@@ -19,11 +19,8 @@ from mowave import (
     ProblemSpec,
     SaturatingAlpha,
     SineMode,
-    eval_alpha,
-    eval_beta,
     spec_from_dict,
     spec_to_dict,
-    sup_alpha_prime,
     validate_assumptions,
 )
 
@@ -61,23 +58,23 @@ betas = st.one_of(
 
 class TestAlphaFamilies:
     def test_constant(self):
-        assert eval_alpha(ConstantAlpha(), 3.7) == (1.0, 0.0, 0.0)
-        assert sup_alpha_prime(ConstantAlpha()) == 0.0
+        assert ConstantAlpha().eval(3.7) == (1.0, 0.0, 0.0)
+        assert ConstantAlpha().sup_prime() == 0.0
 
     def test_affine(self):
-        al, ap, app = eval_alpha(AffineAlpha(0.5), 2.0)
+        al, ap, app = AffineAlpha(0.5).eval(2.0)
         assert al == 2.0 and ap == 0.5 and app == 0.0
-        assert sup_alpha_prime(AffineAlpha(0.5)) == 0.5
+        assert AffineAlpha(0.5).sup_prime() == 0.5
 
     def test_saturating(self):
         fam = SaturatingAlpha(k=0.5, tau=2.0)
-        al, ap, app = eval_alpha(fam, 0.0)
+        al, ap, app = fam.eval(0.0)
         assert al == 1.0
         assert ap == 0.25
         assert app == -0.125
-        assert sup_alpha_prime(fam) == 0.25
+        assert fam.sup_prime() == 0.25
         # approaches 1 + k
-        assert eval_alpha(fam, 1e3)[0] == pytest.approx(1.5)
+        assert fam.eval(1e3)[0] == pytest.approx(1.5)
 
     def test_saturating_needs_positive_tau(self):
         with pytest.raises(ConfigError):
@@ -86,34 +83,34 @@ class TestAlphaFamilies:
     @settings(max_examples=60)
     @given(alphas, st.floats(0.001, 50.0))
     def test_admissible_families_expand_subcharacteristically(self, fam, t):
-        al, ap, _ = eval_alpha(fam, t)
+        al, ap, _ = fam.eval(t)
         assert al >= 1.0
         assert 0.0 <= ap < 1.0
-        assert ap <= sup_alpha_prime(fam) + 1e-12
+        assert ap <= fam.sup_prime() + 1e-12
 
     @settings(max_examples=40)
     @given(alphas, st.floats(0.1, 20.0))
     def test_derivatives_match_central_differences(self, fam, t):
         h = 1e-5
-        al_m, ap_m, _ = eval_alpha(fam, t - h)
-        al, ap, app = eval_alpha(fam, t)
-        al_p, ap_p, _ = eval_alpha(fam, t + h)
+        al_m, ap_m, _ = fam.eval(t - h)
+        al, ap, app = fam.eval(t)
+        al_p, ap_p, _ = fam.eval(t + h)
         assert (al_p - al_m) / (2 * h) == pytest.approx(ap, abs=1e-8, rel=1e-6)
         assert (ap_p - ap_m) / (2 * h) == pytest.approx(app, abs=1e-8, rel=1e-6)
 
 
 class TestBetaFamilies:
     def test_constant(self):
-        assert eval_beta(ConstantBeta(2.5), 9.0) == (2.5, 0.0)
+        assert ConstantBeta(2.5).eval(9.0) == (2.5, 0.0)
 
     def test_exponential(self):
-        val, der = eval_beta(ExponentialBeta(beta0=2.0, mu=0.3), 1.0)
+        val, der = ExponentialBeta(beta0=2.0, mu=0.3).eval(1.0)
         assert val == pytest.approx(2.0 * math.exp(0.3))
         assert der == pytest.approx(0.6 * math.exp(0.3))
 
     def test_polynomial_horner(self):
         beta = PolynomialBeta(coeffs=(1.0, 2.0, 3.0))
-        val, der = eval_beta(beta, 2.0)
+        val, der = beta.eval(2.0)
         assert val == pytest.approx(1.0 + 4.0 + 12.0)
         assert der == pytest.approx(2.0 + 12.0)
 
@@ -124,7 +121,7 @@ class TestBetaFamilies:
     @settings(max_examples=60)
     @given(betas, st.floats(0.0, 30.0))
     def test_admissible_families_positive_nondecreasing(self, fam, t):
-        val, der = eval_beta(fam, t)
+        val, der = fam.eval(t)
         assert val > 0.0
         assert der >= -1e-12 * max(1.0, abs(val))
 
@@ -212,6 +209,26 @@ class TestValidation:
     def test_nonpositive_horizon_fails(self):
         report = validate_assumptions(make_spec(horizon=0.0))
         assert any(c.name == "horizon" and not c.passed for c in report.checks)
+
+    @pytest.mark.parametrize(
+        "beta, horizon",
+        [
+            (ExponentialBeta(beta0=1.0, mu=1000.0), 1.0),  # exp(mu T) itself overflows
+            (ExponentialBeta(beta0=1e300, mu=30.0), 1.0),  # beta0 exp(mu T) overflows
+            (ExponentialBeta(beta0=1e307, mu=100.0), 0.01),  # only beta' = mu beta overflows
+            (ExponentialBeta(beta0=-1.0, mu=1000.0), 1.0),  # fails A2 too, without raising
+            (PolynomialBeta((1.0, 1e300, 1e300)), 1e5),
+        ],
+    )
+    def test_beta_beyond_doubles_fails(self, beta, horizon):
+        report = validate_assumptions(make_spec(beta=beta, horizon=horizon))
+        (check,) = [c for c in report.checks if c.name == "beta(T)"]
+        assert not check.passed and not report.ok
+
+    def test_beta_just_inside_doubles_passes(self):
+        # log beta'(T) = log 2 + log 1 + 2 * 354 = 708.69 < 709.78
+        report = validate_assumptions(make_spec(beta=ExponentialBeta(beta0=1.0, mu=2.0), horizon=354.0))
+        assert report.ok, report.summary()
 
 
 class TestConfigParsing:

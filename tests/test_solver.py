@@ -217,16 +217,16 @@ class TestSimulate:
     def test_zero_data_stays_zero(self):
         spec = make_spec(init=SineMode(m=1, amp_u0=0.0, amp_u1=0.0), horizon=0.5)
         traj = simulate(spec, Grid(16))
-        for s in traj.states:
-            assert np.all(s.v == 0.0) and np.all(s.w == 0.0)
-        assert energy(traj.states[-1], spec, traj.grid).E == 0.0
+        assert np.all(traj.V == 0.0) and np.all(traj.W == 0.0)
+        last = ReferenceState(traj.times[-1], traj.V[-1], traj.W[-1])
+        assert energy(last, spec, traj.grid).E == 0.0
 
     def test_boundary_rows_exactly_zero(self):
         spec = make_spec(alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
         traj = simulate(spec, Grid(32))
-        for s in traj.states:
-            assert s.v[0] == 0.0 and s.v[-1] == 0.0
-            assert s.w[0] == 0.0 and s.w[-1] == 0.0
+        for v, w in zip(traj.V, traj.W):
+            assert v[0] == 0.0 and v[-1] == 0.0
+            assert w[0] == 0.0 and w[-1] == 0.0
 
     def test_snapshot_times(self):
         spec = make_spec(horizon=0.5)
@@ -267,15 +267,14 @@ class TestSimulate:
             horizon=2.0,
         )
         traj = simulate(spec, Grid(64), sample_every=10)
-        e = [energy(s, spec, traj.grid).E for s in traj.states]
+        e = [energy(ReferenceState(*s), spec, traj.grid).E for s in zip(traj.times, traj.V, traj.W)]
         assert e[-1] < 0.5 * e[0]
 
 
 def assert_same_run(batch_row, solo):
     assert batch_row.dt == solo.dt
     assert np.array_equal(batch_row.times, solo.times)
-    for got, want in zip(batch_row.states, solo.states, strict=True):
-        assert np.array_equal(got.v, want.v) and np.array_equal(got.w, want.w)
+    assert np.array_equal(batch_row.V, solo.V) and np.array_equal(batch_row.W, solo.W)
 
 
 def reference_simulate(spec, grid, sample_every):
@@ -380,9 +379,9 @@ class TestSimulateBatch:
         g = Grid(32)
         traj = simulate(spec, g, sample_every=4)
         expected = reference_simulate(spec, g, 4)
-        assert len(traj.states) == len(expected)
-        for state, (t, v, w) in zip(traj.states, expected):
-            assert state.t == t and np.array_equal(state.v, v) and np.array_equal(state.w, w)
+        assert len(traj.times) == len(expected)
+        for state, (t, v, w) in zip(zip(traj.times, traj.V, traj.W), expected):
+            assert state[0] == t and np.array_equal(state[1], v) and np.array_equal(state[2], w)
 
     def test_blow_up_row_leaves_neighbours_unchanged(self):
         # a = 2000 at N = 100 exceeds the RK4 real-axis limit a dt < 2.78
@@ -440,25 +439,40 @@ class TestSimulateBatch:
 
 
 class TestTrajectoryInvariants:
+    def test_arrays_are_read_only_and_sized_to_the_snapshots(self):
+        spec = make_spec(horizon=0.5)
+        traj = simulate(spec, Grid(16), sample_every=3)
+        nsteps = math.ceil(0.5 / traj.dt - 1e-12)
+        assert traj.times.shape == (nsteps // 3 + 1 + (nsteps % 3 != 0),)
+        assert traj.V.shape == traj.W.shape == (traj.times.size, 17)
+        for array in (traj.times, traj.V, traj.W):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_shapes_must_agree(self):
+        g = Grid(8)
+        with pytest.raises(ConfigError):
+            Trajectory(make_spec(horizon=1.0), g, dt=0.1, times=[0.0, 1.0], V=np.zeros((2, 9)), W=np.zeros((2, 8)))
+        with pytest.raises(ConfigError):
+            Trajectory(make_spec(horizon=1.0), g, dt=0.1, times=[0.0, 1.0], V=np.zeros((3, 9)), W=np.zeros((3, 9)))
+
     def test_must_start_at_zero(self):
         g = Grid(8)
-        z = np.zeros(9)
+        z = np.zeros((1, 9))
         with pytest.raises(ConfigError):
-            Trajectory(make_spec(), g, (ReferenceState(0.5, z, z),), dt=0.1)
+            Trajectory(make_spec(), g, dt=0.1, times=[0.5], V=z, W=z)
 
     def test_times_strictly_increasing(self):
         g = Grid(8)
-        z = np.zeros(9)
-        s0 = ReferenceState(0.0, z, z)
+        z = np.zeros((2, 9))
         with pytest.raises(ConfigError):
-            Trajectory(make_spec(horizon=1.0), g, (s0, s0), dt=0.1)
+            Trajectory(make_spec(horizon=1.0), g, dt=0.1, times=[0.0, 0.0], V=z, W=z)
 
     def test_must_end_at_horizon(self):
         g = Grid(8)
-        z = np.zeros(9)
-        states = (ReferenceState(0.0, z, z), ReferenceState(0.5, z, z))
+        z = np.zeros((2, 9))
         with pytest.raises(ConfigError):
-            Trajectory(make_spec(horizon=1.0), g, states, dt=0.1)
+            Trajectory(make_spec(horizon=1.0), g, dt=0.1, times=[0.0, 0.5], V=z, W=z)
 
 
 class TestManufactured:
@@ -482,7 +496,7 @@ class TestManufactured:
         g = Grid(100)
         traj = simulate(spec, g, sample_every=1000)
         v_fn, _ = exact_reference_fields(field, spec)
-        err = np.max(np.abs(traj.states[-1].v - v_fn(g.y, traj.states[-1].t)))
+        err = np.max(np.abs(traj.V[-1] - v_fn(g.y, traj.times[-1])))
         assert err < 5e-4
 
     def test_exact_reference_fields_satisfy_boundary(self):

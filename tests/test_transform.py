@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from mowave import (
     MowaveError,
     SaturatingAlpha,
     coefficient_grids,
-    eval_alpha,
     from_reference,
     hyperbolicity_check,
     to_reference,
-    transformed_coefficients,
 )
+
+def point_coefficients(y, t, fam):
+    """coefficient_grids at one scalar point, by name."""
+    return SimpleNamespace(**dict(zip(("c_yt", "c_yy", "c_y", "drift"), coefficient_grids(y, t, fam))))
+
 
 alphas = st.one_of(
     st.just(ConstantAlpha()),
@@ -58,17 +62,17 @@ class TestCoordinateMaps:
 
 class TestTransformedCoefficients:
     def test_cylindrical_is_the_wave_operator(self):
-        tc = transformed_coefficients(0.7, 3.0, ConstantAlpha())
+        tc = point_coefficients(0.7, 3.0, ConstantAlpha())
         assert (tc.c_yt, tc.c_yy, tc.c_y) == (0.0, -1.0, 0.0)
 
     def test_affine_worked_example(self):
-        tc = transformed_coefficients(1.0, 0.0, AffineAlpha(0.5))
+        tc = point_coefficients(1.0, 0.0, AffineAlpha(0.5))
         assert tc.c_yt == pytest.approx(-1.0)
         assert tc.c_yy == pytest.approx(-0.75)
         assert tc.c_y == pytest.approx(0.5)
 
     def test_saturating_axis_point(self):
-        tc = transformed_coefficients(0.0, 0.0, SaturatingAlpha(0.5, 1.0))
+        tc = point_coefficients(0.0, 0.0, SaturatingAlpha(0.5, 1.0))
         assert (tc.c_yt, tc.c_yy, tc.c_y) == (0.0, -1.0, 0.0)
 
     @settings(max_examples=25, deadline=None)
@@ -91,7 +95,7 @@ class TestTransformedCoefficients:
         physical = (sp.diff(u, t, 2) - sp.diff(u, x, 2)).subs(x, al * y)
         point = {y: y_val, t: t_val}
         lhs = float(physical.subs(point))
-        tc = transformed_coefficients(y_val, t_val, fam)
+        tc = point_coefficients(y_val, t_val, fam)
         rhs = float(
             (
                 sp.diff(v, t, 2)
@@ -106,16 +110,16 @@ class TestTransformedCoefficients:
     @given(alphas, st.floats(0.0, 1.0), st.floats(0.0, 20.0))
     def test_c_yy_stays_negative(self, fam, y, t):
         # strict hyperbolicity: (y alpha')^2 < 1 <= alpha^2
-        tc = transformed_coefficients(y, t, fam)
+        tc = point_coefficients(y, t, fam)
         assert tc.c_yy < 0.0
 
     def test_grid_helper_matches_pointwise(self):
         fam = SaturatingAlpha(0.5, 1.0)
         y = np.linspace(0.0, 1.0, 11)
         c_yt, c_yy, c_y, drift = coefficient_grids(y, 0.3, fam)
-        al, ap, _ = eval_alpha(fam, 0.3)
+        al, ap, _ = fam.eval(0.3)
         for i, yi in enumerate(y):
-            tc = transformed_coefficients(float(yi), 0.3, fam)
+            tc = point_coefficients(float(yi), 0.3, fam)
             assert c_yt[i] == pytest.approx(tc.c_yt)
             assert c_yy[i] == pytest.approx(tc.c_yy)
             assert c_y[i] == pytest.approx(tc.c_y)
