@@ -129,7 +129,11 @@ class BoundReport:
 
 
 def lambda_floor(beta: BetaFamily, rho: float, T: float) -> float:
-    """lambda_lo = sup over [0, T] of beta'/((rho+1) beta)."""
+    """lambda_lo = sup over [0, T] of beta'/((rho+1) beta).
+
+    Raises UnsupportedConfigError when, for polynomial beta, the numerator
+    whose roots are sought overflows a double.
+    """
     if rho <= 0.0:
         raise ConfigError(f"rho must be positive, got {rho}")
     if isinstance(beta, ConstantBeta):
@@ -148,7 +152,13 @@ def lambda_floor(beta: BetaFamily, rho: float, T: float) -> float:
         scale = T if math.isfinite(T) else 1.0
         c = (np.asarray(beta.coeffs) * scale ** np.arange(len(beta.coeffs)))[::-1]
         d1 = np.polyder(c)
-        num = np.polysub(np.polymul(np.polyder(d1), c), np.polymul(d1, d1))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            num = np.polysub(np.polymul(np.polyder(d1), c), np.polymul(d1, d1))
+        if not np.isfinite(num).all():
+            raise UnsupportedConfigError(
+                "certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
+                "on [0, T], so lambda_lo cannot be computed; scale the coefficients down"
+            )
         num = num / (np.abs(num).max() or 1.0)
         num[: np.argmax(np.abs(num) > math.sqrt(np.finfo(float).eps))] = 0.0
         roots = scale * np.clip(np.roots(num).real, 0.0, T / scale)
@@ -175,8 +185,15 @@ def _cross_term_root(a: float, b: float) -> float:
     """The one real root of the cubic g of condition (ii), b > 0 (see above).
 
     The minimum guards against a complex pair rounded onto the real axis.
+    Raises UnsupportedConfigError when a coefficient overflows a double.
     """
-    roots = np.roots([-1.0, 2.0 * a, -(a * a + 3.0 * b), 2.0 * a * b])
+    coeffs = [-1.0, 2.0 * a, -(a * a + 3.0 * b), 2.0 * a * b]
+    if not all(map(math.isfinite, coeffs)):
+        raise UnsupportedConfigError(
+            f"certificate: damping a = {a:g}, b = {b:g} overflow the cubic of condition (ii), "
+            "so lambda_hi cannot be computed"
+        )
+    roots = np.roots(coeffs)
     return float(roots[roots.imag == 0.0].real.min())
 
 

@@ -111,6 +111,8 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
     q, y, power = grid.quad_weights, grid.y, spec.damping.rho + 2.0
     for lo in range(0, times.size, BLOCK):
         k = slice(lo, lo + BLOCK)
+        # the source first, so that its temporaries are gone before the block's own
+        f = forcing(y, times[k]) if forcing is not None else None
         v, w, al_k = V[k], W[k], al[k, None]
         v_y = first_derivative(v, grid.dy)
         u_t = w - (y * (ap[k, None] / al_k)) * v_y
@@ -121,8 +123,7 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
         ints["uut"][k] = (v * u_t) @ q
         ints["nl"][k] = np.abs(v) ** power @ q
         ux_end[k] = u_x[:, -1]
-        if forcing is not None:
-            f = np.array([forcing(y, t) for t in times[k].tolist()])
+        if f is not None:
             ints["fut"][k] = (f * u_t) @ q
             ints["fu"][k] = (f * v) @ q
     for values in ints.values():

@@ -9,10 +9,11 @@ Subcommands:
     mowave convergence CONFIG refinement studies; prints observed orders
     mowave sweep CONFIG       Cartesian parameter sweep; writes sweep.csv
 
-Exit codes: 0 success, 2 validation or config failure, 3 blow-up,
-4 decay-bound violation, 5 empty certificate window, 6 convergence order
-below 1.8. Diagnostics go to standard error; results go to files and
-standard output.
+Exit codes: 0 success, 2 validation or config failure (also an input that
+overflows a double in the certificate, or in the energy of a finite run),
+3 blow-up, 4 decay-bound violation, 5 empty certificate window, 6
+convergence order below 1.8. Diagnostics go to standard error; results go
+to files and standard output.
 
 The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
@@ -227,9 +228,18 @@ def run_simulation(
         summary["exit"] = EXIT_VALIDATION
         return EXIT_VALIDATION, summary
 
-    table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
-    series_exact = EnergySeries.from_trajectory(traj, table=table)
-    series_out = EnergySeries.from_trajectory(traj, paper_literal, table)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
+        series_exact = EnergySeries.from_trajectory(traj, table=table)
+        series_out = EnergySeries.from_trajectory(traj, paper_literal, table)
+    finite = np.isfinite(series_exact.E) & np.isfinite(series_out.E)
+    if not finite.all():  # the solution is finite (simulate checks it), its energy is not
+        _err(
+            f"the energy overflows a double, first at t = {traj.times[np.argmin(finite)]:.6g}, "
+            "although the solution stays finite; no outputs written"
+        )
+        summary["exit"] = EXIT_VALIDATION
+        return EXIT_VALIDATION, summary
 
     edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
     summary["lambda_lo"], summary["lambda_hi"] = edges
@@ -295,6 +305,8 @@ def run_simulation(
         "dt": traj.dt,
         "sample_every": sample_every,
         "snapshots": len(traj.times),
+        "steps": traj.steps,
+        "rhs_evals": 4 * traj.steps,
     }
     write_manifest(
         outdir / "manifest.json",

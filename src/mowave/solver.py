@@ -20,10 +20,24 @@ loop, and simulate is its batch of one.
 a, b, beta(t) and the source are per-row columns. Every operation is
 elementwise per row, so a row's bits never depend on its neighbours; rho is
 shared because numpy takes scalar fast paths for some exponents (x ** 2.0,
-x ** 0.5) that differ in the last bit from pow with an array exponent. The
-coefficients, beta and the source are evaluated once per distinct stage
-time: stages 2 and 3 share t + h/2, and stage 4's t + h is reused as the
-next step's t when the two are equal.
+x ** 0.5) that differ in the last bit from pow with an array exponent.
+
+The step allocates nothing. Each RK stage owns one (3, rows, N+1) buffer
+[v_k, w_k, dw_k]; its state z_k = buf[0:2] and its derivative dz_k =
+buf[1:3] (dv/dt = w) are overlapping views, so a stage update z1 + c dz_k
+and the final z1 + (h/6)(dz1 + 2 dz2 + 2 dz3 + dz4) are a few whole-state
+calls written in place. _rhs_arrays writes through views bound once per
+buffer into scratch arrays allocated once per batch. Every call keeps the
+operand order of the plain one-row formulas, so the results are bit for
+bit those of a loop that allocates a fresh array per operation.
+
+The coefficients, beta and the source come from a stage table built for
+_BLOCK steps at a time: the distinct stage times of the block (t, t + h/2,
+t + h, and the next step's t when it is not that t + h) are listed in
+Python, alpha, beta and the source scales are evaluated there as Python
+scalars, and the (times, nodes) coefficient and source arrays follow in
+one vectorised pass. A row that blows up is dropped; the others go on
+with fresh buffers and a fresh table from the next step.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
@@ -34,6 +48,7 @@ evaluated directly in reference coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +61,7 @@ from .model import ManufacturedField, ProblemSpec, validate_assumptions
 from .transform import coefficient_grids, hyperbolicity_check
 
 SNAPSHOT_CAP_BYTES = 256 * 2**20
+_BLOCK = 32  # steps per stage table of simulate_batch; bounds the table's memory
 
 
 def simpson_weights(n: int, dy: float) -> np.ndarray:
@@ -148,6 +164,11 @@ class Trajectory:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
+    @property
+    def steps(self) -> int:
+        """The RK4 steps from 0 to T at dt (four RHS evaluations each)."""
+        return _steps(self.spec.horizon, self.dt)
+
 
 # ---------------------------------------------------------------------------
 # setup
@@ -217,7 +238,8 @@ class _Source:
         u_xx = -(mode pi / alpha)^2 u
 
     alpha and rho are shared, a and b are the rows' columns; theta, sin and
-    cos do not depend on t and are computed once.
+    cos do not depend on t and are computed once. The factors that depend on
+    t are Python scalars, per time and per row, broadcast as columns.
     """
 
     def __init__(self, fields: list[ManufacturedField], alpha, rho: float, a, b, y: np.ndarray):
@@ -225,30 +247,53 @@ class _Source:
         self.amp = [f.amp for f in fields]
         self.rates = [f.rate for f in fields]
         self.k = [f.mode * math.pi for f in fields]
-        self.rate = _column(self.rates)
-        self.theta = _column(self.k) * y
+        self.rate = np.array(self.rates)[:, None]
+        self.theta = np.array(self.k)[:, None] * y
         self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
 
-    def __call__(self, t: float, bt) -> np.ndarray:
-        """The source at time t; bt is the beta(t) column, None in linear mode."""
-        al, al1, al2 = self.alpha.eval(t)
-        g = al1 / al
-        g1 = al2 / al - g * g
+    def __call__(self, times, bt) -> np.ndarray:
+        """The source at each of times, shape (times, rows, nodes); bt is the
+        (times, rows, 1) beta(t) column, None in linear mode."""
+        per_time, per_row = [], []
+        for t in times:
+            al, al1, al2 = self.alpha.eval(t)
+            g = al1 / al
+            g1 = al2 / al - g * g
+            per_time.append((-g, g, g * g, g * g - g1))
+            per_row.append(
+                [(amp * math.exp(-r * t), (k / al) ** 2) for amp, r, k in zip(self.amp, self.rates, self.k)]
+            )
+        neg_g, g, g_sq, g_sq_g1 = np.array(per_time).T[..., None, None]
+        scale, k_al_sq = np.moveaxis(np.array(per_row), 2, 0)[..., None]
         theta, sin, cos, rate = self.theta, self.sin, self.cos, self.rate
-        scale = _column([amp * math.exp(-r * t) for amp, r in zip(self.amp, self.rates)])
+        # the formulas above, evaluated left to right in place: few temporaries
         u = scale * sin
-        u_t = scale * (-g * theta * cos - rate * sin)
-        u_tt = scale * (
-            (g * g - g1 + 2.0 * rate * g) * theta * cos + (rate * rate - g * g * theta * theta) * sin
-        )
-        f = u_tt + _column([(k / al) ** 2 for k in self.k]) * u + self.a * u_t + self.b * u
+        u_t = neg_g * theta
+        u_t *= cos
+        u_t -= rate * sin
+        u_t *= scale
+        f = (g_sq_g1 + 2.0 * rate * g) * theta
+        f *= cos
+        tmp = g_sq * theta
+        tmp *= theta
+        np.subtract(rate * rate, tmp, out=tmp)
+        tmp *= sin
+        f += tmp
+        f *= scale  # u_tt
+        f += np.multiply(k_al_sq, u, out=tmp)
+        f += np.multiply(self.a, u_t, out=tmp)
+        f += np.multiply(self.b, u, out=tmp)
         if bt is not None:
-            f = f + bt * np.abs(u) ** self.rho * u
+            np.absolute(u, out=tmp)
+            tmp **= self.rho
+            tmp *= bt
+            tmp *= u
+            f += tmp
         return f
 
 
 class _Rows:
-    """Per-row constants of specs with one batch_key.
+    """Per-row constants of specs with one batch_key, and their stage table.
 
     a, b, beta(t) and the source differ per row and broadcast as columns
     over the interior nodes. The nonlinear term is on exactly when
@@ -269,37 +314,85 @@ class _Rows:
             else None
         )
 
-    def at(self, t: float) -> tuple:
-        """Everything the right-hand side needs at time t."""
-        bt = _column([s.beta.eval(t)[0] for s in self.specs]) if self.nonlinear else None
-        f = self.source(t, bt) if self.source is not None else None
-        return (t, *coefficient_grids(self.y, t, self.alpha), bt, f)
+    def stage_table(self, times: list[float]) -> list[tuple]:
+        """What _rhs_arrays needs at each of times: (c_yt, c_yy, c_y, drift, bt, f).
+
+        The coefficients are (1, nodes) rows, the shape of a one-row state,
+        which numpy multiplies faster than a broadcast (nodes,) vector; bt is
+        the (rows, 1) beta(t) column and f the (rows, nodes) source, None when
+        off. All times are done in one vectorised pass; the entry of a time is
+        bit for bit what a pass at that time alone gives.
+        """
+        coefficients = [c[:, None] for c in coefficient_grids(self.y, times, self.alpha)]
+        bt = f = None
+        if self.nonlinear:
+            bt = np.array([[s.beta.eval(t)[0] for s in self.specs] for t in times])[..., None]
+        if self.source is not None:
+            f = self.source(times, bt)
+        none = itertools.repeat(None)
+        return list(zip(*coefficients, none if bt is None else bt, none if f is None else f))
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
 
-def _rhs_arrays(v, w, at, rows: _Rows, out) -> None:
-    """Interior dw/dt of every row of (v, w), written into out[:, 1:-1].
+def _stages(z: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """The four RK stage buffers of a (2, rows, N+1) state z, and their views.
 
-    dv/dt is w itself: the boundary columns of w are zero at every stage,
-    and those of out are never written.
+    Buffer k, shape (3, rows, N+1), holds [v_k, w_k, dw_k]: its state is
+    buf[0:2] and, since dv/dt = w, its derivative is the overlapping buf[1:3].
+    Stage 1 starts as (z, 0); the rest start zeroed. The views of each buffer
+    are bound once here, with scratch arrays the four stages share.
     """
-    _, c_yt, c_yy, c_y, drift, bt, f = at
-    vi = v[:, 1:-1]
-    Dv = (v[:, 2:] - v[:, :-2]) / rows.two_dy
-    Dw = (w[:, 2:] - w[:, :-2]) / rows.two_dy
-    D2v = (v[:, 2:] - 2.0 * vi + v[:, :-2]) / rows.dy2
-    dw = out[:, 1:-1]
-    np.subtract(
-        -(c_yt * Dw + c_yy * D2v + c_y * Dv) - rows.a * (w[:, 1:-1] - drift * Dv),
-        rows.b * vi,
-        out=dw,
-    )
+    rows, nodes = z.shape[1:]
+    bufs = np.zeros((4, 3, rows, nodes))
+    bufs[0, 0:2] = z
+    D = np.empty((2, rows, nodes - 2))  # (Dv, Dw)
+    scratch = (D, D[0], D[1], *np.empty((3, rows, nodes - 2)))
+    views = []
+    for buf in bufs:
+        inner = buf[:, :, 1:-1]  # v, w and dw at the interior nodes
+        views.append((*inner, buf[0:2, :, 2:], buf[0:2, :, :-2], buf[0, :, 2:], buf[0, :, :-2], *scratch))
+    return bufs, views
+
+
+def _rhs_arrays(stage: tuple, coef: tuple, rows: _Rows) -> None:
+    """Interior dw/dt of every row of one stage buffer, written into its dw.
+
+    stage is a buffer's views from _stages, coef the stage time's entry of
+    the stage table. Every call writes into preallocated arrays, in the
+    operation order of the plain formula. dv/dt is w itself: the boundary
+    columns of w are zero at every stage, and those of dw are never written.
+    """
+    vi, wi, dw, z_right, z_left, v_right, v_left, D, Dv, Dw, D2v, s, r = stage
+    c_yt, c_yy, c_y, drift, bt, f = coef
+    np.subtract(z_right, z_left, out=D)
+    D /= rows.two_dy
+    np.multiply(vi, 2.0, out=D2v)
+    np.subtract(v_right, D2v, out=D2v)
+    D2v += v_left
+    D2v /= rows.dy2
+    # -(c_yt Dw + c_yy D2v + c_y Dv) - a (w - drift Dv) - b v
+    np.multiply(c_yt, Dw, out=s)
+    np.multiply(c_yy, D2v, out=r)
+    s += r
+    np.multiply(c_y, Dv, out=r)
+    s += r
+    np.negative(s, out=s)
+    np.multiply(drift, Dv, out=r)
+    np.subtract(wi, r, out=r)
+    r *= rows.a
+    s -= r
+    np.multiply(rows.b, vi, out=r)
+    np.subtract(s, r, out=dw)
     if bt is not None:
         # |v|^rho v, continuously extended by 0 at v = 0 for every rho > 0
-        dw -= bt * np.abs(vi) ** rows.rho * vi
+        np.absolute(vi, out=r)
+        r **= rows.rho  # not np.power: keeps numpy's scalar fast paths
+        r *= bt
+        r *= vi
+        dw -= r
     if f is not None:
         dw += f
 
@@ -314,14 +407,15 @@ def rhs(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> tuple[np.ndarra
     if not (np.isfinite(state.v).all() and np.isfinite(state.w).all()):
         raise BlowUpError(state.t)
     rows = _Rows([spec], grid)
-    dw = np.zeros((1, grid.n + 1))
+    bufs, stages = _stages(np.array([[state.v], [state.w]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        _rhs_arrays(state.v[None], state.w[None], rows.at(state.t), rows, dw)
+        _rhs_arrays(stages[0], rows.stage_table([state.t])[0], rows)
     dv = state.w.copy()
     dv[0] = dv[-1] = 0.0
+    dw = bufs[0, 2, 0].copy()
     if not np.isfinite(dw).all():
         raise BlowUpError(state.t)
-    return dv, dw[0]
+    return dv, dw
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +441,15 @@ def simulate(
     return result
 
 
+def _steps(horizon: float, dt: float) -> int:
+    """Steps of size dt from 0 to the horizon, the last one shortened to land on it."""
+    return int(math.ceil(horizon / dt - 1e-12))
+
+
 def _step_count(spec: ProblemSpec, grid: Grid, cfl: float) -> tuple[float, int]:
     """The fixed step dt and the number of steps from 0 to T."""
     dt = step_size(spec, grid, cfl)
-    return dt, int(math.ceil(spec.horizon / dt - 1e-12))
+    return dt, _steps(spec.horizon, dt)
 
 
 def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> int:
@@ -359,6 +458,28 @@ def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: fl
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     _, nsteps = _step_count(spec, grid, cfl)
     return (nsteps // sample_every + 2) * 2 * (grid.n + 1) * 8
+
+
+def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple], list[float]]:
+    """Steps k0 .. k1-1, the first starting at t, and their distinct stage times.
+
+    Each step is (h/2, h, h/6, t_next, j): stage 1 is at times[j], stages 2
+    and 3 at times[j+1] = t + h/2, stage 4 at times[j+2] = t + h. A step's
+    t shares the previous step's t + h when the two are equal, else gets a
+    time of its own. (They are equal for these step times: t_next - t is
+    exact by Sterbenz's lemma once k >= 1, and so is t + h; the check keeps
+    the table exact without relying on that.)
+    """
+    steps, times = [], []
+    for k in range(k0, k1):
+        t_next = min((k + 1) * dt, T)
+        h = t_next - t
+        if not times or times[-1] != t:
+            times.append(t)
+        steps.append((0.5 * h, h, h / 6.0, t_next, len(times) - 1))
+        times += (t + 0.5 * h, t + h)
+        t = t_next
+    return steps, times
 
 
 def simulate_batch(
@@ -410,58 +531,64 @@ def simulate_batch(
     dt, nsteps = _step_count(specs[0], grid, cfl)
     rows = _Rows([specs[r] for r in live], grid)
     firsts = [initialize(specs[r], grid) for r in live]
-    v = np.array([first.v for first in firsts])
-    w = np.array([first.w for first in firsts])
+    bufs, stages = _stages(np.array([[first.v for first in firsts], [first.w for first in firsts]]))
     # snapshots at t = 0, after every sample_every-th step and after the last
     nsnap = 1 + nsteps // sample_every + (nsteps % sample_every != 0)
     times = np.zeros(nsnap)
-    snaps = {r: (np.empty((nsnap, grid.n + 1)), np.empty((nsnap, grid.n + 1))) for r in live}
+    snaps = {r: np.empty((2, nsnap, grid.n + 1)) for r in live}  # (V, W) of each row
     for i, r in enumerate(live):
-        snaps[r][0][0], snaps[r][1][0] = v[i], w[i]
+        snaps[r][:, 0] = bufs[0, 0:2, i]
     taken = 1
-    dws = [np.zeros_like(v) for _ in range(4)]  # boundary columns stay zero
-    t = 0.0
-    at_t = None
+    k, t = 0, 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nsteps):
-            t_next = min((k + 1) * dt, T)
-            h = t_next - t
-            hh = 0.5 * h
-            if at_t is None or at_t[0] != t:
-                at_t = rows.at(t)
-            at_half = rows.at(t + 0.5 * h)
-            at_end = rows.at(t + h)
-            dw1, dw2, dw3, dw4 = dws
-            _rhs_arrays(v, w, at_t, rows, dw1)
-            v2, w2 = v + hh * w, w + hh * dw1
-            _rhs_arrays(v2, w2, at_half, rows, dw2)
-            v3, w3 = v + hh * w2, w + hh * dw2
-            _rhs_arrays(v3, w3, at_half, rows, dw3)
-            v4, w4 = v + h * w3, w + h * dw3
-            _rhs_arrays(v4, w4, at_end, rows, dw4)
-            v = v + (h / 6.0) * (w + 2.0 * w2 + 2.0 * w3 + w4)
-            w = w + (h / 6.0) * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-            t = t_next
-            at_t = at_end
-            if not (np.isfinite(v).all() and np.isfinite(w).all()):
-                bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(w).all(axis=1))
-                for i in np.flatnonzero(bad):
-                    results[live[i]] = BlowUpError(t)
-                    del snaps[live[i]]
-                keep = ~bad
-                live = [r for r, ok in zip(live, keep) if ok]
-                if not live:
+        while live and k < nsteps:
+            steps, stage_times = _block(k, min(k + _BLOCK, nsteps), t, dt, T)
+            table = rows.stage_table(stage_times)
+            s1, s2, s3, s4 = stages
+            z1, z2, z3, z4 = bufs[:, 0:2]
+            dz1, dz2, dz3, dz4 = bufs[:, 1:3]
+            finite = np.empty(z1.shape, dtype=bool)
+            for hh, h, h6, t_next, j in steps:
+                _rhs_arrays(s1, table[j], rows)
+                np.multiply(dz1, hh, out=z2)
+                z2 += z1
+                _rhs_arrays(s2, table[j + 1], rows)
+                np.multiply(dz2, hh, out=z3)
+                z3 += z1
+                _rhs_arrays(s3, table[j + 1], rows)
+                np.multiply(dz3, h, out=z4)
+                z4 += z1
+                _rhs_arrays(s4, table[j + 2], rows)
+                # z1 += (h/6) (dz1 + 2 dz2 + 2 dz3 + dz4), summed left to right in dz2
+                dz2 *= 2.0
+                dz2 += dz1
+                dz3 *= 2.0
+                dz2 += dz3
+                dz2 += dz4
+                dz2 *= h6
+                z1 += dz2
+                k, t = k + 1, t_next
+                blown = not np.isfinite(z1, out=finite).all()
+                if blown:
+                    bad = ~finite.all(axis=(0, 2))
+                    for i in np.flatnonzero(bad):
+                        results[live[i]] = BlowUpError(t)
+                        del snaps[live[i]]
+                    live = [r for r, b in zip(live, bad) if not b]
+                    if not live:
+                        break
+                    # the remaining rows go on from fresh buffers and a fresh table
+                    bufs, stages = _stages(z1[:, ~bad])
+                    rows = _Rows([specs[r] for r in live], grid)
+                if k % sample_every == 0 or k == nsteps:
+                    times[taken] = t
+                    for i, r in enumerate(live):
+                        snaps[r][:, taken] = bufs[0, 0:2, i]
+                    taken += 1
+                if blown:
                     break
-                v, w = v[keep], w[keep]
-                dws = [np.zeros_like(v) for _ in range(4)]
-                rows = _Rows([specs[r] for r in live], grid)
-                at_t = None
-            if (k + 1) % sample_every == 0 or k == nsteps - 1:
-                times[taken] = t
-                for i, r in enumerate(live):
-                    snaps[r][0][taken], snaps[r][1][taken] = v[i], w[i]
-                taken += 1
+            del table  # before the next block's table is built
 
     for r in live:
         results[r] = Trajectory(specs[r], grid, dt, times, *snaps[r])
@@ -476,13 +603,18 @@ def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callabl
     """Source term f(y, t) that makes the descriptor's field an exact solution.
 
     The one-row case of the solver's source (see _Source for the formula).
+    t may also be a sequence of times: f is then a (times, nodes) array, one
+    vectorised pass whose row j is bit for bit f at t[j] alone.
     """
 
     damping = spec.damping
 
     def forcing(y_nodes, t_val):
+        times = np.atleast_1d(t_val).tolist()
         source = _Source([field], spec.alpha, damping.rho, damping.a, damping.b, y_nodes)
-        return source(t_val, None if spec.linear_mode else spec.beta.eval(t_val)[0])
+        bt = None if spec.linear_mode else np.array([spec.beta.eval(t)[0] for t in times])[:, None, None]
+        f = source(times, bt)[:, 0]
+        return f if np.ndim(t_val) else f[0]
 
     return forcing
 

@@ -45,17 +45,29 @@ def from_reference(y: float, t: float, alpha: AlphaFamily) -> float:
     return y * al
 
 
-def coefficient_grids(y: np.ndarray, t: float, alpha: AlphaFamily):
+def _alpha_ratios(t: float, alpha: AlphaFamily) -> tuple[float, float, float, float]:
+    """alpha'/alpha, 1/alpha^2, alpha''/alpha and (alpha'/alpha)^2 at t."""
+    al, ap, app = alpha.eval(t)
+    return ap / al, 1.0 / (al * al), app / al, (ap / al) ** 2
+
+
+def coefficient_grids(y: np.ndarray, t, alpha: AlphaFamily):
     """Coefficients of the transformed equation at nodes y (an array or a scalar).
 
     Returns (c_yt, c_yy, c_y, drift) with drift = y alpha'/alpha, the term the
-    damping correction and the velocity reconstruction both need.
+    damping correction and the velocity reconstruction both need. t is one
+    time, or a sequence of times: then each coefficient is a (times, nodes)
+    array whose row j holds the coefficient at t[j], bit for bit the same as
+    a call at t[j] alone (the alpha ratios are Python scalars either way).
     """
-    al, ap, app = alpha.eval(t)
-    drift = y * (ap / al)
+    if np.ndim(t) == 0:
+        g, inv_al2, g2, g_sq = _alpha_ratios(t, alpha)
+    else:
+        g, inv_al2, g2, g_sq = np.array([_alpha_ratios(s, alpha) for s in t]).T[..., None]
+    drift = y * g
     c_yt = -2.0 * drift
-    c_yy = drift * drift - 1.0 / (al * al)
-    c_y = -(y * (app / al) - 2.0 * y * (ap / al) ** 2)
+    c_yy = drift * drift - inv_al2
+    c_y = -(y * g2 - 2.0 * y * g_sq)
     return c_yt, c_yy, c_y, drift
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -160,8 +162,54 @@ class TestSimulate:
         assert checks["bound_holds"] is True
         assert checks["lambda_lo"] == pytest.approx(0.05)
 
+    def test_manifest_records_solver_counters(self, tmp_path):
+        _, out1 = run_simulate(tmp_path, reference_config(), outname="run1")
+        _, out2 = run_simulate(tmp_path, reference_config(), outname="run2")
+        blobs = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
+        grid = blobs[0]["grid"]
+        assert grid["steps"] == math.ceil(4.0 / grid["dt"] - 1e-12) == 1200  # T = 4, dt = 1/300
+        assert grid["rhs_evals"] == 4 * grid["steps"]
+        for blob in blobs:
+            blob.pop("wall_clock_s")
+        assert blobs[0] == blobs[1]  # the counters repeat, like every other field
+        assert verify_manifest(out1 / "manifest.json") == []
+
+    def test_infinite_energy_exits_2_without_outputs(self, tmp_path, capsys):
+        # the solution stays finite, but u_t^2 of amp 1e300 overflows the energy
+        cfg = reference_config(
+            damping={"a": 1.0, "b": 1.0, "rho": 0.01},
+            init={"variant": "sine", "m": 1, "amp_u0": 0.0, "amp_u1": 1e300},
+            horizon=0.5,
+        )
+        outdir = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", write_config(tmp_path, cfg), "--grid-n", "16", "--outdir", str(outdir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mowave: ") and err.count("\n") == 1
+        assert "energy overflows a double, first at t = 0," in err
+        assert list(outdir.iterdir()) == []
+
 
 class TestCertify:
+    @pytest.mark.parametrize(
+        "overrides, words",
+        [
+            ({"damping": {"a": 1e300, "b": 1.0, "rho": 1.0}}, "a = 1e+300"),
+            ({"beta": {"variant": "polynomial", "coeffs": [1.0, 0.0, 1e300]}}, "polynomial beta"),
+        ],
+    )
+    def test_overflowing_inputs_exit_2_in_one_line(self, tmp_path, capsys, overrides, words):
+        cfg = reference_config(horizon=10.0, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["certify", write_config(tmp_path, cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mowave: certificate: ") and err.count("\n") == 1
+        assert words in err and "overflow" in err
+
     def test_standard_branch_json(self, tmp_path, capsys):
         code = main(["certify", write_config(tmp_path, reference_config())])
         assert code == 0

@@ -34,7 +34,7 @@ from mowave import (
     simulate_batch,
     step_size,
 )
-from mowave.solver import simpson_weights, snapshot_bytes
+from mowave.solver import _BLOCK, _Rows, _block, _rhs_arrays, _stages, simpson_weights, snapshot_bytes
 from mowave.transform import coefficient_grids
 
 
@@ -438,6 +438,103 @@ class TestSimulateBatch:
             simulate_batch([], Grid(16))
 
 
+def assert_matches_reference(traj, spec, grid, sample_every):
+    expected = reference_simulate(spec, grid, sample_every)
+    assert len(traj.times) == len(expected)
+    for state, (t, v, w) in zip(zip(traj.times, traj.V, traj.W), expected):
+        assert state[0] == t and state[1].tobytes() == v.tobytes() and state[2].tobytes() == w.tobytes()
+
+
+class TestKernel:
+    """The allocation-free kernel against the plain loop, across stage-table blocks."""
+
+    def test_run_across_blocks_ends_on_a_shortened_step(self):
+        spec = make_spec(
+            damping=DampingParams(a=1.0, b=0.5, rho=1.5),
+            beta=ExponentialBeta(beta0=1.0, mu=0.2),
+            alpha=SaturatingAlpha(k=0.5, tau=1.0),
+            horizon=2.3,
+            source=ManufacturedField(amp=0.7, rate=0.3, mode=2),
+        )
+        g = Grid(16)
+        traj = simulate(spec, g, sample_every=7)
+        nsteps = math.ceil(spec.horizon / traj.dt - 1e-12)
+        assert nsteps > 3 * _BLOCK and nsteps % _BLOCK != 0  # three full blocks and a part
+        assert nsteps * traj.dt > spec.horizon  # the last step is shortened
+        assert_matches_reference(traj, spec, g, 7)
+
+    def test_block_lists_every_stage_time_once(self):
+        dt, T = 0.1, 0.75
+        steps, times = _block(3, 8, 0.30000000000000004, dt, T)
+        t = 0.30000000000000004
+        for k, (hh, h, h6, t_next, j) in zip(range(3, 8), steps):
+            assert t_next == min((k + 1) * dt, T) and h == t_next - t
+            assert (hh, h6) == (0.5 * h, h / 6.0)
+            assert times[j : j + 3] == [t, t + 0.5 * h, t + h]
+            t = t_next
+        assert t == T
+        assert len(times) == len(set(times)) == 2 * len(steps) + 1  # stage 4 is the next stage 1
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0])
+    def test_forced_three_row_batch_matches_reference_loop(self, rho):
+        specs = [
+            make_spec(
+                damping=DampingParams(a=a, b=b, rho=rho),
+                beta=beta,
+                alpha=AffineAlpha(k=0.3),
+                horizon=1.7,
+                source=ManufacturedField(amp=amp, rate=rate, mode=mode),
+            )
+            for a, b, beta, amp, rate, mode in (
+                (0.5, 0.0, ConstantBeta(2.0), 1.0, 0.0, 1),
+                (1.3, 2.0, ExponentialBeta(beta0=0.5, mu=0.4), 0.3, 0.8, 2),
+                (2.1, 0.7, PolynomialBeta((1.0, 0.2, 0.05)), 1.7, 0.4, 3),
+            )
+        ]
+        g = Grid(24)
+        batch = simulate_batch(specs, g, sample_every=5)
+        assert math.ceil(1.7 / batch[0].dt - 1e-12) > 2 * _BLOCK
+        for spec, row in zip(specs, batch):
+            assert_matches_reference(row, spec, g, 5)
+
+    def test_blow_up_mid_block_keeps_every_rows_bits(self):
+        specs = [
+            make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
+            for a in (1.0, 2000.0, 1.5)
+        ]
+        g = Grid(100)
+        first, blown, last = simulate_batch(specs, g, sample_every=10)
+        with pytest.raises(BlowUpError) as solo:
+            simulate(specs[1], g, sample_every=10)
+        assert isinstance(blown, BlowUpError) and blown.time == solo.value.time
+        step = round(blown.time / first.dt)
+        assert step % _BLOCK not in (0, 1) and math.ceil(0.5 / first.dt - 1e-12) > step + _BLOCK
+        assert_matches_reference(first, specs[0], g, 10)
+        assert_matches_reference(last, specs[2], g, 10)
+
+    def test_rhs_is_the_kernels_first_stage(self):
+        specs = [
+            make_spec(
+                damping=DampingParams(a=0.5 + i, b=0.3 * i, rho=0.5),
+                beta=beta,
+                alpha=SaturatingAlpha(k=0.4, tau=0.7),
+                source=ManufacturedField(amp=1.0, rate=0.2 * i, mode=i + 1),
+            )
+            for i, beta in enumerate((ConstantBeta(1.5), ExponentialBeta(beta0=1.0, mu=0.3), PolynomialBeta((1.0, 0.5))))
+        ]
+        g, t = Grid(20), 0.37
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((2, 3, 21))
+        z[:, :, 0] = z[:, :, -1] = 0.0
+        rows = _Rows(specs, g)
+        bufs, stages = _stages(z)
+        _rhs_arrays(stages[0], rows.stage_table([t])[0], rows)
+        for i, spec in enumerate(specs):
+            dv, dw = rhs(ReferenceState(t, z[0, i], z[1, i]), spec, g)
+            assert dv.tobytes() == bufs[0, 1, i].tobytes()
+            assert dw.tobytes() == bufs[0, 2, i].tobytes()
+
+
 class TestTrajectoryInvariants:
     def test_arrays_are_read_only_and_sized_to_the_snapshots(self):
         spec = make_spec(horizon=0.5)
@@ -489,6 +586,23 @@ class TestManufactured:
         g = Grid(16)
         f = forcing(g.y, 0.7)
         assert np.allclose(f, np.pi**2 * np.sin(np.pi * g.y), atol=1e-12)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_forcing_over_times_is_bitwise_the_single_time_calls(self, linear):
+        field = ManufacturedField(amp=1.3, rate=0.4, mode=2)
+        spec = make_spec(
+            damping=DampingParams(a=1.0, b=0.5, rho=1.5),
+            beta=ExponentialBeta(beta0=1.0, mu=0.2),
+            alpha=SaturatingAlpha(k=0.5, tau=1.0),
+            source=field,
+            linear_mode=linear,
+        )
+        forcing, y = manufactured_forcing(field, spec), Grid(32).y
+        times = np.array([0.0, 0.21, 0.7, 1.9])
+        together = forcing(y, times)
+        assert together.shape == (times.size, y.size)
+        for row, t in zip(together, times.tolist()):
+            assert row.tobytes() == forcing(y, t).tobytes()
 
     def test_forced_run_tracks_exact_field(self):
         field = ManufacturedField(amp=1.0, rate=1.0, mode=1)

@@ -125,6 +125,16 @@ class TestTransformedCoefficients:
             assert c_y[i] == pytest.approx(tc.c_y)
             assert drift[i] == pytest.approx(yi * ap / al)
 
+    @pytest.mark.parametrize("fam", [ConstantAlpha(), AffineAlpha(0.3), SaturatingAlpha(0.5, 1.0)])
+    def test_times_sequence_is_bitwise_the_single_time_calls(self, fam):
+        y = np.linspace(0.0, 1.0, 17)
+        times = [0.0, 0.013, 0.5, 1.7, 9.25]
+        together = coefficient_grids(y, times, fam)
+        for j, t in enumerate(times):
+            for block, alone in zip(together, coefficient_grids(y, t, fam)):
+                assert block.shape == (len(times), y.size)
+                assert block[j].tobytes() == alone.tobytes()
+
 
 class TestHyperbolicity:
     def test_margins(self):
