@@ -39,8 +39,6 @@ from .errors import (
     BlowUpError,
     ConfigError,
     DegenerateDataError,
-    DomainError,
-    EmptyWindowError,
     MowaveError,
     ResourceLimitError,
     UnsupportedConfigError,
@@ -48,6 +46,7 @@ from .errors import (
 )
 from .harness import main, run_simulation, verify_manifest
 from .model import (
+    FAMILIES,
     AffineAlpha,
     AssumptionCheck,
     Bump,
@@ -80,11 +79,6 @@ from .solver import (
     simulate_batch,
     step_size,
 )
-from .transform import (
-    coefficient_grids,
-    from_reference,
-    hyperbolicity_check,
-    to_reference,
-)
+from .transform import coefficient_grids, hyperbolicity_check
 
 __version__ = "0.1.0"

@@ -61,15 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, UnsupportedConfigError
-from .model import (
-    AffineAlpha,
-    AlphaFamily,
-    BetaFamily,
-    ConstantBeta,
-    DampingParams,
-    ExponentialBeta,
-    PolynomialBeta,
-)
+from .model import AlphaFamily, BetaFamily, DampingParams
 
 
 @dataclass(frozen=True)
@@ -132,53 +124,22 @@ def lambda_floor(beta: BetaFamily, rho: float, T: float) -> float:
     """lambda_lo = sup over [0, T] of beta'/((rho+1) beta).
 
     Raises UnsupportedConfigError when, for polynomial beta, the numerator
-    whose roots are sought overflows a double.
+    whose roots are sought overflows a double (PolynomialBeta.sup_ratio).
     """
     if rho <= 0.0:
         raise ConfigError(f"rho must be positive, got {rho}")
-    if isinstance(beta, ConstantBeta):
-        return 0.0
-    if isinstance(beta, ExponentialBeta):
-        return beta.mu / (rho + 1.0)
-    if isinstance(beta, PolynomialBeta):
-        # (beta'/beta)' = (beta'' beta - beta'^2) / beta^2, so the supremum sits
-        # at t = 0, at t = T, or at a root of the numerator. The roots are taken
-        # in s = t/T (s = t on an unbounded horizon). Leading numerator
-        # coefficients below sqrt(eps) of the largest are zeroed: they move a
-        # root in [0, 1] by O(sqrt(eps)), hence beta'/beta, stationary there,
-        # by O(eps), and their own roots far outside [0, 1] would swamp
-        # np.roots. Clipping every root into [0, 1] only adds candidates, and
-        # no candidate can exceed the supremum.
-        scale = T if math.isfinite(T) else 1.0
-        c = (np.asarray(beta.coeffs) * scale ** np.arange(len(beta.coeffs)))[::-1]
-        d1 = np.polyder(c)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            num = np.polysub(np.polymul(np.polyder(d1), c), np.polymul(d1, d1))
-        if not np.isfinite(num).all():
-            raise UnsupportedConfigError(
-                "certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
-                "on [0, T], so lambda_lo cannot be computed; scale the coefficients down"
-            )
-        num = num / (np.abs(num).max() or 1.0)
-        num[: np.argmax(np.abs(num) > math.sqrt(np.finfo(float).eps))] = 0.0
-        roots = scale * np.clip(np.roots(num).real, 0.0, T / scale)
-        ends = [0.0, T] if math.isfinite(T) else [0.0]
-        ratios = [der / val for val, der in map(beta.eval, [*ends, *roots.tolist()])]
-        return max(ratios) / (rho + 1.0)
-    raise ConfigError(f"unknown beta family {type(beta).__name__}")
+    return beta.sup_ratio(T) / (rho + 1.0)
 
 
 def _omega_star(alpha: AlphaFamily, T: float) -> float:
     """|Omega*| = alpha(T), the largest domain length on the horizon."""
-    if math.isinf(T):
-        if isinstance(alpha, AffineAlpha) and alpha.k > 0.0:
-            raise UnsupportedConfigError(
-                "remark1 certificate needs alpha bounded; affine growth has no "
-                "uniform domain bound on an unbounded horizon"
-            )
-        # bounded families: take the limit value
-        return alpha.eval(1e9)[0]
-    return alpha.eval(T)[0]
+    omega = alpha.max_length(T)
+    if math.isinf(T) and math.isinf(omega):
+        raise UnsupportedConfigError(
+            "remark1 certificate needs alpha bounded; affine growth has no "
+            "uniform domain bound on an unbounded horizon"
+        )
+    return omega
 
 
 def _cross_term_root(a: float, b: float) -> float:

@@ -23,10 +23,6 @@ class ValidationError(MowaveError):
         super().__init__(f"assumption checks failed: {failed}")
 
 
-class DomainError(MowaveError):
-    """A point lies outside the physical domain at the given time."""
-
-
 class BlowUpError(MowaveError):
     """The discrete solution left the finite range.
 
@@ -41,10 +37,6 @@ class BlowUpError(MowaveError):
 
 class ResourceLimitError(MowaveError):
     """A run would exceed a hard memory or snapshot budget."""
-
-
-class EmptyWindowError(MowaveError):
-    """No decay rate is certifiable for the given parameters."""
 
 
 class UnsupportedConfigError(MowaveError):

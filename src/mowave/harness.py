@@ -40,7 +40,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,15 +62,13 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    AffineAlpha,
     ConstantAlpha,
-    DampingParams,
     ConstantBeta,
-    ExponentialBeta,
+    DampingParams,
     ManufacturedField,
     ProblemSpec,
-    SaturatingAlpha,
     SineMode,
+    _finite,
     load_config,
     spec_from_dict,
     spec_to_dict,
@@ -474,42 +471,24 @@ def cmd_convergence(args) -> int:
 # sweep
 
 
-_SWEEP_AXES = ("a", "b", "k", "mu", "rho")
-
-
-def _apply_overrides(base: dict, overrides: dict) -> dict:
-    cfg = json.loads(json.dumps(base))  # deep copy
-    for axis, value in overrides.items():
-        if axis == "mu":
-            if cfg.get("beta", {}).get("variant") != "exponential":
-                raise ConfigError("sweep axis 'mu' requires the base beta to be exponential")
-            cfg["beta"]["mu"] = value
-        elif axis == "k":
-            if cfg.get("alpha", {}).get("variant") not in ("affine", "saturating"):
-                raise ConfigError("sweep axis 'k' requires an affine or saturating base alpha")
-            cfg["alpha"]["k"] = value
-        elif axis in ("a", "b", "rho"):
-            cfg["damping"][axis] = value
-        else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-    return cfg
+# sweep axis -> (config section, field, base variants that have the field; None: any)
+_SWEEP_AXES = {
+    "a": ("damping", "a", None),
+    "b": ("damping", "b", None),
+    "k": ("alpha", "k", ("affine", "saturating")),
+    "mu": ("beta", "mu", ("exponential",)),
+    "rho": ("damping", "rho", None),
+}
+_SWEEP_COLUMNS = ("mu", "rho", "k", "a", "b", "lambda_lo", "lambda_hi", "lambda_fit", "C", "bound_holds", "exit")
 
 
 def _sweep_row(cfg: dict, code: int, summary: dict | None = None) -> dict:
     """One sweep.csv row: the cell's axis values, certificate edges and exit code."""
-    row = {
-        "mu": cfg["beta"].get("mu", "") if cfg["beta"]["variant"] == "exponential" else "",
-        "rho": cfg["damping"]["rho"],
-        "k": cfg["alpha"].get("k", ""),
-        "a": cfg["damping"]["a"],
-        "b": cfg["damping"]["b"],
-        "lambda_lo": "",
-        "lambda_hi": "",
-        "lambda_fit": "",
-        "C": "",
-        "bound_holds": "",
-        "exit": code,
-    }
+    row = dict.fromkeys(_SWEEP_COLUMNS, "")
+    row["exit"] = code
+    for axis, (section, field, variants) in _SWEEP_AXES.items():
+        if variants is None or cfg[section]["variant"] in variants:
+            row[axis] = cfg[section].get(field, "")
     if summary is not None:
         for key in ("lambda_lo", "lambda_hi", "lambda_fit", "C"):
             if summary[key] is not None:
@@ -616,16 +595,22 @@ def cmd_sweep(args) -> int:
             _err(f"sweep axis {name!r} must be a nonempty list")
             return EXIT_VALIDATION
         value_lists.append(values)
+    for name, values in zip(names, value_lists):  # ConfigError: exit 2 in main
+        section, field, variants = _SWEEP_AXES[name]
+        if variants is not None and sweep_cfg["base"][section]["variant"] not in variants:
+            raise ConfigError(
+                f"sweep axis {name!r} requires the base {section} to be {' or '.join(variants)}"
+            )
+        for value in values:
+            _finite(value, f"sweep axis {name!r}")
 
     rows: list = []
     groups: dict = {}  # cells that can share one solver state, in cell order
     for idx, combo in enumerate(itertools.product(*value_lists)):
-        overrides = dict(zip(names, combo))
-        try:
-            cfg = _apply_overrides(sweep_cfg["base"], overrides)
-        except ConfigError as exc:
-            _err(str(exc))
-            return EXIT_VALIDATION
+        cfg = json.loads(json.dumps(sweep_cfg["base"]))  # deep copy
+        for name, value in zip(names, combo):
+            section, field, _ = _SWEEP_AXES[name]
+            cfg[section][field] = value
         try:
             spec = spec_from_dict(cfg)
         except ConfigError:
@@ -655,6 +640,8 @@ def cmd_sweep(args) -> int:
     )
     workers = min(args.jobs, len(batches))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(solve, batches))
     else:
@@ -663,10 +650,9 @@ def cmd_sweep(args) -> int:
         for cell, row in zip(batch, batch_rows):
             rows[cell["index"]] = row
 
-    columns = ["mu", "rho", "k", "a", "b", "lambda_lo", "lambda_hi", "lambda_fit", "C", "bound_holds", "exit"]
-    lines = [",".join(columns)]
+    lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
+        lines.append(",".join(_format_cell(row[c]) for c in _SWEEP_COLUMNS))
     sweep_path = outdir / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

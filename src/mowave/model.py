@@ -10,6 +10,24 @@ u_t(x,0) = u1. This module holds the parameter families (damping constants,
 growth weights beta, expansion laws alpha, initial data shapes), the
 admissibility checks, and the strict JSON config parser used by the CLI.
 
+Each family is one frozen dataclass, and that class is its only definition:
+
+  - @config_section gives it its config section and, for the beta, alpha
+    and init families, its variant name, under which it enters FAMILIES,
+    the {section: {variant: class}} registry;
+  - its dataclass fields are its config keys, and a field without a default
+    is a required key. The shared __post_init__ checks every field by its
+    annotation (float: a finite number, int: an integer, tuple: a list of
+    finite numbers); the class adds its own range checks;
+  - check() is its admissibility check, one AssumptionCheck;
+  - a beta family also carries sup_ratio(T) = sup beta'/beta on [0, T], the
+    numerator of the certificate's lambda_lo, and check_range(T), the check
+    that beta(T) and beta'(T) are finite doubles; an alpha family carries
+    sup_prime() and max_length(T).
+
+spec_from_dict and spec_to_dict walk FAMILIES and the fields, so a new
+family is one new class and nothing else.
+
 Families are closed-form by construction, so suprema such as sup alpha'
 and sup beta'/beta are exact and every config serializes losslessly.
 Arbitrary callables are deliberately not accepted; GridSamples is the only
@@ -31,81 +49,180 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedConfigError
 
 
 def _finite(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond the range of doubles
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{where}: must be finite, got {out!r}")
     return out
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{where}: expected a list")
+    return tuple(_finite(v, where) for v in values)
+
+
+# field annotation -> its check; a field of any other type is an error at import
+_FIELD_CHECKS = {"float": _finite, "int": _integer, "tuple[float, ...]": _numbers}
+
+# section -> {variant: family class}, filled by @config_section in definition order
+FAMILIES: dict[str, dict[str, type]] = {"beta": {}, "alpha": {}, "init": {}}
+
+
+def config_section(section: str, variant: str | None = None):
+    """Class decorator: a parameter dataclass of config section `section`.
+
+    Records the section, the variant and the class's field table (config
+    keys, required keys, and each field's check) once, and enters a class
+    with a variant in FAMILIES.
+    """
+
+    def register(cls):
+        table = fields(cls)
+        cls.section, cls.variant = section, variant
+        cls._checks = tuple((f.name, f"{section}.{f.name}", _FIELD_CHECKS[f.type]) for f in table)
+        tag = set() if variant is None else {"variant"}
+        cls._allowed = tag | {f.name for f in table}
+        cls._required = tag | {f.name for f in table if f.default is MISSING}
+        if variant is not None:
+            FAMILIES[section][variant] = cls
+        return cls
+
+    return register
+
+
+class _Params:
+    """Base of the parameter dataclasses: checks every field by its annotation.
+
+    @config_section sets the class attributes below.
+    """
+
+    section: str
+    variant: str | None
+    _checks: tuple  # (field, "section.field", check) for each field
+    _allowed: set  # the config keys
+    _required: set  # the config keys without a default
+
+    def __post_init__(self):
+        for name, where, check in self._checks:
+            object.__setattr__(self, name, check(getattr(self, name), where))
+
+
+@config_section("damping")
 @dataclass(frozen=True)
-class DampingParams:
+class DampingParams(_Params):
     """Constant coefficients of the equation: a u_t + b u + beta|u|^rho u."""
 
     a: float
     b: float
     rho: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _finite(self.a, "damping.a"))
-        object.__setattr__(self, "b", _finite(self.b, "damping.b"))
-        object.__setattr__(self, "rho", _finite(self.rho, "damping.rho"))
+
+@dataclass(frozen=True)
+class AssumptionCheck:
+    name: str
+    passed: bool
+    detail: str
 
 
 # ---------------------------------------------------------------------------
 # beta families
 
+_LOG_MAX = math.log(sys.float_info.max)
 
+
+class BetaFamily(_Params):
+    """The weight beta(t) of the nonlinear term; eval(t) = (beta(t), beta'(t))."""
+
+    def check_range(self, T: float) -> AssumptionCheck:
+        """beta(T) and beta'(T) must be finite doubles; under (A2) they bound beta, beta' on [0, T]."""
+        val, der = self.eval(T)
+        ok = math.isfinite(val) and math.isfinite(der)
+        detail = f"beta(T) = {val:.6g}, beta'(T) = {der:.6g} at T = {T:g}"
+        return AssumptionCheck("beta(T)", ok, detail if ok else detail + " are not finite doubles")
+
+
+@config_section("beta", "constant")
 @dataclass(frozen=True)
-class ConstantBeta:
+class ConstantBeta(BetaFamily):
     """beta(t) = c."""
 
     c: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", _finite(self.c, "beta.c"))
-
     def eval(self, t: float) -> tuple[float, float]:
         return self.c, 0.0
 
+    def sup_ratio(self, T: float) -> float:
+        return 0.0
 
+    def check(self) -> AssumptionCheck:
+        if self.c <= 0.0:
+            return AssumptionCheck("A2", False, f"ConstantBeta: beta = {self.c} must be positive")
+        return AssumptionCheck("A2", True, f"ConstantBeta: beta = {self.c:g} > 0, beta' = 0")
+
+
+@config_section("beta", "exponential")
 @dataclass(frozen=True)
-class ExponentialBeta:
+class ExponentialBeta(BetaFamily):
     """beta(t) = beta0 * exp(mu t)."""
 
     beta0: float = 1.0
     mu: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta0", _finite(self.beta0, "beta.beta0"))
-        object.__setattr__(self, "mu", _finite(self.mu, "beta.mu"))
-
     def eval(self, t: float) -> tuple[float, float]:
         val = self.beta0 * math.exp(self.mu * t)
         return val, self.mu * val
 
+    def sup_ratio(self, T: float) -> float:
+        return self.mu
 
+    def check(self) -> AssumptionCheck:
+        name = "ExponentialBeta"
+        if self.beta0 <= 0.0:
+            return AssumptionCheck("A2", False, f"{name}: beta0 = {self.beta0} must be positive")
+        if self.mu < 0.0:
+            return AssumptionCheck("A2", False, f"{name}: mu = {self.mu} < 0 makes beta decreasing")
+        return AssumptionCheck("A2", True, f"{name}: beta0 = {self.beta0:g} > 0, mu = {self.mu:g} >= 0")
+
+    def check_range(self, T: float) -> AssumptionCheck:
+        # in logs, so that the check cannot overflow; eval forms exp(mu T) first
+        log_val = self.mu * T + (math.log(self.beta0) if self.beta0 > 0.0 else 0.0)
+        log_der = log_val + (math.log(self.mu) if self.mu > 0.0 else -math.inf)
+        if max(self.mu * T, log_val, log_der) >= _LOG_MAX:
+            logs = f"mu T = {self.mu * T:.6g}, log beta(T) = {log_val:.6g}, log beta'(T) = {log_der:.6g}"
+            return AssumptionCheck("beta(T)", False, f"{logs}; the largest double is e^{_LOG_MAX:.6g}")
+        return super().check_range(T)
+
+
+@config_section("beta", "polynomial")
 @dataclass(frozen=True)
-class PolynomialBeta:
+class PolynomialBeta(BetaFamily):
     """beta(t) = coeffs[0] + coeffs[1] t + ... (ascending powers)."""
 
-    coeffs: tuple[float, ...] = (1.0,)
+    coeffs: tuple[float, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.coeffs:
             raise ConfigError("beta.coeffs: must contain at least one coefficient")
-        vals = tuple(_finite(c, "beta.coeffs") for c in self.coeffs)
-        object.__setattr__(self, "coeffs", vals)
 
     def eval(self, t: float) -> tuple[float, float]:
         # Horner for the value and the derivative in one sweep.
@@ -116,16 +233,68 @@ class PolynomialBeta:
             val = val * t + c
         return val, der
 
+    def sup_ratio(self, T: float) -> float:
+        """sup of beta'/beta on [0, T].
 
-BetaFamily = Union[ConstantBeta, ExponentialBeta, PolynomialBeta]
+        Raises UnsupportedConfigError when the numerator whose roots are
+        sought overflows a double.
+        """
+        # (beta'/beta)' = (beta'' beta - beta'^2) / beta^2, so the supremum sits
+        # at t = 0, at t = T, or at a root of the numerator. The roots are taken
+        # in s = t/T (s = t on an unbounded horizon). Leading numerator
+        # coefficients below sqrt(eps) of the largest are zeroed: they move a
+        # root in [0, 1] by O(sqrt(eps)), hence beta'/beta, stationary there,
+        # by O(eps), and their own roots far outside [0, 1] would swamp
+        # np.roots. Clipping every root into [0, 1] only adds candidates, and
+        # no candidate can exceed the supremum.
+        scale = T if math.isfinite(T) else 1.0
+        c = (np.asarray(self.coeffs) * scale ** np.arange(len(self.coeffs)))[::-1]
+        d1 = np.polyder(c)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            num = np.polysub(np.polymul(np.polyder(d1), c), np.polymul(d1, d1))
+        if not np.isfinite(num).all():
+            raise UnsupportedConfigError(
+                "certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
+                "on [0, T], so lambda_lo cannot be computed; scale the coefficients down"
+            )
+        num = num / (np.abs(num).max() or 1.0)
+        num[: np.argmax(np.abs(num) > math.sqrt(np.finfo(float).eps))] = 0.0
+        roots = scale * np.clip(np.roots(num).real, 0.0, T / scale)
+        ends = [0.0, T] if math.isfinite(T) else [0.0]
+        return max(der / val for val, der in map(self.eval, [*ends, *roots.tolist()]))
+
+    def check(self) -> AssumptionCheck:
+        name = "PolynomialBeta"
+        if self.coeffs[0] <= 0.0:
+            return AssumptionCheck(
+                "A2", False, f"{name}: constant coefficient {self.coeffs[0]} must be positive"
+            )
+        if any(c < 0.0 for c in self.coeffs):
+            return AssumptionCheck("A2", False, f"{name}: negative coefficients break beta' >= 0 on t >= 0")
+        return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
 
 
 # ---------------------------------------------------------------------------
 # alpha families
 
 
+class AlphaFamily(_Params):
+    """The domain length alpha(t); eval(t) = (alpha, alpha', alpha'')."""
+
+    def max_length(self, T: float) -> float:
+        """alpha(T), the largest domain length on [0, T]; at t = 1e9 on an unbounded horizon."""
+        return self.eval(1e9 if math.isinf(T) else T)[0]
+
+    def _check_sup(self, sup: float, shown: str) -> AssumptionCheck:
+        name = type(self).__name__
+        if sup >= 1.0:
+            return AssumptionCheck("A1", False, f"{name}: requires sup α'(t)<1, got sup alpha' = {shown}")
+        return AssumptionCheck("A1", True, f"{name}: alpha(0)=1, sup alpha' = {sup:g} < 1")
+
+
+@config_section("alpha", "constant")
 @dataclass(frozen=True)
-class ConstantAlpha:
+class ConstantAlpha(AlphaFamily):
     """alpha(t) = 1, the cylindrical baseline."""
 
     def eval(self, t: float) -> tuple[float, float, float]:
@@ -134,15 +303,16 @@ class ConstantAlpha:
     def sup_prime(self) -> float:
         return 0.0
 
+    def check(self) -> AssumptionCheck:
+        return AssumptionCheck("A1", True, "alpha = 1 (cylindrical), sup alpha' = 0")
 
+
+@config_section("alpha", "affine")
 @dataclass(frozen=True)
-class AffineAlpha:
+class AffineAlpha(AlphaFamily):
     """alpha(t) = 1 + k t."""
 
     k: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _finite(self.k, "alpha.k"))
 
     def eval(self, t: float) -> tuple[float, float, float]:
         return 1.0 + self.k * t, self.k, 0.0
@@ -150,17 +320,28 @@ class AffineAlpha:
     def sup_prime(self) -> float:
         return self.k
 
+    def max_length(self, T: float) -> float:
+        # growth without bound: no uniform domain length on an unbounded horizon
+        return math.inf if math.isinf(T) and self.k > 0.0 else super().max_length(T)
 
+    def check(self) -> AssumptionCheck:
+        if self.k < 0.0:
+            return AssumptionCheck(
+                "A1", False, f"AffineAlpha: alpha' = {self.k} < 0, domain must be expanding"
+            )
+        return self._check_sup(self.k, f"{self.k:g}")
+
+
+@config_section("alpha", "saturating")
 @dataclass(frozen=True)
-class SaturatingAlpha:
+class SaturatingAlpha(AlphaFamily):
     """alpha(t) = 1 + k (1 - exp(-t/tau)), expanding toward 1 + k."""
 
     k: float
     tau: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _finite(self.k, "alpha.k"))
-        object.__setattr__(self, "tau", _finite(self.tau, "alpha.tau"))
+        super().__post_init__()
         if self.tau <= 0.0:
             raise ConfigError(f"alpha.tau: must be positive, got {self.tau}")
 
@@ -174,16 +355,26 @@ class SaturatingAlpha:
         # alpha' is monotone in t; the supremum on [0, inf) sits at t = 0.
         return max(self.k / self.tau, 0.0)
 
-
-AlphaFamily = Union[ConstantAlpha, AffineAlpha, SaturatingAlpha]
+    def check(self) -> AssumptionCheck:
+        if self.k < 0.0:
+            return AssumptionCheck(
+                "A1", False, f"SaturatingAlpha: k = {self.k} < 0, domain must be expanding"
+            )
+        sup = self.k / self.tau
+        return self._check_sup(sup, f"k/tau = {sup:g}")
 
 
 # ---------------------------------------------------------------------------
 # initial data
 
 
+class InitialData(_Params):
+    """u0 and u1 on the reference interval; sample(y) = (u0, u1) at the nodes y."""
+
+
+@config_section("init", "sine")
 @dataclass(frozen=True)
-class SineMode:
+class SineMode(InitialData):
     """u0 = amp_u0 sin(m pi y), u1 = amp_u1 sin(m pi y) on the reference interval."""
 
     m: int = 1
@@ -191,20 +382,21 @@ class SineMode:
     amp_u1: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise ConfigError(f"init.m: expected an integer, got {self.m!r}")
+        super().__post_init__()
         if self.m < 1:
             raise ConfigError(f"init.m: mode number must be >= 1, got {self.m}")
-        object.__setattr__(self, "amp_u0", _finite(self.amp_u0, "init.amp_u0"))
-        object.__setattr__(self, "amp_u1", _finite(self.amp_u1, "init.amp_u1"))
 
     def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shape = np.sin(self.m * np.pi * y)
         return self.amp_u0 * shape, self.amp_u1 * shape
 
+    def check(self) -> AssumptionCheck:
+        return AssumptionCheck("init", True, f"SineMode m={self.m} vanishes at both endpoints")
 
+
+@config_section("init", "bump")
 @dataclass(frozen=True)
-class Bump:
+class Bump(InitialData):
     """Compactly supported C-infinity bump, zero velocity.
 
     u0(y) = amp * exp(1 - 1/(1 - s^2)) with s = (y - center)/width inside
@@ -217,9 +409,7 @@ class Bump:
     amp: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _finite(self.center, "init.center"))
-        object.__setattr__(self, "width", _finite(self.width, "init.width"))
-        object.__setattr__(self, "amp", _finite(self.amp, "init.amp"))
+        super().__post_init__()
         if self.width <= 0.0:
             raise ConfigError(f"init.width: must be positive, got {self.width}")
 
@@ -230,25 +420,31 @@ class Bump:
         u0[inside] = self.amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
         return u0, np.zeros_like(y)
 
+    def check(self) -> AssumptionCheck:
+        lo, hi = self.center - self.width, self.center + self.width
+        if lo < 0.0 or hi > 1.0:
+            return AssumptionCheck(
+                "init", False, f"Bump support [{lo:g}, {hi:g}] leaves [0,1]; Dirichlet compatibility fails"
+            )
+        return AssumptionCheck("init", True, f"Bump supported in [{lo:g}, {hi:g}]")
 
+
+@config_section("init", "samples")
 @dataclass(frozen=True)
-class GridSamples:
+class GridSamples(InitialData):
     """Raw nodal values of u0 and u1; lengths must match the grid (N+1)."""
 
     u0: tuple[float, ...]
     u1: tuple[float, ...]
 
     def __post_init__(self):
-        u0 = tuple(_finite(v, "init.u0") for v in self.u0)
-        u1 = tuple(_finite(v, "init.u1") for v in self.u1)
-        if len(u0) != len(u1):
+        super().__post_init__()
+        if len(self.u0) != len(self.u1):
             raise ConfigError(
-                f"init: u0 and u1 lengths differ ({len(u0)} vs {len(u1)})"
+                f"init: u0 and u1 lengths differ ({len(self.u0)} vs {len(self.u1)})"
             )
-        if len(u0) < 2:
+        if len(self.u0) < 2:
             raise ConfigError("init: need at least two sample values")
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "u1", u1)
 
     def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(self.u0) != y.size:
@@ -257,16 +453,23 @@ class GridSamples:
             )
         return np.asarray(self.u0, dtype=float), np.asarray(self.u1, dtype=float)
 
-
-InitialData = Union[SineMode, Bump, GridSamples]
+    def check(self) -> AssumptionCheck:
+        scale = max(1.0, max(abs(v) for v in self.u0 + self.u1))
+        worst = max(abs(v) for v in (self.u0[0], self.u0[-1], self.u1[0], self.u1[-1]))
+        if worst > 1e-12 * scale:
+            return AssumptionCheck(
+                "init", False, f"GridSamples endpoint values must vanish, worst |value| = {worst:g}"
+            )
+        return AssumptionCheck("init", True, "GridSamples endpoints vanish")
 
 
 # ---------------------------------------------------------------------------
 # manufactured forcing descriptor
 
 
+@config_section("manufactured")
 @dataclass(frozen=True)
-class ManufacturedField:
+class ManufacturedField(_Params):
     """Descriptor of the exact field u(x,t) = amp sin(mode pi x / alpha(t)) e^(-rate t).
 
     The field vanishes on both boundaries of the moving interval for every t,
@@ -279,10 +482,7 @@ class ManufacturedField:
     mode: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "amp", _finite(self.amp, "manufactured.amp"))
-        object.__setattr__(self, "rate", _finite(self.rate, "manufactured.rate"))
-        if isinstance(self.mode, bool) or not isinstance(self.mode, int):
-            raise ConfigError(f"manufactured.mode: expected an integer, got {self.mode!r}")
+        super().__post_init__()
         if self.mode < 1:
             raise ConfigError(f"manufactured.mode: must be >= 1, got {self.mode}")
 
@@ -324,13 +524,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[AssumptionCheck, ...]
 
@@ -350,118 +543,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _check_alpha(alpha: AlphaFamily) -> AssumptionCheck:
-    name = type(alpha).__name__
-    if isinstance(alpha, ConstantAlpha):
-        return AssumptionCheck("A1", True, "alpha = 1 (cylindrical), sup alpha' = 0")
-    if isinstance(alpha, AffineAlpha):
-        if alpha.k < 0.0:
-            return AssumptionCheck(
-                "A1", False, f"{name}: alpha' = {alpha.k} < 0, domain must be expanding"
-            )
-        if alpha.k >= 1.0:
-            return AssumptionCheck(
-                "A1",
-                False,
-                f"{name}: requires sup α'(t)<1, got sup alpha' = {alpha.k:g}",
-            )
-        return AssumptionCheck("A1", True, f"{name}: alpha(0)=1, sup alpha' = {alpha.k:g} < 1")
-    if isinstance(alpha, SaturatingAlpha):
-        sup = alpha.k / alpha.tau
-        if alpha.k < 0.0:
-            return AssumptionCheck(
-                "A1", False, f"{name}: k = {alpha.k} < 0, domain must be expanding"
-            )
-        if sup >= 1.0:
-            return AssumptionCheck(
-                "A1",
-                False,
-                f"{name}: requires sup α'(t)<1, got sup alpha' = k/tau = {sup:g}",
-            )
-        return AssumptionCheck("A1", True, f"{name}: alpha(0)=1, sup alpha' = {sup:g} < 1")
-    return AssumptionCheck("A1", False, f"unknown alpha family {name}")
-
-
-def _check_beta(beta: BetaFamily, linear_mode: bool) -> AssumptionCheck:
-    if linear_mode:
-        return AssumptionCheck(
-            "A2", True, "linear_mode: beta disabled (test oracle, outside the standing assumptions)"
-        )
-    name = type(beta).__name__
-    if isinstance(beta, ConstantBeta):
-        if beta.c <= 0.0:
-            return AssumptionCheck("A2", False, f"{name}: beta = {beta.c} must be positive")
-        return AssumptionCheck("A2", True, f"{name}: beta = {beta.c:g} > 0, beta' = 0")
-    if isinstance(beta, ExponentialBeta):
-        if beta.beta0 <= 0.0:
-            return AssumptionCheck("A2", False, f"{name}: beta0 = {beta.beta0} must be positive")
-        if beta.mu < 0.0:
-            return AssumptionCheck(
-                "A2", False, f"{name}: mu = {beta.mu} < 0 makes beta decreasing"
-            )
-        return AssumptionCheck("A2", True, f"{name}: beta0 = {beta.beta0:g} > 0, mu = {beta.mu:g} >= 0")
-    if isinstance(beta, PolynomialBeta):
-        if beta.coeffs[0] <= 0.0:
-            return AssumptionCheck(
-                "A2", False, f"{name}: constant coefficient {beta.coeffs[0]} must be positive"
-            )
-        if any(c < 0.0 for c in beta.coeffs):
-            return AssumptionCheck(
-                "A2", False, f"{name}: negative coefficients break beta' >= 0 on t >= 0"
-            )
-        return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
-    return AssumptionCheck("A2", False, f"unknown beta family {name}")
-
-
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _check_beta_range(beta: BetaFamily, T: float) -> AssumptionCheck:
-    """beta(T) and beta'(T) must be finite doubles; under (A2) they bound beta, beta' on [0, T]."""
-    if isinstance(beta, ExponentialBeta):
-        # in logs, so that the check cannot overflow; eval forms exp(mu T) first
-        log_val = beta.mu * T + (math.log(beta.beta0) if beta.beta0 > 0.0 else 0.0)
-        log_der = log_val + (math.log(beta.mu) if beta.mu > 0.0 else -math.inf)
-        if max(beta.mu * T, log_val, log_der) >= _LOG_MAX:
-            logs = f"mu T = {beta.mu * T:.6g}, log beta(T) = {log_val:.6g}, log beta'(T) = {log_der:.6g}"
-            return AssumptionCheck("beta(T)", False, f"{logs}; the largest double is e^{_LOG_MAX:.6g}")
-    val, der = beta.eval(T)
-    ok = math.isfinite(val) and math.isfinite(der)
-    detail = f"beta(T) = {val:.6g}, beta'(T) = {der:.6g} at T = {T:g}"
-    return AssumptionCheck("beta(T)", ok, detail if ok else detail + " are not finite doubles")
-
-
-def _check_init(init: InitialData) -> AssumptionCheck:
-    if isinstance(init, SineMode):
-        return AssumptionCheck("init", True, f"SineMode m={init.m} vanishes at both endpoints")
-    if isinstance(init, Bump):
-        lo = init.center - init.width
-        hi = init.center + init.width
-        if lo < 0.0 or hi > 1.0:
-            return AssumptionCheck(
-                "init",
-                False,
-                f"Bump support [{lo:g}, {hi:g}] leaves [0,1]; Dirichlet compatibility fails",
-            )
-        return AssumptionCheck("init", True, f"Bump supported in [{lo:g}, {hi:g}]")
-    if isinstance(init, GridSamples):
-        scale = max(1.0, max(abs(v) for v in init.u0 + init.u1))
-        ends = (init.u0[0], init.u0[-1], init.u1[0], init.u1[-1])
-        worst = max(abs(v) for v in ends)
-        if worst > 1e-12 * scale:
-            return AssumptionCheck(
-                "init", False, f"GridSamples endpoint values must vanish, worst |value| = {worst:g}"
-            )
-        return AssumptionCheck("init", True, "GridSamples endpoints vanish")
-    return AssumptionCheck("init", False, f"unknown initial data {type(init).__name__}")
+_LINEAR_MODE_A2 = AssumptionCheck(
+    "A2", True, "linear_mode: beta disabled (test oracle, outside the standing assumptions)"
+)
 
 
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     """Check (A1), (A2), (A3) plus the structural requirements of a run."""
     checks = [
-        _check_alpha(spec.alpha),
-        _check_beta(spec.beta, spec.linear_mode),
-        _check_beta_range(spec.beta, spec.horizon),
+        spec.alpha.check(),
+        _LINEAR_MODE_A2 if spec.linear_mode else spec.beta.check(),
+        spec.beta.check_range(spec.horizon),
     ]
 
     rho = spec.damping.rho
@@ -479,7 +571,7 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
         note = "b = 0 selects the Poincare branch of the certificate" if b == 0.0 else f"b = {b:g}"
         checks.append(AssumptionCheck("damping", True, f"a = {a:g} > 0, {note}"))
 
-    checks.append(_check_init(spec.init))
+    checks.append(spec.init.check())
 
     if spec.horizon > 0.0:
         checks.append(AssumptionCheck("horizon", True, f"T = {spec.horizon:g}"))
@@ -505,124 +597,54 @@ def _take(section, allowed, required, where):
     return section
 
 
-def _parse_beta(section) -> BetaFamily:
-    variant = _variant(section, "beta", ("constant", "exponential", "polynomial"))
-    if variant == "constant":
-        sec = _take(section, {"variant", "c"}, {"variant"}, "beta")
-        return ConstantBeta(c=sec.get("c", 1.0))
-    if variant == "exponential":
-        sec = _take(section, {"variant", "beta0", "mu"}, {"variant"}, "beta")
-        return ExponentialBeta(beta0=sec.get("beta0", 1.0), mu=sec.get("mu", 0.0))
-    sec = _take(section, {"variant", "coeffs"}, {"variant", "coeffs"}, "beta")
-    coeffs = sec["coeffs"]
-    if not isinstance(coeffs, list):
-        raise ConfigError("beta.coeffs: expected a list")
-    return PolynomialBeta(coeffs=tuple(coeffs))
+def _from_section(cls, section):
+    """An instance of cls from its config section: its fields, plus the variant tag."""
+    sec = _take(section, cls._allowed, cls._required, cls.section)
+    return cls(**{key: value for key, value in sec.items() if key != "variant"})
 
 
-def _parse_alpha(section) -> AlphaFamily:
-    variant = _variant(section, "alpha", ("constant", "affine", "saturating"))
-    if variant == "constant":
-        _take(section, {"variant"}, {"variant"}, "alpha")
-        return ConstantAlpha()
-    if variant == "affine":
-        sec = _take(section, {"variant", "k"}, {"variant", "k"}, "alpha")
-        return AffineAlpha(k=sec["k"])
-    sec = _take(section, {"variant", "k", "tau"}, {"variant", "k"}, "alpha")
-    return SaturatingAlpha(k=sec["k"], tau=sec.get("tau", 1.0))
-
-
-def _parse_init(section) -> InitialData:
-    variant = _variant(section, "init", ("sine", "bump", "samples"))
-    if variant == "sine":
-        sec = _take(section, {"variant", "m", "amp_u0", "amp_u1"}, {"variant"}, "init")
-        return SineMode(
-            m=sec.get("m", 1), amp_u0=sec.get("amp_u0", 1.0), amp_u1=sec.get("amp_u1", 0.0)
-        )
-    if variant == "bump":
-        sec = _take(section, {"variant", "center", "width", "amp"}, {"variant"}, "init")
-        return Bump(
-            center=sec.get("center", 0.5), width=sec.get("width", 0.25), amp=sec.get("amp", 1.0)
-        )
-    sec = _take(section, {"variant", "u0", "u1"}, {"variant", "u0", "u1"}, "init")
-    if not isinstance(sec["u0"], list) or not isinstance(sec["u1"], list):
-        raise ConfigError("init: u0 and u1 must be lists of numbers")
-    return GridSamples(u0=tuple(sec["u0"]), u1=tuple(sec["u1"]))
-
-
-def _variant(section, where, options) -> str:
+def _family_from(name: str, section):
+    """The family of section `name` that the section's variant names."""
     if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(section).__name__}")
+        raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
+    options = FAMILIES[name]
     variant = section.get("variant")
-    if variant not in options:
-        raise ConfigError(f"{where}.variant: expected one of {list(options)}, got {variant!r}")
-    return variant
+    if not isinstance(variant, str) or variant not in options:
+        raise ConfigError(f"{name}.variant: expected one of {list(options)}, got {variant!r}")
+    return _from_section(options[variant], section)
+
+
+def _to_section(obj) -> dict:
+    """The config section of a parameter object, the inverse of _from_section."""
+    out = {} if obj.variant is None else {"variant": obj.variant}
+    for name, _, check in obj._checks:
+        value = getattr(obj, name)
+        out[name] = list(value) if check is _numbers else value
+    return out
 
 
 def spec_from_dict(cfg: dict) -> ProblemSpec:
     """Build a ProblemSpec from a parsed JSON object. Unknown keys rejected."""
     top = _take(
         cfg,
-        {"damping", "beta", "alpha", "init", "horizon", "manufactured"},
-        {"damping", "beta", "alpha", "init", "horizon"},
+        {"damping", *FAMILIES, "horizon", "manufactured"},
+        {"damping", *FAMILIES, "horizon"},
         "config",
     )
-    dsec = _take(top["damping"], {"a", "b", "rho"}, {"a", "b", "rho"}, "damping")
-    damping = DampingParams(a=dsec["a"], b=dsec["b"], rho=dsec["rho"])
-    beta = _parse_beta(top["beta"])
-    alpha = _parse_alpha(top["alpha"])
-    init = _parse_init(top["init"])
-    source = None
-    if "manufactured" in top:
-        msec = _take(
-            top["manufactured"], {"amp", "rate", "mode"}, set(), "manufactured"
-        )
-        source = ManufacturedField(
-            amp=msec.get("amp", 1.0), rate=msec.get("rate", 1.0), mode=msec.get("mode", 1)
-        )
     return ProblemSpec(
-        damping=damping,
-        beta=beta,
-        alpha=alpha,
-        init=init,
+        damping=_from_section(DampingParams, top["damping"]),
+        **{name: _family_from(name, top[name]) for name in FAMILIES},
         horizon=top["horizon"],
-        source=source,
+        source=_from_section(ManufacturedField, top["manufactured"]) if "manufactured" in top else None,
     )
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
     """Canonical JSON-ready echo of a spec (inverse of spec_from_dict)."""
-    out: dict = {
-        "damping": {"a": spec.damping.a, "b": spec.damping.b, "rho": spec.damping.rho},
-        "horizon": spec.horizon,
-    }
-    beta = spec.beta
-    if isinstance(beta, ConstantBeta):
-        out["beta"] = {"variant": "constant", "c": beta.c}
-    elif isinstance(beta, ExponentialBeta):
-        out["beta"] = {"variant": "exponential", "beta0": beta.beta0, "mu": beta.mu}
-    else:
-        out["beta"] = {"variant": "polynomial", "coeffs": list(beta.coeffs)}
-    alpha = spec.alpha
-    if isinstance(alpha, ConstantAlpha):
-        out["alpha"] = {"variant": "constant"}
-    elif isinstance(alpha, AffineAlpha):
-        out["alpha"] = {"variant": "affine", "k": alpha.k}
-    else:
-        out["alpha"] = {"variant": "saturating", "k": alpha.k, "tau": alpha.tau}
-    init = spec.init
-    if isinstance(init, SineMode):
-        out["init"] = {"variant": "sine", "m": init.m, "amp_u0": init.amp_u0, "amp_u1": init.amp_u1}
-    elif isinstance(init, Bump):
-        out["init"] = {"variant": "bump", "center": init.center, "width": init.width, "amp": init.amp}
-    else:
-        out["init"] = {"variant": "samples", "u0": list(init.u0), "u1": list(init.u1)}
+    out = {"damping": _to_section(spec.damping), "horizon": spec.horizon}
+    out.update((name, _to_section(getattr(spec, name))) for name in FAMILIES)
     if spec.source is not None:
-        out["manufactured"] = {
-            "amp": spec.source.amp,
-            "rate": spec.source.rate,
-            "mode": spec.source.mode,
-        }
+        out["manufactured"] = _to_section(spec.source)
     return out
 
 

@@ -25,24 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, MowaveError
+from .errors import MowaveError
 from .model import AlphaFamily
-
-
-def to_reference(x: float, t: float, alpha: AlphaFamily) -> float:
-    """Map a physical position x in [0, alpha(t)] to y = x/alpha(t)."""
-    al, _, _ = alpha.eval(t)
-    if x < 0.0 or x > al:
-        raise DomainError(f"x = {x:g} outside [0, {al:g}] at t = {t:g}")
-    return x / al
-
-
-def from_reference(y: float, t: float, alpha: AlphaFamily) -> float:
-    """Map a reference coordinate y in [0, 1] back to x = y alpha(t)."""
-    if y < 0.0 or y > 1.0:
-        raise DomainError(f"y = {y:g} outside the reference interval [0, 1]")
-    al, _, _ = alpha.eval(t)
-    return y * al
 
 
 def _alpha_ratios(t: float, alpha: AlphaFamily) -> tuple[float, float, float, float]:

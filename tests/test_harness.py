@@ -312,6 +312,47 @@ class TestSweep:
         assert code == 2
         assert not (tmp_path / "s").exists()  # a config error writes nothing
 
+    def test_k_axis_requires_affine_or_saturating_base(self, tmp_path, capsys):
+        cfg = self.sweep_config(axes={"k": [0.1]})
+        cfg["base"]["alpha"] = {"variant": "constant"}
+        code = main(["sweep", write_config(tmp_path, cfg), "--outdir", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "mowave: sweep axis 'k' requires the base alpha to be affine or saturating\n"
+        )
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ([1.0], "expected a number, got [1.0]"),
+            (None, "expected a number, got None"),
+            ({"x": 1}, "expected a number, got {'x': 1}"),
+            ("1,2", "expected a number, got '1,2'"),
+            (math.nan, "must be finite, got nan"),
+            (True, "expected a number, got True"),
+            (math.inf, "must be finite, got inf"),
+            (10**400, "must be finite, got inf"),
+        ],
+        ids=["list", "null", "object", "string", "nan", "true", "inf", "huge-int"],
+    )
+    def test_non_number_axis_value_rejected_before_any_cell(self, tmp_path, capsys, value, problem):
+        cfg = self.sweep_config(axes={"rho": [1.0], "mu": [0.1, value]})
+        outdir = tmp_path / "s"
+        code = main(["sweep", write_config(tmp_path, cfg), "--grid-n", "20", "--outdir", str(outdir)])
+        assert code == 2
+        assert capsys.readouterr().err == f"mowave: sweep axis 'mu': {problem}\n"
+        assert not outdir.exists()
+
+    def test_axis_table_matches_the_registry(self):
+        for axis, (section, field, variants) in harness._SWEEP_AXES.items():
+            assert field == axis
+            if section == "damping":
+                assert variants is None
+                continue
+            having = [v for v, cls in mowave.FAMILIES[section].items() if field in cls.__dataclass_fields__]
+            assert list(variants) == having
+
     def test_empty_window_cell_recorded(self, tmp_path):
         outdir = tmp_path / "sweep"
         cfg = self.sweep_config(axes={"mu": [0.1, 2.0]})
@@ -354,7 +395,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -509,4 +550,12 @@ def test_cli_paths_do_not_import_sympy(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout + done.stderr
+
+
+def test_import_does_not_load_the_process_pool():
+    script = "import sys, mowave.harness; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    src = str(Path(mowave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "[]", done.stdout + done.stderr

@@ -1,11 +1,15 @@
 import math
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mowave import (
+    FAMILIES,
     AffineAlpha,
     Bump,
     ConfigError,
@@ -295,3 +299,88 @@ class TestConfigParsing:
         cfg["linear_mode"] = True
         with pytest.raises(ConfigError, match="unknown keys"):
             spec_from_dict(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+def _section_of(draw, cls, variant=None):
+    """A config section for cls: every field drawn by its type, defaults sometimes left out."""
+    n = draw(st.integers(2, 5))  # one length for every list field: GridSamples pairs u0 and u1
+    section = {} if variant is None else {"variant": variant}
+    for f in fields(cls):
+        if f.default is not MISSING and draw(st.booleans()):
+            continue
+        if f.type == "float":
+            section[f.name] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        elif f.type == "int":
+            section[f.name] = draw(st.integers(1, 50))
+        else:
+            section[f.name] = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return section
+
+
+@st.composite
+def configs(draw, section, variant, manufactured):
+    cfg = {
+        "damping": _section_of(draw, DampingParams),
+        "horizon": draw(st.floats(allow_nan=False, allow_infinity=False)),
+    }
+    for name, options in FAMILIES.items():
+        chosen = variant if name == section else draw(st.sampled_from(sorted(options)))
+        cfg[name] = _section_of(draw, options[chosen], chosen)
+    if manufactured:
+        cfg["manufactured"] = _section_of(draw, ManufacturedField)
+    return cfg
+
+
+REGISTERED = [(section, variant) for section, options in FAMILIES.items() for variant in options]
+
+
+class TestRegistry:
+    def test_every_family_is_registered(self):
+        assert REGISTERED == [
+            ("beta", "constant"), ("beta", "exponential"), ("beta", "polynomial"),
+            ("alpha", "constant"), ("alpha", "affine"), ("alpha", "saturating"),
+            ("init", "sine"), ("init", "bump"), ("init", "samples"),
+        ]
+        for section, variant in REGISTERED:
+            cls = FAMILIES[section][variant]
+            assert (cls.section, cls.variant) == (section, variant)
+
+    @pytest.mark.parametrize("manufactured", [False, True], ids=["unforced", "manufactured"])
+    @pytest.mark.parametrize("section, variant", REGISTERED, ids=[f"{s}-{v}" for s, v in REGISTERED])
+    def test_roundtrip_every_variant(self, section, variant, manufactured):
+        @settings(max_examples=25, deadline=None)
+        @given(configs(section, variant, manufactured))
+        def roundtrip(cfg):
+            try:
+                spec = spec_from_dict(cfg)
+            except ConfigError:  # a range check of the class, e.g. tau or width <= 0
+                assume(False)
+            assert type(getattr(spec, section)).variant == variant
+            assert (spec.source is not None) == manufactured
+            assert spec_from_dict(spec_to_dict(spec)) == spec
+
+        roundtrip()
+
+    def test_required_keys_are_the_fields_without_defaults(self):
+        cfg = TestConfigParsing().config()
+        with pytest.raises(ConfigError, match=r"beta: missing keys \['coeffs'\]"):
+            spec_from_dict(dict(cfg, beta={"variant": "polynomial"}))
+        with pytest.raises(ConfigError, match=r"alpha: missing keys \['k'\]"):
+            spec_from_dict(dict(cfg, alpha={"variant": "saturating"}))
+        assert spec_from_dict(dict(cfg, init={"variant": "bump"})).init == Bump()
+
+    def test_readme_families_table_is_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("The families:", 1)[1].split("\n\n", 2)[1]
+        rows = []
+        for line in table.splitlines()[2:]:
+            section, variant, names = (cell.strip() for cell in line.strip("|").split("|")[:3])
+            rows.append((section, variant.strip("`"), tuple(re.findall(r"`(\w+)`", names))))
+        assert rows == [
+            (section, variant, tuple(f.name for f in fields(FAMILIES[section][variant])))
+            for section, variant in REGISTERED
+        ]

@@ -1,4 +1,3 @@
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,13 +8,10 @@ from hypothesis import strategies as st
 from mowave import (
     AffineAlpha,
     ConstantAlpha,
-    DomainError,
     MowaveError,
     SaturatingAlpha,
     coefficient_grids,
-    from_reference,
     hyperbolicity_check,
-    to_reference,
 )
 
 def point_coefficients(y, t, fam):
@@ -30,34 +26,6 @@ alphas = st.one_of(
         lambda kt: SaturatingAlpha(k=kt[0], tau=max(kt[0] / kt[1], 0.1))
     ),
 )
-
-
-class TestCoordinateMaps:
-    def test_identity_at_time_zero(self):
-        assert to_reference(0.5, 0.0, SaturatingAlpha(0.5)) == 0.5
-
-    def test_affine_example(self):
-        assert to_reference(1.0, 2.0, AffineAlpha(0.5)) == 0.5
-
-    def test_outside_domain_rejected(self):
-        with pytest.raises(DomainError):
-            to_reference(2.5, 2.0, AffineAlpha(0.5))
-        with pytest.raises(DomainError):
-            to_reference(-0.1, 0.0, ConstantAlpha())
-        with pytest.raises(DomainError):
-            from_reference(1.5, 0.0, ConstantAlpha())
-
-    def test_boundary_points_allowed(self):
-        fam = AffineAlpha(0.5)
-        assert to_reference(2.0, 2.0, fam) == 1.0
-        assert from_reference(1.0, 2.0, fam) == 2.0
-
-    @settings(max_examples=100)
-    @given(alphas, st.floats(0.0, 1.0), st.floats(0.0, 20.0))
-    def test_roundtrip_to_roundoff(self, fam, y, t):
-        x = from_reference(y, t, fam)
-        back = to_reference(x, t, fam)
-        assert abs(back - y) <= 4 * np.finfo(float).eps * max(1.0, abs(y))
 
 
 class TestTransformedCoefficients:
