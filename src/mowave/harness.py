@@ -10,10 +10,16 @@ Subcommands:
     mowave sweep CONFIG       Cartesian parameter sweep; writes sweep.csv
 
 Exit codes: 0 success, 2 validation or config failure (also an input that
-overflows a double in the certificate, or in the energy of a finite run),
-3 blow-up, 4 decay-bound violation, 5 empty certificate window, 6
-convergence order below 1.8. Diagnostics go to standard error; results go
-to files and standard output.
+overflows a double in the certificate, or in the energy of a finite run,
+and an output path that cannot be written), 3 blow-up, 4 decay-bound
+violation, 5 empty certificate window, 6 convergence order below 1.8.
+Diagnostics go to standard error; results go to files and standard output.
+
+A failure is raised, never reported where it happens. One translator,
+_fail, turns an error into its stderr line and exit code: a ValidationError
+prints the assumption report, any other MowaveError or an OSError prints
+its message; a BlowUpError exits 3, the others 2. main calls it for the
+error of a command, and sweep for the error of each failed cell.
 
 The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
@@ -53,14 +59,7 @@ from .energy import (
     write_energy_csv,
     write_identity_csv,
 )
-from .errors import (
-    BlowUpError,
-    ConfigError,
-    DegenerateDataError,
-    MowaveError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ValidationError
 from .model import (
     ConstantAlpha,
     ConstantBeta,
@@ -97,6 +96,16 @@ _MIN_ORDER = 1.8
 
 def _err(msg: str) -> None:
     print(f"mowave: {msg}", file=sys.stderr)
+
+
+def _fail(exc: Exception) -> int:
+    """Report a MowaveError or OSError on standard error; return its exit code."""
+    code = EXIT_BLOWUP if isinstance(exc, BlowUpError) else EXIT_VALIDATION
+    if isinstance(exc, ValidationError):
+        _err("assumption checks failed:\n" + exc.report.summary())
+    else:
+        _err(str(exc))
+    return code
 
 
 def _outdir(arg) -> Path:
@@ -184,46 +193,28 @@ def run_simulation(
     """Full single-run pipeline; returns (exit_code, summary dict).
 
     Writes energy.csv, identity.csv, decay.svg, manifest.json (and
-    trajectory.csv on request) into outdir. The summary carries the
-    certificate edges and the measured decay for sweep aggregation.
-    solution is the run's Trajectory or error (ValidationError,
-    BlowUpError, ResourceLimitError) when the caller has already solved it
-    (sweep solves cells in batches); by default the spec is solved here.
+    trajectory.csv on request) into outdir. The exit code is EXIT_OK or
+    EXIT_BOUND; the summary carries the certificate edges and the measured
+    decay for sweep aggregation. A run that cannot finish raises its
+    MowaveError and writes nothing: the solver's error, a ConfigError for
+    fewer than 3 snapshots or an energy that overflows a double, or the
+    certificate's error. solution is the run's Trajectory or error when
+    the caller has already solved it (sweep solves cells in batches); by
+    default the spec is solved here.
     """
     started = time.perf_counter()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary: dict = {
-        "lambda_lo": None,
-        "lambda_hi": None,
-        "lambda_fit": None,
-        "C": None,
-        "bound_holds": None,
-        "window_empty": None,
-        "exit": EXIT_OK,
-    }
-
     if solution is None:
-        try:
-            solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl)
-        except (ValidationError, BlowUpError, ResourceLimitError) as exc:
-            solution = exc
-    if isinstance(solution, ValidationError):
-        _err("assumption checks failed:\n" + solution.report.summary())
-        summary["exit"] = EXIT_VALIDATION
-        return EXIT_VALIDATION, summary
+        solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl)
     if isinstance(solution, MowaveError):
-        _err(str(solution))
-        summary["exit"] = EXIT_BLOWUP if isinstance(solution, BlowUpError) else EXIT_VALIDATION
-        return summary["exit"], summary
+        raise solution
     traj = solution
     if len(traj.times) < 3:
-        _err(
+        raise ConfigError(
             f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
             "the identity checks need at least 3: lower --sample-every"
         )
-        summary["exit"] = EXIT_VALIDATION
-        return EXIT_VALIDATION, summary
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
@@ -231,20 +222,13 @@ def run_simulation(
         series_out = EnergySeries.from_trajectory(traj, paper_literal, table)
     finite = np.isfinite(series_exact.E) & np.isfinite(series_out.E)
     if not finite.all():  # the solution is finite (simulate checks it), its energy is not
-        _err(
+        raise ConfigError(
             f"the energy overflows a double, first at t = {traj.times[np.argmin(finite)]:.6g}, "
             "although the solution stays finite; no outputs written"
         )
-        summary["exit"] = EXIT_VALIDATION
-        return EXIT_VALIDATION, summary
 
     edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
-    summary["lambda_lo"], summary["lambda_hi"] = edges
     cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
-    summary["window_empty"] = cert is None
-    if cert is not None:
-        summary["C"] = cert.C
-
     lam = cert.lam if cert is not None else 0.1
     identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam, table=table)
 
@@ -253,13 +237,18 @@ def run_simulation(
         bound_report = check_decay_bound(
             series_exact, cert, dt=traj.dt, rate_residual=identity.residual_rate
         )
-        summary["bound_holds"] = bound_report.holds
-
     try:
-        fit = fit_decay(series_exact)
-        summary["lambda_fit"] = fit.lambda_fit
+        lambda_fit = fit_decay(series_exact).lambda_fit
     except DegenerateDataError:
-        fit = None
+        lambda_fit = None
+    summary = {
+        "lambda_lo": edges[0],
+        "lambda_hi": edges[1],
+        "lambda_fit": lambda_fit,
+        "C": cert.C if cert is not None else None,
+        "bound_holds": bound_report.holds if bound_report is not None else None,
+        "window_empty": cert is None,
+    }
 
     bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
     energy_path = outdir / "energy.csv"
@@ -281,7 +270,6 @@ def run_simulation(
             f"first at t = {bound_report.first_violation:.6g}"
         )
         exit_code = EXIT_BOUND
-    summary["exit"] = exit_code
 
     checks = {
         "validation": "pass",
@@ -317,25 +305,17 @@ def run_simulation(
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = load_config(args.config)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+    spec = load_config(args.config)
     outdir = _outdir(args.outdir)
-    try:
-        code, summary = run_simulation(
-            spec,
-            outdir,
-            grid_n=args.grid_n,
-            cfl=args.cfl,
-            sample_every=args.sample_every,
-            paper_literal=args.paper_literal_energy,
-            write_trajectory=args.trajectory,
-        )
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+    code, summary = run_simulation(
+        spec,
+        outdir,
+        grid_n=args.grid_n,
+        cfl=args.cfl,
+        sample_every=args.sample_every,
+        paper_literal=args.paper_literal_energy,
+        write_trajectory=args.trajectory,
+    )
     if code == EXIT_OK:
         parts = [f"wrote {outdir / 'energy.csv'}"]
         if summary["lambda_hi"] is not None:
@@ -351,21 +331,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        spec = load_config(args.config)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+    spec = load_config(args.config)
     report = validate_assumptions(spec)
     if not report.ok:
-        _err("assumption checks failed:\n" + report.summary())
-        return EXIT_VALIDATION
-    try:
-        edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
-        cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
-    except MowaveError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+        raise ValidationError(report)
+    edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
+    cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
     if cert is None:
         lo, hi = edges
         _err(
@@ -419,25 +390,15 @@ def _modal_exact():
 
 
 def cmd_convergence(args) -> int:
-    try:
-        spec = load_config(args.config)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+    spec = load_config(args.config)
     try:
         ns = [int(part) for part in str(args.grid_n).split(",")]
     except ValueError:
-        _err(f"--grid-n expects a comma-separated integer list, got {args.grid_n!r}")
-        return EXIT_VALIDATION
+        raise ConfigError(f"--grid-n expects a comma-separated integer list, got {args.grid_n!r}") from None
     if len(ns) < 2:
-        _err("--grid-n needs at least two grid sizes for observed orders")
-        return EXIT_VALIDATION
+        raise ConfigError("--grid-n needs at least two grid sizes for observed orders")
     if spec.source is None:
         spec = replace(spec, source=ManufacturedField())
-    report = validate_assumptions(spec)
-    if not report.ok:
-        _err("assumption checks failed:\n" + report.summary())
-        return EXIT_VALIDATION
 
     studies = [
         ("manufactured", spec, exact_reference_fields(spec.source, spec)[0]),
@@ -507,8 +468,8 @@ def _sweep_batch(
 
     Each cell goes through run_simulation with its solved row (or that
     row's error), which writes the cell's files into outdir/cell_XXXX; a
-    row is dropped once written. Returns the sweep.csv rows in the order of
-    cells.
+    row is dropped once written, and a cell that fails is reported by
+    _fail. Returns the sweep.csv rows in the order of cells.
     """
     specs = [cell["spec"] for cell in cells]
     try:
@@ -527,8 +488,8 @@ def _sweep_batch(
                 sample_every=sample_every,
                 solution=solution,
             )
-        except MowaveError:
-            rows.append(_sweep_row(cell["config"], EXIT_VALIDATION))
+        except MowaveError as exc:
+            rows.append(_sweep_row(cell["config"], _fail(exc)))
             continue
         rows.append(_sweep_row(cell["config"], code, summary))
     return rows
@@ -552,50 +513,39 @@ def _format_cell(value) -> str:
 
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
-        _err(f"--jobs must be at least 1, got {args.jobs}")
-        return EXIT_VALIDATION
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             sweep_cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        _err(f"cannot read sweep config: {exc}")
-        return EXIT_VALIDATION
+        raise ConfigError(f"cannot read sweep config: {exc}") from exc
     if not isinstance(sweep_cfg, dict) or "base" not in sweep_cfg:
-        _err("sweep config must be an object with a 'base' config")
-        return EXIT_VALIDATION
+        raise ConfigError("sweep config must be an object with a 'base' config")
     unknown = sorted(set(sweep_cfg) - {"base", "axes"})
     if unknown:
-        _err(f"sweep config: unknown keys {unknown}")
-        return EXIT_VALIDATION
+        raise ConfigError(f"sweep config: unknown keys {unknown}")
     axes = sweep_cfg.get("axes", {})
     if not isinstance(axes, dict):
-        _err("sweep config: 'axes' must be an object of axis -> value list")
-        return EXIT_VALIDATION
+        raise ConfigError("sweep config: 'axes' must be an object of axis -> value list")
     bad_axes = sorted(set(axes) - set(_SWEEP_AXES))
     if bad_axes:
-        _err(f"sweep config: unknown axes {bad_axes}; allowed {list(_SWEEP_AXES)}")
-        return EXIT_VALIDATION
+        raise ConfigError(f"sweep config: unknown axes {bad_axes}; allowed {list(_SWEEP_AXES)}")
 
     try:
         base = spec_from_dict(sweep_cfg["base"])
     except ConfigError as exc:
-        _err(f"sweep base config invalid: {exc}")
-        return EXIT_VALIDATION
-    try:  # --grid-n, --sample-every and --cfl hold for every cell alike
-        snapshot_bytes(base, Grid(args.grid_n), args.sample_every, args.cfl)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+        raise ConfigError(f"sweep base config invalid: {exc}") from exc
+    # --grid-n, --sample-every and --cfl hold for every cell alike
+    snapshot_bytes(base, Grid(args.grid_n), args.sample_every, args.cfl)
 
     names = sorted(axes)
     value_lists = []
     for name in names:
         values = axes[name]
         if not isinstance(values, list) or not values:
-            _err(f"sweep axis {name!r} must be a nonempty list")
-            return EXIT_VALIDATION
+            raise ConfigError(f"sweep axis {name!r} must be a nonempty list")
         value_lists.append(values)
-    for name, values in zip(names, value_lists):  # ConfigError: exit 2 in main
+    for name, values in zip(names, value_lists):
         section, field, variants = _SWEEP_AXES[name]
         if variants is not None and sweep_cfg["base"][section]["variant"] not in variants:
             raise ConfigError(
@@ -613,8 +563,8 @@ def cmd_sweep(args) -> int:
             cfg[section][field] = value
         try:
             spec = spec_from_dict(cfg)
-        except ConfigError:
-            rows.append(_sweep_row(cfg, EXIT_VALIDATION))
+        except ConfigError as exc:
+            rows.append(_sweep_row(cfg, _fail(exc)))
             continue
         rows.append(None)  # filled in from the cell's batch
         cell = {"index": idx, "config": cfg, "spec": spec}
@@ -715,18 +665,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
-    except ValidationError as exc:
-        _err("assumption checks failed:\n" + exc.report.summary())
-        return EXIT_VALIDATION
-    except BlowUpError as exc:
-        _err(str(exc))
-        return EXIT_BLOWUP
-    except MowaveError as exc:
-        _err(str(exc))
-        return EXIT_VALIDATION
+    except (MowaveError, OSError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

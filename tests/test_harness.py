@@ -495,6 +495,27 @@ class TestBatchedSweep:
         if jobs == "1":  # a pool worker's stderr is not captured here
             assert "[FAIL] beta(T)" in capsys.readouterr().err
 
+    def test_certificate_overflow_cell_says_why(self, tmp_path, capsys):
+        # rho = 1 blows up; at rho = 2 the run is finite but lambda_lo overflows
+        base = reference_config(
+            beta={"variant": "polynomial", "coeffs": [1.0, 0.0, 1e300]},
+            init={"variant": "sine", "m": 1, "amp_u0": 1e-200, "amp_u1": 0.0},
+            horizon=0.5,
+        )
+        cfg = {"base": base, "axes": {"rho": [1.0, 2.0]}}
+        outdir = tmp_path / "sweep"
+        code = main(
+            ["sweep", write_config(tmp_path, cfg), "--grid-n", "32", "--jobs", "1", "--outdir", str(outdir)]
+        )
+        assert code == 0
+        with open(outdir / "sweep.csv", newline="") as fh:
+            assert [r["exit"] for r in csv.DictReader(fh)] == ["3", "2"]
+        assert capsys.readouterr().err == (
+            "mowave: solution blew up (non-finite values) at t=0.0208333\n"
+            "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
+            "on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"
+        )
+
     @pytest.mark.parametrize(
         "flag, value", [("--sample-every", "0"), ("--grid-n", "4"), ("--cfl", "-1")]
     )
@@ -512,6 +533,26 @@ class TestBatchedSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--jobs" in err
         assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "where, problem",
+    [("file", "File exists"), ("file/sub", "Not a directory")],
+    ids=["existing-file", "under-a-file"],
+)
+def test_unusable_outdir_exits_2_in_one_line(tmp_path, capsys, command, where, problem):
+    (tmp_path / "file").write_text("not a directory\n")
+    cfg = reference_config(horizon=0.5)
+    if command == "sweep":
+        cfg = {"base": cfg, "axes": {"mu": [0.1]}}
+    code = main([command, write_config(tmp_path, cfg), "--grid-n", "16", "--outdir", str(tmp_path / where)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mowave: ") and captured.err.count("\n") == 1
+    assert problem in captured.err and str(tmp_path / where) in captured.err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 def test_window_edges_computed_once_per_run_and_certify(tmp_path, monkeypatch, capsys):
