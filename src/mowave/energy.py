@@ -6,7 +6,8 @@ and u_x = v_y / alpha. Spatial integrals use the grid's composite Simpson
 weights; space-time integrals add a trapezoid rule over snapshot times.
 
 snapshot_integrals computes every integral the checks below use in one pass
-over a run's snapshots; every check reads that table, and energy and
+over a run's snapshots. A Trajectory keeps that table as traj.integrals,
+made on first use, so every check on a run reads the one table; energy and
 boundary_flux are its one-snapshot case.
 
 Three checks are provided.
@@ -103,6 +104,7 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
     """
     times = np.asarray(times, dtype=float)
     scalars = np.array([(*spec.alpha.eval(t)[:2], *spec.beta_at(t)) for t in times.tolist()])
+    scalars.setflags(write=False)  # and so its views below
     al, ap, bt, bt_p = scalars.T
     forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
     names = ("ut2", "ux2", "u2", "uut", "nl") + (("fut", "fu") if forcing is not None else ())
@@ -126,19 +128,14 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
         if f is not None:
             ints["fut"][k] = (f * u_t) @ q
             ints["fu"][k] = (f * v) @ q
+    ux_end.setflags(write=False)
     for values in ints.values():
         values *= al  # dx = alpha dy
+        values.setflags(write=False)
     return SnapshotIntegrals(
         **{"fut": None, "fu": None, **ints},
         t=times, alpha_p=ap, beta=bt, beta_p=bt_p, ux_end=ux_end,
     )
-
-
-def _table(traj: Trajectory, table: SnapshotIntegrals | None) -> SnapshotIntegrals:
-    """table if given (it must be traj's), else one pass over traj's snapshots."""
-    if table is None:
-        table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
-    return table
 
 
 @dataclass(frozen=True)
@@ -185,10 +182,8 @@ class EnergySeries:
         return cls(table.t, E, kinetic, gradient, restoring, nonlinear, table.flux)
 
     @classmethod
-    def from_trajectory(
-        cls, traj: Trajectory, paper_literal: bool = False, table: SnapshotIntegrals | None = None
-    ) -> "EnergySeries":
-        return cls.from_table(_table(traj, table), traj.spec, paper_literal)
+    def from_trajectory(cls, traj: Trajectory, paper_literal: bool = False) -> "EnergySeries":
+        return cls.from_table(traj.integrals, traj.spec, paper_literal)
 
     @property
     def e0(self) -> float:
@@ -233,7 +228,7 @@ def _needs_three(traj: Trajectory, who: str) -> None:
         raise ConfigError(f"{who} needs at least 3 snapshots, got {traj.times.size}")
 
 
-def energy_rate_residual(traj: Trajectory, table: SnapshotIntegrals | None = None) -> float:
+def energy_rate_residual(traj: Trajectory) -> float:
     """Sup over interior snapshots of the energy-rate identity defect.
 
     Compares a second-order time difference of E, exact on quadratics for
@@ -242,7 +237,7 @@ def energy_rate_residual(traj: Trajectory, table: SnapshotIntegrals | None = Non
     source work int f u_t dx when the run is forced.
     """
     _needs_three(traj, "energy_rate_residual")
-    table = _table(traj, table)
+    table = traj.integrals
     E = EnergySeries.from_table(table, traj.spec).E
     a, rho = traj.spec.damping.a, traj.spec.damping.rho
     rate = -a * table.ut2 - table.flux + (table.beta_p / (rho + 2.0)) * table.nl
@@ -306,9 +301,7 @@ class IdentityReport:
         raise KeyError(name)
 
 
-def multiplier_identity_residual(
-    traj: Trajectory, lam: float, phi_rate: float, table: SnapshotIntegrals | None = None
-) -> IdentityReport:
+def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) -> IdentityReport:
     """Evaluate every integral of the multiplier identity with phi = exp(s t).
 
     The equation is multiplied by (u_t + lambda u) phi and integrated over
@@ -321,7 +314,7 @@ def multiplier_identity_residual(
     if not (lam > 0.0) or not (phi_rate > 0.0):
         raise ConfigError("multiplier_identity_residual needs lam > 0 and phi_rate > 0")
 
-    vol = _table(traj, table)
+    vol = traj.integrals
     a, b, rho = traj.spec.damping.a, traj.spec.damping.b, traj.spec.damping.rho
     times, ap, ux_end, beta, beta_p = vol.t, vol.alpha_p, vol.ux_end, vol.beta, vol.beta_p
     phi = np.exp(phi_rate * times)
@@ -379,7 +372,7 @@ def multiplier_identity_residual(
         add("vol_f", "source", -tint(phi * (vol.fut + lam * vol.fu)))
 
     residual_plu = float(sum(t.value for t in terms))
-    rate = energy_rate_residual(traj, table=vol)
+    rate = energy_rate_residual(traj)
     return IdentityReport(rate, residual_plu, tuple(terms), float(lam), float(phi_rate))
 
 

@@ -52,15 +52,10 @@ from pathlib import Path
 import numpy as np
 
 from .certify import build_certificate, check_decay_bound, fit_decay, window_edges
-from .energy import (
-    EnergySeries,
-    multiplier_identity_residual,
-    snapshot_integrals,
-    write_energy_csv,
-    write_identity_csv,
-)
+from .energy import EnergySeries, multiplier_identity_residual, write_energy_csv, write_identity_csv
 from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ValidationError
 from .model import (
+    FAMILIES,
     ConstantAlpha,
     ConstantBeta,
     DampingParams,
@@ -153,14 +148,17 @@ def verify_manifest(manifest_path) -> list[str]:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"cannot read manifest: {exc}"]
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs", {}), dict):
+        return ["manifest is not a JSON object with an 'outputs' object"]
     if config_hash(manifest.get("config", {})) != manifest.get("config_hash"):
         problems.append("config_hash does not match the embedded config")
     for name, entry in manifest.get("outputs", {}).items():
         target = manifest_path.parent / name
-        if not target.exists():
+        if not isinstance(entry, dict):
+            problems.append(f"{name}: entry is not a JSON object")
+        elif not target.exists():
             problems.append(f"{name}: missing")
-            continue
-        if _sha256(target) != entry.get("sha256"):
+        elif _sha256(target) != entry.get("sha256"):
             problems.append(f"{name}: checksum mismatch")
         elif target.stat().st_size != entry.get("bytes"):
             problems.append(f"{name}: size mismatch")
@@ -190,12 +188,13 @@ def run_simulation(
     write_trajectory: bool = False,
     solution=None,
 ) -> tuple[int, dict]:
-    """Full single-run pipeline; returns (exit_code, summary dict).
+    """Full single-run pipeline; returns (exit_code, checks).
 
     Writes energy.csv, identity.csv, decay.svg, manifest.json (and
     trajectory.csv on request) into outdir. The exit code is EXIT_OK or
-    EXIT_BOUND; the summary carries the certificate edges and the measured
-    decay for sweep aggregation. A run that cannot finish raises its
+    EXIT_BOUND; checks is the record written to the manifest: the
+    certificate ("ok" or "empty") and its edges, the measured decay and the
+    identity residuals. A run that cannot finish raises its
     MowaveError and writes nothing: the solver's error, a ConfigError for
     fewer than 3 snapshots or an energy that overflows a double, or the
     certificate's error. solution is the run's Trajectory or error when
@@ -217,9 +216,8 @@ def run_simulation(
         )
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
-        series_exact = EnergySeries.from_trajectory(traj, table=table)
-        series_out = EnergySeries.from_trajectory(traj, paper_literal, table)
+        series_exact = EnergySeries.from_trajectory(traj)
+        series_out = EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
     finite = np.isfinite(series_exact.E) & np.isfinite(series_out.E)
     if not finite.all():  # the solution is finite (simulate checks it), its energy is not
         raise ConfigError(
@@ -230,7 +228,7 @@ def run_simulation(
     edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
     cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
     lam = cert.lam if cert is not None else 0.1
-    identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam, table=table)
+    identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
 
     bound_report = None
     if cert is not None:
@@ -241,14 +239,6 @@ def run_simulation(
         lambda_fit = fit_decay(series_exact).lambda_fit
     except DegenerateDataError:
         lambda_fit = None
-    summary = {
-        "lambda_lo": edges[0],
-        "lambda_hi": edges[1],
-        "lambda_fit": lambda_fit,
-        "C": cert.C if cert is not None else None,
-        "bound_holds": bound_report.holds if bound_report is not None else None,
-        "window_empty": cert is None,
-    }
 
     bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
     energy_path = outdir / "energy.csv"
@@ -275,11 +265,11 @@ def run_simulation(
         "validation": "pass",
         "blow_up": False,
         "certificate": "ok" if cert is not None else "empty",
-        "lambda_lo": summary["lambda_lo"],
-        "lambda_hi": summary["lambda_hi"],
-        "C": summary["C"],
-        "bound_holds": summary["bound_holds"],
-        "lambda_fit": summary["lambda_fit"],
+        "lambda_lo": edges[0],
+        "lambda_hi": edges[1],
+        "C": cert.C if cert is not None else None,
+        "bound_holds": bound_report.holds if bound_report is not None else None,
+        "lambda_fit": lambda_fit,
         "relative_plu_residual": identity.relative_residual,
         "rate_residual": identity.residual_rate,
         "exit_code": exit_code,
@@ -301,13 +291,13 @@ def run_simulation(
         checks,
         time.perf_counter() - started,
     )
-    return exit_code, summary
+    return exit_code, checks
 
 
 def cmd_simulate(args) -> int:
     spec = load_config(args.config)
     outdir = _outdir(args.outdir)
-    code, summary = run_simulation(
+    code, checks = run_simulation(
         spec,
         outdir,
         grid_n=args.grid_n,
@@ -318,10 +308,10 @@ def cmd_simulate(args) -> int:
     )
     if code == EXIT_OK:
         parts = [f"wrote {outdir / 'energy.csv'}"]
-        if summary["lambda_hi"] is not None:
-            parts.append(f"lambda window [{summary['lambda_lo']:.6g}, {summary['lambda_hi']:.6g}]")
-        if summary["lambda_fit"] is not None:
-            parts.append(f"lambda_fit {summary['lambda_fit']:.6g}")
+        if checks["lambda_hi"] is not None:
+            parts.append(f"lambda window [{checks['lambda_lo']:.6g}, {checks['lambda_hi']:.6g}]")
+        if checks["lambda_fit"] is not None:
+            parts.append(f"lambda_fit {checks['lambda_fit']:.6g}")
         print("; ".join(parts))
     return code
 
@@ -397,6 +387,8 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--grid-n expects a comma-separated integer list, got {args.grid_n!r}") from None
     if len(ns) < 2:
         raise ConfigError("--grid-n needs at least two grid sizes for observed orders")
+    if len(set(ns)) < len(ns):
+        raise ConfigError(f"--grid-n sizes must differ for observed orders, got {args.grid_n!r}")
     if spec.source is None:
         spec = replace(spec, source=ManufacturedField())
 
@@ -432,31 +424,36 @@ def cmd_convergence(args) -> int:
 # sweep
 
 
+def _having(section: str, field: str) -> tuple[str, ...]:
+    """The variants of a config section whose class in model.FAMILIES has the field."""
+    return tuple(variant for variant, cls in FAMILIES[section].items() if field in cls.__dataclass_fields__)
+
+
 # sweep axis -> (config section, field, base variants that have the field; None: any)
 _SWEEP_AXES = {
     "a": ("damping", "a", None),
     "b": ("damping", "b", None),
-    "k": ("alpha", "k", ("affine", "saturating")),
-    "mu": ("beta", "mu", ("exponential",)),
+    "k": ("alpha", "k", _having("alpha", "k")),
+    "mu": ("beta", "mu", _having("beta", "mu")),
     "rho": ("damping", "rho", None),
 }
 _SWEEP_COLUMNS = ("mu", "rho", "k", "a", "b", "lambda_lo", "lambda_hi", "lambda_fit", "C", "bound_holds", "exit")
 
 
-def _sweep_row(cfg: dict, code: int, summary: dict | None = None) -> dict:
+def _sweep_row(cfg: dict, code: int, checks: dict | None = None) -> dict:
     """One sweep.csv row: the cell's axis values, certificate edges and exit code."""
     row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row["exit"] = code
     for axis, (section, field, variants) in _SWEEP_AXES.items():
         if variants is None or cfg[section]["variant"] in variants:
             row[axis] = cfg[section].get(field, "")
-    if summary is not None:
+    if checks is not None:
         for key in ("lambda_lo", "lambda_hi", "lambda_fit", "C"):
-            if summary[key] is not None:
-                row[key] = summary[key]
-        if summary["bound_holds"] is not None:
-            row["bound_holds"] = "true" if summary["bound_holds"] else "false"
-        if code == EXIT_OK and summary["window_empty"]:
+            if checks[key] is not None:
+                row[key] = checks[key]
+        if checks["bound_holds"] is not None:
+            row["bound_holds"] = "true" if checks["bound_holds"] else "false"
+        if code == EXIT_OK and checks["certificate"] == "empty":
             row["exit"] = EXIT_EMPTY_WINDOW
     return row
 
@@ -480,7 +477,7 @@ def _sweep_batch(
     for i, cell in enumerate(cells):
         solution, solved[i] = solved[i], None
         try:
-            code, summary = run_simulation(
+            code, checks = run_simulation(
                 cell["spec"],
                 Path(outdir) / f"cell_{cell['index']:04d}",
                 grid_n=grid_n,
@@ -491,7 +488,7 @@ def _sweep_batch(
         except MowaveError as exc:
             rows.append(_sweep_row(cell["config"], _fail(exc)))
             continue
-        rows.append(_sweep_row(cell["config"], code, summary))
+        rows.append(_sweep_row(cell["config"], code, checks))
     return rows
 
 

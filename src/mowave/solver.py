@@ -169,6 +169,13 @@ class Trajectory:
         """The RK4 steps from 0 to T at dt (four RHS evaluations each)."""
         return _steps(self.spec.horizon, self.dt)
 
+    @cached_property
+    def integrals(self):
+        """The run's energy.snapshot_integrals table (read-only arrays), one pass on first use."""
+        from .energy import snapshot_integrals  # energy imports this module
+
+        return snapshot_integrals(self.spec, self.grid, self.times, self.V, self.W)
+
 
 # ---------------------------------------------------------------------------
 # setup
@@ -449,6 +456,8 @@ def _steps(horizon: float, dt: float) -> int:
 def _step_count(spec: ProblemSpec, grid: Grid, cfl: float) -> tuple[float, int]:
     """The fixed step dt and the number of steps from 0 to T."""
     dt = step_size(spec, grid, cfl)
+    if dt == 0.0 or not math.isfinite(spec.horizon / dt):
+        raise ConfigError(f"cfl {cfl!r} is too small: dt = {dt!r} gives no finite number of steps to T")
     return dt, _steps(spec.horizon, dt)
 
 

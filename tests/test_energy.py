@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mowave import (
     ReferenceState,
     SaturatingAlpha,
     SineMode,
+    SnapshotIntegrals,
     boundary_flux,
     energy,
     energy_rate_residual,
@@ -223,19 +226,36 @@ class TestSnapshotIntegrals:
     def test_paper_literal_reweights_restoring_only(self):
         spec = make_spec(damping=DampingParams(a=1.0, b=3.0, rho=2.0), horizon=0.5)
         traj = simulate(spec, Grid(16))
-        table = snapshot_integrals(spec, traj.grid, traj.times, traj.V, traj.W)
-        exact = EnergySeries.from_trajectory(traj, table=table)
-        literal = EnergySeries.from_trajectory(traj, paper_literal=True, table=table)
+        exact = EnergySeries.from_trajectory(traj)
+        literal = EnergySeries.from_trajectory(traj, paper_literal=True)
         assert np.allclose(literal.restoring, exact.restoring / 3.0, rtol=1e-15, atol=0.0)
         for name in ("t", "kinetic", "gradient", "nonlinear", "flux"):
             assert np.array_equal(getattr(literal, name), getattr(exact, name))
 
-    def test_passing_the_table_changes_nothing(self):
+    def test_trajectory_integrals_is_the_table_of_its_snapshots(self):
         traj = forced_run(sample_every=3)
         table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
-        assert energy_rate_residual(traj, table=table) == energy_rate_residual(traj)
-        with_table = multiplier_identity_residual(traj, 0.2, 0.3, table=table)
-        assert with_table == multiplier_identity_residual(traj, 0.2, 0.3)
+        assert traj.integrals is traj.integrals
+        for field in fields(SnapshotIntegrals):
+            shared = getattr(traj.integrals, field.name)
+            assert np.array_equal(shared, getattr(table, field.name)), field.name
+            assert not shared.flags.writeable, field.name  # every check reads this one table
+
+    def test_the_checks_of_a_run_share_one_pass(self, monkeypatch):
+        module = sys.modules["mowave.energy"]  # mowave.energy is the function
+        passes = []
+
+        def counted(spec, grid, times, V, W):
+            passes.append(len(times))
+            return snapshot_integrals(spec, grid, times, V, W)
+
+        monkeypatch.setattr(module, "snapshot_integrals", counted)
+        traj = forced_run(sample_every=3)
+        EnergySeries.from_trajectory(traj)
+        EnergySeries.from_trajectory(traj, paper_literal=True)
+        energy_rate_residual(traj)
+        multiplier_identity_residual(traj, 0.2, 0.3)
+        assert passes == [traj.times.size]
 
 
 class TestRateResidual:

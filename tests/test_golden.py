@@ -441,6 +441,14 @@ CLI_FAILURES = {
     ),
     "simulate-grid-n": (["simulate", "c.json", "--grid-n", "4", "--outdir", "out"], {"c.json": README_CONFIG}),
     "simulate-cfl": (["simulate", "c.json", "--cfl", "-1", "--outdir", "out"], {"c.json": README_CONFIG}),
+    "simulate-cfl-step-count-overflows": (
+        ["simulate", "c.json", "--cfl", "1e-320", "--outdir", "out"],
+        {"c.json": README_CONFIG},
+    ),
+    "simulate-cfl-step-underflows": (
+        ["simulate", "c.json", "--cfl", "5e-324", "--outdir", "out"],
+        {"c.json": README_CONFIG},
+    ),
     "simulate-sample-every": (
         ["simulate", "c.json", "--sample-every", "0", "--outdir", "out"],
         {"c.json": README_CONFIG},
@@ -506,7 +514,16 @@ CLI_FAILURES = {
         ["convergence", "c.json", "--grid-n", "4,8"],
         {"c.json": _cfg(horizon=0.25)},
     ),
+    "convergence-grid-n-repeated": (["convergence", "c.json", "--grid-n", "50,50"], {"c.json": README_CONFIG}),
+    "convergence-grid-n-repeated-of-three": (
+        ["convergence", "c.json", "--grid-n", "16,16,32"],
+        {"c.json": _cfg(horizon=0.25)},
+    ),
     "convergence-cfl": (["convergence", "c.json", "--cfl", "-1"], {"c.json": _cfg(horizon=0.25)}),
+    "convergence-cfl-step-count-overflows": (
+        ["convergence", "c.json", "--cfl", "1e-320"],
+        {"c.json": _cfg(horizon=0.25)},
+    ),
     "convergence-snapshot-cap": (
         ["convergence", "c.json", "--grid-n", "400,3200"],
         {"c.json": _cfg(horizon=50.0, manufactured=_MANUFACTURED)},
@@ -528,6 +545,10 @@ CLI_FAILURES = {
     "sweep-base-invalid": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(base=_cfg(extra=1))}),
     "sweep-grid-n": (["sweep", "s.json", "--grid-n", "4", "--outdir", "out"], {"s.json": _README_SWEEP}),
     "sweep-cfl": (["sweep", "s.json", "--cfl", "-1", "--outdir", "out"], {"s.json": _README_SWEEP}),
+    "sweep-cfl-step-underflows": (
+        ["sweep", "s.json", "--cfl", "5e-324", "--outdir", "out"],
+        {"s.json": _README_SWEEP},
+    ),
     "sweep-sample-every": (["sweep", "s.json", "--sample-every", "0", "--outdir", "out"], {"s.json": _README_SWEEP}),
     "sweep-axis-not-a-list": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(axes={"mu": 0.1})}),
     "sweep-axis-empty": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(axes={"rho": []})}),
@@ -551,7 +572,8 @@ CLI_FAILURES = {
 }
 
 # name -> (exit code, stdout, stderr), computed before the CLI commands raised
-# their errors for main to report, and kept verbatim
+# their errors for main to report, and kept verbatim; the repeated --grid-n
+# and the too-small --cfl rows were computed when those inputs were first rejected
 CLI_FAILURE_RESULTS = {
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -567,8 +589,11 @@ CLI_FAILURE_RESULTS = {
     'convergence-beta-T': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[FAIL] beta(T): mu T = 1000, log beta(T) = 1000, log beta'(T) = 1006.91; the largest double is e^709.783\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 1\n"),
     'convergence-blowup-a2000': (3, '', 'mowave: solution blew up (non-finite values) at t=0.04\n'),
     'convergence-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
+    'convergence-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 1.33e-322 gives no finite number of steps to T\n'),
     'convergence-grid-n-not-integers': (2, '', "mowave: --grid-n expects a comma-separated integer list, got '50,x'\n"),
     'convergence-grid-n-one-size': (2, '', 'mowave: --grid-n needs at least two grid sizes for observed orders\n'),
+    'convergence-grid-n-repeated': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '50,50'\n"),
+    'convergence-grid-n-repeated-of-three': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '16,16,32'\n"),
     'convergence-grid-n-too-small': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'convergence-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
     'convergence-snapshot-cap': (2, '', 'mowave: run would store about 384972832 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
@@ -580,6 +605,8 @@ CLI_FAILURE_RESULTS = {
     'simulate-blowup-cfl': (3, '', 'mowave: solution blew up (non-finite values) at t=0.729167\n'),
     'simulate-certificate-overflow': (2, '', "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"),
     'simulate-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
+    'simulate-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 3.5e-323 gives no finite number of steps to T\n'),
+    'simulate-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'simulate-energy-overflow': (2, '', 'mowave: the energy overflows a double, first at t = 0, although the solution stays finite; no outputs written\n'),
     'simulate-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'simulate-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
@@ -596,6 +623,7 @@ CLI_FAILURE_RESULTS = {
     'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: solution blew up (non-finite values) at t=0.125\nmowave: solution blew up (non-finite values) at t=0.0833333\n"),
     'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\nmowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
+    'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'sweep-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'sweep-jobs-0': (2, '', 'mowave: --jobs must be at least 1, got 0\n'),
     'sweep-jobs-negative': (2, '', 'mowave: --jobs must be at least 1, got -2\n'),

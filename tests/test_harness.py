@@ -600,3 +600,56 @@ def test_import_does_not_load_the_process_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "[]", done.stdout + done.stderr
+
+
+@pytest.mark.parametrize(
+    "manifest, problems",
+    [
+        ([1, 2], ["manifest is not a JSON object with an 'outputs' object"]),
+        ({"outputs": [1]}, ["manifest is not a JSON object with an 'outputs' object"]),
+        (
+            {"config": {}, "config_hash": harness.config_hash({}), "outputs": {"energy.csv": [1]}},
+            ["energy.csv: entry is not a JSON object"],
+        ),
+    ],
+)
+def test_verify_manifest_reports_a_manifest_of_the_wrong_shape(tmp_path, manifest, problems):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert verify_manifest(path) == problems
+
+
+def test_run_simulation_returns_the_manifest_checks_from_one_pass(tmp_path, monkeypatch):
+    energy = sys.modules["mowave.energy"]
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    original = energy.snapshot_integrals
+    monkeypatch.setattr(energy, "snapshot_integrals", counted)
+    spec = mowave.spec_from_dict(reference_config(horizon=0.5))
+    code, checks = run_simulation(spec, tmp_path / "run", grid_n=32, paper_literal=True)
+    assert code == 0 and len(passes) == 1
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["checks"] == checks
+
+
+def test_sweep_rejects_a_too_small_cfl_before_any_cell(tmp_path, capsys):
+    cfg = {"base": reference_config(horizon=0.5), "axes": {"mu": [0.0, 0.1]}}
+    outdir = tmp_path / "s"
+    for cfl in ("1e-320", "5e-324"):
+        assert main(["sweep", write_config(tmp_path, cfg), "--cfl", cfl, "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err.startswith(f"mowave: cfl {cfl} is too small")
+        assert not outdir.exists()
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert namespace["code"] == 0 and manifest["checks"] == namespace["checks"]
