@@ -104,10 +104,8 @@ def _fail(exc: Exception) -> int:
 
 
 def _outdir(arg) -> Path:
-    base = arg or os.environ.get("MOWAVE_OUTDIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The --outdir path (else $MOWAVE_OUTDIR, else the working directory); not created here."""
+    return Path(arg or os.environ.get("MOWAVE_OUTDIR") or ".")
 
 
 def _sha256(path: Path) -> str:
@@ -154,7 +152,9 @@ def verify_manifest(manifest_path) -> list[str]:
         problems.append("config_hash does not match the embedded config")
     for name, entry in manifest.get("outputs", {}).items():
         target = manifest_path.parent / name
-        if not isinstance(entry, dict):
+        if name in ("", ".", "..") or Path(name).name != name:  # a path, not a file name
+            problems.append(f"{name}: not a file of the run directory")
+        elif not isinstance(entry, dict):
             problems.append(f"{name}: entry is not a JSON object")
         elif not target.exists():
             problems.append(f"{name}: missing")
@@ -194,16 +194,16 @@ def run_simulation(
     trajectory.csv on request) into outdir. The exit code is EXIT_OK or
     EXIT_BOUND; checks is the record written to the manifest: the
     certificate ("ok" or "empty") and its edges, the measured decay and the
-    identity residuals. A run that cannot finish raises its
-    MowaveError and writes nothing: the solver's error, a ConfigError for
-    fewer than 3 snapshots or an energy that overflows a double, or the
-    certificate's error. solution is the run's Trajectory or error when
-    the caller has already solved it (sweep solves cells in batches); by
-    default the spec is solved here.
+    identity residuals. outdir and its parents are created only once the
+    outputs are ready to write. A run that cannot finish raises its
+    MowaveError and writes nothing, not even outdir: the solver's error, a
+    ConfigError for fewer than 3 snapshots or an energy that overflows a
+    double, or the certificate's error. solution is the run's Trajectory or
+    error when the caller has already solved it (sweep solves cells in
+    batches); by default the spec is solved here.
     """
     started = time.perf_counter()
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if solution is None:
         solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl)
     if isinstance(solution, MowaveError):
@@ -241,6 +241,7 @@ def run_simulation(
         lambda_fit = None
 
     bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
+    outdir.mkdir(parents=True, exist_ok=True)
     energy_path = outdir / "energy.csv"
     write_energy_csv(series_out, energy_path, bound=bound_values)
     identity_path = outdir / "identity.csv"
@@ -568,6 +569,7 @@ def cmd_sweep(args) -> int:
         groups.setdefault(batch_key(spec), []).append(cell)
 
     outdir = _outdir(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     for idx in range(len(rows)):
         (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
     # at most ceil(cells/jobs) rows per batch, so every worker gets work,

@@ -17,7 +17,8 @@ The kernel advances a (rows, N+1) state: simulate_batch solves several
 specs with one batch_key (alpha, rho, horizon and linear_mode, hence dt,
 the step count and the stage times, and all forced or all unforced) in one
 loop, and simulate is its batch of one.
-a, b, beta(t) and the source are per-row columns. Every operation is
+a, b, beta(t) and the source are per-row columns (a and b plain floats
+when every row shares them). Every operation is
 elementwise per row, so a row's bits never depend on its neighbours; rho is
 shared because numpy takes scalar fast paths for some exponents (x ** 2.0,
 x ** 0.5) that differ in the last bit from pow with an array exponent.
@@ -27,17 +28,24 @@ The step allocates nothing. Each RK stage owns one (3, rows, N+1) buffer
 buf[1:3] (dv/dt = w) are overlapping views, so a stage update z1 + c dz_k
 and the final z1 + (h/6)(dz1 + 2 dz2 + 2 dz3 + dz4) are a few whole-state
 calls written in place. _rhs_arrays writes through views bound once per
-buffer into scratch arrays allocated once per batch. Every call keeps the
-operand order of the plain one-row formulas, so the results are bit for
-bit those of a loop that allocates a fresh array per operation.
+buffer into scratch arrays allocated once per batch.
 
-The coefficients, beta and the source come from a stage table built for
-_BLOCK steps at a time: the distinct stage times of the block (t, t + h/2,
-t + h, and the next step's t when it is not that t + h) are listed in
-Python, alpha, beta and the source scales are evaluated there as Python
-scalars, and the (times, nodes) coefficient and source arrays follow in
-one vectorised pass. A row that blows up is dropped; the others go on
-with fresh buffers and a fresh table from the next step.
+The linear part of dw/dt is a 3-point stencil in v and in w whose node
+weights K depend only on the stage time and on a and b. The stage table
+holds K, so the right-hand side is one multiply of K with a strided band
+view of the state and one add.reduce over the six (v or w, left, centre,
+right) terms, then the nonlinear term and the source. Collecting the
+formula above into weights regroups its roundings: the results differ
+from it in the last bits (a drift of about 1e-13 of a column's largest
+value over a run), and are bit for bit those of a plain loop over the
+banded formula with the same operand order.
+
+The table is built for _BLOCK steps at a time: the distinct stage times
+of the block (t, t + h/2, t + h, and the next step's t when it is not
+that t + h) are listed in Python, alpha, beta and the source scales are
+evaluated there as Python scalars, and K and the source arrays of every
+time follow in a few vectorised passes. A row that blows up is dropped;
+the others go on with fresh buffers and a fresh table from the next step.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
@@ -55,6 +63,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
 from .model import ManufacturedField, ProblemSpec, validate_assumptions
@@ -221,8 +230,9 @@ def step_size(spec: ProblemSpec, grid: Grid, cfl: float = 0.5) -> float:
 
 
 def _column(values: list) -> float | np.ndarray:
-    """Per-row scalars as a (rows, 1) column; a plain float for one row."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
+    """Per-row scalars as a (rows, 1) column; a plain float when every row
+    has the same value (compared by repr, so 0.0 and -0.0 stay apart)."""
+    return values[0] if len({repr(v) for v in values}) == 1 else np.array(values)[:, None]
 
 
 def batch_key(spec: ProblemSpec) -> tuple:
@@ -271,7 +281,7 @@ class _Source:
                 [(amp * math.exp(-r * t), (k / al) ** 2) for amp, r, k in zip(self.amp, self.rates, self.k)]
             )
         neg_g, g, g_sq, g_sq_g1 = np.array(per_time).T[..., None, None]
-        scale, k_al_sq = np.moveaxis(np.array(per_row), 2, 0)[..., None]
+        scale, k_al_sq = np.array(per_row).transpose(2, 0, 1)[..., None]
         theta, sin, cos, rate = self.theta, self.sin, self.cos, self.rate
         # the formulas above, evaluated left to right in place: few temporaries
         u = scale * sin
@@ -303,8 +313,9 @@ class _Rows:
     """Per-row constants of specs with one batch_key, and their stage table.
 
     a, b, beta(t) and the source differ per row and broadcast as columns
-    over the interior nodes. The nonlinear term is on exactly when
-    linear_mode is off: validation (A2) makes beta(t) > 0 then.
+    over the interior nodes; a and b are plain floats when every row shares
+    them. The nonlinear term is on exactly when linear_mode is off:
+    validation (A2) makes beta(t) > 0 then.
     """
 
     def __init__(self, specs: list[ProblemSpec], grid: Grid):
@@ -315,6 +326,7 @@ class _Rows:
         self.two_dy, self.dy2 = 2.0 * grid.dy, grid.dy * grid.dy
         self.a = _column([s.damping.a for s in specs])
         self.b = _column([s.damping.b for s in specs])
+        self.weight_rows = 1 if np.ndim(self.a) == np.ndim(self.b) == 0 else len(specs)
         self.source = (
             _Source([s.source for s in specs], self.alpha, self.rho, self.a, self.b, self.y)
             if specs[0].source is not None
@@ -322,22 +334,48 @@ class _Rows:
         )
 
     def stage_table(self, times: list[float]) -> list[tuple]:
-        """What _rhs_arrays needs at each of times: (c_yt, c_yy, c_y, drift, bt, f).
+        """What _rhs_arrays needs at each of times: (K, bt, f).
 
-        The coefficients are (1, nodes) rows, the shape of a one-row state,
-        which numpy multiplies faster than a broadcast (nodes,) vector; bt is
-        the (rows, 1) beta(t) column and f the (rows, nodes) source, None when
-        off. All times are done in one vectorised pass; the entry of a time is
-        bit for bit what a pass at that time alone gives.
+        K, shape (2, 3, weight_rows, nodes), holds the weights of the linear
+        part of dw/dt as a 3-point stencil in v and w: dw_i is the sum over
+        c in (v, w) and s in (left, centre, right) of K[c, s] z_c at node
+        i - 1, i, i + 1. With d = drift/(2 dy), the weights are
+
+            v: -c_yy/dy^2 + c_y/(2 dy) - a d,  2 c_yy/dy^2 - b,  -c_yy/dy^2 - c_y/(2 dy) + a d
+            w: c_yt/(2 dy),                    -a,               -c_yt/(2 dy)
+
+        the central differences of -(c_yt w_y + c_yy v_yy + c_y v_y)
+        - a (w - drift v_y) - b v collected per node. weight_rows is 1 when
+        the rows share a and b. bt is the (rows, 1) beta(t) column and f the
+        (rows, nodes) source, None when off. The table is built for all times
+        in a few whole-array passes from one coefficient_grids call; every
+        operation is elementwise, so the entry of a time is bit for bit what
+        a table of that time alone gives.
         """
-        coefficients = [c[:, None] for c in coefficient_grids(self.y, times, self.alpha)]
+        c_yt, c_yy, c_y, drift = (c[:, None] for c in coefficient_grids(self.y, times, self.alpha))
+        K = np.empty((len(times), 2, 3, self.weight_rows, self.y.size))
+        (v_left, v_mid, v_right), (w_left, w_mid, w_right) = K.transpose(1, 2, 0, 3, 4)
+        # the formulas above, rearranged only where the result is exactly equal
+        c_yy /= self.dy2
+        c_y /= self.two_dy
+        drift /= self.two_dy
+        np.multiply(self.a, drift, out=v_right)
+        np.subtract(c_y, c_yy, out=v_left)
+        v_left -= v_right
+        c_y += c_yy
+        v_right -= c_y
+        np.multiply(c_yy, 2.0, out=v_mid)
+        v_mid -= self.b
+        np.divide(c_yt, self.two_dy, out=w_left)
+        np.negative(self.a, out=w_mid)
+        np.negative(w_left, out=w_right)
         bt = f = None
         if self.nonlinear:
             bt = np.array([[s.beta.eval(t)[0] for s in self.specs] for t in times])[..., None]
         if self.source is not None:
             f = self.source(times, bt)
         none = itertools.repeat(None)
-        return list(zip(*coefficients, none if bt is None else bt, none if f is None else f))
+        return list(zip(K, none if bt is None else bt, none if f is None else f))
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +388,22 @@ def _stages(z: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     Buffer k, shape (3, rows, N+1), holds [v_k, w_k, dw_k]: its state is
     buf[0:2] and, since dv/dt = w, its derivative is the overlapping buf[1:3].
     Stage 1 starts as (z, 0); the rest start zeroed. The views of each buffer
-    are bound once here, with scratch arrays the four stages share.
+    are bound once here: its interior v and dw, and its band, a strided
+    (2, 3, rows, N-1) view of buf[0:2] whose [c, s] is z_c at the interior
+    nodes shifted by s - 1, the operand of the stage table's K. The product
+    scratch P, its (6, rows, N-1) reshape and a (rows, N-1) scratch row of it
+    are shared by the four stages.
     """
     rows, nodes = z.shape[1:]
     bufs = np.zeros((4, 3, rows, nodes))
     bufs[0, 0:2] = z
-    D = np.empty((2, rows, nodes - 2))  # (Dv, Dw)
-    scratch = (D, D[0], D[1], *np.empty((3, rows, nodes - 2)))
+    P = np.empty((2, 3, rows, nodes - 2))
+    P6 = P.reshape(6, rows, nodes - 2)
     views = []
     for buf in bufs:
-        inner = buf[:, :, 1:-1]  # v, w and dw at the interior nodes
-        views.append((*inner, buf[0:2, :, 2:], buf[0:2, :, :-2], buf[0, :, 2:], buf[0, :, :-2], *scratch))
+        s0, s1, s2 = buf.strides
+        band = as_strided(buf, (2, 3, rows, nodes - 2), (s0, s2, s1, s2), writeable=False)
+        views.append((buf[0, :, 1:-1], buf[2, :, 1:-1], band, P, P6, P6[0]))
     return bufs, views
 
 
@@ -368,31 +411,16 @@ def _rhs_arrays(stage: tuple, coef: tuple, rows: _Rows) -> None:
     """Interior dw/dt of every row of one stage buffer, written into its dw.
 
     stage is a buffer's views from _stages, coef the stage time's entry of
-    the stage table. Every call writes into preallocated arrays, in the
-    operation order of the plain formula. dv/dt is w itself: the boundary
-    columns of w are zero at every stage, and those of dw are never written.
+    the stage table. The linear part is K times the band, summed over its
+    six (c, s) terms in that order (left to right: v left, centre, right,
+    then w); the nonlinear term and the source follow. Every call writes
+    into preallocated arrays. dv/dt is w itself: the boundary columns of w
+    are zero at every stage, and those of dw are never written.
     """
-    vi, wi, dw, z_right, z_left, v_right, v_left, D, Dv, Dw, D2v, s, r = stage
-    c_yt, c_yy, c_y, drift, bt, f = coef
-    np.subtract(z_right, z_left, out=D)
-    D /= rows.two_dy
-    np.multiply(vi, 2.0, out=D2v)
-    np.subtract(v_right, D2v, out=D2v)
-    D2v += v_left
-    D2v /= rows.dy2
-    # -(c_yt Dw + c_yy D2v + c_y Dv) - a (w - drift Dv) - b v
-    np.multiply(c_yt, Dw, out=s)
-    np.multiply(c_yy, D2v, out=r)
-    s += r
-    np.multiply(c_y, Dv, out=r)
-    s += r
-    np.negative(s, out=s)
-    np.multiply(drift, Dv, out=r)
-    np.subtract(wi, r, out=r)
-    r *= rows.a
-    s -= r
-    np.multiply(rows.b, vi, out=r)
-    np.subtract(s, r, out=dw)
+    vi, dw, band, P, P6, r = stage
+    K, bt, f = coef
+    np.multiply(K, band, out=P)
+    np.add.reduce(P6, axis=0, out=dw)
     if bt is not None:
         # |v|^rho v, continuously extended by 0 at v = 0 for every rho > 0
         np.absolute(vi, out=r)
@@ -613,16 +641,20 @@ def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callabl
 
     The one-row case of the solver's source (see _Source for the formula).
     t may also be a sequence of times: f is then a (times, nodes) array, one
-    vectorised pass whose row j is bit for bit f at t[j] alone.
+    vectorised pass whose row j is bit for bit f at t[j] alone. The sin and
+    cos of the nodes are computed once and reused while y stays equal.
     """
 
     damping = spec.damping
+    built = []  # (nodes, _Source) of the last node array: sin and cos of the nodes once
 
     def forcing(y_nodes, t_val):
         times = np.atleast_1d(t_val).tolist()
-        source = _Source([field], spec.alpha, damping.rho, damping.a, damping.b, y_nodes)
+        if not built or not np.array_equal(built[0], y_nodes):
+            nodes = np.array(y_nodes, dtype=float)
+            built[:] = nodes, _Source([field], spec.alpha, damping.rho, damping.a, damping.b, nodes)
         bt = None if spec.linear_mode else np.array([spec.beta.eval(t)[0] for t in times])[:, None, None]
-        f = source(times, bt)[:, 0]
+        f = built[1](times, bt)[:, 0]
         return f if np.ndim(t_val) else f[0]
 
     return forcing

@@ -189,7 +189,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("mowave: ") and err.count("\n") == 1
         assert "energy overflows a double, first at t = 0," in err
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
 
 
 class TestCertify:
@@ -617,6 +617,37 @@ def test_verify_manifest_reports_a_manifest_of_the_wrong_shape(tmp_path, manifes
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     assert verify_manifest(path) == problems
+
+
+@pytest.mark.parametrize("where", ["../outside.txt", "absolute", "sub/energy.csv", "..", "."])
+def test_verify_manifest_rejects_an_output_outside_the_run_directory(tmp_path, where):
+    run = tmp_path / "run"
+    (run / "sub").mkdir(parents=True)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an output of the run\n")
+    (run / "sub" / "energy.csv").write_bytes(outside.read_bytes())
+    name = str(outside) if where == "absolute" else where
+    entry = {"sha256": harness._sha256(outside), "bytes": outside.stat().st_size}
+    manifest = {"config": {}, "config_hash": harness.config_hash({}), "outputs": {name: entry}}
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert verify_manifest(run / "manifest.json") == [f"{name}: not a file of the run directory"]
+
+
+@pytest.mark.parametrize(
+    "extra, cfg",
+    [
+        (["--cfl", "-1"], {}),
+        (["--cfl", "5e-324"], {}),
+        ([], {"damping": {"a": -1.0, "b": 1.0, "rho": 1.0}}),
+        (["--grid-n", "64", "--cfl", "10.0"], {"horizon": 1.0}),
+    ],
+    ids=["cfl-negative", "cfl-step-underflows", "inadmissible", "blow-up"],
+)
+def test_rejected_simulate_leaves_no_outdir(tmp_path, capsys, extra, cfg):
+    outdir = tmp_path / "new" / "out"
+    code = main(["simulate", write_config(tmp_path, reference_config(**cfg)), *extra, "--outdir", str(outdir)])
+    assert code in (2, 3) and capsys.readouterr().out == ""
+    assert not (tmp_path / "new").exists()
 
 
 def test_run_simulation_returns_the_manifest_checks_from_one_pass(tmp_path, monkeypatch):
