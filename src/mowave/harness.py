@@ -19,7 +19,13 @@ A failure is raised, never reported where it happens. One translator,
 _fail, turns an error into its stderr line and exit code: a ValidationError
 prints the assumption report, any other MowaveError or an OSError prints
 its message; a BlowUpError exits 3, the others 2. main calls it for the
-error of a command, and sweep for the error of each failed cell.
+error of a command, and sweep for the error of each failed cell, or once
+for an error that every cell of a batch shares (a group none of whose
+cells fits the snapshot cap is one such error).
+
+main may be called any number of times in one process: the parser is
+built on the first call and reused, and every call parses its argv into a
+fresh namespace.
 
 The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
@@ -53,7 +59,7 @@ import numpy as np
 
 from .certify import build_certificate, check_decay_bound, fit_decay, window_edges
 from .energy import EnergySeries, multiplier_identity_residual, write_energy_csv, write_identity_csv
-from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ValidationError
+from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ResourceLimitError, ValidationError
 from .model import (
     FAMILIES,
     ConstantAlpha,
@@ -72,6 +78,7 @@ from .solver import (
     SNAPSHOT_CAP_BYTES,
     Grid,
     batch_key,
+    check_snapshot_cap,
     exact_reference_fields,
     simulate,
     simulate_batch,
@@ -467,13 +474,15 @@ def _sweep_batch(
     Each cell goes through run_simulation with its solved row (or that
     row's error), which writes the cell's files into outdir/cell_XXXX; a
     row is dropped once written, and a cell that fails is reported by
-    _fail. Returns the sweep.csv rows in the order of cells.
+    _fail. An error of the whole batch is reported once and gives every
+    cell its exit code. Returns the sweep.csv rows in the order of cells.
     """
     specs = [cell["spec"] for cell in cells]
     try:
         solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl, snapshot_cap_bytes)
-    except MowaveError as exc:  # a setting or a limit of the whole batch
-        solved = [exc] * len(cells)
+    except MowaveError as exc:  # a setting or a limit of the whole batch, reported once
+        code = _fail(exc)
+        return [_sweep_row(cell["config"], code) for cell in cells]
     rows = []
     for i, cell in enumerate(cells):
         solution, solved[i] = solved[i], None
@@ -494,9 +503,13 @@ def _sweep_batch(
 
 
 def _rows_within_cap(spec: ProblemSpec, args) -> int:
-    """Most rows of spec's group whose snapshots fit the cap together."""
+    """Most rows of spec's group whose snapshots fit the cap together.
+
+    Raises the ResourceLimitError of simulate_batch when not even one row fits.
+    """
     per_row = snapshot_bytes(spec, Grid(args.grid_n), args.sample_every, args.cfl)
-    return max(1, SNAPSHOT_CAP_BYTES // per_row)
+    check_snapshot_cap(per_row)
+    return SNAPSHOT_CAP_BYTES // per_row
 
 
 def _format_cell(value) -> str:
@@ -577,7 +590,13 @@ def cmd_sweep(args) -> int:
     jobs_rows = -(-len(rows) // args.jobs)
     batches = []
     for group in groups.values():
-        size = min(jobs_rows, _rows_within_cap(group[0]["spec"], args))
+        try:
+            size = min(jobs_rows, _rows_within_cap(group[0]["spec"], args))
+        except ResourceLimitError as exc:  # no row of the group fits: one report for all its cells
+            code = _fail(exc)
+            for cell in group:
+                rows[cell["index"]] = _sweep_row(cell["config"], code)
+            continue
         batches.extend(group[i : i + size] for i in range(0, len(group), size))
     solve = functools.partial(
         _sweep_batch,
@@ -613,7 +632,9 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every main call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="mowave",
         description="Damped nonlinear waves on expanding intervals: simulate, certify, study.",

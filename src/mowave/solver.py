@@ -482,11 +482,21 @@ def _steps(horizon: float, dt: float) -> int:
 
 
 def _step_count(spec: ProblemSpec, grid: Grid, cfl: float) -> tuple[float, int]:
-    """The fixed step dt and the number of steps from 0 to T."""
+    """The fixed step dt and the number of steps from 0 to T.
+
+    At most 2**53 steps: past that, the step times (k + 1) * dt of _block
+    are no longer exact.
+    """
     dt = step_size(spec, grid, cfl)
     if dt == 0.0 or not math.isfinite(spec.horizon / dt):
         raise ConfigError(f"cfl {cfl!r} is too small: dt = {dt!r} gives no finite number of steps to T")
-    return dt, _steps(spec.horizon, dt)
+    nsteps = _steps(spec.horizon, dt)
+    if nsteps > 2**53:
+        raise ConfigError(
+            f"cfl {cfl!r} is too small: dt = {dt!r} gives about {spec.horizon / dt:.3g} steps to T, "
+            "more than the 2**53 whose step times stay exact"
+        )
+    return dt, nsteps
 
 
 def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> int:
@@ -495,6 +505,14 @@ def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: fl
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     _, nsteps = _step_count(spec, grid, cfl)
     return (nsteps // sample_every + 2) * 2 * (grid.n + 1) * 8
+
+
+def check_snapshot_cap(est_bytes: int, cap: int = SNAPSHOT_CAP_BYTES) -> None:
+    """Raise ResourceLimitError if est_bytes of snapshots exceed the cap."""
+    if est_bytes > cap:
+        raise ResourceLimitError(
+            f"run would store about {est_bytes} bytes of snapshots (cap {cap}); raise sample_every or the cap"
+        )
 
 
 def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple], list[float]]:
@@ -557,12 +575,7 @@ def simulate_batch(
     if not live:
         return results
     hyperbolicity_check(specs[0].alpha, specs[0].horizon)
-    est_bytes = len(live) * snapshot_bytes(specs[0], grid, sample_every, cfl)
-    if est_bytes > snapshot_cap_bytes:
-        raise ResourceLimitError(
-            f"run would store about {est_bytes} bytes of snapshots "
-            f"(cap {snapshot_cap_bytes}); raise sample_every or the cap"
-        )
+    check_snapshot_cap(len(live) * snapshot_bytes(specs[0], grid, sample_every, cfl), snapshot_cap_bytes)
 
     T = specs[0].horizon
     dt, nsteps = _step_count(specs[0], grid, cfl)

@@ -449,6 +449,10 @@ CLI_FAILURES = {
         ["simulate", "c.json", "--cfl", "5e-324", "--outdir", "out"],
         {"c.json": README_CONFIG},
     ),
+    "simulate-cfl-steps-past-2-53": (
+        ["simulate", "c.json", "--cfl", "1e-300", "--outdir", "out"],
+        {"c.json": README_CONFIG},
+    ),
     "simulate-sample-every": (
         ["simulate", "c.json", "--sample-every", "0", "--outdir", "out"],
         {"c.json": README_CONFIG},
@@ -549,6 +553,10 @@ CLI_FAILURES = {
         ["sweep", "s.json", "--cfl", "5e-324", "--outdir", "out"],
         {"s.json": _README_SWEEP},
     ),
+    "sweep-cfl-steps-past-2-53": (
+        ["sweep", "s.json", "--cfl", "1e-300", "--outdir", "out"],
+        {"s.json": _README_SWEEP},
+    ),
     "sweep-sample-every": (["sweep", "s.json", "--sample-every", "0", "--outdir", "out"], {"s.json": _README_SWEEP}),
     "sweep-axis-not-a-list": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(axes={"mu": 0.1})}),
     "sweep-axis-empty": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(axes={"rho": []})}),
@@ -573,7 +581,9 @@ CLI_FAILURES = {
 
 # name -> (exit code, stdout, stderr), computed before the CLI commands raised
 # their errors for main to report, and kept verbatim; the repeated --grid-n
-# and the too-small --cfl rows were computed when those inputs were first rejected
+# and the too-small --cfl rows were computed when those inputs were first rejected;
+# sweep-cells-over-snapshot-cap printed its line once per cell until an error
+# shared by every cell of a group came to be reported once
 CLI_FAILURE_RESULTS = {
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -607,6 +617,7 @@ CLI_FAILURE_RESULTS = {
     'simulate-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'simulate-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 3.5e-323 gives no finite number of steps to T\n'),
     'simulate-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
+    'simulate-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),
     'simulate-energy-overflow': (2, '', 'mowave: the energy overflows a double, first at t = 0, although the solution stays finite; no outputs written\n'),
     'simulate-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'simulate-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
@@ -621,9 +632,10 @@ CLI_FAILURE_RESULTS = {
     'sweep-axis-not-a-number': (2, '', "mowave: sweep axis 'mu': expected a number, got None\n"),
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
     'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: solution blew up (non-finite values) at t=0.125\nmowave: solution blew up (non-finite values) at t=0.0833333\n"),
-    'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\nmowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
+    'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
+    'sweep-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),
     'sweep-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'sweep-jobs-0': (2, '', 'mowave: --jobs must be at least 1, got 0\n'),
     'sweep-jobs-negative': (2, '', 'mowave: --jobs must be at least 1, got -2\n'),

@@ -684,3 +684,46 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(example, "README.md", "exec"), namespace)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert namespace["code"] == 0 and manifest["checks"] == namespace["checks"]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert harness.build_parser() is harness.build_parser()
+
+
+def test_repeated_main_calls_build_one_parser_tree(tmp_path, monkeypatch, capsys):
+    built = []
+    original = harness.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness.argparse.ArgumentParser, "__init__", counted)
+    harness.build_parser.cache_clear()
+    harness.build_parser()
+    one_tree = list(built)
+    assert one_tree.count("mowave") == 1 and len(one_tree) > 1  # the root and its subcommands
+    built.clear()
+    harness.build_parser.cache_clear()
+    cfg_path = write_config(tmp_path, reference_config())
+    for _ in range(5):
+        assert main(["certify", cfg_path]) == 0
+    assert built == one_tree
+
+
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    harness.build_parser.cache_clear()  # this sequence starts from a fresh parser
+    cfg_path = write_config(tmp_path, reference_config(horizon=0.5))
+    assert main(["certify", cfg_path]) == 0
+    first = capsys.readouterr().out
+    d1, d2 = tmp_path / "d1", tmp_path / "d2"
+    assert main(["simulate", cfg_path, "--grid-n", "16", "--trajectory", "--outdir", str(d1)]) == 0
+    assert (d1 / "trajectory.csv").is_file()
+    with pytest.raises(SystemExit) as rejected:
+        main(["simulate", cfg_path, "--no-such-flag"])
+    assert rejected.value.code == 2
+    assert main(["simulate", cfg_path, "--grid-n", "16", "--outdir", str(d2)]) == 0
+    assert (d2 / "energy.csv").is_file() and not (d2 / "trajectory.csv").exists()
+    capsys.readouterr()
+    assert main(["certify", cfg_path]) == 0
+    assert capsys.readouterr().out == first

@@ -117,6 +117,13 @@ class TestStepSize:
         with pytest.raises(ConfigError):
             step_size(make_spec(), Grid(100), cfl=float("nan"))
 
+    def test_step_count_stops_at_2_53(self):
+        # dt = cfl/8 on Grid(8) at T = 1: 2**53 steps have exact step times, 2**54 do not
+        spec = make_spec()
+        assert snapshot_bytes(spec, Grid(8), 2**50, cfl=2.0**-50) == (2**3 + 2) * 2 * 9 * 8
+        with pytest.raises(ConfigError, match=r"cfl .* is too small: .* more than the 2\*\*53"):
+            snapshot_bytes(spec, Grid(8), 2**50, cfl=2.0**-51)
+
 
 class TestInitialize:
     def test_sine_mode_values(self):
