@@ -286,11 +286,13 @@ def build_certificate(
 # ---------------------------------------------------------------------------
 # measurement
 
+FIT_FLOOR = 1e-12  # fit_decay drops samples below this fraction of E(0)
 
-def fit_decay(series, floor_factor: float = 1e-12) -> EmpiricalDecay:
+
+def fit_decay(series) -> EmpiricalDecay:
     """Least-squares log-linear fit of the energy series.
 
-    Uses only samples with E > floor_factor * E(0); needs at least 10 such
+    Uses only samples with E > FIT_FLOOR * E(0); needs at least 10 such
     samples. lambda_fit = -slope, C_fit = exp(intercept)/E(0).
     """
     t = np.asarray(series.t, dtype=float)
@@ -298,7 +300,7 @@ def fit_decay(series, floor_factor: float = 1e-12) -> EmpiricalDecay:
     e0 = float(E[0])
     if e0 <= 0.0:
         raise DegenerateDataError("fit_decay: E(0) = 0, nothing to fit")
-    keep = E > floor_factor * e0
+    keep = E > FIT_FLOOR * e0
     if int(keep.sum()) < 10:
         raise DegenerateDataError(
             f"fit_decay: only {int(keep.sum())} samples above the floor, need 10"

@@ -7,8 +7,9 @@ weights; space-time integrals add a trapezoid rule over snapshot times.
 
 snapshot_integrals computes every integral the checks below use in one pass
 over a run's snapshots. A Trajectory keeps that table as traj.integrals,
-made on first use, so every check on a run reads the one table; energy and
-boundary_flux are its one-snapshot case.
+made on first use, so every check on a run reads the one table. The energy
+is EnergySeries, one array per column over the snapshots; boundary_flux is
+the table's flux at one state.
 
 Three checks are provided.
 
@@ -139,19 +140,6 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
 
 
 @dataclass(frozen=True)
-class EnergySample:
-    """Energy value at one time with its four addends and the boundary flux."""
-
-    t: float
-    E: float
-    kinetic: float
-    gradient: float
-    restoring: float
-    nonlinear: float
-    flux: float
-
-
-@dataclass(frozen=True)
 class EnergySeries:
     """Energy of a run at its snapshot times, one (nsnap,) array per column.
 
@@ -188,13 +176,6 @@ class EnergySeries:
     @property
     def e0(self) -> float:
         return float(self.E[0])
-
-
-def energy(state: ReferenceState, spec: ProblemSpec, grid: Grid, paper_literal: bool = False) -> EnergySample:
-    """Energy and its addends at one snapshot (see EnergySeries)."""
-    table = snapshot_integrals(spec, grid, [state.t], state.v[None], state.w[None])
-    series = EnergySeries.from_table(table, spec, paper_literal)
-    return EnergySample(*(float(getattr(series, f.name)[0]) for f in fields(EnergySample)))
 
 
 def boundary_flux(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> float:

@@ -204,8 +204,9 @@ def run_simulation(
     identity residuals. outdir and its parents are created only once the
     outputs are ready to write. A run that cannot finish raises its
     MowaveError and writes nothing, not even outdir: the solver's error, a
-    ConfigError for fewer than 3 snapshots or an energy that overflows a
-    double, or the certificate's error. solution is the run's Trajectory or
+    ConfigError for fewer than 3 snapshots or for an energy, a certificate
+    bound or an identity residual that overflows a double, or the
+    certificate's error. solution is the run's Trajectory or
     error when the caller has already solved it (sweep solves cells in
     batches); by default the spec is solved here.
     """
@@ -235,7 +236,22 @@ def run_simulation(
     edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
     cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
     lam = cert.lam if cert is not None else 0.1
-    identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
+        bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
+    overflowed = [
+        name
+        for name, values in (
+            ("the certificate bound C E(0) exp(-lambda t)", bound_values),
+            ("the identity residuals", [identity.residual_rate, identity.residual_plu]),
+        )
+        if values is not None and not np.isfinite(values).all()
+    ]
+    if overflowed:
+        raise ConfigError(
+            f"{' and '.join(overflowed)} overflow a double, although the energy stays finite "
+            f"(E(0) = {series_exact.e0:.6g}); no outputs written"
+        )
 
     bound_report = None
     if cert is not None:
@@ -247,7 +263,6 @@ def run_simulation(
     except DegenerateDataError:
         lambda_fit = None
 
-    bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
     outdir.mkdir(parents=True, exist_ok=True)
     energy_path = outdir / "energy.csv"
     write_energy_csv(series_out, energy_path, bound=bound_values)

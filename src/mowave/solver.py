@@ -127,8 +127,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class ReferenceState:
-    """One state (t, v, w) on the reference grid, as initialize, rhs, energy and
-    boundary_flux take or return it; arrays are frozen copies."""
+    """One state (t, v, w) on the reference grid, as initialize returns it and
+    energy.boundary_flux takes it; arrays are frozen copies."""
 
     t: float
     v: np.ndarray
@@ -432,27 +432,6 @@ def _rhs_arrays(stage: tuple, coef: tuple, rows: _Rows) -> None:
         dw += f
 
 
-def rhs(state: ReferenceState, spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-discrete right-hand side (dv/dt, dw/dt) at one state.
-
-    The one-row case of the solver's kernel, manufactured source included.
-    Raises BlowUpError (carrying the time) when the state or the computed
-    derivative has left the finite range.
-    """
-    if not (np.isfinite(state.v).all() and np.isfinite(state.w).all()):
-        raise BlowUpError(state.t)
-    rows = _Rows([spec], grid)
-    bufs, stages = _stages(np.array([[state.v], [state.w]]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _rhs_arrays(stages[0], rows.stage_table([state.t])[0], rows)
-    dv = state.w.copy()
-    dv[0] = dv[-1] = 0.0
-    dw = bufs[0, 2, 0].copy()
-    if not np.isfinite(dw).all():
-        raise BlowUpError(state.t)
-    return dv, dw
-
-
 # ---------------------------------------------------------------------------
 # time integration
 
@@ -650,25 +629,24 @@ def simulate_batch(
 
 
 def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callable:
-    """Source term f(y, t) that makes the descriptor's field an exact solution.
+    """Source term f(y, times) that makes the descriptor's field an exact solution.
 
-    The one-row case of the solver's source (see _Source for the formula).
-    t may also be a sequence of times: f is then a (times, nodes) array, one
-    vectorised pass whose row j is bit for bit f at t[j] alone. The sin and
-    cos of the nodes are computed once and reused while y stays equal.
+    The one-row case of the solver's source (see _Source for the formula):
+    f is a (times, nodes) array, one vectorised pass whose row j is f at
+    times[j] alone. The sin and cos of the nodes are computed once and
+    reused while y stays equal.
     """
 
     damping = spec.damping
     built = []  # (nodes, _Source) of the last node array: sin and cos of the nodes once
 
-    def forcing(y_nodes, t_val):
-        times = np.atleast_1d(t_val).tolist()
+    def forcing(y_nodes, times):
+        times = np.asarray(times, dtype=float).tolist()
         if not built or not np.array_equal(built[0], y_nodes):
             nodes = np.array(y_nodes, dtype=float)
             built[:] = nodes, _Source([field], spec.alpha, damping.rho, damping.a, damping.b, nodes)
         bt = None if spec.linear_mode else np.array([spec.beta.eval(t)[0] for t in times])[:, None, None]
-        f = built[1](times, bt)[:, 0]
-        return f if np.ndim(t_val) else f[0]
+        return built[1](times, bt)[:, 0]
 
     return forcing
 

@@ -22,7 +22,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 6):
     return [lo + i * step for i in range(count)]
 
 
-def render_decay_svg(times, energies, bound=None, title: str = "Energy decay") -> str:
+def render_decay_svg(times, energies, bound=None) -> str:
     """Return SVG markup for log10 E(t), optionally with a certificate curve."""
     t = np.asarray(times, dtype=float)
     E = np.asarray(energies, dtype=float)
@@ -31,7 +31,7 @@ def render_decay_svg(times, energies, bound=None, title: str = "Energy decay") -
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="15">Energy decay</text>',
     ]
     if not positive.any():
         parts.append(
@@ -105,6 +105,6 @@ def render_decay_svg(times, energies, bound=None, title: str = "Energy decay") -
     return "\n".join(parts)
 
 
-def write_decay_svg(path, times, energies, bound=None, title: str = "Energy decay") -> None:
+def write_decay_svg(path, times, energies, bound=None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_decay_svg(times, energies, bound=bound, title=title) + "\n")
+        fh.write(render_decay_svg(times, energies, bound=bound) + "\n")

@@ -35,19 +35,16 @@ def _alpha_ratios(t: float, alpha: AlphaFamily) -> tuple[float, float, float, fl
     return ap / al, 1.0 / (al * al), app / al, (ap / al) ** 2
 
 
-def coefficient_grids(y: np.ndarray, t, alpha: AlphaFamily):
-    """Coefficients of the transformed equation at nodes y (an array or a scalar).
+def coefficient_grids(y: np.ndarray, times, alpha: AlphaFamily):
+    """Coefficients of the transformed equation at nodes y and each of times.
 
     Returns (c_yt, c_yy, c_y, drift) with drift = y alpha'/alpha, the term the
-    damping correction and the velocity reconstruction both need. t is one
-    time, or a sequence of times: then each coefficient is a (times, nodes)
-    array whose row j holds the coefficient at t[j], bit for bit the same as
-    a call at t[j] alone (the alpha ratios are Python scalars either way).
+    damping correction and the velocity reconstruction both need. Each is a
+    (times, nodes) array whose row j holds the coefficient at times[j]; the
+    alpha ratios are Python scalars per time, so row j does not depend on
+    the other times.
     """
-    if np.ndim(t) == 0:
-        g, inv_al2, g2, g_sq = _alpha_ratios(t, alpha)
-    else:
-        g, inv_al2, g2, g_sq = np.array([_alpha_ratios(s, alpha) for s in t]).T[..., None]
+    g, inv_al2, g2, g_sq = np.array([_alpha_ratios(t, alpha) for t in times]).T[..., None]
     drift = y * g
     c_yt = -2.0 * drift
     c_yy = drift * drift - inv_al2

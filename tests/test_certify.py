@@ -13,7 +13,6 @@ from mowave import (
     ConstantAlpha,
     ConstantBeta,
     DampingParams,
-    DecayCertificate,
     DegenerateDataError,
     EnergySeries,
     ExponentialBeta,
@@ -22,12 +21,11 @@ from mowave import (
     UnsupportedConfigError,
     build_certificate,
     check_decay_bound,
-    constant_C,
     fit_decay,
-    lambda_floor,
     lambda_window,
     window_edges,
 )
+from mowave.certify import DecayCertificate, constant_C, lambda_floor
 
 # root of lambda^3 - 2 lambda^2 + 4 lambda - 2 = 0, the binding cross-term
 # condition at a = b = 1 (frozen; re-derived independently in the acceptance

@@ -2,14 +2,15 @@
 
 import csv
 import math
-import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mowave.energy
 from mowave import (
     AffineAlpha,
     ConfigError,
@@ -26,15 +27,12 @@ from mowave import (
     SineMode,
     SnapshotIntegrals,
     boundary_flux,
-    energy,
     energy_rate_residual,
-    first_derivative,
     multiplier_identity_residual,
     simulate,
     snapshot_integrals,
-    write_energy_csv,
-    write_identity_csv,
 )
+from mowave.energy import first_derivative, write_energy_csv, write_identity_csv
 
 
 def make_spec(**kw):
@@ -47,6 +45,13 @@ def make_spec(**kw):
     )
     base.update(kw)
     return ProblemSpec(**base)
+
+
+def one_snapshot_energy(state, spec, grid, paper_literal=False):
+    """Energy and its addends at one state, as floats: the one-snapshot EnergySeries."""
+    table = snapshot_integrals(spec, grid, [state.t], state.v[None], state.w[None])
+    series = EnergySeries.from_table(table, spec, paper_literal)
+    return SimpleNamespace(**{f.name: float(getattr(series, f.name)[0]) for f in fields(EnergySeries)})
 
 
 def sine_state(grid, amp=1.0, t=0.0):
@@ -84,7 +89,7 @@ class TestEnergy:
     def test_zero_state_is_zero(self):
         g = Grid(16)
         z = np.zeros(17)
-        s = energy(ReferenceState(0.0, z, z), make_spec(), g)
+        s = one_snapshot_energy(ReferenceState(0.0, z, z), make_spec(), g)
         assert s.E == 0.0
         assert s.kinetic == s.gradient == s.restoring == s.nonlinear == 0.0
         assert s.flux == 0.0
@@ -94,7 +99,7 @@ class TestEnergy:
         # E = pi^2/4 + 1/4 + (1/4) int sin^4 = pi^2/4 + 1/4 + 3/32
         g = Grid(200)
         exact = np.pi**2 / 4.0 + 0.25 + 3.0 / 32.0
-        s = energy(sine_state(g), make_spec(), g)
+        s = one_snapshot_energy(sine_state(g), make_spec(), g)
         assert s.E == pytest.approx(exact, rel=5e-4)
         assert s.kinetic == 0.0
         assert s.gradient == pytest.approx(np.pi**2 / 4.0, rel=5e-4)
@@ -104,15 +109,15 @@ class TestEnergy:
     def test_quadratic_scaling_of_linear_part(self):
         g = Grid(100)
         spec = make_spec(linear_mode=True)
-        e1 = energy(sine_state(g, amp=1.0), spec, g)
-        e2 = energy(sine_state(g, amp=2.0), spec, g)
+        e1 = one_snapshot_energy(sine_state(g, amp=1.0), spec, g)
+        e2 = one_snapshot_energy(sine_state(g, amp=2.0), spec, g)
         assert e2.E == pytest.approx(4.0 * e1.E, rel=1e-12)
 
     def test_paper_literal_restoring_weight(self):
         g = Grid(100)
         spec = make_spec(damping=DampingParams(a=1.0, b=3.0, rho=2.0))
-        exact = energy(sine_state(g), spec, g)
-        literal = energy(sine_state(g), spec, g, paper_literal=True)
+        exact = one_snapshot_energy(sine_state(g), spec, g)
+        literal = one_snapshot_energy(sine_state(g), spec, g, paper_literal=True)
         assert literal.restoring == pytest.approx(exact.restoring / 3.0, rel=1e-12)
         assert literal.kinetic == exact.kinetic
         assert literal.gradient == exact.gradient
@@ -123,8 +128,8 @@ class TestEnergy:
         # restoring integral doubles (dx = alpha dy)
         g = Grid(100)
         spec = make_spec(alpha=AffineAlpha(k=0.5), linear_mode=True)
-        s0 = energy(sine_state(g, t=0.0), spec, g)
-        s2 = energy(sine_state(g, t=2.0), spec, g)
+        s0 = one_snapshot_energy(sine_state(g, t=0.0), spec, g)
+        s2 = one_snapshot_energy(sine_state(g, t=2.0), spec, g)
         assert s2.restoring == pytest.approx(2.0 * s0.restoring, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -139,7 +144,7 @@ class TestEnergy:
         spec = make_spec(alpha=alpha)
         v = amp * np.sin(mode * np.pi * g.y)
         w = amp * np.cos(3 * np.pi * g.y) * g.y * (1 - g.y)
-        s = energy(ReferenceState(t, v, w), spec, g)
+        s = one_snapshot_energy(ReferenceState(t, v, w), spec, g)
         assert s.kinetic >= 0.0
         assert s.gradient >= 0.0
         assert s.restoring >= 0.0
@@ -184,7 +189,7 @@ def forced_run(horizon=2.0, sample_every=1):
 
 class TestSnapshotIntegrals:
     def test_matches_per_snapshot_oracle_across_blocks(self):
-        from mowave import manufactured_forcing
+        from mowave.solver import manufactured_forcing
 
         traj = forced_run()
         assert len(traj.times) > 2 * 64  # several blocks, the last one partial
@@ -196,7 +201,7 @@ class TestSnapshotIntegrals:
             v_y = np.gradient(v, g.dy, edge_order=2)
             u_t = w - g.y * (ap / al) * v_y
             u_x = v_y / al
-            f = forcing(g.y, t)
+            f = forcing(g.y, [t])[0]
             weights = g.quad_weights * al
             oracle = {
                 "ut2": weights @ u_t**2, "ux2": weights @ u_x**2, "u2": weights @ v**2,
@@ -218,7 +223,7 @@ class TestSnapshotIntegrals:
         spec = traj.spec
         series = EnergySeries.from_trajectory(traj)
         for k, state in enumerate(zip(traj.times, traj.V, traj.W)):
-            sample = energy(ReferenceState(*state), spec, traj.grid)
+            sample = one_snapshot_energy(ReferenceState(*state), spec, traj.grid)
             for name in ("t", "E", "kinetic", "gradient", "restoring", "nonlinear", "flux"):
                 assert getattr(sample, name) == pytest.approx(getattr(series, name)[k], rel=1e-14, abs=1e-300)
             assert boundary_flux(ReferenceState(*state), spec, traj.grid) == sample.flux
@@ -242,14 +247,13 @@ class TestSnapshotIntegrals:
             assert not shared.flags.writeable, field.name  # every check reads this one table
 
     def test_the_checks_of_a_run_share_one_pass(self, monkeypatch):
-        module = sys.modules["mowave.energy"]  # mowave.energy is the function
         passes = []
 
         def counted(spec, grid, times, V, W):
             passes.append(len(times))
             return snapshot_integrals(spec, grid, times, V, W)
 
-        monkeypatch.setattr(module, "snapshot_integrals", counted)
+        monkeypatch.setattr(mowave.energy, "snapshot_integrals", counted)
         traj = forced_run(sample_every=3)
         EnergySeries.from_trajectory(traj)
         EnergySeries.from_trajectory(traj, paper_literal=True)
@@ -329,7 +333,7 @@ class TestMultiplierIdentity:
         rep = multiplier_identity_residual(traj, 0.1, s)
         times = traj.times
         flux = np.array(
-            [energy(ReferenceState(*state), spec, traj.grid).flux for state in zip(traj.times, traj.V, traj.W)]
+            [one_snapshot_energy(ReferenceState(*state), spec, traj.grid).flux for state in zip(traj.times, traj.V, traj.W)]
         )
         expected = float(np.trapezoid(np.exp(s * times) * flux, times))
         assert rep.boundary_group == pytest.approx(expected, rel=1e-9, abs=1e-12)

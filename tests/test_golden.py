@@ -397,6 +397,14 @@ def test_validation_summary_is_frozen(name):
 _SINE_ZERO = {"variant": "sine", "m": 1, "amp_u0": 0.0, "amp_u1": 0.0}
 _MANUFACTURED = {"amp": 1.0, "rate": 1.0, "mode": 1}
 _README_SWEEP = {"base": README_CONFIG, "axes": {"mu": [0.1, 0.2]}}
+# E(0) = 4.95e307 is finite, C E(0) and the identity residuals are not
+_BOUND_OVERFLOW = dict(
+    README_CONFIG,
+    damping={"a": 1.0, "b": 1.0, "rho": 1e-6},
+    beta={"variant": "constant", "c": 1e-300},
+    init={"variant": "sine", "m": 1, "amp_u0": 4.1e153, "amp_u1": 0.0},
+    horizon=2.0,
+)
 
 
 def _cfg(**overrides):
@@ -477,6 +485,10 @@ CLI_FAILURES = {
                 horizon=0.5,
             )
         },
+    ),
+    "simulate-certificate-bound-overflow": (
+        ["simulate", "c.json", "--grid-n", "32", "--outdir", "out"],
+        {"c.json": _BOUND_OVERFLOW},
     ),
     # certify
     "certify-missing-file": (["certify", "missing.json"], {}),
@@ -577,13 +589,19 @@ CLI_FAILURES = {
         ["sweep", "s.json", "--sample-every", "1", "--outdir", "out"],
         {"s.json": _sweep(base=_cfg(horizon=1000.0))},
     ),
+    "sweep-cell-certificate-bound-overflow": (
+        ["sweep", "s.json", "--grid-n", "32", "--outdir", "out"],
+        {"s.json": _sweep(base=_BOUND_OVERFLOW, axes={"a": [1.0]})},
+    ),
 }
 
 # name -> (exit code, stdout, stderr), computed before the CLI commands raised
 # their errors for main to report, and kept verbatim; the repeated --grid-n
 # and the too-small --cfl rows were computed when those inputs were first rejected;
 # sweep-cells-over-snapshot-cap printed its line once per cell until an error
-# shared by every cell of a group came to be reported once
+# shared by every cell of a group came to be reported once; the two
+# certificate-bound-overflow rows were computed when that overflow was first
+# reported
 CLI_FAILURE_RESULTS = {
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -614,6 +632,7 @@ CLI_FAILURE_RESULTS = {
     'simulate-blowup-a2000': (3, '', 'mowave: solution blew up (non-finite values) at t=0.0333333\n'),
     'simulate-blowup-cfl': (3, '', 'mowave: solution blew up (non-finite values) at t=0.729167\n'),
     'simulate-certificate-overflow': (2, '', "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"),
+    'simulate-certificate-bound-overflow': (2, '', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'simulate-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'simulate-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 3.5e-323 gives no finite number of steps to T\n'),
     'simulate-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
@@ -633,6 +652,7 @@ CLI_FAILURE_RESULTS = {
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
     'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: solution blew up (non-finite values) at t=0.125\nmowave: solution blew up (non-finite values) at t=0.0833333\n"),
     'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
+    'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'sweep-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),

@@ -30,6 +30,15 @@ def reference_config(**overrides):
     return cfg
 
 
+# a finite run whose certificate curve C E(0) exp(-lambda t) overflows a double
+BOUND_OVERFLOW = reference_config(
+    damping={"a": 1.0, "b": 1.0, "rho": 1e-6},
+    beta={"variant": "constant", "c": 1e-300},
+    init={"variant": "sine", "m": 1, "amp_u0": 4.1e153, "amp_u1": 0.0},
+    horizon=2.0,
+)
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -174,21 +183,32 @@ class TestSimulate:
         assert blobs[0] == blobs[1]  # the counters repeat, like every other field
         assert verify_manifest(out1 / "manifest.json") == []
 
-    def test_infinite_energy_exits_2_without_outputs(self, tmp_path, capsys):
-        # the solution stays finite, but u_t^2 of amp 1e300 overflows the energy
-        cfg = reference_config(
-            damping={"a": 1.0, "b": 1.0, "rho": 0.01},
-            init={"variant": "sine", "m": 1, "amp_u0": 0.0, "amp_u1": 1e300},
-            horizon=0.5,
-        )
+    @pytest.mark.parametrize(
+        "cfg, grid_n, words",
+        [
+            # the solution stays finite, but u_t^2 of amp 1e300 overflows the energy
+            (
+                reference_config(
+                    damping={"a": 1.0, "b": 1.0, "rho": 0.01},
+                    init={"variant": "sine", "m": 1, "amp_u0": 0.0, "amp_u1": 1e300},
+                    horizon=0.5,
+                ),
+                "16",
+                "energy overflows a double, first at t = 0,",
+            ),
+            (BOUND_OVERFLOW, "32", "the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow"),
+        ],
+        ids=["energy", "certificate-bound"],
+    )
+    def test_overflow_of_a_finite_run_exits_2_without_outputs(self, tmp_path, capsys, cfg, grid_n, words):
         outdir = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["simulate", write_config(tmp_path, cfg), "--grid-n", "16", "--outdir", str(outdir)])
+            code = main(["simulate", write_config(tmp_path, cfg), "--grid-n", grid_n, "--outdir", str(outdir)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("mowave: ") and err.count("\n") == 1
-        assert "energy overflows a double, first at t = 0," in err
+        assert words in err
         assert not outdir.exists()
 
 
@@ -516,6 +536,19 @@ class TestBatchedSweep:
             "on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_certificate_bound_overflow_fails_its_cells_not_the_sweep(self, tmp_path, capsys, jobs):
+        cfg = {"base": BOUND_OVERFLOW, "axes": {"a": [1.0, 2.0]}}
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", write_config(tmp_path, cfg), "--grid-n", "32", "--jobs", jobs, "--outdir", str(outdir)])
+        assert code == 0
+        with open(outdir / "sweep.csv", newline="") as fh:
+            assert [r["exit"] for r in csv.DictReader(fh)] == ["2", "2"]
+        assert [list(cell.iterdir()) for cell in sorted(outdir.glob("cell_*"))] == [[], []]
+        if jobs == "1":  # a pool worker's stderr is not captured here
+            err = capsys.readouterr().err
+            assert err.count("\n") == 2 and err.count("certificate bound C E(0) exp(-lambda t)") == 2
+
     @pytest.mark.parametrize(
         "flag, value", [("--sample-every", "0"), ("--grid-n", "4"), ("--cfl", "-1")]
     )
@@ -651,7 +684,7 @@ def test_rejected_simulate_leaves_no_outdir(tmp_path, capsys, extra, cfg):
 
 
 def test_run_simulation_returns_the_manifest_checks_from_one_pass(tmp_path, monkeypatch):
-    energy = sys.modules["mowave.energy"]
+    energy = mowave.energy
     passes = []
 
     def counted(*args):

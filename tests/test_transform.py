@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mowave import (
-    AffineAlpha,
-    ConstantAlpha,
-    MowaveError,
-    SaturatingAlpha,
-    coefficient_grids,
-    hyperbolicity_check,
-)
+from mowave import AffineAlpha, ConstantAlpha, MowaveError, SaturatingAlpha
+from mowave.transform import coefficient_grids, hyperbolicity_check
+
 
 def point_coefficients(y, t, fam):
-    """coefficient_grids at one scalar point, by name."""
-    return SimpleNamespace(**dict(zip(("c_yt", "c_yy", "c_y", "drift"), coefficient_grids(y, t, fam))))
+    """coefficient_grids at one node y and one time t, by name, as floats."""
+    grids = coefficient_grids(np.array([y]), [t], fam)
+    return SimpleNamespace(**{name: float(c[0, 0]) for name, c in zip(("c_yt", "c_yy", "c_y", "drift"), grids)})
 
 
 alphas = st.one_of(
@@ -84,7 +80,7 @@ class TestTransformedCoefficients:
     def test_grid_helper_matches_pointwise(self):
         fam = SaturatingAlpha(0.5, 1.0)
         y = np.linspace(0.0, 1.0, 11)
-        c_yt, c_yy, c_y, drift = coefficient_grids(y, 0.3, fam)
+        c_yt, c_yy, c_y, drift = (c[0] for c in coefficient_grids(y, [0.3], fam))
         al, ap, _ = fam.eval(0.3)
         for i, yi in enumerate(y):
             tc = point_coefficients(float(yi), 0.3, fam)
@@ -99,9 +95,9 @@ class TestTransformedCoefficients:
         times = [0.0, 0.013, 0.5, 1.7, 9.25]
         together = coefficient_grids(y, times, fam)
         for j, t in enumerate(times):
-            for block, alone in zip(together, coefficient_grids(y, t, fam)):
-                assert block.shape == (len(times), y.size)
-                assert block[j].tobytes() == alone.tobytes()
+            for block, alone in zip(together, coefficient_grids(y, [t], fam)):
+                assert block.shape == (len(times), y.size) and alone.shape == (1, y.size)
+                assert block[j].tobytes() == alone[0].tobytes()
 
 
 class TestHyperbolicity:
