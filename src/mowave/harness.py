@@ -32,10 +32,12 @@ directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
 sweep groups its cells by solver.batch_key (alpha, rho, horizon,
-linear_mode, forced or not), cuts each group into batches of at most
-ceil(cells/jobs) rows and of no more rows than the snapshot cap holds
-together, and solves every batch as one state (solver.simulate_batch), in
-a pool of min(jobs, batches) processes when that is more than one. Each row then goes through
+linear_mode, forced or not, and the step that solver.step_plan gives the
+cell, which the damping and reaction bounds can make its own), cuts each
+group into batches of at most ceil(cells/jobs) rows and of no more rows
+than the snapshot cap holds together, and solves every batch as one state
+(solver.simulate_batch), in a pool of min(jobs, batches) processes when
+that is more than one. Each row then goes through
 the same run_simulation tail as a single run; rows are merged back in cell
 order. Batch rows are bit-identical to single runs, so neither --jobs nor
 the batch sizes change any output byte. --jobs must be at least 1.
@@ -83,6 +85,8 @@ from .solver import (
     simulate,
     simulate_batch,
     snapshot_bytes,
+    step_plan,
+    step_size,
 )
 from .svgplot import write_decay_svg
 
@@ -189,7 +193,7 @@ def run_simulation(
     spec: ProblemSpec,
     outdir: Path,
     grid_n: int = 200,
-    cfl: float = 0.5,
+    cfl: float = 1.0,
     sample_every: int = 10,
     paper_literal: bool = False,
     write_trajectory: bool = False,
@@ -255,8 +259,9 @@ def run_simulation(
 
     bound_report = None
     if cert is not None:
+        # the allowance 10 dt^2 rate_residual at a step no larger than h0: it may not grow with --cfl
         bound_report = check_decay_bound(
-            series_exact, cert, dt=traj.dt, rate_residual=identity.residual_rate
+            series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
         )
     try:
         lambda_fit = fit_decay(series_exact).lambda_fit
@@ -297,11 +302,14 @@ def run_simulation(
         "rate_residual": identity.residual_rate,
         "exit_code": exit_code,
     }
+    plan = step_plan(spec, traj.grid, sample_every, cfl)
     grid_info = {
         "n": grid_n,
         "cfl": cfl,
         "dt": traj.dt,
+        "dt_bound": plan.bound,
         "sample_every": sample_every,
+        "steps_per_snapshot": plan.per_snapshot,
         "snapshots": len(traj.times),
         "steps": traj.steps,
         "rhs_evals": 4 * traj.steps,
@@ -561,8 +569,9 @@ def cmd_sweep(args) -> int:
         base = spec_from_dict(sweep_cfg["base"])
     except ConfigError as exc:
         raise ConfigError(f"sweep base config invalid: {exc}") from exc
-    # --grid-n, --sample-every and --cfl hold for every cell alike
-    snapshot_bytes(base, Grid(args.grid_n), args.sample_every, args.cfl)
+    # --grid-n, --sample-every and --cfl hold for every cell alike; the stiffness bounds are per cell
+    grid = Grid(args.grid_n)
+    step_plan(base, grid, args.sample_every, args.cfl, stiff=False)
 
     names = sorted(axes)
     value_lists = []
@@ -589,12 +598,13 @@ def cmd_sweep(args) -> int:
             cfg[section][field] = value
         try:
             spec = spec_from_dict(cfg)
+            key = batch_key(spec, grid, args.sample_every, args.cfl)
         except ConfigError as exc:
             rows.append(_sweep_row(cfg, _fail(exc)))
             continue
         rows.append(None)  # filled in from the cell's batch
         cell = {"index": idx, "config": cfg, "spec": spec}
-        groups.setdefault(batch_key(spec), []).append(cell)
+        groups.setdefault(key, []).append(cell)
 
     outdir = _outdir(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -647,6 +657,10 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+_CFL_HELP = "upper bound on the CFL number; the damping and reaction bounds may lower it (default 1.0)"
+_SAMPLE_HELP = "snapshot interval in units of h0 = dy / (2 s_max), the step at CFL 0.5 (default 10)"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every main call; do not modify it."""
@@ -659,8 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one config and write outputs")
     sim.add_argument("config", help="path to a JSON problem config")
     sim.add_argument("--grid-n", type=int, default=200, help="grid intervals N (default 200)")
-    sim.add_argument("--cfl", type=float, default=0.5, help="CFL number (default 0.5)")
-    sim.add_argument("--sample-every", type=int, default=10, help="snapshot stride (default 10)")
+    sim.add_argument("--cfl", type=float, default=1.0, help=_CFL_HELP)
+    sim.add_argument("--sample-every", type=int, default=10, help=_SAMPLE_HELP)
     sim.add_argument("--outdir", default=None, help="output directory (default $MOWAVE_OUTDIR or .)")
     sim.add_argument("--trajectory", action="store_true", help="also write trajectory.csv")
     sim.add_argument(
@@ -681,15 +695,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="50,100,200",
         help="comma-separated grid sizes (default 50,100,200)",
     )
-    conv.add_argument("--cfl", type=float, default=0.5, help="CFL number (default 0.5)")
+    conv.add_argument("--cfl", type=float, default=1.0, help=_CFL_HELP)
     conv.set_defaults(func=cmd_convergence)
 
     swp = sub.add_parser("sweep", help="Cartesian parameter sweep, one directory per cell")
     swp.add_argument("config", help="path to a JSON sweep config ({base, axes})")
     swp.add_argument("--jobs", type=int, default=1, help="concurrent cells (default 1)")
     swp.add_argument("--grid-n", type=int, default=200, help="grid intervals N (default 200)")
-    swp.add_argument("--cfl", type=float, default=0.5, help="CFL number (default 0.5)")
-    swp.add_argument("--sample-every", type=int, default=10, help="snapshot stride (default 10)")
+    swp.add_argument("--cfl", type=float, default=1.0, help=_CFL_HELP)
+    swp.add_argument("--sample-every", type=int, default=10, help=_SAMPLE_HELP)
     swp.add_argument("--outdir", default=None, help="output directory (default $MOWAVE_OUTDIR or .)")
     swp.set_defaults(func=cmd_sweep)
 

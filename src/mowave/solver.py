@@ -8,15 +8,28 @@ system in (v, w) = (v, v_t) on the uniform reference grid y_i = i/N:
           - a (w - (y alpha'/alpha) D v) - b v - beta(t) |v|^rho v + f
 
 with D the central first-difference and D2 the central second-difference.
-Time stepping is classical four-stage Runge-Kutta with a fixed step chosen
-from the characteristic speed bound s_max = 1 + sup alpha' (the last step is
-shortened to land exactly on T). Only interior nodes are ever written, so
-the Dirichlet rows stay exactly zero.
+Time stepping is classical four-stage Runge-Kutta with a fixed step (the
+last step is shortened to land exactly on T). Only interior nodes are ever
+written, so the Dirichlet rows stay exactly zero.
+
+step_plan picks the step. Snapshots lie on a time grid that does not depend
+on it: one every sample_every h0, where h0 = dy / (2 s_max) is the wave step
+at cfl 0.5 and s_max = 1 + sup alpha' bounds the characteristic speeds. The
+step is capped by the smallest of three bounds, each written as a cfl:
+
+    wave      dt <= cfl dy / s_max                       (cfl from the caller)
+    damping   a dt <= 2.5                                (RK4's real-axis limit is 2.785)
+    reaction  dt sqrt(b + (rho+1) beta(0) |v0|^rho) <= 1.4   (v0 the initial state)
+
+and then shortened so that m = ceil(sample_every / (2 c)) whole steps fill a
+snapshot interval. At cfl 0.5 that is m = sample_every steps of the cfl 0.5
+step, and at cfl 1.0 with an even sample_every m = sample_every / 2 steps of
+the cfl 1.0 step, bit for bit.
 
 The kernel advances a (rows, N+1) state: simulate_batch solves several
-specs with one batch_key (alpha, rho, horizon and linear_mode, hence dt,
-the step count and the stage times, and all forced or all unforced) in one
-loop, and simulate is its batch of one.
+specs with one batch_key (alpha, rho, horizon, linear_mode, all forced or
+all unforced, and one step and snapshot stride, hence one step count and
+one set of stage times) in one loop, and simulate is its batch of one.
 a, b, beta(t) and the source are per-row columns (a and b plain floats
 when every row shares them). Every operation is
 elementwise per row, so a row's bits never depend on its neighbours; rho is
@@ -60,7 +73,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -71,6 +84,8 @@ from .transform import coefficient_grids, hyperbolicity_check
 
 SNAPSHOT_CAP_BYTES = 256 * 2**20
 _BLOCK = 32  # steps per stage table of simulate_batch; bounds the table's memory
+DAMPING_LIMIT = 2.5  # a dt at most this: RK4's real-axis stability limit is 2.785
+REACTION_LIMIT = 1.4  # dt sqrt(b + (rho+1) beta(0) |v0|^rho) at most this: RK4's imaginary-axis limit is 2 sqrt 2
 
 
 def simpson_weights(n: int, dy: float) -> np.ndarray:
@@ -213,16 +228,108 @@ def initialize(spec: ProblemSpec, grid: Grid) -> ReferenceState:
 
 
 def step_size(spec: ProblemSpec, grid: Grid, cfl: float = 0.5) -> float:
-    """Fixed stable step dt = CFL dy / s_max with s_max = 1 + sup alpha'.
+    """The wave step dt = CFL dy / s_max with s_max = 1 + sup alpha'.
 
     The transformed characteristic speeds satisfy |y alpha' +/- 1|/alpha
     <= 1 + sup alpha' (alpha >= 1), so the bound is uniform in t and the
-    step never needs adapting.
+    step never needs adapting. step_plan caps it further where a or the
+    reaction is stiff.
     """
     if not (cfl > 0.0) or not math.isfinite(cfl):
         raise ConfigError(f"cfl must be positive and finite, got {cfl!r}")
-    s_max = 1.0 + max(spec.alpha.sup_prime(), 0.0)
-    return cfl * grid.dy / s_max
+    return cfl * grid.dy / _s_max(spec)
+
+
+def _s_max(spec: ProblemSpec) -> float:
+    return 1.0 + max(spec.alpha.sup_prime(), 0.0)
+
+
+class StepPlan(NamedTuple):
+    """How a run steps from 0 to T: the fixed step dt, the number of steps,
+    the steps between two snapshots, and the bound that sets dt: "wave"
+    (--cfl), "damping" or "reaction"."""
+
+    dt: float
+    steps: int
+    per_snapshot: int
+    bound: str
+
+
+def _reaction_rate(spec: ProblemSpec, grid: Grid) -> float:
+    """sqrt(b + (rho+1) beta(0) |v0|^rho), v0 the state initialize returns;
+    sqrt(b) in linear mode. A term that is not positive, or a rho that is
+    not (an inadmissible spec), is left out; a term past the doubles makes
+    the rate infinite."""
+    b, rho = spec.damping.b, spec.damping.rho
+    rate2 = b if b > 0.0 else 0.0
+    if not spec.linear_mode and rho > 0.0:
+        peak = float(np.max(np.abs(initialize(spec, grid).v)))
+        try:
+            term = (rho + 1.0) * spec.beta.eval(0.0)[0] * peak**rho
+        except OverflowError:
+            term = math.inf
+        if term > 0.0:
+            rate2 += term
+    return math.sqrt(rate2)
+
+
+def _stiffness_bounds(spec: ProblemSpec, grid: Grid) -> list[tuple[float, str, str]]:
+    """(cfl, bound, who) of the damping bound a dt <= DAMPING_LIMIT and the
+    reaction bound dt rate <= REACTION_LIMIT, each as the cfl at which dt
+    reaches it; who names the bound in an error."""
+    per_dt = _s_max(spec) / grid.dy  # cfl per unit of dt
+    bounds = []
+    a = spec.damping.a
+    if a > 0.0:
+        bounds.append((DAMPING_LIMIT / a * per_dt, "damping", f"damping a = {a!r} is too stiff"))
+    rate = _reaction_rate(spec, grid)
+    if rate > 0.0:
+        who = f"reaction rate sqrt(b + (rho+1) beta(0) |v0|^rho) = {rate:.6g} is too stiff"
+        bounds.append((REACTION_LIMIT / rate * per_dt, "reaction", who))
+    return bounds
+
+
+def _steps_to(horizon: float, dt: float, who: str) -> int:
+    """The steps of size dt from 0 to the horizon; at most 2**53, past which
+    the step times (k + 1) * dt of _block are no longer exact."""
+    if dt == 0.0 or not math.isfinite(horizon / dt):
+        raise ConfigError(f"{who}: dt = {dt!r} gives no finite number of steps to T")
+    nsteps = _steps(horizon, dt)
+    if nsteps > 2**53:
+        raise ConfigError(
+            f"{who}: dt = {dt!r} gives about {horizon / dt:.3g} steps to T, "
+            "more than the 2**53 whose step times stay exact"
+        )
+    return nsteps
+
+
+def step_plan(
+    spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5, stiff: bool = True
+) -> StepPlan:
+    """The step, the step count and the snapshot stride of one run.
+
+    Snapshots are sample_every h0 apart in time, h0 = step_size at cfl 0.5,
+    whatever the step. The step is capped at the cfl c, the smallest of cfl
+    and (when stiff) the damping and reaction bounds, and divides a snapshot
+    interval into m = ceil(sample_every / (2 c)) whole steps: dt =
+    step_size(cfl = sample_every / (2 m)). At cfl 0.5 that is m =
+    sample_every and the cfl 0.5 step, bit for bit. Raises ConfigError,
+    naming the binding bound, when dt gives no finite step count or more
+    than 2**53 steps.
+    """
+    if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
+        raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
+    step_size(spec, grid, cfl)  # rejects a cfl that is not positive and finite
+    c, bound, who = cfl, "wave", f"cfl {cfl!r} is too small"
+    if stiff:
+        for limit, name, what in _stiffness_bounds(spec, grid):
+            if limit < c:
+                c, bound, who = limit, name, what
+    _steps_to(spec.horizon, step_size(spec, grid, c) if c > 0.0 else 0.0, who)  # dt at the cap
+    num, den = c.as_integer_ratio()
+    m = -(-sample_every * den // (2 * num))  # ceil(sample_every / (2 c)), exact for any sample_every
+    dt = step_size(spec, grid, sample_every / (2 * m))
+    return StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +342,12 @@ def _column(values: list) -> float | np.ndarray:
     return values[0] if len({repr(v) for v in values}) == 1 else np.array(values)[:, None]
 
 
-def batch_key(spec: ProblemSpec) -> tuple:
+def batch_key(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> tuple:
     """What rows of one simulate_batch call share: alpha, rho, horizon,
-    linear_mode, and whether a manufactured source is present."""
-    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, spec.source is not None)
+    linear_mode, whether a manufactured source is present, and the step and
+    snapshot stride of their step_plan."""
+    dt, _, per_snapshot, _ = step_plan(spec, grid, sample_every, cfl)
+    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, spec.source is not None, dt, per_snapshot)
 
 
 class _Source:
@@ -460,30 +569,13 @@ def _steps(horizon: float, dt: float) -> int:
     return int(math.ceil(horizon / dt - 1e-12))
 
 
-def _step_count(spec: ProblemSpec, grid: Grid, cfl: float) -> tuple[float, int]:
-    """The fixed step dt and the number of steps from 0 to T.
-
-    At most 2**53 steps: past that, the step times (k + 1) * dt of _block
-    are no longer exact.
-    """
-    dt = step_size(spec, grid, cfl)
-    if dt == 0.0 or not math.isfinite(spec.horizon / dt):
-        raise ConfigError(f"cfl {cfl!r} is too small: dt = {dt!r} gives no finite number of steps to T")
-    nsteps = _steps(spec.horizon, dt)
-    if nsteps > 2**53:
-        raise ConfigError(
-            f"cfl {cfl!r} is too small: dt = {dt!r} gives about {spec.horizon / dt:.3g} steps to T, "
-            "more than the 2**53 whose step times stay exact"
-        )
-    return dt, nsteps
-
-
 def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> int:
     """Estimated bytes of the snapshots one row of spec stores (v and w)."""
-    if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
-        raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
-    _, nsteps = _step_count(spec, grid, cfl)
-    return (nsteps // sample_every + 2) * 2 * (grid.n + 1) * 8
+    return _plan_bytes(step_plan(spec, grid, sample_every, cfl), grid)
+
+
+def _plan_bytes(plan: StepPlan, grid: Grid) -> int:
+    return (plan.steps // plan.per_snapshot + 2) * 2 * (grid.n + 1) * 8
 
 
 def check_snapshot_cap(est_bytes: int, cap: int = SNAPSHOT_CAP_BYTES) -> None:
@@ -525,26 +617,25 @@ def simulate_batch(
 ) -> list:
     """Advance several specs from 0 to T as one (rows, N+1) state.
 
-    The specs must have one batch_key: they share alpha, rho, horizon and
-    linear_mode, and with them dt, the step count and the stage times, and
-    are all forced or all unforced; a, b, beta and the source may differ.
-    Classical RK4 at fixed dt; snapshots are recorded at t = 0, every
-    sample_every steps, and at t = T. Every operation is elementwise per
-    row, so each row is bit-identical to its run alone.
+    The admissible specs must have one batch_key: they share alpha, rho,
+    horizon and linear_mode, and with them the stage times, are all forced
+    or all unforced, and share the step and snapshot stride of their
+    step_plan; a, b, beta and the source may differ. Classical RK4 at
+    fixed dt; snapshots are recorded at t = 0, every sample_every h0 of
+    time (every step_plan per_snapshot steps), and at t = T. Every
+    operation is elementwise per row, so each row is bit-identical to its
+    run alone.
 
     Returns one Trajectory per spec, or the row's error: ValidationError if
     the spec fails the admissibility checks, BlowUpError once the row left
     the finite range (it is then dropped and the others carry on). Raises
-    ConfigError if the specs differ in batch_key, and ResourceLimitError if
-    the snapshots of all admissible rows together would exceed the cap.
+    ConfigError if the admissible specs differ in batch_key or have no step
+    plan, and ResourceLimitError if the snapshots of all admissible rows
+    together would exceed the cap.
     """
     specs = list(specs)
     if not specs:
         raise ConfigError("simulate_batch needs at least one spec")
-    if any(batch_key(spec) != batch_key(specs[0]) for spec in specs):
-        raise ConfigError(
-            "simulate_batch: rows must share alpha, rho, horizon, linear_mode and being forced"
-        )
     results: list = [None] * len(specs)
     for i, spec in enumerate(specs):
         report = validate_assumptions(spec)
@@ -553,16 +644,23 @@ def simulate_batch(
     live = [i for i, result in enumerate(results) if result is None]  # spec index of each state row
     if not live:
         return results
-    hyperbolicity_check(specs[0].alpha, specs[0].horizon)
-    check_snapshot_cap(len(live) * snapshot_bytes(specs[0], grid, sample_every, cfl), snapshot_cap_bytes)
+    lead = specs[live[0]]
+    key = batch_key(lead, grid, sample_every, cfl)
+    if any(batch_key(specs[r], grid, sample_every, cfl) != key for r in live[1:]):
+        raise ConfigError(
+            "simulate_batch: rows must share alpha, rho, horizon, linear_mode, being forced and the step"
+        )
+    hyperbolicity_check(lead.alpha, lead.horizon)
+    plan = step_plan(lead, grid, sample_every, cfl)
+    check_snapshot_cap(len(live) * _plan_bytes(plan, grid), snapshot_cap_bytes)
 
-    T = specs[0].horizon
-    dt, nsteps = _step_count(specs[0], grid, cfl)
+    T = lead.horizon
+    dt, nsteps, stride, _ = plan
     rows = _Rows([specs[r] for r in live], grid)
     firsts = [initialize(specs[r], grid) for r in live]
     bufs, stages = _stages(np.array([[first.v for first in firsts], [first.w for first in firsts]]))
-    # snapshots at t = 0, after every sample_every-th step and after the last
-    nsnap = 1 + nsteps // sample_every + (nsteps % sample_every != 0)
+    # snapshots at t = 0, after every stride-th step and after the last
+    nsnap = 1 + nsteps // stride + (nsteps % stride != 0)
     times = np.zeros(nsnap)
     snaps = {r: np.empty((2, nsnap, grid.n + 1)) for r in live}  # (V, W) of each row
     for i, r in enumerate(live):
@@ -610,7 +708,7 @@ def simulate_batch(
                     # the remaining rows go on from fresh buffers and a fresh table
                     bufs, stages = _stages(z1[:, ~bad])
                     rows = _Rows([specs[r] for r in live], grid)
-                if k % sample_every == 0 or k == nsteps:
+                if k % stride == 0 or k == nsteps:
                     times[taken] = t
                     for i, r in enumerate(live):
                         snaps[r][:, taken] = bufs[0, 0:2, i]

@@ -431,10 +431,6 @@ CLI_FAILURES = {
         ["simulate", "c.json", "--outdir", "out"],
         {"c.json": _cfg(beta={"variant": "exponential", "beta0": 1.0, "mu": 1000.0}, init=_SINE_ZERO, horizon=1.0)},
     ),
-    "simulate-blowup-a2000": (
-        ["simulate", "c.json", "--grid-n", "100", "--outdir", "out"],
-        {"c.json": _cfg(damping={"a": 2000.0, "b": 1.0, "rho": 1.0})},
-    ),
     "simulate-blowup-cfl": (
         ["simulate", "c.json", "--grid-n", "64", "--cfl", "10.0", "--outdir", "out"],
         {"c.json": _cfg(horizon=1.0)},
@@ -460,6 +456,14 @@ CLI_FAILURES = {
     "simulate-cfl-steps-past-2-53": (
         ["simulate", "c.json", "--cfl", "1e-300", "--outdir", "out"],
         {"c.json": README_CONFIG},
+    ),
+    "simulate-damping-steps-past-2-53": (
+        ["simulate", "c.json", "--outdir", "out"],
+        {"c.json": _cfg(damping={"a": 1e20, "b": 1.0, "rho": 1.0})},
+    ),
+    "simulate-reaction-steps-past-2-53": (
+        ["simulate", "c.json", "--outdir", "out"],
+        {"c.json": _cfg(damping={"a": 1.0, "b": 1.0, "rho": 3.0}, init={"variant": "sine", "m": 1, "amp_u0": 1e12, "amp_u1": 0.0})},
     ),
     "simulate-sample-every": (
         ["simulate", "c.json", "--sample-every", "0", "--outdir", "out"],
@@ -585,6 +589,10 @@ CLI_FAILURES = {
         ["sweep", "s.json", "--grid-n", "16", "--outdir", "out"],
         {"s.json": _sweep(base=_cfg(horizon=0.5), axes={"a": [-1.0, 2000.0], "mu": [0.1, 1000.0]})},
     ),
+    "sweep-cell-damping-steps-past-2-53": (
+        ["sweep", "s.json", "--grid-n", "16", "--outdir", "out"],
+        {"s.json": _sweep(base=_cfg(horizon=0.5), axes={"a": [1.0, 1e20]})},
+    ),
     "sweep-cells-over-snapshot-cap": (
         ["sweep", "s.json", "--sample-every", "1", "--outdir", "out"],
         {"s.json": _sweep(base=_cfg(horizon=1000.0))},
@@ -601,7 +609,9 @@ CLI_FAILURES = {
 # sweep-cells-over-snapshot-cap printed its line once per cell until an error
 # shared by every cell of a group came to be reported once; the two
 # certificate-bound-overflow rows were computed when that overflow was first
-# reported
+# reported; convergence-blowup-a2000, simulate-blowup-cfl and sweep-cells-fail
+# changed, and simulate-blowup-a2000 left the table (it exits 0), when the step
+# came to be capped by the damping and reaction bounds and --cfl defaulted to 1.0
 CLI_FAILURE_RESULTS = {
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -615,7 +625,7 @@ CLI_FAILURE_RESULTS = {
     'certify-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'convergence-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: AffineAlpha: alpha' = -0.1 < 0, domain must be expanding\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'convergence-beta-T': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[FAIL] beta(T): mu T = 1000, log beta(T) = 1000, log beta'(T) = 1006.91; the largest double is e^709.783\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 1\n"),
-    'convergence-blowup-a2000': (3, '', 'mowave: solution blew up (non-finite values) at t=0.04\n'),
+    'convergence-blowup-a2000': (6, 'manufactured solution_error N=100->N=200 order 1.999\nmanufactured rate_residual N=100->N=200 order 1.508\nmanufactured plu_residual N=100->N=200 order 2.542\nmodal solution_error N=100->N=200 order 1.999\nmodal rate_residual N=100->N=200 order 1.963\nmodal plu_residual N=100->N=200 order 1.960\nminimum observed order 1.508\n', 'mowave: observed order 1.508 below 1.8\n'),
     'convergence-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'convergence-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 1.33e-322 gives no finite number of steps to T\n'),
     'convergence-grid-n-not-integers': (2, '', "mowave: --grid-n expects a comma-separated integer list, got '50,x'\n"),
@@ -629,14 +639,15 @@ CLI_FAILURE_RESULTS = {
     'simulate-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: AffineAlpha: requires sup α'(t)<1, got sup alpha' = 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ExponentialBeta: mu = -0.5 < 0 makes beta decreasing\n[pass] beta(T): beta(T) = 0.00673795, beta'(T) = -0.00336897 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-beta-T': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[FAIL] beta(T): mu T = 1000, log beta(T) = 1000, log beta'(T) = 1006.91; the largest double is e^709.783\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 1\n"),
-    'simulate-blowup-a2000': (3, '', 'mowave: solution blew up (non-finite values) at t=0.0333333\n'),
-    'simulate-blowup-cfl': (3, '', 'mowave: solution blew up (non-finite values) at t=0.729167\n'),
+    'simulate-blowup-cfl': (3, '', 'mowave: solution blew up (non-finite values) at t=0.520833\n'),
     'simulate-certificate-overflow': (2, '', "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"),
     'simulate-certificate-bound-overflow': (2, '', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'simulate-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'simulate-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 3.5e-323 gives no finite number of steps to T\n'),
     'simulate-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'simulate-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),
+    'simulate-damping-steps-past-2-53': (2, '', 'mowave: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 4e+20 steps to T, more than the 2**53 whose step times stay exact\n'),
+    'simulate-reaction-steps-past-2-53': (2, '', 'mowave: reaction rate sqrt(b + (rho+1) beta(0) |v0|^rho) = 2e+18 is too stiff: dt = 7e-19 gives about 1.43e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
     'simulate-energy-overflow': (2, '', 'mowave: the energy overflows a double, first at t = 0, although the solution stays finite; no outputs written\n'),
     'simulate-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'simulate-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
@@ -650,7 +661,8 @@ CLI_FAILURE_RESULTS = {
     'sweep-axis-not-a-list': (2, '', "mowave: sweep axis 'mu' must be a nonempty list\n"),
     'sweep-axis-not-a-number': (2, '', "mowave: sweep axis 'mu': expected a number, got None\n"),
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
-    'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: solution blew up (non-finite values) at t=0.125\nmowave: solution blew up (non-finite values) at t=0.0833333\n"),
+    'sweep-cell-damping-steps-past-2-53': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
+    'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: solution blew up (non-finite values) at t=0.0261976\n"),
     'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
     'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),

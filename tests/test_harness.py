@@ -176,8 +176,9 @@ class TestSimulate:
         _, out2 = run_simulate(tmp_path, reference_config(), outname="run2")
         blobs = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
         grid = blobs[0]["grid"]
-        assert grid["steps"] == math.ceil(4.0 / grid["dt"] - 1e-12) == 1200  # T = 4, dt = 1/300
+        assert grid["steps"] == math.ceil(4.0 / grid["dt"] - 1e-12) == 600  # T = 4, dt = 1/150
         assert grid["rhs_evals"] == 4 * grid["steps"]
+        assert grid["dt_bound"] == "wave" and grid["steps_per_snapshot"] == 5
         for blob in blobs:
             blob.pop("wall_clock_s")
         assert blobs[0] == blobs[1]  # the counters repeat, like every other field
@@ -210,6 +211,44 @@ class TestSimulate:
         assert err.startswith("mowave: ") and err.count("\n") == 1
         assert words in err
         assert not outdir.exists()
+
+
+class TestStiffStep:
+    """The README config (T = 10) at default flags and --grid-n 100 where a or the reaction is stiff.
+
+    a = 600 and rho = 3 with amp_u0 = 35 blow up at cfl 1.0 without the step
+    bounds; a = 2000 and amp_u0 = 50 blow up even at cfl 0.5.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides, bound",
+        [
+            ({"damping": {"a": 600.0, "b": 1.0, "rho": 1.0}}, "damping"),
+            ({"damping": {"a": 2000.0, "b": 1.0, "rho": 1.0}}, "damping"),
+            ({"damping": {"a": 1.0, "b": 1.0, "rho": 3.0}, "init": {"variant": "sine", "m": 1, "amp_u0": 35.0, "amp_u1": 0.0}}, "reaction"),
+            ({"damping": {"a": 1.0, "b": 1.0, "rho": 3.0}, "init": {"variant": "sine", "m": 1, "amp_u0": 50.0, "amp_u1": 0.0}}, "reaction"),
+        ],
+        ids=["a600", "a2000", "rho3-amp35", "rho3-amp50"],
+    )
+    def test_stiff_config_exits_0_on_the_snapshot_grid(self, tmp_path, capsys, overrides, bound):
+        code, outdir = run_simulate(tmp_path, reference_config(horizon=10.0, **overrides))
+        assert code == 0, capsys.readouterr().err
+        grid = json.loads((outdir / "manifest.json").read_text())["grid"]
+        assert grid["dt_bound"] == bound and grid["steps_per_snapshot"] > 5
+        # snapshots stay 10 h0 apart, h0 = dy / (2 s_max) = 0.01 / 3
+        assert grid["snapshots"] == 301 and grid["steps_per_snapshot"] * grid["dt"] == pytest.approx(0.1 / 3)
+
+    def test_decay_allowance_does_not_grow_with_the_step(self, tmp_path, monkeypatch):
+        seen = []
+        real = harness.check_decay_bound
+        monkeypatch.setattr(harness, "check_decay_bound", lambda *a, **kw: seen.append(kw["dt"]) or real(*a, **kw))
+        cfg = reference_config(horizon=1.0)
+        for cfl in ("0.25", "1.0", "2.0"):
+            code, _ = run_simulate(tmp_path, cfg, "--cfl", cfl, outname=cfl)
+            assert code == 0
+        spec = mowave.spec_from_dict(cfg)
+        steps = [mowave.solver.step_size(spec, mowave.Grid(100), cfl) for cfl in (0.25, 0.5)]
+        assert seen == [steps[0], steps[1], steps[1]]
 
 
 class TestCertify:
@@ -434,15 +473,16 @@ def outputs_of(outdir):
 
 class TestBatchedSweep:
     def sweep_path(self, tmp_path):
-        # k x rho x mu: four (alpha, rho) groups of two; beta0 = 7 with
-        # amplitude 10 makes exactly the k = 0.2, rho = 3, mu = 4 cell blow up
+        # k x rho x mu: four (alpha, rho) groups of two, each of one step (the
+        # reaction bound sets it at rho = 3); beta0 = 7 with amplitude 10 makes
+        # exactly the k = 0.2, rho = 3, mu = 6 cell blow up
         base = reference_config(
             alpha={"variant": "affine", "k": 0.2},
             beta={"variant": "exponential", "beta0": 7.0, "mu": 0.0},
             init={"variant": "sine", "m": 1, "amp_u0": 10.0, "amp_u1": 0.0},
             horizon=1.0,
         )
-        cfg = {"base": base, "axes": {"k": [0.2, 0.5], "rho": [1.0, 3.0], "mu": [0.0, 4.0]}}
+        cfg = {"base": base, "axes": {"k": [0.2, 0.5], "rho": [1.0, 3.0], "mu": [0.0, 6.0]}}
         return write_config(tmp_path, cfg, "sweep.json")
 
     def run(self, tmp_path, jobs, name):
@@ -458,7 +498,7 @@ class TestBatchedSweep:
         serial = self.run(tmp_path, 1, "jobs1")
         with open(serial / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["k"], r["rho"], r["mu"]) for r in rows if r["exit"] == "3"] == [("0.2", "3.0", "4.0")]
+        assert [(r["k"], r["rho"], r["mu"]) for r in rows if r["exit"] == "3"] == [("0.2", "3.0", "6.0")]
         # its batch neighbour (same k and rho) finishes
         assert [r["exit"] for r in rows if (r["k"], r["rho"]) == ("0.2", "3.0")] == ["0", "3"]
         assert "blew up" in capsys.readouterr().err
@@ -515,6 +555,22 @@ class TestBatchedSweep:
         if jobs == "1":  # a pool worker's stderr is not captured here
             assert "[FAIL] beta(T)" in capsys.readouterr().err
 
+    def test_cells_batch_by_their_step(self, tmp_path, monkeypatch):
+        sizes = []
+        real = harness.simulate_batch
+        monkeypatch.setattr(harness, "simulate_batch", lambda specs, *a: sizes.append(len(specs)) or real(specs, *a))
+        axes = (1.0, 600.0, 2.0)  # a = 600 takes the damping bound's step
+        cfg = {"base": reference_config(horizon=0.5), "axes": {"a": list(axes)}}
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "100", "--outdir", str(outdir)]) == 0
+        assert sizes == [2, 1]
+        monkeypatch.setattr(harness, "simulate_batch", real)
+        for idx, a in enumerate(axes):
+            cell = reference_config(horizon=0.5, damping={"a": a, "b": 1.0, "rho": 1.0})
+            code, solo = run_simulate(tmp_path, cell, outname=f"solo{idx}")
+            assert code == 0
+            assert outputs_of(solo) == outputs_of(outdir / f"cell_{idx:04d}")
+
     def test_certificate_overflow_cell_says_why(self, tmp_path, capsys):
         # rho = 1 blows up; at rho = 2 the run is finite but lambda_lo overflows
         base = reference_config(
@@ -531,7 +587,7 @@ class TestBatchedSweep:
         with open(outdir / "sweep.csv", newline="") as fh:
             assert [r["exit"] for r in csv.DictReader(fh)] == ["3", "2"]
         assert capsys.readouterr().err == (
-            "mowave: solution blew up (non-finite values) at t=0.0208333\n"
+            "mowave: solution blew up (non-finite values) at t=0.0416667\n"
             "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
             "on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"
         )

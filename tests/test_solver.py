@@ -40,6 +40,7 @@ from mowave.solver import (
     simpson_weights,
     simulate_batch,
     snapshot_bytes,
+    step_plan,
     step_size,
 )
 from mowave.transform import coefficient_grids
@@ -135,11 +136,137 @@ class TestStepSize:
             step_size(make_spec(), Grid(100), cfl=float("nan"))
 
     def test_step_count_stops_at_2_53(self):
-        # dt = cfl/8 on Grid(8) at T = 1: 2**53 steps have exact step times, 2**54 do not
+        # dt = cfl/8 on Grid(8) at T = 1: 2**53 steps have exact step times, 2**54 do not;
+        # a snapshot every h0 = 1/16 of time is every 2**49 steps
         spec = make_spec()
-        assert snapshot_bytes(spec, Grid(8), 2**50, cfl=2.0**-50) == (2**3 + 2) * 2 * 9 * 8
+        assert snapshot_bytes(spec, Grid(8), 1, cfl=2.0**-50) == (2**4 + 2) * 2 * 9 * 8
         with pytest.raises(ConfigError, match=r"cfl .* is too small: .* more than the 2\*\*53"):
-            snapshot_bytes(spec, Grid(8), 2**50, cfl=2.0**-51)
+            snapshot_bytes(spec, Grid(8), 1, cfl=2.0**-51)
+
+
+def readme_spec(**kw):
+    """The README config (T = 10 unless given), with damping and init fields overridden by kw."""
+    damping = dict(a=1.0, b=1.0, rho=1.0)
+    damping.update({k: kw.pop(k) for k in ("a", "b", "rho") if k in kw})
+    return make_spec(
+        damping=DampingParams(**damping),
+        beta=ExponentialBeta(beta0=1.0, mu=0.1),
+        alpha=SaturatingAlpha(k=0.5, tau=1.0),
+        init=SineMode(m=1, amp_u0=kw.pop("amp_u0", 1.0), amp_u1=0.0),
+        horizon=kw.pop("horizon", 10.0),
+        **kw,
+    )
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("every", [1, 3, 10, 10**6, 2**60 + 1])
+    def test_cfl_one_half_steps_as_sample_every_counted_steps(self, every):
+        spec, g = readme_spec(), Grid(100)
+        plan = step_plan(spec, g, every, 0.5)
+        assert plan.dt == step_size(spec, g, 0.5) and plan.per_snapshot == every and plan.bound == "wave"
+
+    @pytest.mark.parametrize("every", [2, 10, 64])
+    def test_cfl_one_halves_the_steps_of_an_even_stride(self, every):
+        spec, g = readme_spec(), Grid(100)
+        plan = step_plan(spec, g, every, 1.0)
+        assert plan.dt == step_size(spec, g, 1.0) and plan.per_snapshot == every // 2
+        assert plan.steps == math.ceil(10.0 / plan.dt - 1e-12) == step_plan(spec, g, every).steps // 2
+
+    def test_cfl_is_an_upper_bound(self):
+        spec, g = readme_spec(), Grid(100)
+        odd = step_plan(spec, g, 5, 1.0)  # 3 steps per 5 h0: cfl 5/6
+        assert odd.per_snapshot == 3 and odd.dt == step_size(spec, g, 5 / 6) < step_size(spec, g, 1.0)
+        # the step never exceeds the snapshot interval sample_every h0
+        assert step_plan(spec, g, 1, 10.0).dt == step_size(spec, g, 0.5)
+
+    def test_snapshot_times_do_not_depend_on_cfl(self):
+        spec, g = readme_spec(horizon=1.0), Grid(32)
+        half, one, quarter, other = (simulate(spec, g, sample_every=10, cfl=cfl) for cfl in (0.5, 1.0, 0.25, 0.3))
+        assert [run.steps for run in (half, one, quarter, other)] == [96, 48, 192, 164]  # 0.3: 17 steps of cfl 5/17
+        assert np.array_equal(one.times, half.times) and np.array_equal(quarter.times, half.times)
+        np.testing.assert_allclose(other.times, half.times, rtol=1e-14)
+
+    @pytest.mark.parametrize("a", [600.0, 2000.0])
+    def test_damping_caps_the_step(self, a):
+        spec, g = readme_spec(a=a), Grid(100)
+        plan = step_plan(spec, g, 10, 1.0)
+        assert plan.bound == "damping" and a * plan.dt <= 2.5
+        assert step_plan(spec, g, 10, 1.0, stiff=False).bound == "wave"
+        assert step_plan(readme_spec(), g, 10, 1.0).bound == "wave"
+
+    @pytest.mark.parametrize("amp", [35.0, 50.0])
+    def test_reaction_caps_the_step(self, amp):
+        spec, g = readme_spec(rho=3.0, amp_u0=amp), Grid(100)
+        plan = step_plan(spec, g, 10, 1.0)
+        rate = math.sqrt(1.0 + 4.0 * 1.0 * np.max(np.abs(initialize(spec, g).v)) ** 3)
+        assert plan.bound == "reaction" and plan.dt * rate <= 1.4
+        # linear mode leaves out the nonlinear term, and with it the bound
+        assert step_plan(readme_spec(rho=3.0, amp_u0=amp, linear_mode=True), g, 10, 1.0).bound == "wave"
+
+    def test_bounds_leave_the_default_data_alone(self):
+        # the bounds do not bind at the default data, so cfl 0.5 runs keep their step
+        for spec in (readme_spec(), readme_spec(a=100.0), readme_spec(rho=3.0, amp_u0=10.0)):
+            assert step_plan(spec, Grid(200), 10, 0.5).dt == step_size(spec, Grid(200), 0.5)
+
+    def test_inadmissible_coefficients_give_no_bound(self):
+        g = Grid(16)
+        inadmissible = (
+            readme_spec(a=-1.0),
+            readme_spec(b=-5.0),
+            readme_spec(rho=-1.0, amp_u0=0.0),
+            make_spec(beta=ConstantBeta(-1.0)),
+        )
+        for spec in inadmissible:
+            assert step_plan(spec, g, 10, 1.0).bound == "wave"
+
+    @pytest.mark.parametrize(
+        "kw, words",
+        [
+            (dict(a=1e20), r"damping a = 1e\+20 is too stiff: dt = .* more than the 2\*\*53"),
+            (dict(rho=3.0, amp_u0=1e12), r"reaction rate .* = 2e\+18 is too stiff: dt = .* more than the 2\*\*53"),
+            (dict(rho=3.0, amp_u0=1e300), r"reaction rate .* = inf is too stiff: dt = 0.0 gives no finite number"),
+        ],
+        ids=["damping", "reaction", "reaction-overflows"],
+    )
+    def test_step_count_error_names_the_binding_bound(self, kw, words):
+        with pytest.raises(ConfigError, match=words):
+            simulate(readme_spec(**kw), Grid(16))
+
+    def test_rows_of_one_batch_share_the_step(self):
+        specs = [readme_spec(a=a, horizon=0.5) for a in (1.0, 600.0)]
+        with pytest.raises(ConfigError, match="the step"):
+            simulate_batch(specs, Grid(100), sample_every=10, cfl=1.0)
+
+
+class TestTimeRefinement:
+    """The README config at T = 2, N = 100, snapshots every 8 h0: the step halved three times from cfl 1."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = readme_spec(horizon=2.0)
+        runs = {cfl: simulate(spec, Grid(100), sample_every=8, cfl=cfl) for cfl in (1.0, 0.5, 0.25, 0.125)}
+        return spec, runs
+
+    def test_snapshot_times_are_bitwise_equal(self, runs):
+        _, runs = runs
+        assert [run.steps for run in runs.values()] == [300, 600, 1200, 2400]
+        for run in runs.values():
+            assert np.array_equal(run.times, runs[1.0].times)
+
+    def test_energy_is_fourth_order_in_time(self, runs):
+        _, runs = runs
+        E = [EnergySeries.from_trajectory(run).E for run in runs.values()]
+        diffs = [np.max(np.abs(coarse - fine)) for coarse, fine in zip(E, E[1:])]
+        orders = [math.log2(d1 / d2) for d1, d2 in zip(diffs, diffs[1:])]
+        assert min(orders) >= 3.5, orders
+
+    def test_time_error_is_far_below_the_space_error(self, runs):
+        spec, runs = runs
+        E = {cfl: EnergySeries.from_trajectory(run).E for cfl, run in runs.items()}
+        fine = simulate(spec, Grid(200), sample_every=16, cfl=1.0)  # 16 h0 at N = 200 is 8 h0 at N = 100
+        assert np.array_equal(fine.times, runs[1.0].times)
+        space = np.max(np.abs(EnergySeries.from_trajectory(fine).E - E[1.0]))
+        assert np.max(np.abs(E[1.0] - E[0.125])) <= 1e-2 * space
 
 
 class TestInitialize:
@@ -260,9 +387,10 @@ class TestSimulate:
             simulate(spec, Grid(16))
 
     def test_unstable_cfl_blows_up(self):
+        # a step of cfl 10 needs snapshots at least 20 h0 apart
         spec = make_spec(horizon=1.0)
         with pytest.raises(BlowUpError) as exc:
-            simulate(spec, Grid(64), cfl=10.0)
+            simulate(spec, Grid(64), sample_every=20, cfl=10.0)
         assert 0.0 < exc.value.time <= 1.0
         assert "blew up" in str(exc.value)
 
@@ -284,6 +412,21 @@ class TestSimulate:
         traj = simulate(spec, Grid(64), sample_every=10)
         e = EnergySeries.from_trajectory(traj).E
         assert e[-1] < 0.5 * e[0]
+
+
+def blow_up_batch():
+    """Three rows of one step; the middle one blows up at step 90 of 150 (t = 0.3) at N = 100.
+
+    Its beta = exp(60 t) makes the reaction stiff long after t = 0, where the
+    step bounds look, so the row shares its neighbours' step.
+    """
+    rows = ((1.0, ConstantBeta(1.0)), (1.0, ExponentialBeta(beta0=1.0, mu=60.0)), (1.5, ConstantBeta(1.0)))
+    return [
+        make_spec(
+            damping=DampingParams(a=a, b=1.0, rho=1.0), beta=beta, alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5
+        )
+        for a, beta in rows
+    ]
 
 
 def assert_same_run(batch_row, solo):
@@ -449,11 +592,7 @@ class TestSimulateBatch:
             assert state[0] == t and np.array_equal(state[1], v) and np.array_equal(state[2], w)
 
     def test_blow_up_row_leaves_neighbours_unchanged(self):
-        # a = 2000 at N = 100 exceeds the RK4 real-axis limit a dt < 2.78
-        specs = [
-            make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
-            for a in (1.0, 2000.0, 1.5)
-        ]
+        specs = blow_up_batch()
         g = Grid(100)
         first, blown, last = simulate_batch(specs, g, sample_every=10)
         with pytest.raises(BlowUpError) as solo:
@@ -563,10 +702,7 @@ class TestKernel:
             assert_matches_reference(row, spec, g, 5)
 
     def test_blow_up_mid_block_keeps_every_rows_bits(self):
-        specs = [
-            make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
-            for a in (1.0, 2000.0, 1.5)
-        ]
+        specs = blow_up_batch()
         g = Grid(100)
         first, blown, last = simulate_batch(specs, g, sample_every=10)
         with pytest.raises(BlowUpError) as solo:
