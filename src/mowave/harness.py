@@ -31,11 +31,12 @@ The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
-sweep groups its cells by solver.batch_key (alpha, rho, horizon,
-linear_mode, forced or not, and the step that solver.step_plan gives the
-cell, which the damping and reaction bounds can make its own), cuts each
-group into batches of at most ceil(cells/jobs) rows and of no more rows
-than the snapshot cap holds together, and solves every batch as one state
+sweep makes each cell's solver.step_plan and groups the cells by their
+solver.batch_key (alpha, rho, horizon, linear_mode, forced or not, and the
+step of that plan, which the damping and reaction bounds can make the
+cell's own), cuts each group into batches of at most ceil(cells/jobs) rows
+and of no more rows than solver.rows_within_cap allows, and solves every
+batch as one state
 (solver.simulate_batch), in a pool of min(jobs, batches) processes when
 that is more than one. Each row then goes through
 the same run_simulation tail as a single run; rows are merged back in cell
@@ -77,14 +78,12 @@ from .model import (
     validate_assumptions,
 )
 from .solver import (
-    SNAPSHOT_CAP_BYTES,
     Grid,
     batch_key,
-    check_snapshot_cap,
     exact_reference_fields,
+    rows_within_cap,
     simulate,
     simulate_batch,
-    snapshot_bytes,
     step_plan,
     step_size,
 )
@@ -302,17 +301,17 @@ def run_simulation(
         "rate_residual": identity.residual_rate,
         "exit_code": exit_code,
     }
-    plan = step_plan(spec, traj.grid, sample_every, cfl)
+    plan = traj.plan
     grid_info = {
         "n": grid_n,
         "cfl": cfl,
-        "dt": traj.dt,
+        "dt": plan.dt,
         "dt_bound": plan.bound,
         "sample_every": sample_every,
         "steps_per_snapshot": plan.per_snapshot,
         "snapshots": len(traj.times),
-        "steps": traj.steps,
-        "rhs_evals": 4 * traj.steps,
+        "steps": plan.steps,
+        "rhs_evals": 4 * plan.steps,
     }
     write_manifest(
         outdir / "manifest.json",
@@ -429,9 +428,14 @@ def cmd_convergence(args) -> int:
     ]
     worst = float("inf")
     for name, study_spec, v_exact in studies:
+        # Every grid of a study takes m steps per h0, the most that any grid's plan
+        # at --cfl takes, so dt shrinks with dy also where a stiffness bound sets it.
+        # step_plan takes m steps at any cfl in [1/(2m), 1/(2m - 2)): 1/(2m - 1)
+        # stays there after rounding, while 1/(2m) may round below it (m = 3 does).
+        m = max(step_plan(study_spec, Grid(n), 1, args.cfl).per_snapshot for n in ns)
         errors, rates, plus = [], [], []
         for n in ns:
-            traj = simulate(study_spec, Grid(n), sample_every=1, cfl=args.cfl)
+            traj = simulate(study_spec, Grid(n), sample_every=1, cfl=1 / (2 * m - 1))
             identity = multiplier_identity_residual(traj, lam=0.1, phi_rate=0.1)
             errors.append(_l2_error(traj, v_exact))
             rates.append(identity.residual_rate)
@@ -489,9 +493,7 @@ def _sweep_row(cfg: dict, code: int, checks: dict | None = None) -> dict:
     return row
 
 
-def _sweep_batch(
-    cells: list[dict], grid_n: int, cfl: float, sample_every: int, snapshot_cap_bytes: int, outdir: str
-) -> list[dict]:
+def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, outdir: str) -> list[dict]:
     """Solve cells with one batch_key as one state, then write each cell.
 
     Each cell goes through run_simulation with its solved row (or that
@@ -502,7 +504,7 @@ def _sweep_batch(
     """
     specs = [cell["spec"] for cell in cells]
     try:
-        solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl, snapshot_cap_bytes)
+        solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl)
     except MowaveError as exc:  # a setting or a limit of the whole batch, reported once
         code = _fail(exc)
         return [_sweep_row(cell["config"], code) for cell in cells]
@@ -523,16 +525,6 @@ def _sweep_batch(
             continue
         rows.append(_sweep_row(cell["config"], code, checks))
     return rows
-
-
-def _rows_within_cap(spec: ProblemSpec, args) -> int:
-    """Most rows of spec's group whose snapshots fit the cap together.
-
-    Raises the ResourceLimitError of simulate_batch when not even one row fits.
-    """
-    per_row = snapshot_bytes(spec, Grid(args.grid_n), args.sample_every, args.cfl)
-    check_snapshot_cap(per_row)
-    return SNAPSHOT_CAP_BYTES // per_row
 
 
 def _format_cell(value) -> str:
@@ -590,7 +582,7 @@ def cmd_sweep(args) -> int:
             _finite(value, f"sweep axis {name!r}")
 
     rows: list = []
-    groups: dict = {}  # cells that can share one solver state, in cell order
+    groups: dict = {}  # batch_key -> (a step plan of the key, the cells that can share one state, in cell order)
     for idx, combo in enumerate(itertools.product(*value_lists)):
         cfg = json.loads(json.dumps(sweep_cfg["base"]))  # deep copy
         for name, value in zip(names, combo):
@@ -598,13 +590,13 @@ def cmd_sweep(args) -> int:
             cfg[section][field] = value
         try:
             spec = spec_from_dict(cfg)
-            key = batch_key(spec, grid, args.sample_every, args.cfl)
+            plan = step_plan(spec, grid, args.sample_every, args.cfl)
         except ConfigError as exc:
             rows.append(_sweep_row(cfg, _fail(exc)))
             continue
         rows.append(None)  # filled in from the cell's batch
         cell = {"index": idx, "config": cfg, "spec": spec}
-        groups.setdefault(key, []).append(cell)
+        groups.setdefault(batch_key(spec, plan), (plan, []))[1].append(cell)
 
     outdir = _outdir(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -614,9 +606,9 @@ def cmd_sweep(args) -> int:
     # and no more than the snapshot cap holds
     jobs_rows = -(-len(rows) // args.jobs)
     batches = []
-    for group in groups.values():
+    for plan, group in groups.values():
         try:
-            size = min(jobs_rows, _rows_within_cap(group[0]["spec"], args))
+            size = min(jobs_rows, rows_within_cap(plan, grid))
         except ResourceLimitError as exc:  # no row of the group fits: one report for all its cells
             code = _fail(exc)
             for cell in group:
@@ -628,7 +620,6 @@ def cmd_sweep(args) -> int:
         grid_n=args.grid_n,
         cfl=args.cfl,
         sample_every=args.sample_every,
-        snapshot_cap_bytes=SNAPSHOT_CAP_BYTES,
         outdir=str(outdir),
     )
     workers = min(args.jobs, len(batches))

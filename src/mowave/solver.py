@@ -53,11 +53,13 @@ from it in the last bits (a drift of about 1e-13 of a column's largest
 value over a run), and are bit for bit those of a plain loop over the
 banded formula with the same operand order.
 
-The table is built for _BLOCK steps at a time: the distinct stage times
-of the block (t, t + h/2, t + h, and the next step's t when it is not
-that t + h) are listed in Python, alpha, beta and the source scales are
-evaluated there as Python scalars, and K and the source arrays of every
-time follow in a few vectorised passes. A row that blows up is dropped;
+The table is built for _BLOCK steps at a time. A block of S steps has the
+2S + 1 stage times t_0, t_0 + h_0/2, t_1, t_1 + h_1/2, ..., t_S, one step's
+stage 4 being the next step's stage 1 (t_k + h_k is t_{k+1} exactly), so
+step j reads entries 2j, 2j + 1 and 2j + 2. The times are listed in
+Python, alpha, beta and the source scales are evaluated there as Python
+scalars, and K and the source arrays of every time follow in a few
+vectorised passes. A row that blows up is dropped;
 the others go on with fresh buffers and a fresh table from the next step.
 
 Manufactured-solution support lives here too: given the exact-field
@@ -163,13 +165,13 @@ class ReferenceState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The snapshots of one run plus the fixed step the run used: row k of V
+    """The snapshots of one run plus the step plan the run used: row k of V
     and W, shape (nsnap, N+1), holds v and w at times[k]. The arrays are
     taken as given, not copied, and made read-only."""
 
     spec: ProblemSpec
     grid: Grid
-    dt: float
+    plan: StepPlan
     times: np.ndarray
     V: np.ndarray
     W: np.ndarray
@@ -189,9 +191,9 @@ class Trajectory:
             object.__setattr__(self, name, array)
 
     @property
-    def steps(self) -> int:
-        """The RK4 steps from 0 to T at dt (four RHS evaluations each)."""
-        return _steps(self.spec.horizon, self.dt)
+    def dt(self) -> float:
+        """The fixed step, plan.dt."""
+        return self.plan.dt
 
     @cached_property
     def integrals(self):
@@ -294,7 +296,7 @@ def _steps_to(horizon: float, dt: float, who: str) -> int:
     the step times (k + 1) * dt of _block are no longer exact."""
     if dt == 0.0 or not math.isfinite(horizon / dt):
         raise ConfigError(f"{who}: dt = {dt!r} gives no finite number of steps to T")
-    nsteps = _steps(horizon, dt)
+    nsteps = int(math.ceil(horizon / dt - 1e-12))  # the last step shortened to land on T
     if nsteps > 2**53:
         raise ConfigError(
             f"{who}: dt = {dt!r} gives about {horizon / dt:.3g} steps to T, "
@@ -342,12 +344,28 @@ def _column(values: list) -> float | np.ndarray:
     return values[0] if len({repr(v) for v in values}) == 1 else np.array(values)[:, None]
 
 
-def batch_key(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> tuple:
+def batch_key(spec: ProblemSpec, plan: StepPlan) -> tuple:
     """What rows of one simulate_batch call share: alpha, rho, horizon,
     linear_mode, whether a manufactured source is present, and the step and
-    snapshot stride of their step_plan."""
-    dt, _, per_snapshot, _ = step_plan(spec, grid, sample_every, cfl)
-    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, spec.source is not None, dt, per_snapshot)
+    snapshot stride of plan, the spec's step_plan."""
+    forced = spec.source is not None
+    return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, forced, plan.dt, plan.per_snapshot)
+
+
+def rows_within_cap(plan: StepPlan, grid: Grid) -> int:
+    """The most rows of one batch stepping by plan whose snapshots fit
+    SNAPSHOT_CAP_BYTES together, read at the call.
+
+    A row stores about steps // per_snapshot + 2 snapshots of v and w.
+    Raises ResourceLimitError when not even one row fits.
+    """
+    per_row = (plan.steps // plan.per_snapshot + 2) * 2 * (grid.n + 1) * 8
+    if per_row > SNAPSHOT_CAP_BYTES:
+        raise ResourceLimitError(
+            f"run would store about {per_row} bytes of snapshots (cap {SNAPSHOT_CAP_BYTES}); "
+            "raise sample_every or the cap"
+        )
+    return SNAPSHOT_CAP_BYTES // per_row
 
 
 class _Source:
@@ -545,76 +563,39 @@ def _rhs_arrays(stage: tuple, coef: tuple, rows: _Rows) -> None:
 # time integration
 
 
-def simulate(
-    spec: ProblemSpec,
-    grid: Grid,
-    sample_every: int = 1,
-    cfl: float = 0.5,
-    snapshot_cap_bytes: int = SNAPSHOT_CAP_BYTES,
-) -> Trajectory:
+def simulate(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> Trajectory:
     """Advance one spec from 0 to T: the batch of one of simulate_batch.
 
     Raises ValidationError if the spec fails the admissibility checks,
     BlowUpError when the solution leaves the finite range, and
     ResourceLimitError if the snapshot storage estimate exceeds the cap.
     """
-    (result,) = simulate_batch([spec], grid, sample_every, cfl, snapshot_cap_bytes)
+    (result,) = simulate_batch([spec], grid, sample_every, cfl)
     if isinstance(result, MowaveError):
         raise result
     return result
 
 
-def _steps(horizon: float, dt: float) -> int:
-    """Steps of size dt from 0 to the horizon, the last one shortened to land on it."""
-    return int(math.ceil(horizon / dt - 1e-12))
-
-
-def snapshot_bytes(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> int:
-    """Estimated bytes of the snapshots one row of spec stores (v and w)."""
-    return _plan_bytes(step_plan(spec, grid, sample_every, cfl), grid)
-
-
-def _plan_bytes(plan: StepPlan, grid: Grid) -> int:
-    return (plan.steps // plan.per_snapshot + 2) * 2 * (grid.n + 1) * 8
-
-
-def check_snapshot_cap(est_bytes: int, cap: int = SNAPSHOT_CAP_BYTES) -> None:
-    """Raise ResourceLimitError if est_bytes of snapshots exceed the cap."""
-    if est_bytes > cap:
-        raise ResourceLimitError(
-            f"run would store about {est_bytes} bytes of snapshots (cap {cap}); raise sample_every or the cap"
-        )
-
-
 def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple], list[float]]:
-    """Steps k0 .. k1-1, the first starting at t, and their distinct stage times.
+    """Steps k0 .. k1-1, the first starting at t, and their 2 (k1 - k0) + 1 stage times.
 
-    Each step is (h/2, h, h/6, t_next, j): stage 1 is at times[j], stages 2
-    and 3 at times[j+1] = t + h/2, stage 4 at times[j+2] = t + h. A step's
-    t shares the previous step's t + h when the two are equal, else gets a
-    time of its own. (They are equal for these step times: t_next - t is
-    exact by Sterbenz's lemma once k >= 1, and so is t + h; the check keeps
-    the table exact without relying on that.)
+    Each step is (h/2, h, h/6, t_next). Step j has stage 1 at times[2j],
+    stages 2 and 3 at times[2j+1] = t + h/2, and stage 4 at times[2j+2] =
+    t_next, the next step's stage 1. t_next is t + h bit for bit: h =
+    t_next - t is exact by Sterbenz's lemma (t_next <= 2 t once k >= 1,
+    and t = 0 before), and so is the sum.
     """
-    steps, times = [], []
+    steps, times = [], [t]
     for k in range(k0, k1):
         t_next = min((k + 1) * dt, T)
         h = t_next - t
-        if not times or times[-1] != t:
-            times.append(t)
-        steps.append((0.5 * h, h, h / 6.0, t_next, len(times) - 1))
-        times += (t + 0.5 * h, t + h)
+        steps.append((0.5 * h, h, h / 6.0, t_next))
+        times += (t + 0.5 * h, t_next)
         t = t_next
     return steps, times
 
 
-def simulate_batch(
-    specs,
-    grid: Grid,
-    sample_every: int = 1,
-    cfl: float = 0.5,
-    snapshot_cap_bytes: int = SNAPSHOT_CAP_BYTES,
-) -> list:
+def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> list:
     """Advance several specs from 0 to T as one (rows, N+1) state.
 
     The admissible specs must have one batch_key: they share alpha, rho,
@@ -626,12 +607,12 @@ def simulate_batch(
     operation is elementwise per row, so each row is bit-identical to its
     run alone.
 
-    Returns one Trajectory per spec, or the row's error: ValidationError if
-    the spec fails the admissibility checks, BlowUpError once the row left
-    the finite range (it is then dropped and the others carry on). Raises
-    ConfigError if the admissible specs differ in batch_key or have no step
-    plan, and ResourceLimitError if the snapshots of all admissible rows
-    together would exceed the cap.
+    Returns one Trajectory per spec, carrying the spec's own step plan, or
+    the row's error: ValidationError if the spec fails the admissibility
+    checks, BlowUpError once the row left the finite range (it is then
+    dropped and the others carry on). Raises ConfigError if the admissible
+    specs differ in batch_key or have no step plan, and ResourceLimitError
+    if the snapshots of all admissible rows together would exceed the cap.
     """
     specs = list(specs)
     if not specs:
@@ -645,14 +626,17 @@ def simulate_batch(
     if not live:
         return results
     lead = specs[live[0]]
-    key = batch_key(lead, grid, sample_every, cfl)
-    if any(batch_key(specs[r], grid, sample_every, cfl) != key for r in live[1:]):
+    plans = {r: step_plan(specs[r], grid, sample_every, cfl) for r in live}
+    plan = plans[live[0]]  # every row steps by the lead's plan; each keeps its own in its Trajectory
+    key = batch_key(lead, plan)
+    if any(batch_key(specs[r], plans[r]) != key for r in live[1:]):
         raise ConfigError(
             "simulate_batch: rows must share alpha, rho, horizon, linear_mode, being forced and the step"
         )
     hyperbolicity_check(lead.alpha, lead.horizon)
-    plan = step_plan(lead, grid, sample_every, cfl)
-    check_snapshot_cap(len(live) * _plan_bytes(plan, grid), snapshot_cap_bytes)
+    fit = rows_within_cap(plan, grid)
+    if len(live) > fit:
+        raise ResourceLimitError(f"simulate_batch: {len(live)} rows of snapshots exceed the cap, which holds {fit}")
 
     T = lead.horizon
     dt, nsteps, stride, _ = plan
@@ -676,17 +660,17 @@ def simulate_batch(
             z1, z2, z3, z4 = bufs[:, 0:2]
             dz1, dz2, dz3, dz4 = bufs[:, 1:3]
             finite = np.empty(z1.shape, dtype=bool)
-            for hh, h, h6, t_next, j in steps:
-                _rhs_arrays(s1, table[j], rows)
+            for j, (hh, h, h6, t_next) in enumerate(steps):
+                _rhs_arrays(s1, table[2 * j], rows)
                 np.multiply(dz1, hh, out=z2)
                 z2 += z1
-                _rhs_arrays(s2, table[j + 1], rows)
+                _rhs_arrays(s2, table[2 * j + 1], rows)
                 np.multiply(dz2, hh, out=z3)
                 z3 += z1
-                _rhs_arrays(s3, table[j + 1], rows)
+                _rhs_arrays(s3, table[2 * j + 1], rows)
                 np.multiply(dz3, h, out=z4)
                 z4 += z1
-                _rhs_arrays(s4, table[j + 2], rows)
+                _rhs_arrays(s4, table[2 * j + 2], rows)
                 # z1 += (h/6) (dz1 + 2 dz2 + 2 dz3 + dz4), summed left to right in dz2
                 dz2 *= 2.0
                 dz2 += dz1
@@ -715,10 +699,10 @@ def simulate_batch(
                     taken += 1
                 if blown:
                     break
-            del table  # before the next block's table is built
+            del table  # before the next block's table is built; an entry kept by another name would keep it all
 
     for r in live:
-        results[r] = Trajectory(specs[r], grid, dt, times, *snaps[r])
+        results[r] = Trajectory(specs[r], grid, plans[r], times, *snaps[r])
     return results
 
 

@@ -311,6 +311,25 @@ class TestConvergence:
         assert "order" in out
         assert "minimum observed order" in out
 
+    def test_stiff_study_refines_the_step_with_the_grid(self, tmp_path, capsys, monkeypatch):
+        # a = 2000: the damping bound sets the step, at 6, 3 and 2 steps per h0 on N = 50, 100, 200
+        plans = []
+        real = harness.simulate
+
+        def recorded(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            plans.append(traj.plan)
+            return traj
+
+        monkeypatch.setattr(harness, "simulate", recorded)
+        cfg = reference_config(damping={"a": 2000.0, "b": 1.0, "rho": 1.0}, horizon=0.5)
+        code = main(["convergence", write_config(tmp_path, cfg)])
+        out = capsys.readouterr().out
+        manufactured = plans[:3]
+        assert [plan.per_snapshot for plan in manufactured] == [6, 6, 6]
+        assert [plan.dt for plan in manufactured] == [manufactured[0].dt / 2**i for i in range(3)]
+        assert code == 0 and float(out.split("minimum observed order ")[1]) >= 1.8
+
     def test_needs_two_grids(self, tmp_path, capsys):
         code = main(["convergence", write_config(tmp_path, reference_config()), "--grid-n", "50"])
         assert code == 2
@@ -525,8 +544,9 @@ class TestBatchedSweep:
         simulate_batch = harness.simulate_batch
         monkeypatch.setattr(harness, "simulate_batch", recorded)
         spec = mowave.spec_from_dict(json.loads(Path(self.sweep_path(tmp_path)).read_text())["base"])
-        per_row = mowave.solver.snapshot_bytes(spec, mowave.Grid(32), 5)
-        monkeypatch.setattr(harness, "SNAPSHOT_CAP_BYTES", 2 * per_row - 1)  # one row per batch
+        plan = mowave.solver.step_plan(spec, mowave.Grid(32), 5, 1.0)  # the sweep's flags
+        per_row = (plan.steps // plan.per_snapshot + 2) * 2 * 33 * 8
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * per_row - 1)  # one row per batch
         assert outputs_of(self.run(tmp_path, 1, "capped")) == whole
         assert sizes == [1] * 8
 
@@ -754,6 +774,38 @@ def test_run_simulation_returns_the_manifest_checks_from_one_pass(tmp_path, monk
     assert code == 0 and len(passes) == 1
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["checks"] == checks
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Counts calls of solver.step_plan, looked up in the solver or in the harness."""
+    calls = []
+    real = mowave.solver.step_plan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (mowave.solver, harness):
+        monkeypatch.setattr(module, "step_plan", counted)
+    return calls
+
+
+def test_a_run_makes_one_step_plan(tmp_path, plan_calls):
+    spec = mowave.spec_from_dict(reference_config(horizon=10.0))
+    code, _ = run_simulation(spec, tmp_path / "run", grid_n=32)
+    assert code == 0 and len(plan_calls) == 1
+    grid = json.loads((tmp_path / "run" / "manifest.json").read_text())["grid"]
+    assert grid["rhs_evals"] == 4 * grid["steps"]
+    assert grid["snapshots"] == 1 + math.ceil(grid["steps"] / grid["steps_per_snapshot"])
+
+
+def test_a_sweep_makes_at_most_two_step_plans_per_cell(tmp_path, plan_calls):
+    # one for the flags, one per cell to group it, one per cell in its batch
+    cfg = {"base": reference_config(horizon=0.5), "axes": {"mu": [0.1, 1.0], "rho": [1.0, 2.0]}}
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "32", "--outdir", str(outdir)]) == 0
+    assert len(plan_calls) <= 2 * 4 + 1
 
 
 def test_sweep_rejects_a_too_small_cfl_before_any_cell(tmp_path, capsys):
