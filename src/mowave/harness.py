@@ -428,14 +428,12 @@ def cmd_convergence(args) -> int:
     ]
     worst = float("inf")
     for name, study_spec, v_exact in studies:
-        # Every grid of a study takes m steps per h0, the most that any grid's plan
-        # at --cfl takes, so dt shrinks with dy also where a stiffness bound sets it.
-        # step_plan takes m steps at any cfl in [1/(2m), 1/(2m - 2)): 1/(2m - 1)
-        # stays there after rounding, while 1/(2m) may round below it (m = 3 does).
-        m = max(step_plan(study_spec, Grid(n), 1, args.cfl).per_snapshot for n in ns)
+        # every grid steps under the tightest cap of any grid's plan at --cfl,
+        # so dt shrinks with dy also where a stiffness bound sets it
+        cfl = min(step_plan(study_spec, Grid(n), 1, args.cfl).cfl for n in ns)
         errors, rates, plus = [], [], []
         for n in ns:
-            traj = simulate(study_spec, Grid(n), sample_every=1, cfl=1 / (2 * m - 1))
+            traj = simulate(study_spec, Grid(n), sample_every=1, cfl=cfl)
             identity = multiplier_identity_residual(traj, lam=0.1, phi_rate=0.1)
             errors.append(_l2_error(traj, v_exact))
             rates.append(identity.residual_rate)

@@ -282,8 +282,8 @@ class AlphaFamily(_Params):
     """The domain length alpha(t); eval(t) = (alpha, alpha', alpha'')."""
 
     def max_length(self, T: float) -> float:
-        """alpha(T), the largest domain length on [0, T]; at t = 1e9 on an unbounded horizon."""
-        return self.eval(1e9 if math.isinf(T) else T)[0]
+        """alpha(T), the largest domain length on [0, T]; its limit on an unbounded horizon."""
+        return self.eval(T)[0]
 
     def _check_sup(self, sup: float, shown: str) -> AssumptionCheck:
         name = type(self).__name__
@@ -321,8 +321,8 @@ class AffineAlpha(AlphaFamily):
         return self.k
 
     def max_length(self, T: float) -> float:
-        # growth without bound: no uniform domain length on an unbounded horizon
-        return math.inf if math.isinf(T) and self.k > 0.0 else super().max_length(T)
+        # 1 + k T, infinite on an unbounded horizon unless k = 0 (where 0 * inf is nan)
+        return 1.0 + self.k * T if self.k else 1.0
 
     def check(self) -> AssumptionCheck:
         if self.k < 0.0:
@@ -414,10 +414,11 @@ class Bump(InitialData):
             raise ConfigError(f"init.width: must be positive, got {self.width}")
 
     def sample(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = (y - self.center) / self.width
+        d = y - self.center
+        inside = np.abs(d) < self.width  # |s| < 1, without dividing by a subnormal width
+        s = d[inside] / self.width
         u0 = np.zeros_like(y)
-        inside = np.abs(s) < 1.0
-        u0[inside] = self.amp * np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+        u0[inside] = self.amp * np.exp(1.0 - 1.0 / (1.0 - s**2))
         return u0, np.zeros_like(y)
 
     def check(self) -> AssumptionCheck:

@@ -1,11 +1,21 @@
-"""Method-of-lines integrator for the transformed wave equation.
+"""Method-of-lines integrator for the wave equation on the growing interval.
 
-The second-order equation from module transform is rewritten as a first-order
-system in (v, w) = (v, v_t) on the uniform reference grid y_i = i/N:
+With y = x/alpha(t) and v(y,t) = u(x,t), the interval (0, alpha(t)) becomes
+(0,1) and, by the chain rule, the equation becomes
+
+    v_tt + c_yt v_yt + c_yy v_yy + c_y v_y + a (v_t - drift v_y) + b v + beta |v|^rho v = f
+
+with drift = y alpha'/alpha (u_t = v_t - drift v_y at fixed x), c_yt = -2 drift,
+c_yy = drift^2 - 1/alpha^2 and c_y = -(y alpha''/alpha - 2 y (alpha'/alpha)^2);
+the tests re-derive them symbolically, and coefficient_grids evaluates them.
+The characteristic speeds (y alpha' +/- 1)/alpha are real and distinct while
+y alpha' < 1, so (A1), sup alpha' < 1, keeps the operator hyperbolic with
+margin 1 - sup alpha'; simulate_batch steps only specs that pass validation.
+As a first-order system in (v, w) = (v, v_t) on the uniform reference grid
+y_i = i/N:
 
     v_t = w
-    w_t = -(c_yt D w + c_yy D2 v + c_y D v)
-          - a (w - (y alpha'/alpha) D v) - b v - beta(t) |v|^rho v + f
+    w_t = -(c_yt D w + c_yy D2 v + c_y D v) - a (w - drift D v) - b v - beta(t) |v|^rho v + f
 
 with D the central first-difference and D2 the central second-difference.
 Time stepping is classical four-stage Runge-Kutta with a fixed step (the
@@ -81,10 +91,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
-from .model import ManufacturedField, ProblemSpec, validate_assumptions
-from .transform import coefficient_grids, hyperbolicity_check
+from .model import AlphaFamily, ManufacturedField, ProblemSpec, validate_assumptions
 
 SNAPSHOT_CAP_BYTES = 256 * 2**20
+WORK_CAP_BYTES = 256 * 2**20  # what one run allocates besides the snapshots between 0 and T; N alone sets it
 _BLOCK = 32  # steps per stage table of simulate_batch; bounds the table's memory
 DAMPING_LIMIT = 2.5  # a dt at most this: RK4's real-axis stability limit is 2.785
 REACTION_LIMIT = 1.4  # dt sqrt(b + (rho+1) beta(0) |v0|^rho) at most this: RK4's imaginary-axis limit is 2 sqrt 2
@@ -248,13 +258,16 @@ def _s_max(spec: ProblemSpec) -> float:
 
 class StepPlan(NamedTuple):
     """How a run steps from 0 to T: the fixed step dt, the number of steps,
-    the steps between two snapshots, and the bound that sets dt: "wave"
-    (--cfl), "damping" or "reaction"."""
+    the steps between two snapshots, the bound that sets dt: "wave"
+    (--cfl), "damping" or "reaction", and the cap that bound sets, written
+    as a cfl: the smallest of the caller's cfl and the stiffness bounds. A
+    plan made at cfl = plan.cfl takes the same step."""
 
     dt: float
     steps: int
     per_snapshot: int
     bound: str
+    cfl: float
 
 
 def _reaction_rate(spec: ProblemSpec, grid: Grid) -> float:
@@ -293,10 +306,11 @@ def _stiffness_bounds(spec: ProblemSpec, grid: Grid) -> list[tuple[float, str, s
 
 def _steps_to(horizon: float, dt: float, who: str) -> int:
     """The steps of size dt from 0 to the horizon; at most 2**53, past which
-    the step times (k + 1) * dt of _block are no longer exact."""
+    the step times (k + 1) * dt of _block are no longer exact, and none to a
+    horizon that is not positive (validation rejects it before a run steps)."""
     if dt == 0.0 or not math.isfinite(horizon / dt):
         raise ConfigError(f"{who}: dt = {dt!r} gives no finite number of steps to T")
-    nsteps = int(math.ceil(horizon / dt - 1e-12))  # the last step shortened to land on T
+    nsteps = max(int(math.ceil(horizon / dt - 1e-12)), 0)  # the last step shortened to land on T
     if nsteps > 2**53:
         raise ConfigError(
             f"{who}: dt = {dt!r} gives about {horizon / dt:.3g} steps to T, "
@@ -311,17 +325,26 @@ def step_plan(
     """The step, the step count and the snapshot stride of one run.
 
     Snapshots are sample_every h0 apart in time, h0 = step_size at cfl 0.5,
-    whatever the step. The step is capped at the cfl c, the smallest of cfl
-    and (when stiff) the damping and reaction bounds, and divides a snapshot
+    whatever the step. The step is capped at the cfl c (plan.cfl), the smallest
+    of cfl and (when stiff) the damping and reaction bounds, and divides a snapshot
     interval into m = ceil(sample_every / (2 c)) whole steps: dt =
     step_size(cfl = sample_every / (2 m)). At cfl 0.5 that is m =
     sample_every and the cfl 0.5 step, bit for bit. Raises ConfigError,
     naming the binding bound, when dt gives no finite step count or more
-    than 2**53 steps.
+    than 2**53 steps, and ResourceLimitError, before any array of the grid
+    exists, when one run's working memory on the grid exceeds the cap.
     """
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     step_size(spec, grid, cfl)  # rejects a cfl that is not positive and finite
+    # one block's stage table (about 10 arrays of the N-1 interior nodes per stage time:
+    # K's 6 weights and the 4 coefficients), the 4 stage buffers of 3 arrays, and v and w at 0 and T
+    need = 8 * ((2 * _BLOCK + 1) * 10 * (grid.n - 1) + (4 * 3 + 2 * 2) * (grid.n + 1))
+    if need > WORK_CAP_BYTES:
+        raise ResourceLimitError(
+            f"grid N = {grid.n} needs about {need} bytes for a stage table, the stage buffers "
+            f"and two snapshots (cap {WORK_CAP_BYTES}); lower N"
+        )
     c, bound, who = cfl, "wave", f"cfl {cfl!r} is too small"
     if stiff:
         for limit, name, what in _stiffness_bounds(spec, grid):
@@ -331,7 +354,8 @@ def step_plan(
     num, den = c.as_integer_ratio()
     m = -(-sample_every * den // (2 * num))  # ceil(sample_every / (2 c)), exact for any sample_every
     dt = step_size(spec, grid, sample_every / (2 * m))
-    return StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound)
+    return StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound, c)
+
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +458,29 @@ class _Source:
             tmp *= u
             f += tmp
         return f
+
+
+def _alpha_ratios(t: float, alpha: AlphaFamily) -> tuple[float, float, float, float]:
+    """alpha'/alpha, 1/alpha^2, alpha''/alpha and (alpha'/alpha)^2 at t."""
+    al, ap, app = alpha.eval(t)
+    return ap / al, 1.0 / (al * al), app / al, (ap / al) ** 2
+
+
+def coefficient_grids(y: np.ndarray, times, alpha: AlphaFamily):
+    """Coefficients of the transformed equation at nodes y and each of times.
+
+    Returns (c_yt, c_yy, c_y, drift) with drift = y alpha'/alpha, the term the
+    damping correction and the velocity reconstruction both need. Each is a
+    (times, nodes) array whose row j holds the coefficient at times[j]; the
+    alpha ratios are Python scalars per time, so row j does not depend on
+    the other times.
+    """
+    g, inv_al2, g2, g_sq = np.array([_alpha_ratios(t, alpha) for t in times]).T[..., None]
+    drift = y * g
+    c_yt = -2.0 * drift
+    c_yy = drift * drift - inv_al2
+    c_y = -(y * g2 - 2.0 * y * g_sq)
+    return c_yt, c_yy, c_y, drift
 
 
 class _Rows:
@@ -568,7 +615,8 @@ def simulate(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 
 
     Raises ValidationError if the spec fails the admissibility checks,
     BlowUpError when the solution leaves the finite range, and
-    ResourceLimitError if the snapshot storage estimate exceeds the cap.
+    ResourceLimitError if the snapshot storage estimate, or the working
+    memory of a run on the grid, exceeds the cap.
     """
     (result,) = simulate_batch([spec], grid, sample_every, cfl)
     if isinstance(result, MowaveError):
@@ -612,7 +660,8 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
     checks, BlowUpError once the row left the finite range (it is then
     dropped and the others carry on). Raises ConfigError if the admissible
     specs differ in batch_key or have no step plan, and ResourceLimitError
-    if the snapshots of all admissible rows together would exceed the cap.
+    if the snapshots of all admissible rows together, or the working memory
+    of one run on the grid, would exceed the cap.
     """
     specs = list(specs)
     if not specs:
@@ -633,13 +682,12 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
         raise ConfigError(
             "simulate_batch: rows must share alpha, rho, horizon, linear_mode, being forced and the step"
         )
-    hyperbolicity_check(lead.alpha, lead.horizon)
     fit = rows_within_cap(plan, grid)
     if len(live) > fit:
         raise ResourceLimitError(f"simulate_batch: {len(live)} rows of snapshots exceed the cap, which holds {fit}")
 
     T = lead.horizon
-    dt, nsteps, stride, _ = plan
+    dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot
     rows = _Rows([specs[r] for r in live], grid)
     firsts = [initialize(specs[r], grid) for r in live]
     bufs, stages = _stages(np.array([[first.v for first in firsts], [first.w for first in firsts]]))

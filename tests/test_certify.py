@@ -183,6 +183,18 @@ class TestWindow:
         )
         assert hi == pytest.approx(0.5 / 2.625, abs=2e-6)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [ConstantAlpha(), AffineAlpha(k=0.0), SaturatingAlpha(k=0.5, tau=1.0), SaturatingAlpha(k=0.5, tau=1e10)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("T", [10.0, 1e12])
+    def test_remark1_unbounded_window_lies_inside_every_finite_one(self, alpha, T):
+        # sup alpha on [0, inf) bounds alpha(T), so the window on [0, inf) can only be narrower
+        params, beta = DampingParams(a=1.0, b=0.0, rho=1.0), ConstantBeta(1.0)
+        assert window_edges(params, beta, alpha, math.inf)[1] <= window_edges(params, beta, alpha, T)[1]
+        assert alpha.max_length(math.inf) == {ConstantAlpha: 1.0, AffineAlpha: 1.0, SaturatingAlpha: 1.5}[type(alpha)]
+
     def test_rejects_bad_damping(self):
         with pytest.raises(ConfigError):
             window_edges(DampingParams(a=0.0, b=1.0, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 1.0)

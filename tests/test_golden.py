@@ -444,6 +444,10 @@ CLI_FAILURES = {
         {"c.json": _cfg(horizon=0.05)},
     ),
     "simulate-grid-n": (["simulate", "c.json", "--grid-n", "4", "--outdir", "out"], {"c.json": README_CONFIG}),
+    "simulate-grid-n-huge": (
+        ["simulate", "c.json", "--grid-n", "1000000000000", "--outdir", "out"],
+        {"c.json": README_CONFIG},
+    ),
     "simulate-cfl": (["simulate", "c.json", "--cfl", "-1", "--outdir", "out"], {"c.json": README_CONFIG}),
     "simulate-cfl-step-count-overflows": (
         ["simulate", "c.json", "--cfl", "1e-320", "--outdir", "out"],
@@ -535,6 +539,10 @@ CLI_FAILURES = {
         {"c.json": _cfg(horizon=0.25)},
     ),
     "convergence-grid-n-repeated": (["convergence", "c.json", "--grid-n", "50,50"], {"c.json": README_CONFIG}),
+    "convergence-grid-n-huge": (
+        ["convergence", "c.json", "--grid-n", "50,1000000000000"],
+        {"c.json": README_CONFIG},
+    ),
     "convergence-grid-n-repeated-of-three": (
         ["convergence", "c.json", "--grid-n", "16,16,32"],
         {"c.json": _cfg(horizon=0.25)},
@@ -564,6 +572,10 @@ CLI_FAILURES = {
     "sweep-unknown-axis": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(axes={"gamma": [1.0]})}),
     "sweep-base-invalid": (["sweep", "s.json", "--outdir", "out"], {"s.json": _sweep(base=_cfg(extra=1))}),
     "sweep-grid-n": (["sweep", "s.json", "--grid-n", "4", "--outdir", "out"], {"s.json": _README_SWEEP}),
+    "sweep-grid-n-huge": (
+        ["sweep", "s.json", "--grid-n", "1000000000000", "--outdir", "out"],
+        {"s.json": _README_SWEEP},
+    ),
     "sweep-cfl": (["sweep", "s.json", "--cfl", "-1", "--outdir", "out"], {"s.json": _README_SWEEP}),
     "sweep-cfl-step-underflows": (
         ["sweep", "s.json", "--cfl", "5e-324", "--outdir", "out"],
@@ -615,7 +627,9 @@ CLI_FAILURES = {
 # convergence-blowup-a2000 changed again when a study came to step every grid
 # at the most steps per h0 that any of its grids' plans takes (3 here: the
 # N=100 run steps at a dt = 2.2, near RK4's stability limit, where its time
-# error is not yet small)
+# error is not yet small); the three grid-n-huge rows were computed when a
+# grid whose stage table does not fit the working-memory cap came to be
+# rejected before any array of the grid is made (they raised MemoryError before)
 CLI_FAILURE_RESULTS = {
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -633,6 +647,7 @@ CLI_FAILURE_RESULTS = {
     'convergence-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'convergence-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 1.33e-322 gives no finite number of steps to T\n'),
     'convergence-grid-n-not-integers': (2, '', "mowave: --grid-n expects a comma-separated integer list, got '50,x'\n"),
+    'convergence-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 5327999999994928 bytes for a stage table, the stage buffers and two snapshots (cap 268435456); lower N\n'),
     'convergence-grid-n-one-size': (2, '', 'mowave: --grid-n needs at least two grid sizes for observed orders\n'),
     'convergence-grid-n-repeated': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '50,50'\n"),
     'convergence-grid-n-repeated-of-three': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '16,16,32'\n"),
@@ -654,6 +669,7 @@ CLI_FAILURE_RESULTS = {
     'simulate-reaction-steps-past-2-53': (2, '', 'mowave: reaction rate sqrt(b + (rho+1) beta(0) |v0|^rho) = 2e+18 is too stiff: dt = 7e-19 gives about 1.43e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
     'simulate-energy-overflow': (2, '', 'mowave: the energy overflows a double, first at t = 0, although the solution stays finite; no outputs written\n'),
     'simulate-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
+    'simulate-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 5327999999994928 bytes for a stage table, the stage buffers and two snapshots (cap 268435456); lower N\n'),
     'simulate-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
     'simulate-not-json': (2, '', 'mowave: config c.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n'),
     'simulate-sample-every': (2, '', 'mowave: sample_every must be a positive integer, got 0\n'),
@@ -673,6 +689,7 @@ CLI_FAILURE_RESULTS = {
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'sweep-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),
     'sweep-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
+    'sweep-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 5327999999994928 bytes for a stage table, the stage buffers and two snapshots (cap 268435456); lower N\n'),
     'sweep-jobs-0': (2, '', 'mowave: --jobs must be at least 1, got 0\n'),
     'sweep-jobs-negative': (2, '', 'mowave: --jobs must be at least 1, got -2\n'),
     'sweep-k-needs-growing-alpha': (2, '', "mowave: sweep axis 'k' requires the base alpha to be affine or saturating\n"),

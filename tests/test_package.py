@@ -10,7 +10,7 @@ import pytest
 import mowave
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBMODULES = ("certify", "energy", "errors", "harness", "model", "solver", "svgplot", "transform")
+SUBMODULES = ("certify", "energy", "errors", "harness", "model", "solver", "svgplot")
 
 
 def readme_section(title):

@@ -36,6 +36,7 @@ from mowave.solver import (
     _block,
     _rhs_arrays,
     _stages,
+    coefficient_grids,
     initialize,
     manufactured_forcing,
     rows_within_cap,
@@ -44,7 +45,6 @@ from mowave.solver import (
     step_plan,
     step_size,
 )
-from mowave.transform import coefficient_grids
 
 
 def make_spec(**kw):
@@ -214,6 +214,16 @@ class TestStepPlan:
         # the bounds do not bind at the default data, so cfl 0.5 runs keep their step
         for spec in (readme_spec(), readme_spec(a=100.0), readme_spec(rho=3.0, amp_u0=10.0)):
             assert step_plan(spec, Grid(200), 10, 0.5).dt == step_size(spec, Grid(200), 0.5)
+
+    @pytest.mark.parametrize("cfl", [0.3, 1.0])
+    def test_plan_reports_the_cap_it_stepped_under(self, cfl):
+        g = Grid(100)
+        wave = step_plan(readme_spec(), g, 10, cfl)
+        assert wave.bound == "wave" and wave.cfl == cfl
+        damped = step_plan(readme_spec(a=2000.0), g, 10, cfl)
+        assert damped.bound == "damping" and damped.cfl == 2.5 / 2000.0 * (1.5 / g.dy)
+        # a plan made at its own cap takes the same steps
+        assert step_plan(readme_spec(a=2000.0), g, 10, damped.cfl)[:3] == damped[:3]
 
     def test_inadmissible_coefficients_give_no_bound(self):
         g = Grid(16)
@@ -409,6 +419,20 @@ class TestSimulate:
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 1024)
         with pytest.raises(ResourceLimitError):
             simulate(spec, Grid(64))
+
+    def test_working_memory_caps_the_grid(self, monkeypatch):
+        # two snapshots fit the snapshot cap at any N here; the stage table of N = 2000 does not fit 1 MiB
+        spec = readme_spec(horizon=1e-5)
+        monkeypatch.setattr("mowave.solver.WORK_CAP_BYTES", 2**20)
+
+        def no_arrays(*args):
+            raise AssertionError("initialize called before the grid was checked")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("mowave.solver.initialize", no_arrays)
+            with pytest.raises(ResourceLimitError, match=r"grid N = 2000 needs about 10650928 bytes .* lower N"):
+                simulate(spec, Grid(2000))
+        assert simulate(spec, Grid(150)).times.size == 2
 
     def test_bad_sample_every(self):
         with pytest.raises(ConfigError):
@@ -775,7 +799,7 @@ class TestKernel:
 
 
 class TestTrajectoryInvariants:
-    plan = StepPlan(0.1, 10, 1, "wave")
+    plan = StepPlan(0.1, 10, 1, "wave", 0.5)
 
     def test_arrays_are_read_only_and_sized_to_the_snapshots(self):
         spec = make_spec(horizon=0.5)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mowave import AffineAlpha, ConstantAlpha, MowaveError, SaturatingAlpha
-from mowave.transform import coefficient_grids, hyperbolicity_check
+from mowave import AffineAlpha, ConstantAlpha, SaturatingAlpha
+from mowave.solver import coefficient_grids
 
 
 def point_coefficients(y, t, fam):
@@ -99,13 +99,3 @@ class TestTransformedCoefficients:
                 assert block.shape == (len(times), y.size) and alone.shape == (1, y.size)
                 assert block[j].tobytes() == alone[0].tobytes()
 
-
-class TestHyperbolicity:
-    def test_margins(self):
-        assert hyperbolicity_check(AffineAlpha(0.5), 10.0) == pytest.approx(0.5)
-        assert hyperbolicity_check(ConstantAlpha(), 10.0) == pytest.approx(1.0)
-        assert hyperbolicity_check(SaturatingAlpha(0.9, 1.0), 10.0) == pytest.approx(0.1)
-
-    def test_defensive_rejection(self):
-        with pytest.raises(MowaveError):
-            hyperbolicity_check(AffineAlpha(1.2), 1.0)
