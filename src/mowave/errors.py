@@ -24,15 +24,16 @@ class ValidationError(MowaveError):
 
 
 class BlowUpError(MowaveError):
-    """The discrete solution left the finite range.
+    """The discrete solution left the finite range: a numerical instability,
+    since the exact solution stays finite; message says why.
 
     Attributes:
         time: simulation time at which a non-finite value was first seen.
     """
 
-    def __init__(self, time: float):
+    def __init__(self, time: float, message: str):
         self.time = float(time)
-        super().__init__(f"solution blew up (non-finite values) at t={self.time:.6g}")
+        super().__init__(message)
 
 
 class ResourceLimitError(MowaveError):

@@ -153,7 +153,8 @@ class BetaFamily(_Params):
     """The weight beta(t) of the nonlinear term; eval(t) = (beta(t), beta'(t))."""
 
     def check_range(self, T: float) -> AssumptionCheck:
-        """beta(T) and beta'(T) must be finite doubles; under (A2) they bound beta, beta' on [0, T]."""
+        """beta(T) and beta'(T) must be finite doubles; under (A2) beta(T) bounds beta on [0, T], and
+        beta'(T) bounds beta' there when beta' does not decrease, as with nonnegative coefficients."""
         val, der = self.eval(T)
         ok = math.isfinite(val) and math.isfinite(der)
         detail = f"beta(T) = {val:.6g}, beta'(T) = {der:.6g} at T = {T:g}"
@@ -269,9 +270,55 @@ class PolynomialBeta(BetaFamily):
             return AssumptionCheck(
                 "A2", False, f"{name}: constant coefficient {self.coeffs[0]} must be positive"
             )
-        if any(c < 0.0 for c in self.coeffs):
-            return AssumptionCheck("A2", False, f"{name}: negative coefficients break beta' >= 0 on t >= 0")
-        return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
+        if all(c >= 0.0 for c in self.coeffs):
+            return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
+        d = np.trim_zeros(np.polyder(np.array(self.coeffs[::-1])), "f")  # beta', descending powers
+        if np.abs(d).max() > _SPAN * abs(d[0]):
+            return AssumptionCheck(
+                "A2", False, f"{name}: the coefficients of beta' span more than {_SPAN:g}, too far apart to find its roots"
+            )
+        t = _negative_at(d)
+        if t is not None:
+            return AssumptionCheck("A2", False, f"{name}: beta' < 0 at t = {t:.6g}")
+        return AssumptionCheck(
+            "A2", True, f"{name}: beta' >= 0 at t = 0, across its real roots and for large t, constant term > 0"
+        )
+
+
+_SPAN = 1e300  # the largest |d_k / d_0| _negative_at takes: its roots and its probes then stay finite
+
+
+def _negative_at(d: np.ndarray) -> float | None:
+    """A t >= 0 where the polynomial p with descending coefficients d is
+    negative, or None when p >= 0 on [0, inf); d[0] != 0 and |d_k / d_0| <= _SPAN.
+
+    p goes negative exactly when p(0) < 0, when it changes sign at a real
+    root in (0, inf), or when it leads negative. So p is read at half its
+    first positive real root and midway between consecutive ones, as
+    p(t) / max(1, t)^n, which does not overflow. np.roots (as in sup_ratio)
+    finds a root only to within eps times the largest, so roots of very
+    different sizes are taken from every run d[i:j] of coefficients too
+    (whose span is at most _SPAN): where the others are negligible, p's
+    roots are that run's. Extra points only add readings. A double root
+    can come out as two nearby roots, midway between which p is rounding:
+    a value within the rounding bound of Horner's scheme is not negative.
+    Past 4 max_k |d_k / d_0|^(1/k), twice a bound on every root, the
+    leading term outweighs the others three to one.
+    """
+    if d[-1] < 0.0:
+        return 0.0
+    n = d.size
+    runs = (d[i:j] for i in range(n) for j in range(i + 2, n + 1))  # d itself among them
+    roots = np.concatenate([np.roots(run) for run in runs if np.abs(run).max() <= _SPAN * abs(run[0])])
+    ends = np.unique(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)])
+    rounding = 4 * n * sys.float_info.epsilon
+    for t in (0.5 * np.concatenate(([0.0], ends[:-1])) + 0.5 * ends).tolist():
+        c, x = (d, t) if t <= 1.0 else (d[::-1], 1.0 / t)
+        if np.polyval(c, x) < -rounding * np.polyval(np.abs(c), x):
+            return t
+    if d[0] < 0.0:
+        return 4.0 * max(abs(dk / d[0]) ** (1.0 / k) for k, dk in enumerate(d[1:], 1)) or 1.0
+    return None
 
 
 # ---------------------------------------------------------------------------

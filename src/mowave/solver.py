@@ -69,8 +69,12 @@ stage 4 being the next step's stage 1 (t_k + h_k is t_{k+1} exactly), so
 step j reads entries 2j, 2j + 1 and 2j + 2. The times are listed in
 Python, alpha, beta and the source scales are evaluated there as Python
 scalars, and K and the source arrays of every time follow in a few
-vectorised passes. A row that blows up is dropped;
-the others go on with fresh buffers and a fresh table from the next step.
+vectorised passes.
+
+A batch is one state from 0 to T. A row that leaves the finite range gets
+its BlowUpError (_instability) and is set to zero, so that the one-pass
+finiteness check holds again on later steps; it is never read again, and
+the other rows keep their bits. The loop stops once every row has blown up.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
@@ -643,6 +647,29 @@ def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple]
     return steps, times
 
 
+def _instability(spec: ProblemSpec, plan: StepPlan, t: float, sample_every: int) -> BlowUpError:
+    """The error of a row whose state left the finite range at t.
+
+    The exact solution is finite there: unforced, the energy identity bounds
+    its energy by E(0) beta(t)/beta(0) (by E(0) in linear mode); forced, it
+    is the manufactured field. So the step is at fault, and any --cfl below
+    the step's own, sample_every / (2 per_snapshot), takes a smaller one.
+    """
+    if spec.source is not None:
+        exact = "the exact solution is the manufactured field"
+    elif spec.linear_mode:
+        exact = "the energy identity bounds the exact energy there by E(0)"
+    else:
+        ratio = spec.beta.eval(t)[0] / spec.beta.eval(0.0)[0]
+        exact = f"the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = {ratio:.6g} E(0)"
+    return BlowUpError(
+        t,
+        f"numerical instability: the discrete solution left the finite range at t={t:.6g}, although {exact}; "
+        f"the step dt = {plan.dt:.6g} was set by the {plan.bound} bound from the data at t = 0: "
+        f"lower --cfl below {sample_every / (2 * plan.per_snapshot):.6g}",
+    )
+
+
 def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> list:
     """Advance several specs from 0 to T as one (rows, N+1) state.
 
@@ -651,17 +678,18 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
     or all unforced, and share the step and snapshot stride of their
     step_plan; a, b, beta and the source may differ. Classical RK4 at
     fixed dt; snapshots are recorded at t = 0, every sample_every h0 of
-    time (every step_plan per_snapshot steps), and at t = T. Every
-    operation is elementwise per row, so each row is bit-identical to its
-    run alone.
+    time (every step_plan per_snapshot steps), and at t = T, into one
+    (2, rows, nsnap, N+1) array. Every operation is elementwise per row, so
+    each row is bit-identical to its run alone.
 
-    Returns one Trajectory per spec, carrying the spec's own step plan, or
-    the row's error: ValidationError if the spec fails the admissibility
-    checks, BlowUpError once the row left the finite range (it is then
-    dropped and the others carry on). Raises ConfigError if the admissible
-    specs differ in batch_key or have no step plan, and ResourceLimitError
-    if the snapshots of all admissible rows together, or the working memory
-    of one run on the grid, would exceed the cap.
+    Returns one Trajectory per spec, carrying the spec's own step plan and
+    views of its row's snapshots, or the row's error: ValidationError if the
+    spec fails the admissibility checks, BlowUpError (see _instability) once
+    the row left the finite range; the loop stops when every row has. Raises
+    ConfigError if the admissible specs differ in batch_key or have no step
+    plan, and ResourceLimitError if the snapshots of all admissible rows
+    together, or the working memory of one run on the grid, would exceed
+    the cap.
     """
     specs = list(specs)
     if not specs:
@@ -690,24 +718,23 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
     dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot
     rows = _Rows([specs[r] for r in live], grid)
     firsts = [initialize(specs[r], grid) for r in live]
-    bufs, stages = _stages(np.array([[first.v for first in firsts], [first.w for first in firsts]]))
+    bufs, (s1, s2, s3, s4) = _stages(np.array([[first.v for first in firsts], [first.w for first in firsts]]))
+    z1, z2, z3, z4 = bufs[:, 0:2]
+    dz1, dz2, dz3, dz4 = bufs[:, 1:3]
     # snapshots at t = 0, after every stride-th step and after the last
     nsnap = 1 + nsteps // stride + (nsteps % stride != 0)
     times = np.zeros(nsnap)
-    snaps = {r: np.empty((2, nsnap, grid.n + 1)) for r in live}  # (V, W) of each row
-    for i, r in enumerate(live):
-        snaps[r][:, 0] = bufs[0, 0:2, i]
+    snaps = np.empty((2, len(live), nsnap, grid.n + 1))  # V and W of every row
+    snaps[:, :, 0] = z1
     taken = 1
+    blown = np.zeros(len(live), dtype=bool)
+    finite = np.empty(z1.shape, dtype=bool)
     k, t = 0, 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        while live and k < nsteps:
+        while k < nsteps and not blown.all():
             steps, stage_times = _block(k, min(k + _BLOCK, nsteps), t, dt, T)
             table = rows.stage_table(stage_times)
-            s1, s2, s3, s4 = stages
-            z1, z2, z3, z4 = bufs[:, 0:2]
-            dz1, dz2, dz3, dz4 = bufs[:, 1:3]
-            finite = np.empty(z1.shape, dtype=bool)
             for j, (hh, h, h6, t_next) in enumerate(steps):
                 _rhs_arrays(s1, table[2 * j], rows)
                 np.multiply(dz1, hh, out=z2)
@@ -728,29 +755,23 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
                 dz2 *= h6
                 z1 += dz2
                 k, t = k + 1, t_next
-                blown = not np.isfinite(z1, out=finite).all()
-                if blown:
+                if not np.isfinite(z1, out=finite).all():
                     bad = ~finite.all(axis=(0, 2))
-                    for i in np.flatnonzero(bad):
-                        results[live[i]] = BlowUpError(t)
-                        del snaps[live[i]]
-                    live = [r for r, b in zip(live, bad) if not b]
-                    if not live:
+                    for i in np.flatnonzero(bad & ~blown):
+                        results[live[i]] = _instability(specs[live[i]], plans[live[i]], t, sample_every)
+                    blown |= bad
+                    if blown.all():
                         break
-                    # the remaining rows go on from fresh buffers and a fresh table
-                    bufs, stages = _stages(z1[:, ~bad])
-                    rows = _Rows([specs[r] for r in live], grid)
+                    z1[:, bad] = 0.0  # never read again; keeps the check above true on the next steps
                 if k % stride == 0 or k == nsteps:
                     times[taken] = t
-                    for i, r in enumerate(live):
-                        snaps[r][:, taken] = bufs[0, 0:2, i]
+                    snaps[:, :, taken] = z1
                     taken += 1
-                if blown:
-                    break
             del table  # before the next block's table is built; an entry kept by another name would keep it all
 
-    for r in live:
-        results[r] = Trajectory(specs[r], grid, plans[r], times, *snaps[r])
+    for i, r in enumerate(live):
+        if not blown[i]:
+            results[r] = Trajectory(specs[r], grid, plans[r], times, snaps[0, i], snaps[1, i])
     return results
 
 

@@ -98,6 +98,7 @@ VALIDATION_CASES = {
     "beta-polynomial": _spec(beta=PolynomialBeta((1.0, 0.5, 0.25))),
     "beta-polynomial-nonpositive": _spec(beta=PolynomialBeta((0.0, 1.0))),
     "beta-polynomial-negative": _spec(beta=PolynomialBeta((1.0, -1.0, 2.0))),
+    "beta-polynomial-negative-nondecreasing": _spec(beta=PolynomialBeta((1.0, 3.0, -3.0, 1.0))),
     "beta-polynomial-overflow": _spec(beta=PolynomialBeta((1.0, 1e300, 1e300)), horizon=1e5),
     "beta-linear-mode": _spec(linear_mode=True),
     "init-sine": _spec(init=SineMode(m=3, amp_u0=0.5, amp_u1=-0.25)),
@@ -112,6 +113,8 @@ VALIDATION_CASES = {
     "horizon": _spec(horizon=0.0),
 }
 
+# beta-polynomial-negative changed when (A2) of a polynomial beta came to be
+# tested on beta' itself, not on the signs of the coefficients
 VALIDATION_SUMMARIES = {
     'alpha-constant': (
         "[pass] A1: alpha = 1 (cylindrical), sup alpha' = 0\n"
@@ -268,8 +271,17 @@ VALIDATION_SUMMARIES = {
     ),
     'beta-polynomial-negative': (
         "[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n"
-        "[FAIL] A2: PolynomialBeta: negative coefficients break beta' >= 0 on t >= 0\n"
+        "[FAIL] A2: PolynomialBeta: beta' < 0 at t = 0\n"
         "[pass] beta(T): beta(T) = 191, beta'(T) = 39 at T = 10\n"
+        '[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n'
+        '[pass] damping: a = 1 > 0, b = 1\n'
+        '[pass] init: SineMode m=1 vanishes at both endpoints\n'
+        '[pass] horizon: T = 10'
+    ),
+    'beta-polynomial-negative-nondecreasing': (
+        "[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n"
+        "[pass] A2: PolynomialBeta: beta' >= 0 at t = 0, across its real roots and for large t, constant term > 0\n"
+        "[pass] beta(T): beta(T) = 731, beta'(T) = 243 at T = 10\n"
         '[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n'
         '[pass] damping: a = 1 > 0, b = 1\n'
         '[pass] init: SineMode m=1 vanishes at both endpoints\n'
@@ -435,6 +447,10 @@ CLI_FAILURES = {
         ["simulate", "c.json", "--grid-n", "64", "--cfl", "10.0", "--outdir", "out"],
         {"c.json": _cfg(horizon=1.0)},
     ),
+    "simulate-blowup-beta-growth": (
+        ["simulate", "c.json", "--grid-n", "100", "--outdir", "out"],
+        {"c.json": _cfg(beta={"variant": "exponential", "beta0": 1.0, "mu": 60.0}, horizon=1.0)},
+    ),
     "simulate-snapshot-cap": (
         ["simulate", "c.json", "--sample-every", "1", "--outdir", "out"],
         {"c.json": _cfg(horizon=1000.0)},
@@ -504,6 +520,15 @@ CLI_FAILURES = {
     "certify-unknown-key": (["certify", "c.json"], {"c.json": _cfg(extra=1)}),
     "certify-A1": (["certify", "c.json"], {"c.json": _cfg(alpha={"variant": "saturating", "k": 2.0, "tau": 1.5})}),
     "certify-A2": (["certify", "c.json"], {"c.json": _cfg(beta={"variant": "constant", "c": 0.0})}),
+    # beta = 2 + (t - 1)^3: beta' = 3 (t - 1)^2 >= 0 passes (A2), and beta'(0)/beta(0) = 3 empties the window
+    "certify-A2-polynomial-cubic": (
+        ["certify", "c.json"],
+        {"c.json": _cfg(beta={"variant": "polynomial", "coeffs": [1.0, 3.0, -3.0, 1.0]})},
+    ),
+    "certify-A2-polynomial-decreasing": (
+        ["certify", "c.json"],
+        {"c.json": _cfg(beta={"variant": "polynomial", "coeffs": [1.0, 2.0, -1.0]})},
+    ),
     "certify-beta-T": (
         ["certify", "c.json"],
         {"c.json": _cfg(beta={"variant": "polynomial", "coeffs": [1.0, 1e300, 1e300]}, horizon=1e5)},
@@ -629,8 +654,13 @@ CLI_FAILURES = {
 # N=100 run steps at a dt = 2.2, near RK4's stability limit, where its time
 # error is not yet small); the three grid-n-huge rows were computed when a
 # grid whose stage table does not fit the working-memory cap came to be
-# rejected before any array of the grid is made (they raised MemoryError before)
+# rejected before any array of the grid is made (they raised MemoryError before);
+# simulate-blowup-cfl and sweep-cells-fail changed, and simulate-blowup-beta-growth
+# came in, when exit 3 came to name the numerical instability, the exact
+# solution's bound, the step's bound and the --cfl that takes a smaller step
 CLI_FAILURE_RESULTS = {
+    'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
+    'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4\n[pass] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-beta-T': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: PolynomialBeta: all coefficients >= 0, constant term > 0\n[FAIL] beta(T): beta(T) = inf, beta'(T) = 2.00001e+305 at T = 100000 are not finite doubles\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 100000\n"),
@@ -658,7 +688,8 @@ CLI_FAILURE_RESULTS = {
     'simulate-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: AffineAlpha: requires sup α'(t)<1, got sup alpha' = 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ExponentialBeta: mu = -0.5 < 0 makes beta decreasing\n[pass] beta(T): beta(T) = 0.00673795, beta'(T) = -0.00336897 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-beta-T': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[FAIL] beta(T): mu T = 1000, log beta(T) = 1000, log beta'(T) = 1006.91; the largest double is e^709.783\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 1\n"),
-    'simulate-blowup-cfl': (3, '', 'mowave: solution blew up (non-finite values) at t=0.520833\n'),
+    'simulate-blowup-beta-growth': (3, '', 'mowave: numerical instability: the discrete solution left the finite range at t=0.26, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 5.95654e+06 E(0); the step dt = 0.00666667 was set by the wave bound from the data at t = 0: lower --cfl below 1\n'),
+    'simulate-blowup-cfl': (3, '', 'mowave: numerical instability: the discrete solution left the finite range at t=0.520833, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 1.05346 E(0); the step dt = 0.0520833 was set by the wave bound from the data at t = 0: lower --cfl below 5\n'),
     'simulate-certificate-overflow': (2, '', "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"),
     'simulate-certificate-bound-overflow': (2, '', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'simulate-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
@@ -682,7 +713,7 @@ CLI_FAILURE_RESULTS = {
     'sweep-axis-not-a-number': (2, '', "mowave: sweep axis 'mu': expected a number, got None\n"),
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
     'sweep-cell-damping-steps-past-2-53': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
-    'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: solution blew up (non-finite values) at t=0.0261976\n"),
+    'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: numerical instability: the discrete solution left the finite range at t=0.0261976, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 2.38493e+11 E(0); the step dt = 0.0012475 was set by the damping bound from the data at t = 0: lower --cfl below 0.0299401\n"),
     'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
     'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),

@@ -136,7 +136,11 @@ class TestSimulate:
              "--outdir", str(tmp_path / "b")]
         )
         assert code == 3
-        assert "blew up" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("mowave: numerical instability: the discrete solution left the finite range at t=")
+        assert "E(0) beta(t)/beta(0) = " in err
+        assert err.endswith("was set by the wave bound from the data at t = 0: lower --cfl below 5\n")
 
     def test_beta_beyond_doubles_exits_2(self, tmp_path, capsys):
         cfg = reference_config(
@@ -520,7 +524,10 @@ class TestBatchedSweep:
         assert [(r["k"], r["rho"], r["mu"]) for r in rows if r["exit"] == "3"] == [("0.2", "3.0", "6.0")]
         # its batch neighbour (same k and rho) finishes
         assert [r["exit"] for r in rows if (r["k"], r["rho"]) == ("0.2", "3.0")] == ["0", "3"]
-        assert "blew up" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("mowave: numerical instability: the discrete solution left the finite range at t=")
+        assert err.endswith("was set by the reaction bound from the data at t = 0: lower --cfl below 0.3125\n")
         expected = outputs_of(serial)
         assert len(expected) == 1 + 7 * 4
         for jobs in (2, 3):
@@ -562,8 +569,9 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_beta_beyond_doubles_fails_its_cell_alone(self, tmp_path, capsys, jobs):
+        # mu = 60 shares the batch of mu = 0.1 (at --jobs 2 too) and blows up in it
         base = reference_config(horizon=1.0)
-        cfg = {"base": base, "axes": {"mu": [0.1, 1000.0]}}
+        cfg = {"base": base, "axes": {"mu": [0.1, 60.0, 1000.0]}}
         outdir = tmp_path / "sweep"
         code = main(
             ["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--jobs", jobs,
@@ -571,9 +579,15 @@ class TestBatchedSweep:
         )
         assert code == 0
         with open(outdir / "sweep.csv", newline="") as fh:
-            assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "2"]
+            assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "3", "2"]
+        assert list((outdir / "cell_0001").iterdir()) == []
+        code, solo = run_simulate(tmp_path, reference_config(horizon=1.0), "--grid-n", "16", outname="solo")
+        assert code == 0
+        assert outputs_of(solo) == outputs_of(outdir / "cell_0000")
         if jobs == "1":  # a pool worker's stderr is not captured here
-            assert "[FAIL] beta(T)" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "[FAIL] beta(T)" in err
+            assert "mowave: numerical instability: the discrete solution left the finite range at t=" in err
 
     def test_cells_batch_by_their_step(self, tmp_path, monkeypatch):
         sizes = []
@@ -607,7 +621,9 @@ class TestBatchedSweep:
         with open(outdir / "sweep.csv", newline="") as fh:
             assert [r["exit"] for r in csv.DictReader(fh)] == ["3", "2"]
         assert capsys.readouterr().err == (
-            "mowave: solution blew up (non-finite values) at t=0.0416667\n"
+            "mowave: numerical instability: the discrete solution left the finite range at t=0.0416667, although "
+            "the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 1.73611e+297 E(0); "
+            "the step dt = 0.0208333 was set by the wave bound from the data at t = 0: lower --cfl below 1\n"
             "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
             "on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"
         )

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import MISSING, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from mowave import (
     spec_to_dict,
     validate_assumptions,
 )
+from mowave.model import _negative_at
 
 
 def make_spec(**overrides):
@@ -39,6 +41,11 @@ def make_spec(**overrides):
     )
     base.update(overrides)
     return ProblemSpec(**base)
+
+
+def beta_prime_exact(beta, t):
+    """beta'(t) of a PolynomialBeta in exact rational arithmetic."""
+    return sum(k * Fraction(c) * Fraction(t) ** (k - 1) for k, c in enumerate(beta.coeffs) if k)
 
 
 # strategies for admissible families
@@ -121,6 +128,49 @@ class TestBetaFamilies:
     def test_polynomial_empty_rejected(self):
         with pytest.raises(ConfigError):
             PolynomialBeta(coeffs=())
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1.0, 3.0, -3.0, 1.0),  # 2 + (t - 1)^3: beta' = 3 (t - 1)^2, a double root at t = 1
+            (1.0, 1.0, -0.1, 0.01),  # beta' = 1 - 0.2 t + 0.03 t^2 has no real root
+        ],
+    )
+    def test_polynomial_with_negative_coefficients_passes_when_beta_prime_stays_nonnegative(self, coeffs):
+        check = PolynomialBeta(coeffs).check()
+        assert check.passed, check.detail
+
+    @pytest.mark.parametrize(
+        "coeffs, shown",
+        [
+            ((1.0, 2.0, -1.0), "4"),  # beta' = 2 - 2t leads negative
+            ((2.0, -1.0, 1.0), "0"),  # beta'(0) = -1
+            ((1.0, 0.0, 0.0, -1e-9, 1e-6), "0.000375"),  # beta' = t^2 (4e-6 t - 3e-9) < 0 on (0, 7.5e-4)
+        ],
+    )
+    def test_polynomial_fail_names_a_t_where_beta_prime_is_negative(self, coeffs, shown):
+        beta = PolynomialBeta(coeffs)
+        check = beta.check()
+        assert not check.passed
+        assert check.detail == f"PolynomialBeta: beta' < 0 at t = {shown}"
+        assert beta_prime_exact(beta, float(shown)) < 0
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    def test_polynomial_a2_is_beta_prime_nonnegative_on_the_half_line(self, rest):
+        beta = PolynomialBeta(coeffs=(1.0, *rest))
+        check = beta.check()
+        d = [k * c for k, c in enumerate(beta.coeffs)][1:]
+        while d and d[-1] == 0.0:
+            d.pop()
+        if "span more than" in check.detail:
+            assert not check.passed and max(map(abs, d)) > 1e300 * abs(d[-1])
+        elif not check.passed:
+            t = _negative_at(np.array(d[::-1]))
+            assert check.detail == f"PolynomialBeta: beta' < 0 at t = {t:.6g}"
+            assert beta_prime_exact(beta, t) < 0
+        else:
+            assert all(beta_prime_exact(beta, t) >= 0 for t in np.linspace(0.0, 100.0, 1001).tolist())
 
     @settings(max_examples=60)
     @given(betas, st.floats(0.0, 30.0))

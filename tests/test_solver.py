@@ -412,7 +412,26 @@ class TestSimulate:
         with pytest.raises(BlowUpError) as exc:
             simulate(spec, Grid(64), sample_every=20, cfl=10.0)
         assert 0.0 < exc.value.time <= 1.0
-        assert "blew up" in str(exc.value)
+        # unforced: the message names the instability, the identity bound at that t, the step and the remedy
+        beta_t = make_spec().beta.eval(exc.value.time)[0]
+        assert str(exc.value) == (
+            f"numerical instability: the discrete solution left the finite range at t={exc.value.time:.6g}, "
+            f"although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = {beta_t:.6g} E(0); "
+            "the step dt = 0.15625 was set by the wave bound from the data at t = 0: lower --cfl below 10"
+        )
+
+    @pytest.mark.parametrize(
+        "kw, exact",
+        [
+            ({"linear_mode": True, "horizon": 20.0}, "the energy identity bounds the exact energy there by E(0)"),
+            ({"source": ManufacturedField(), "horizon": 2.0}, "the exact solution is the manufactured field"),
+        ],
+    )
+    def test_blow_up_names_the_exact_solutions_bound(self, kw, exact):
+        spec = make_spec(**kw)
+        with pytest.raises(BlowUpError) as exc:
+            simulate(spec, Grid(64), sample_every=20, cfl=10.0)
+        assert f"left the finite range at t={exc.value.time:.6g}, although {exact}; the step dt = " in str(exc.value)
 
     def test_snapshot_cap(self, monkeypatch):
         spec = make_spec(horizon=1.0)
@@ -636,6 +655,28 @@ class TestSimulateBatch:
         assert blown.time == solo.value.time
         assert_same_run(first, simulate(specs[0], g, sample_every=10))
         assert_same_run(last, simulate(specs[2], g, sample_every=10))
+
+    def test_batch_stops_at_the_last_blow_up(self, monkeypatch):
+        # every row blows up, at steps 73, 127 and 90 of 150
+        specs = [
+            make_spec(beta=ExponentialBeta(beta0=1.0, mu=mu), alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
+            for mu in (70.0, 50.0, 60.0)
+        ]
+        g = Grid(100)
+        solo_times = []
+        for spec in specs:
+            with pytest.raises(BlowUpError) as solo:
+                simulate(spec, g, sample_every=10)
+            solo_times.append(solo.value.time)
+        calls = []
+        monkeypatch.setattr("mowave.solver._rhs_arrays", lambda *args: calls.append(1) or _rhs_arrays(*args))
+        batch = simulate_batch(specs, g, sample_every=10)
+        assert all(isinstance(row, BlowUpError) for row in batch)
+        assert [row.time for row in batch] == solo_times
+        plan = step_plan(specs[0], g, 10)
+        blown_at = [round(t / plan.dt) for t in solo_times]
+        assert blown_at == [73, 127, 90] and plan.steps == 150
+        assert len(calls) == 4 * max(blown_at)
 
     @pytest.mark.parametrize(
         "other",
