@@ -495,10 +495,12 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
     """Solve cells with one batch_key as one state, then write each cell.
 
     Each cell goes through run_simulation with its solved row (or that
-    row's error), which writes the cell's files into outdir/cell_XXXX, and
-    a cell that fails is reported by _fail. An error of the whole batch is
-    reported once and gives every cell its exit code. Returns the sweep.csv
-    rows in the order of cells.
+    row's error), which writes the cell's files into outdir/cell_XXXX; a
+    row is dropped once written, with the integrals its checks cached (its
+    snapshots are views of the batch's one array, freed with the last row),
+    and a cell that fails is reported by _fail. An error of the whole batch
+    is reported once and gives every cell its exit code. Returns the
+    sweep.csv rows in the order of cells.
     """
     specs = [cell["spec"] for cell in cells]
     try:
@@ -507,7 +509,8 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
         code = _fail(exc)
         return [_sweep_row(cell["config"], code) for cell in cells]
     rows = []
-    for cell, solution in zip(cells, solved):
+    for i, cell in enumerate(cells):
+        solution, solved[i] = solved[i], None
         try:
             code, checks = run_simulation(
                 cell["spec"],

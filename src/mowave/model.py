@@ -273,19 +273,24 @@ class PolynomialBeta(BetaFamily):
         if all(c >= 0.0 for c in self.coeffs):
             return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
         d = np.trim_zeros(np.polyder(np.array(self.coeffs[::-1])), "f")  # beta', descending powers
+        if d.size > _DEGREE:
+            return AssumptionCheck(
+                "A2", False, f"{name}: degree {d.size} with a negative coefficient; beta' >= 0 is tested only up to degree {_DEGREE}"
+            )
         if np.abs(d).max() > _SPAN * abs(d[0]):
             return AssumptionCheck(
                 "A2", False, f"{name}: the coefficients of beta' span more than {_SPAN:g}, too far apart to find its roots"
             )
         t = _negative_at(d)
         if t is not None:
-            return AssumptionCheck("A2", False, f"{name}: beta' < 0 at t = {t:.6g}")
+            return AssumptionCheck("A2", False, f"{name}: beta' < 0 at t = {t!r}")  # repr: the t where it is
         return AssumptionCheck(
             "A2", True, f"{name}: beta' >= 0 at t = 0, across its real roots and for large t, constant term > 0"
         )
 
 
 _SPAN = 1e300  # the largest |d_k / d_0| _negative_at takes: its roots and its probes then stay finite
+_DEGREE = 16  # the highest degree of beta whose beta' _negative_at reads: it finds O(degree^2) sets of roots
 
 
 def _negative_at(d: np.ndarray) -> float | None:
@@ -317,7 +322,7 @@ def _negative_at(d: np.ndarray) -> float | None:
         if np.polyval(c, x) < -rounding * np.polyval(np.abs(c), x):
             return t
     if d[0] < 0.0:
-        return 4.0 * max(abs(dk / d[0]) ** (1.0 / k) for k, dk in enumerate(d[1:], 1)) or 1.0
+        return float(4.0 * max(abs(dk / d[0]) ** (1.0 / k) for k, dk in enumerate(d[1:], 1))) or 1.0
     return None
 
 

@@ -71,10 +71,11 @@ Python, alpha, beta and the source scales are evaluated there as Python
 scalars, and K and the source arrays of every time follow in a few
 vectorised passes.
 
-A batch is one state from 0 to T. A row that leaves the finite range gets
-its BlowUpError (_instability) and is set to zero, so that the one-pass
-finiteness check holds again on later steps; it is never read again, and
-the other rows keep their bits. The loop stops once every row has blown up.
+A row that leaves the finite range gets its BlowUpError (_instability) and
+is dropped: the rows left go on from the next step in buffers, per-row
+constants and a stage table built for them by the code that built the
+first ones, so a dead row costs no further steps. The loop stops once
+every row has blown up.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
@@ -685,7 +686,8 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
     Returns one Trajectory per spec, carrying the spec's own step plan and
     views of its row's snapshots, or the row's error: ValidationError if the
     spec fails the admissibility checks, BlowUpError (see _instability) once
-    the row left the finite range; the loop stops when every row has. Raises
+    the row left the finite range (it is then dropped and the others carry
+    on; the loop stops when every row has). Raises
     ConfigError if the admissible specs differ in batch_key or have no step
     plan, and ResourceLimitError if the snapshots of all admissible rows
     together, or the working memory of one run on the grid, would exceed
@@ -716,23 +718,26 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
 
     T = lead.horizon
     dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot
-    rows = _Rows([specs[r] for r in live], grid)
     firsts = [initialize(specs[r], grid) for r in live]
-    bufs, (s1, s2, s3, s4) = _stages(np.array([[first.v for first in firsts], [first.w for first in firsts]]))
-    z1, z2, z3, z4 = bufs[:, 0:2]
-    dz1, dz2, dz3, dz4 = bufs[:, 1:3]
+    state = np.array([[first.v for first in firsts], [first.w for first in firsts]])
     # snapshots at t = 0, after every stride-th step and after the last
     nsnap = 1 + nsteps // stride + (nsteps % stride != 0)
     times = np.zeros(nsnap)
     snaps = np.empty((2, len(live), nsnap, grid.n + 1))  # V and W of every row
-    snaps[:, :, 0] = z1
+    snaps[:, :, 0] = state
     taken = 1
-    blown = np.zeros(len(live), dtype=bool)
-    finite = np.empty(z1.shape, dtype=bool)
+    held = np.arange(len(live))  # the position in live of each state row
     k, t = 0, 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < nsteps and not blown.all():
+        while k < nsteps and held.size:
+            if state is not None:  # at the start, and after rows blew up: the rows left, in fresh buffers
+                rows = _Rows([specs[live[i]] for i in held], grid)
+                bufs, (s1, s2, s3, s4) = _stages(state)
+                z1, z2, z3, z4 = bufs[:, 0:2]
+                dz1, dz2, dz3, dz4 = bufs[:, 1:3]
+                finite = np.empty(z1.shape, dtype=bool)
+                state = None
             steps, stage_times = _block(k, min(k + _BLOCK, nsteps), t, dt, T)
             table = rows.stage_table(stage_times)
             for j, (hh, h, h6, t_next) in enumerate(steps):
@@ -755,23 +760,20 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
                 dz2 *= h6
                 z1 += dz2
                 k, t = k + 1, t_next
-                if not np.isfinite(z1, out=finite).all():
-                    bad = ~finite.all(axis=(0, 2))
-                    for i in np.flatnonzero(bad & ~blown):
-                        results[live[i]] = _instability(specs[live[i]], plans[live[i]], t, sample_every)
-                    blown |= bad
-                    if blown.all():
-                        break
-                    z1[:, bad] = 0.0  # never read again; keeps the check above true on the next steps
                 if k % stride == 0 or k == nsteps:
                     times[taken] = t
-                    snaps[:, :, taken] = z1
+                    snaps[:, held, taken] = z1  # that of a row blowing up on this step is never read
                     taken += 1
+                if not np.isfinite(z1, out=finite).all():
+                    bad = ~finite.all(axis=(0, 2))
+                    for i in held[bad]:
+                        results[live[i]] = _instability(specs[live[i]], plans[live[i]], t, sample_every)
+                    held, state = held[~bad], z1[:, ~bad]
+                    break  # the table holds the blown rows too
             del table  # before the next block's table is built; an entry kept by another name would keep it all
 
-    for i, r in enumerate(live):
-        if not blown[i]:
-            results[r] = Trajectory(specs[r], grid, plans[r], times, snaps[0, i], snaps[1, i])
+    for i in held:
+        results[live[i]] = Trajectory(specs[live[i]], grid, plans[live[i]], times, snaps[0, i], snaps[1, i])
     return results
 
 

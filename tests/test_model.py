@@ -28,7 +28,7 @@ from mowave import (
     spec_to_dict,
     validate_assumptions,
 )
-from mowave.model import _negative_at
+from mowave.model import AssumptionCheck, _negative_at
 
 
 def make_spec(**overrides):
@@ -143,9 +143,9 @@ class TestBetaFamilies:
     @pytest.mark.parametrize(
         "coeffs, shown",
         [
-            ((1.0, 2.0, -1.0), "4"),  # beta' = 2 - 2t leads negative
-            ((2.0, -1.0, 1.0), "0"),  # beta'(0) = -1
-            ((1.0, 0.0, 0.0, -1e-9, 1e-6), "0.000375"),  # beta' = t^2 (4e-6 t - 3e-9) < 0 on (0, 7.5e-4)
+            ((1.0, 2.0, -1.0), "4.0"),  # beta' = 2 - 2t leads negative
+            ((2.0, -1.0, 1.0), "0.0"),  # beta'(0) = -1
+            ((1.0, 0.0, 0.0, -1e-9, 1e-6), "0.00037500000000000006"),  # beta' = t^2 (4e-6 t - 3e-9) < 0 on (0, 7.5e-4)
         ],
     )
     def test_polynomial_fail_names_a_t_where_beta_prime_is_negative(self, coeffs, shown):
@@ -154,6 +154,17 @@ class TestBetaFamilies:
         assert not check.passed
         assert check.detail == f"PolynomialBeta: beta' < 0 at t = {shown}"
         assert beta_prime_exact(beta, float(shown)) < 0
+
+    def test_polynomial_a2_is_exact_up_to_degree_16(self):
+        # beta = 1 + t + ... + t^15 - t^16: beta' leads negative; past degree 16 the check stops before np.roots
+        beta = PolynomialBeta((1.0,) * 16 + (-1.0,))
+        assert beta.check().detail == "PolynomialBeta: beta' < 0 at t = 3.75"
+        assert beta_prime_exact(beta, 3.75) < 0
+        long = PolynomialBeta((1.0, 1.0, -0.1) + (1.0,) * 400)
+        assert long.check() == AssumptionCheck(
+            "A2", False, "PolynomialBeta: degree 402 with a negative coefficient; beta' >= 0 is tested only up to degree 16"
+        )
+        assert PolynomialBeta((1.0,) * 403).check().passed  # nonnegative coefficients pass at any degree
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
@@ -167,8 +178,8 @@ class TestBetaFamilies:
             assert not check.passed and max(map(abs, d)) > 1e300 * abs(d[-1])
         elif not check.passed:
             t = _negative_at(np.array(d[::-1]))
-            assert check.detail == f"PolynomialBeta: beta' < 0 at t = {t:.6g}"
-            assert beta_prime_exact(beta, t) < 0
+            assert check.detail == f"PolynomialBeta: beta' < 0 at t = {t!r}"
+            assert beta_prime_exact(beta, float(check.detail.rpartition(" = ")[2])) < 0  # at the printed t
         else:
             assert all(beta_prime_exact(beta, t) >= 0 for t in np.linspace(0.0, 100.0, 1001).tolist())
 
