@@ -50,7 +50,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .model import ProblemSpec
+from .model import ProblemSpec, on_times
 from .solver import Grid, ReferenceState, Trajectory, manufactured_forcing
 
 BLOCK = 64  # snapshots per block of snapshot_integrals; bounds its temporaries
@@ -100,13 +100,13 @@ class SnapshotIntegrals:
 def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIntegrals:
     """One pass over the snapshots (times[k], V[k], W[k]), BLOCK at a time.
 
-    u_t, u_x and, for a forced run, the source are built once per snapshot
-    and integrated with the Simpson weights times alpha(t).
+    alpha, alpha', beta and beta' are evaluated on all snapshot times at
+    once. u_t, u_x and, for a forced run, the source are built once per
+    snapshot and integrated with the Simpson weights times alpha(t).
     """
     times = np.asarray(times, dtype=float)
-    scalars = np.array([(*spec.alpha.eval(t)[:2], *spec.beta_at(t)) for t in times.tolist()])
-    scalars.setflags(write=False)  # and so its views below
-    al, ap, bt, bt_p = scalars.T
+    al, ap = on_times(spec.alpha.eval(times)[:2], times)
+    bt, bt_p = on_times(spec.beta_at(times), times)
     forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
     names = ("ut2", "ux2", "u2", "uut", "nl") + (("fut", "fu") if forcing is not None else ())
     ints = {name: np.empty(times.size) for name in names}

@@ -20,10 +20,14 @@ Each family is one frozen dataclass, and that class is its only definition:
     annotation (float: a finite number, int: an integer, tuple: a list of
     finite numbers); the class adds its own range checks;
   - check() is its admissibility check, one AssumptionCheck;
+  - eval(t) of a beta or alpha family is its one formula, written with
+    numpy ufuncs: t is a float or an array of times, and each value it
+    returns broadcasts against t (a value constant in t is a float);
+    on_times turns them into arrays of the shape of the times;
   - a beta family also carries sup_ratio(T) = sup beta'/beta on [0, T], the
     numerator of the certificate's lambda_lo, and check_range(T), the check
-    that beta(T) and beta'(T) are finite doubles; an alpha family carries
-    sup_prime() and max_length(T).
+    that beta(T) is positive and beta(T), beta'(T) finite doubles; an alpha
+    family carries sup_prime() and max_length(T).
 
 spec_from_dict and spec_to_dict walk FAMILIES and the fields, so a new
 family is one new class and nothing else.
@@ -149,16 +153,28 @@ class AssumptionCheck:
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def on_times(values, times) -> np.ndarray:
+    """The values of a family's eval(times), one read-only row each, of the shape of times."""
+    out = np.empty((len(values), *np.shape(times)))
+    for row, value in zip(out, values):
+        row[...] = value
+    out.setflags(write=False)
+    return out
+
+
 class BetaFamily(_Params):
     """The weight beta(t) of the nonlinear term; eval(t) = (beta(t), beta'(t))."""
 
     def check_range(self, T: float) -> AssumptionCheck:
-        """beta(T) and beta'(T) must be finite doubles; under (A2) beta(T) bounds beta on [0, T], and
-        beta'(T) bounds beta' there when beta' does not decrease, as with nonnegative coefficients."""
+        """beta(T) must be positive and beta(T), beta'(T) finite doubles; under (A2) beta(T) bounds beta on
+        [0, T], and beta'(T) bounds beta' there when beta' does not decrease, as with nonnegative coefficients."""
         val, der = self.eval(T)
-        ok = math.isfinite(val) and math.isfinite(der)
         detail = f"beta(T) = {val:.6g}, beta'(T) = {der:.6g} at T = {T:g}"
-        return AssumptionCheck("beta(T)", ok, detail if ok else detail + " are not finite doubles")
+        if not (math.isfinite(val) and math.isfinite(der)):
+            return AssumptionCheck("beta(T)", False, detail + " are not finite doubles")
+        if val <= 0.0:
+            return AssumptionCheck("beta(T)", False, detail + ": beta(T) is not positive")
+        return AssumptionCheck("beta(T)", True, detail)
 
 
 @config_section("beta", "constant")
@@ -168,7 +184,7 @@ class ConstantBeta(BetaFamily):
 
     c: float = 1.0
 
-    def eval(self, t: float) -> tuple[float, float]:
+    def eval(self, t):
         return self.c, 0.0
 
     def sup_ratio(self, T: float) -> float:
@@ -188,8 +204,8 @@ class ExponentialBeta(BetaFamily):
     beta0: float = 1.0
     mu: float = 0.0
 
-    def eval(self, t: float) -> tuple[float, float]:
-        val = self.beta0 * math.exp(self.mu * t)
+    def eval(self, t):
+        val = self.beta0 * np.exp(self.mu * t)
         return val, self.mu * val
 
     def sup_ratio(self, T: float) -> float:
@@ -225,7 +241,7 @@ class PolynomialBeta(BetaFamily):
         if not self.coeffs:
             raise ConfigError("beta.coeffs: must contain at least one coefficient")
 
-    def eval(self, t: float) -> tuple[float, float]:
+    def eval(self, t):
         # Horner for the value and the derivative in one sweep.
         val = 0.0
         der = 0.0
@@ -334,8 +350,10 @@ class AlphaFamily(_Params):
     """The domain length alpha(t); eval(t) = (alpha, alpha', alpha'')."""
 
     def max_length(self, T: float) -> float:
-        """alpha(T), the largest domain length on [0, T]; its limit on an unbounded horizon."""
-        return self.eval(T)[0]
+        """alpha(T), the largest domain length on [0, T]; its limit on an unbounded horizon.
+
+        A float: the certificate's JSON takes its conditions from it."""
+        return float(self.eval(T)[0])
 
     def _check_sup(self, sup: float, shown: str) -> AssumptionCheck:
         name = type(self).__name__
@@ -349,7 +367,7 @@ class AlphaFamily(_Params):
 class ConstantAlpha(AlphaFamily):
     """alpha(t) = 1, the cylindrical baseline."""
 
-    def eval(self, t: float) -> tuple[float, float, float]:
+    def eval(self, t):
         return 1.0, 0.0, 0.0
 
     def sup_prime(self) -> float:
@@ -366,7 +384,7 @@ class AffineAlpha(AlphaFamily):
 
     k: float
 
-    def eval(self, t: float) -> tuple[float, float, float]:
+    def eval(self, t):
         return 1.0 + self.k * t, self.k, 0.0
 
     def sup_prime(self) -> float:
@@ -397,8 +415,8 @@ class SaturatingAlpha(AlphaFamily):
         if self.tau <= 0.0:
             raise ConfigError(f"alpha.tau: must be positive, got {self.tau}")
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        decay = math.exp(-t / self.tau)
+    def eval(self, t):
+        decay = np.exp(-t / self.tau)
         val = 1.0 + self.k * (1.0 - decay)
         der = (self.k / self.tau) * decay
         return val, der, -der / self.tau
@@ -565,8 +583,8 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "horizon", _finite(self.horizon, "horizon"))
 
-    def beta_at(self, t: float) -> tuple[float, float]:
-        """(beta(t), beta'(t)) as the solver sees it: zero in linear_mode."""
+    def beta_at(self, t):
+        """(beta(t), beta'(t)) as the solver sees it, at a float or an array of times: zero in linear_mode."""
         if self.linear_mode:
             return 0.0, 0.0
         return self.beta.eval(t)

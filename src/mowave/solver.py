@@ -6,7 +6,7 @@ With y = x/alpha(t) and v(y,t) = u(x,t), the interval (0, alpha(t)) becomes
     v_tt + c_yt v_yt + c_yy v_yy + c_y v_y + a (v_t - drift v_y) + b v + beta |v|^rho v = f
 
 with drift = y alpha'/alpha (u_t = v_t - drift v_y at fixed x), c_yt = -2 drift,
-c_yy = drift^2 - 1/alpha^2 and c_y = -(y alpha''/alpha - 2 y (alpha'/alpha)^2);
+c_yy = drift^2 - 1/alpha^2 and c_y = y (2 (alpha'/alpha)^2 - alpha''/alpha);
 the tests re-derive them symbolically, and coefficient_grids evaluates them.
 The characteristic speeds (y alpha' +/- 1)/alpha are real and distinct while
 y alpha' < 1, so (A1), sup alpha' < 1, keeps the operator hyperbolic with
@@ -67,9 +67,12 @@ The table is built for _BLOCK steps at a time. A block of S steps has the
 2S + 1 stage times t_0, t_0 + h_0/2, t_1, t_1 + h_1/2, ..., t_S, one step's
 stage 4 being the next step's stage 1 (t_k + h_k is t_{k+1} exactly), so
 step j reads entries 2j, 2j + 1 and 2j + 2. The times are listed in
-Python, alpha, beta and the source scales are evaluated there as Python
-scalars, and K and the source arrays of every time follow in a few
-vectorised passes.
+Python. alpha, beta and the source's scalars are then evaluated on all of
+them at once, as arrays, by each family's eval, and K and the source
+follow in a few whole-array passes. Every operation is elementwise in the
+time, and numpy's exp and power give an element the same bits alone or
+inside a long array, so the entry of a time is bit for bit a table of that
+time alone.
 
 A row that leaves the finite range gets its BlowUpError (_instability) and
 is dropped: the rows left go on from the next step in buffers, per-row
@@ -96,7 +99,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
-from .model import AlphaFamily, ManufacturedField, ProblemSpec, validate_assumptions
+from .model import AlphaFamily, ManufacturedField, ProblemSpec, on_times, validate_assumptions
 
 SNAPSHOT_CAP_BYTES = 256 * 2**20
 WORK_CAP_BYTES = 256 * 2**20  # what one run allocates besides the snapshots between 0 and T; N alone sets it
@@ -410,65 +413,50 @@ class _Source:
                   + (rate^2 - theta^2 g^2) sin(theta)]
         u_xx = -(mode pi / alpha)^2 u
 
-    alpha and rho are shared, a and b are the rows' columns; theta, sin and
-    cos do not depend on t and are computed once. The factors that depend on
-    t are Python scalars, per time and per row, broadcast as columns.
+    Collected by node vector, with g^2 - g' = 2 g^2 - alpha''/alpha, f is a
+    sum of four products:
+
+        f = E (2 g^2 - alpha''/alpha + (2 rate - a) g)     theta cos(theta)
+          + E ((mode pi / alpha)^2 + rate (rate - a) + b)  sin(theta)
+          - E g^2                                          theta^2 sin(theta)
+          + beta |E|^rho E                                 |sin(theta)|^rho sin(theta)
+
+    The per-row node vectors and constants 2 rate - a and rate (rate - a) + b
+    do not depend on t and are made once; each scalar is a (times, rows)
+    column, evaluated on all times at once. alpha and rho are shared, a and
+    b are the rows' columns.
     """
 
     def __init__(self, fields: list[ManufacturedField], alpha, rho: float, a, b, y: np.ndarray):
-        self.alpha, self.rho, self.a, self.b = alpha, rho, a, b
-        self.amp = [f.amp for f in fields]
-        self.rates = [f.rate for f in fields]
-        self.k = [f.mode * math.pi for f in fields]
-        self.rate = np.array(self.rates)[:, None]
-        self.theta = np.array(self.k)[:, None] * y
-        self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
+        self.alpha, self.rho = alpha, rho
+        self.amp = np.array([f.amp for f in fields])[:, None]
+        rate = np.array([f.rate for f in fields])[:, None]
+        self.neg_rate, self.g_weight, self.sin_offset = -rate, 2.0 * rate - a, rate * (rate - a) + b
+        self.k = np.array([f.mode * math.pi for f in fields])[:, None]
+        theta = self.k * y
+        sin = np.sin(theta)
+        self.nodes = (theta * np.cos(theta), sin, theta * theta * sin, np.abs(sin) ** rho * sin)
 
-    def __call__(self, times, bt) -> np.ndarray:
+    def __call__(self, times: np.ndarray, bt) -> np.ndarray:
         """The source at each of times, shape (times, rows, nodes); bt is the
         (times, rows, 1) beta(t) column, None in linear mode."""
-        per_time, per_row = [], []
-        for t in times:
-            al, al1, al2 = self.alpha.eval(t)
-            g = al1 / al
-            g1 = al2 / al - g * g
-            per_time.append((-g, g, g * g, g * g - g1))
-            per_row.append(
-                [(amp * math.exp(-r * t), (k / al) ** 2) for amp, r, k in zip(self.amp, self.rates, self.k)]
-            )
-        neg_g, g, g_sq, g_sq_g1 = np.array(per_time).T[..., None, None]
-        scale, k_al_sq = np.array(per_row).transpose(2, 0, 1)[..., None]
-        theta, sin, cos, rate = self.theta, self.sin, self.cos, self.rate
-        # the formulas above, evaluated left to right in place: few temporaries
-        u = scale * sin
-        u_t = neg_g * theta
-        u_t *= cos
-        u_t -= rate * sin
-        u_t *= scale
-        f = (g_sq_g1 + 2.0 * rate * g) * theta
-        f *= cos
-        tmp = g_sq * theta
-        tmp *= theta
-        np.subtract(rate * rate, tmp, out=tmp)
-        tmp *= sin
-        f += tmp
-        f *= scale  # u_tt
-        f += np.multiply(k_al_sq, u, out=tmp)
-        f += np.multiply(self.a, u_t, out=tmp)
-        f += np.multiply(self.b, u, out=tmp)
+        al, al1, al2 = (x[:, None, None] for x in on_times(self.alpha.eval(times), times))
+        g = al1 / al
+        g_sq = g * g
+        E = self.amp * np.exp(self.neg_rate * times[:, None, None])
+        k_al = self.k / al
+        scalars = [
+            E * (2.0 * g_sq - al2 / al + self.g_weight * g),
+            E * (k_al * k_al + self.sin_offset),
+            -(E * g_sq),
+        ]
         if bt is not None:
-            np.absolute(u, out=tmp)
-            tmp **= self.rho
-            tmp *= bt
-            tmp *= u
-            f += tmp
+            scalars.append(bt * np.abs(E) ** self.rho * E)
+        f = scalars[0] * self.nodes[0]
+        tmp = np.empty_like(f)
+        for scalar, node in zip(scalars[1:], self.nodes[1:]):
+            f += np.multiply(scalar, node, out=tmp)
         return f
-
-
-def _alpha_ratios(t: float, alpha: AlphaFamily) -> tuple[float, float, float, float]:
-    """alpha'/alpha, 1/alpha^2, alpha''/alpha and (alpha'/alpha)^2 at t."""
-    al, ap, app = alpha.eval(t)
-    return ap / al, 1.0 / (al * al), app / al, (ap / al) ** 2
 
 
 def coefficient_grids(y: np.ndarray, times, alpha: AlphaFamily):
@@ -476,15 +464,18 @@ def coefficient_grids(y: np.ndarray, times, alpha: AlphaFamily):
 
     Returns (c_yt, c_yy, c_y, drift) with drift = y alpha'/alpha, the term the
     damping correction and the velocity reconstruction both need. Each is a
-    (times, nodes) array whose row j holds the coefficient at times[j]; the
-    alpha ratios are Python scalars per time, so row j does not depend on
-    the other times.
+    (times, nodes) array whose row j holds the coefficient at times[j]. alpha
+    and its ratios are evaluated on all times at once as (times, 1) columns;
+    every operation is elementwise, so row j does not depend on the other
+    times.
     """
-    g, inv_al2, g2, g_sq = np.array([_alpha_ratios(t, alpha) for t in times]).T[..., None]
+    times = np.asarray(times, dtype=float)
+    al, ap, app = (x[:, None] for x in on_times(alpha.eval(times), times))
+    g = ap / al
     drift = y * g
     c_yt = -2.0 * drift
-    c_yy = drift * drift - inv_al2
-    c_y = -(y * g2 - 2.0 * y * g_sq)
+    c_yy = drift * drift - 1.0 / (al * al)
+    c_y = y * (2.0 * (g * g) - app / al)
     return c_yt, c_yy, c_y, drift
 
 
@@ -502,7 +493,7 @@ class _Rows:
         self.alpha, self.rho = specs[0].alpha, specs[0].damping.rho
         self.nonlinear = not specs[0].linear_mode
         self.y = grid.y[1:-1]
-        self.two_dy, self.dy2 = 2.0 * grid.dy, grid.dy * grid.dy
+        self.per_two_dy, self.per_dy2 = 0.5 * grid.n, float(grid.n * grid.n)  # 1/(2 dy) and 1/dy^2, exact
         self.a = _column([s.damping.a for s in specs])
         self.b = _column([s.damping.b for s in specs])
         self.weight_rows = 1 if np.ndim(self.a) == np.ndim(self.b) == 0 else len(specs)
@@ -512,7 +503,7 @@ class _Rows:
             else None
         )
 
-    def stage_table(self, times: list[float]) -> list[tuple]:
+    def stage_table(self, times) -> list[tuple]:
         """What _rhs_arrays needs at each of times: (K, bt, f).
 
         K, shape (2, 3, weight_rows, nodes), holds the weights of the linear
@@ -527,17 +518,20 @@ class _Rows:
         - a (w - drift v_y) - b v collected per node. weight_rows is 1 when
         the rows share a and b. bt is the (rows, 1) beta(t) column and f the
         (rows, nodes) source, None when off. The table is built for all times
-        in a few whole-array passes from one coefficient_grids call; every
-        operation is elementwise, so the entry of a time is bit for bit what
-        a table of that time alone gives.
+        in a few whole-array passes from one coefficient_grids call, each
+        row's beta.eval and one source call, all on the array of times; each
+        weight is one contiguous (times, weight_rows, nodes) block, and K a
+        view across the six. Every operation is elementwise, so the entry of
+        a time is bit for bit what a table of that time alone gives.
         """
+        times = np.asarray(times, dtype=float)
         c_yt, c_yy, c_y, drift = (c[:, None] for c in coefficient_grids(self.y, times, self.alpha))
-        K = np.empty((len(times), 2, 3, self.weight_rows, self.y.size))
-        (v_left, v_mid, v_right), (w_left, w_mid, w_right) = K.transpose(1, 2, 0, 3, 4)
-        # the formulas above, rearranged only where the result is exactly equal
-        c_yy /= self.dy2
-        c_y /= self.two_dy
-        drift /= self.two_dy
+        weights = np.empty((2, 3, times.size, self.weight_rows, self.y.size))
+        (v_left, v_mid, v_right), (w_left, w_mid, w_right) = weights
+        # the formulas above, with 1/(2 dy) = N/2 and 1/dy^2 = N^2 as factors
+        c_yy *= self.per_dy2
+        c_y *= self.per_two_dy
+        drift *= self.per_two_dy
         np.multiply(self.a, drift, out=v_right)
         np.subtract(c_y, c_yy, out=v_left)
         v_left -= v_right
@@ -545,16 +539,18 @@ class _Rows:
         v_right -= c_y
         np.multiply(c_yy, 2.0, out=v_mid)
         v_mid -= self.b
-        np.divide(c_yt, self.two_dy, out=w_left)
+        np.multiply(c_yt, self.per_two_dy, out=w_left)
         np.negative(self.a, out=w_mid)
         np.negative(w_left, out=w_right)
         bt = f = None
         if self.nonlinear:
-            bt = np.array([[s.beta.eval(t)[0] for s in self.specs] for t in times])[..., None]
+            bt = np.empty((times.size, len(self.specs), 1))
+            for i, spec in enumerate(self.specs):
+                bt[:, i, 0] = spec.beta.eval(times)[0]
         if self.source is not None:
             f = self.source(times, bt)
         none = itertools.repeat(None)
-        return list(zip(K, none if bt is None else bt, none if f is None else f))
+        return list(zip(weights.transpose(2, 0, 1, 3, 4), none if bt is None else bt, none if f is None else f))
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +781,20 @@ def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callabl
     """Source term f(y, times) that makes the descriptor's field an exact solution.
 
     The one-row case of the solver's source (see _Source for the formula):
-    f is a (times, nodes) array, one vectorised pass whose row j is f at
-    times[j] alone. The sin and cos of the nodes are computed once and
-    reused while y stays equal.
+    f is a (times, nodes) array, one vectorised pass over the array of
+    times whose row j is f at times[j] alone. The node vectors are computed
+    once and reused while y stays equal.
     """
 
     damping = spec.damping
-    built = []  # (nodes, _Source) of the last node array: sin and cos of the nodes once
+    built = []  # (nodes, _Source) of the last node array: its node vectors once
 
     def forcing(y_nodes, times):
-        times = np.asarray(times, dtype=float).tolist()
+        times = np.asarray(times, dtype=float)
         if not built or not np.array_equal(built[0], y_nodes):
             nodes = np.array(y_nodes, dtype=float)
             built[:] = nodes, _Source([field], spec.alpha, damping.rho, damping.a, damping.b, nodes)
-        bt = None if spec.linear_mode else np.array([spec.beta.eval(t)[0] for t in times])[:, None, None]
+        bt = None if spec.linear_mode else on_times(spec.beta.eval(times), times)[0][:, None, None]
         return built[1](times, bt)[:, 0]
 
     return forcing

@@ -191,7 +191,7 @@ VALIDATION_SUMMARIES = {
     'beta-constant-nonpositive': (
         "[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n"
         '[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n'
-        "[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n"
+        "[FAIL] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10: beta(T) is not positive\n"
         '[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n'
         '[pass] damping: a = 1 > 0, b = 1\n'
         '[pass] init: SineMode m=1 vanishes at both endpoints\n'
@@ -209,7 +209,7 @@ VALIDATION_SUMMARIES = {
     'beta-exponential-nonpositive': (
         "[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n"
         '[FAIL] A2: ExponentialBeta: beta0 = -1.0 must be positive\n'
-        "[pass] beta(T): beta(T) = -2.71828, beta'(T) = -0.271828 at T = 10\n"
+        "[FAIL] beta(T): beta(T) = -2.71828, beta'(T) = -0.271828 at T = 10: beta(T) is not positive\n"
         '[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n'
         '[pass] damping: a = 1 > 0, b = 1\n'
         '[pass] init: SineMode m=1 vanishes at both endpoints\n'
@@ -660,9 +660,9 @@ CLI_FAILURES = {
 # solution's bound, the step's bound and the --cfl that takes a smaller step
 CLI_FAILURE_RESULTS = {
     'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
-    'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[pass] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
+    'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[FAIL] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: SaturatingAlpha: requires sup α'(t)<1, got sup alpha' = k/tau = 1.33333\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
-    'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[pass] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
+    'certify-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ConstantBeta: beta = 0.0 must be positive\n[FAIL] beta(T): beta(T) = 0, beta'(T) = 0 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'certify-beta-T': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: PolynomialBeta: all coefficients >= 0, constant term > 0\n[FAIL] beta(T): beta(T) = inf, beta'(T) = 2.00001e+305 at T = 100000 are not finite doubles\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 100000\n"),
     'certify-empty-window': (5, '', 'mowave: empty window: lambda_lo = 1 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
     'certify-empty-window-remark1': (5, '', 'mowave: empty window: lambda_lo = 0.05 exceeds lambda_hi = 0.025641; beta grows too fast for any certified rate\n'),

@@ -289,17 +289,21 @@ class TestCertify:
         assert "empty window" in err
         assert "1" in err  # reports the offending floor
 
-    def test_remark1_branch(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "alpha, hi",
+        [({"variant": "constant"}, 0.25), ({"variant": "saturating", "k": 0.5, "tau": 1.0}, 0.191475)],
+    )
+    def test_remark1_branch(self, tmp_path, capsys, alpha, hi):
         cfg = reference_config(
             damping={"a": 1.0, "b": 0.0, "rho": 1.0},
             beta={"variant": "constant", "c": 1.0},
-            alpha={"variant": "constant"},
+            alpha=alpha,
         )
         code = main(["certify", write_config(tmp_path, cfg)])
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["branch"] == "remark1"
-        assert blob["lambda_hi"] == pytest.approx(0.25, abs=2e-6)
+        assert blob["lambda_hi"] == pytest.approx(hi, abs=2e-6)
 
 
 class TestConvergence:

@@ -28,7 +28,7 @@ from mowave import (
     spec_to_dict,
     validate_assumptions,
 )
-from mowave.model import AssumptionCheck, _negative_at
+from mowave.model import AssumptionCheck, _negative_at, on_times
 
 
 def make_spec(**overrides):
@@ -191,6 +191,33 @@ class TestBetaFamilies:
         assert der >= -1e-12 * max(1.0, abs(val))
 
 
+class TestArrayEval:
+    """eval on an array of times is the float eval at each time, bit for bit."""
+
+    times = np.concatenate(([0.0, 1e-300, 0.5, 10.0], np.random.default_rng(7).uniform(0.0, 12.0, 127)))
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            ConstantAlpha(),
+            AffineAlpha(0.3),
+            SaturatingAlpha(k=0.5, tau=1.0),
+            SaturatingAlpha(k=2.0, tau=3.7),
+            ConstantBeta(2.0),
+            ExponentialBeta(beta0=1.5, mu=0.3),
+            ExponentialBeta(beta0=1.0, mu=50.0),
+            PolynomialBeta((1.0, 0.5, 0.25)),
+            PolynomialBeta((2.0,)),
+        ],
+        ids=repr,
+    )
+    def test_array_eval_is_the_float_eval_at_each_time(self, fam):
+        together = on_times(fam.eval(self.times), self.times)
+        assert together.shape == (len(fam.eval(0.0)), self.times.size) and not together.flags.writeable
+        for j, t in enumerate(self.times.tolist()):
+            assert np.array(fam.eval(t), dtype=float).tobytes() == together[:, j].tobytes()
+
+
 class TestInitialData:
     def test_sine_mode_nodes(self):
         y = np.linspace(0.0, 1.0, 5)
@@ -289,6 +316,18 @@ class TestValidation:
         report = validate_assumptions(make_spec(beta=beta, horizon=horizon))
         (check,) = [c for c in report.checks if c.name == "beta(T)"]
         assert not check.passed and not report.ok
+
+    @pytest.mark.parametrize(
+        "beta, shown",
+        [
+            (PolynomialBeta((1.0, 2.0, -1.0)), "beta(T) = -79, beta'(T) = -18"),
+            (ExponentialBeta(beta0=-1.0, mu=0.1), "beta(T) = -2.71828, beta'(T) = -0.271828"),
+            (ConstantBeta(0.0), "beta(T) = 0, beta'(T) = 0"),
+        ],
+    )
+    def test_beta_not_positive_at_the_horizon_fails(self, beta, shown):
+        check = beta.check_range(10.0)
+        assert check == AssumptionCheck("beta(T)", False, f"{shown} at T = 10: beta(T) is not positive")
 
     def test_beta_just_inside_doubles_passes(self):
         # log beta'(T) = log 2 + log 1 + 2 * 354 = 708.69 < 709.78

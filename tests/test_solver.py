@@ -558,28 +558,62 @@ def reference_simulate(spec, grid, sample_every):
 def banded_simulate(spec, grid, sample_every):
     """The one-row RK4 loop of the banded kernel in plain formulas, kept as its oracle.
 
-    The linear part of dw/dt is the 3-point stencil of the stage table's
-    weights, written out per time and summed term by term; the source is
-    manufactured_forcing's, which TestManufacturedAgainstSympy checks.
+    Each time's coefficients are written out from the families' float eval:
+    the alpha ratios, the 3-point stencil of the stage table's weights, summed
+    term by term, and the source as its four products of node vectors and
+    scalars, in _Source's order; TestManufacturedAgainstSympy checks that
+    source. The source's scalars of a time are 1-element arrays: numpy's
+    power of an array differs from its power of a scalar in the last bit.
     """
     y, dy = grid.y, grid.dy
+    yi = y[1:-1]
     a, b, rho = spec.damping.a, spec.damping.b, spec.damping.rho
-    forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
+    field = spec.source
+    if field is not None:
+        mode_pi = field.mode * math.pi  # not k: the step loop below binds k
+        theta = mode_pi * yi
+        sin = np.sin(theta)
+        nodes = (theta * np.cos(theta), sin, theta * theta * sin, np.abs(sin) ** rho * sin)
+
+    def source(t, al, ap, app, bt):
+        g = ap / al
+        g_sq = g * g
+        r = field.rate
+        E = field.amp * np.exp(-r * np.array([t]))
+        k_al = mode_pi / al
+        scalars = [
+            E * (2.0 * g_sq - app / al + (2.0 * r - a) * g),
+            E * (k_al * k_al + (r * (r - a) + b)),
+            -(E * g_sq),
+        ]
+        if bt is not None:
+            scalars.append(bt * np.abs(E) ** rho * E)
+        f = scalars[0] * nodes[0]
+        for scalar, node in zip(scalars[1:], nodes[1:]):
+            f = f + scalar * node
+        return f
 
     def rhs_arrays(t, v, w):
-        c_yt, c_yy, c_y, drift = (c[0] for c in coefficient_grids(y[1:-1], [t], spec.alpha))
-        cyy, cy, d = c_yy / (dy * dy), c_y / (2.0 * dy), drift / (2.0 * dy)
-        v_left, v_mid, v_right = -cyy + cy - a * d, 2.0 * cyy - b, -cyy - cy + a * d
-        w_left, w_mid, w_right = c_yt / (2.0 * dy), -a, -c_yt / (2.0 * dy)
+        al, ap, app = spec.alpha.eval(t)
+        g = ap / al
+        drift = yi * g
+        c_yt = -2.0 * drift
+        c_yy = drift * drift - 1.0 / (al * al)
+        c_y = yi * (2.0 * (g * g) - app / al)
+        n = grid.n  # 1/(2 dy) = n/2 and 1/dy^2 = n^2
+        cyy, cy, d = c_yy * float(n * n), c_y * (0.5 * n), drift * (0.5 * n)
+        v_left, v_mid, v_right = cy - cyy - a * d, 2.0 * cyy - b, a * d - (cy + cyy)
+        w_left, w_mid, w_right = c_yt * (0.5 * n), -a, -(c_yt * (0.5 * n))
         vi = v[1:-1]
         dw = np.zeros_like(v)
         dw[1:-1] = (
             v_left * v[:-2] + v_mid * vi + v_right * v[2:] + w_left * w[:-2] + w_mid * w[1:-1] + w_right * w[2:]
         )
-        if not spec.linear_mode:
-            dw[1:-1] -= spec.beta.eval(t)[0] * np.abs(vi) ** rho * vi
-        if forcing is not None:
-            dw[1:-1] += forcing(y, [t])[0, 1:-1]
+        bt = None if spec.linear_mode else spec.beta.eval(t)[0]
+        if bt is not None:
+            dw[1:-1] -= bt * np.abs(vi) ** rho * vi
+        if field is not None:
+            dw[1:-1] += source(t, al, ap, app, bt)
         dv = w.copy()
         dv[0] = dv[-1] = 0.0
         return dv, dw
@@ -806,15 +840,30 @@ class TestKernel:
         for ours, plain in ((traj.V, [v for _, v, _ in expected]), (traj.W, [w for _, _, w in expected])):
             assert np.max(np.abs(ours - plain)) <= 1e-12 * np.max(np.abs(plain))
 
-    def test_table_has_one_weight_row_when_the_rows_share_a_and_b(self):
+    @pytest.mark.parametrize("alpha", [ConstantAlpha(), AffineAlpha(k=0.3), SaturatingAlpha(k=0.5, tau=1.0)])
+    def test_table_has_one_weight_row_when_the_rows_share_a_and_b(self, alpha):
         g = Grid(16)
-        shared = [make_spec(beta=ConstantBeta(c), source=ManufacturedField(mode=m)) for c, m in ((1.0, 1), (2.0, 2))]
+        betas = (ConstantBeta(2.0), ExponentialBeta(beta0=1.0, mu=0.7), PolynomialBeta((1.0, 0.5, 0.25)))
+        shared = [
+            make_spec(alpha=alpha, beta=beta, source=ManufacturedField(amp=1.3, rate=0.4, mode=m))
+            for m, beta in enumerate(betas, 1)
+        ]
         K, bt, f = _Rows(shared, g).stage_table([0.0, 0.1])[1]
-        assert K.shape == (2, 3, 1, 15) and bt.shape == (2, 1) and f.shape == (2, 15)
+        assert K.shape == (2, 3, 1, 15) and bt.shape == (3, 1) and f.shape == (3, 15)
         assert K.tobytes() == _Rows(shared[:1], g).stage_table([0.1])[0][0].tobytes()
         for damping in (DampingParams(a=2.0, b=1.0, rho=1.0), DampingParams(a=1.0, b=2.0, rho=1.0)):
-            rows = _Rows([*shared, make_spec(damping=damping, source=ManufacturedField())], g)
-            assert rows.stage_table([0.1])[0][0].shape == (2, 3, 3, 15)
+            rows = _Rows([*shared, make_spec(alpha=alpha, damping=damping, source=ManufacturedField())], g)
+            assert rows.stage_table([0.1])[0][0].shape == (2, 3, 4, 15)
+        # every entry of a 65-time block, whose arrays numpy splits into SIMD body and tail lanes,
+        # is bit for bit the table of its time alone
+        _, times = _block(0, _BLOCK, 0.0, 0.037, 2.0)
+        assert len(times) == 65
+        mixed = [*shared, make_spec(alpha=alpha, damping=DampingParams(a=2.0, b=0.5, rho=1.0), source=ManufacturedField())]
+        for specs in (shared, mixed):
+            rows = _Rows(specs, g)
+            for t, entry in zip(times, rows.stage_table(times)):
+                for together, alone in zip(entry, rows.stage_table([t])[0]):
+                    assert together.tobytes() == alone.tobytes()
 
     def test_rhs_is_the_kernels_first_stage(self):
         specs = [
