@@ -107,7 +107,7 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
     times = np.asarray(times, dtype=float)
     al, ap = on_times(spec.alpha.eval(times)[:2], times)
     bt, bt_p = on_times(spec.beta_at(times), times)
-    forcing = manufactured_forcing(spec.source, spec) if spec.source is not None else None
+    forcing = manufactured_forcing(spec.source, spec, grid.y) if spec.source is not None else None
     names = ("ut2", "ux2", "u2", "uut", "nl") + (("fut", "fu") if forcing is not None else ())
     ints = {name: np.empty(times.size) for name in names}
     ux_end = np.empty(times.size)
@@ -115,7 +115,7 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
     for lo in range(0, times.size, BLOCK):
         k = slice(lo, lo + BLOCK)
         # the source first, so that its temporaries are gone before the block's own
-        f = forcing(y, times[k]) if forcing is not None else None
+        f = forcing(times[k]) if forcing is not None else None
         v, w, al_k = V[k], W[k], al[k, None]
         v_y = first_derivative(v, grid.dy)
         u_t = w - (y * (ap[k, None] / al_k)) * v_y

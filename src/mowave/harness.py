@@ -603,12 +603,12 @@ def cmd_sweep(args) -> int:
     for idx in range(len(rows)):
         (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
     # at most ceil(cells/jobs) rows per batch, so every worker gets work,
-    # and no more than the snapshot cap holds
+    # and no more than the cap holds of their snapshots and stage table rows
     jobs_rows = -(-len(rows) // args.jobs)
     batches = []
     for plan, group in groups.values():
         try:
-            size = min(jobs_rows, rows_within_cap(plan, grid))
+            size = min(jobs_rows, rows_within_cap(plan, grid, [cell["spec"] for cell in group]))
         except ResourceLimitError as exc:  # no row of the group fits: one report for all its cells
             code = _fail(exc)
             for cell in group:

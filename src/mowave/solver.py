@@ -7,7 +7,7 @@ With y = x/alpha(t) and v(y,t) = u(x,t), the interval (0, alpha(t)) becomes
 
 with drift = y alpha'/alpha (u_t = v_t - drift v_y at fixed x), c_yt = -2 drift,
 c_yy = drift^2 - 1/alpha^2 and c_y = y (2 (alpha'/alpha)^2 - alpha''/alpha);
-the tests re-derive them symbolically, and coefficient_grids evaluates them.
+the tests re-derive them, and coefficient_grids evaluates their factors of t.
 The characteristic speeds (y alpha' +/- 1)/alpha are real and distinct while
 y alpha' < 1, so (A1), sup alpha' < 1, keeps the operator hyperbolic with
 margin 1 - sup alpha'; simulate_batch steps only specs that pass validation.
@@ -58,10 +58,10 @@ weights K depend only on the stage time and on a and b. The stage table
 holds K, so the right-hand side is one multiply of K with a strided band
 view of the state and one add.reduce over the six (v or w, left, centre,
 right) terms, then the nonlinear term and the source. Collecting the
-formula above into weights regroups its roundings: the results differ
-from it in the last bits (a drift of about 1e-13 of a column's largest
-value over a run), and are bit for bit those of a plain loop over the
-banded formula with the same operand order.
+formula above into weights of the node index i = N y regroups its
+roundings: the results differ from it in the last bits (about 1e-13 of a
+column's largest value over a run), and are bit for bit those of a plain
+loop over those weights with the same operand order.
 
 The table is built for _BLOCK steps at a time. A block of S steps has the
 2S + 1 stage times t_0, t_0 + h_0/2, t_1, t_1 + h_1/2, ..., t_S, one step's
@@ -345,8 +345,8 @@ def step_plan(
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     step_size(spec, grid, cfl)  # rejects a cfl that is not positive and finite
-    # one block's stage table (about 10 arrays of the N-1 interior nodes per stage time:
-    # K's 6 weights and the 4 coefficients), the 4 stage buffers of 3 arrays, and v and w at 0 and T
+    # one block's stage table as 10 arrays of the N-1 interior nodes per stage time (K and the source
+    # take 7; kept at 10, so N <= 50,382 still), the 4 stage buffers of 3 arrays, and v and w at 0 and T
     need = 8 * ((2 * _BLOCK + 1) * 10 * (grid.n - 1) + (4 * 3 + 2 * 2) * (grid.n + 1))
     if need > WORK_CAP_BYTES:
         raise ResourceLimitError(
@@ -384,12 +384,16 @@ def batch_key(spec: ProblemSpec, plan: StepPlan) -> tuple:
     return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, forced, plan.dt, plan.per_snapshot)
 
 
-def rows_within_cap(plan: StepPlan, grid: Grid) -> int:
-    """The most rows of one batch stepping by plan whose snapshots fit
-    SNAPSHOT_CAP_BYTES together, read at the call.
+def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int:
+    """The most rows of one batch of specs stepping by plan whose snapshots
+    and stage table rows fit SNAPSHOT_CAP_BYTES together, read at the call.
 
-    A row stores about steps // per_snapshot + 2 snapshots of v and w.
-    Raises ResourceLimitError when not even one row fits.
+    A row stores about steps // per_snapshot + 2 snapshots of v and w, and
+    a block's stage table at its 2 _BLOCK + 1 times holds K's six weights
+    per row when the specs differ in a or b, and a source row per row when
+    they are forced. One row always fits, its table counted by
+    WORK_CAP_BYTES. Raises ResourceLimitError when not even one row's
+    snapshots fit.
     """
     per_row = (plan.steps // plan.per_snapshot + 2) * 2 * (grid.n + 1) * 8
     if per_row > SNAPSHOT_CAP_BYTES:
@@ -397,7 +401,9 @@ def rows_within_cap(plan: StepPlan, grid: Grid) -> int:
             f"run would store about {per_row} bytes of snapshots (cap {SNAPSHOT_CAP_BYTES}); "
             "raise sample_every or the cap"
         )
-    return SNAPSHOT_CAP_BYTES // per_row
+    differ = len({repr((s.damping.a, s.damping.b)) for s in specs}) > 1  # as _column compares them
+    per_row += (6 * differ + (specs[0].source is not None)) * (2 * _BLOCK + 1) * (grid.n - 1) * 8
+    return max(SNAPSHOT_CAP_BYTES // per_row, 1)
 
 
 class _Source:
@@ -459,24 +465,21 @@ class _Source:
         return f
 
 
-def coefficient_grids(y: np.ndarray, times, alpha: AlphaFamily):
-    """Coefficients of the transformed equation at nodes y and each of times.
+def coefficient_grids(times, alpha: AlphaFamily):
+    """The functions of t alone in the transformed equation's coefficients.
 
-    Returns (c_yt, c_yy, c_y, drift) with drift = y alpha'/alpha, the term the
-    damping correction and the velocity reconstruction both need. Each is a
-    (times, nodes) array whose row j holds the coefficient at times[j]. alpha
-    and its ratios are evaluated on all times at once as (times, 1) columns;
-    every operation is elementwise, so row j does not depend on the other
-    times.
+    Returns (1/alpha^2, g, g^2, alpha''/alpha) with g = alpha'/alpha, each a
+    (times, 1, 1) column whose entry j is the value at times[j]. At a node y
+
+        c_yt = -2 y g,   c_yy = y^2 g^2 - 1/alpha^2,   c_y = y (2 g^2 - alpha''/alpha),   drift = y g.
+
+    alpha is evaluated on all times at once; every operation is elementwise,
+    so entry j does not depend on the other times.
     """
     times = np.asarray(times, dtype=float)
-    al, ap, app = (x[:, None] for x in on_times(alpha.eval(times), times))
+    al, ap, app = (x[:, None, None] for x in on_times(alpha.eval(times), times))
     g = ap / al
-    drift = y * g
-    c_yt = -2.0 * drift
-    c_yy = drift * drift - 1.0 / (al * al)
-    c_y = y * (2.0 * (g * g) - app / al)
-    return c_yt, c_yy, c_y, drift
+    return 1.0 / (al * al), g, g * g, app / al
 
 
 class _Rows:
@@ -492,13 +495,13 @@ class _Rows:
         self.specs = specs
         self.alpha, self.rho = specs[0].alpha, specs[0].damping.rho
         self.nonlinear = not specs[0].linear_mode
-        self.y = grid.y[1:-1]
-        self.per_two_dy, self.per_dy2 = 0.5 * grid.n, float(grid.n * grid.n)  # 1/(2 dy) and 1/dy^2, exact
+        self.i = np.arange(1.0, grid.n)  # the interior nodes' index N y, exactly
+        self.i_sq, self.half_i, self.n_sq = self.i * self.i, 0.5 * self.i, float(grid.n * grid.n)
         self.a = _column([s.damping.a for s in specs])
         self.b = _column([s.damping.b for s in specs])
         self.weight_rows = 1 if np.ndim(self.a) == np.ndim(self.b) == 0 else len(specs)
         self.source = (
-            _Source([s.source for s in specs], self.alpha, self.rho, self.a, self.b, self.y)
+            _Source([s.source for s in specs], self.alpha, self.rho, self.a, self.b, grid.y[1:-1])
             if specs[0].source is not None
             else None
         )
@@ -509,39 +512,37 @@ class _Rows:
         K, shape (2, 3, weight_rows, nodes), holds the weights of the linear
         part of dw/dt as a 3-point stencil in v and w: dw_i is the sum over
         c in (v, w) and s in (left, centre, right) of K[c, s] z_c at node
-        i - 1, i, i + 1. With d = drift/(2 dy), the weights are
+        i - 1, i, i + 1. The central differences of -(c_yt w_y + c_yy v_yy +
+        c_y v_y) - a (w - drift v_y) - b v, collected per node with y = i/N,
+        1/dy^2 = N^2 and 1/(2 dy) = N/2, give
 
-            v: -c_yy/dy^2 + c_y/(2 dy) - a d,  2 c_yy/dy^2 - b,  -c_yy/dy^2 - c_y/(2 dy) + a d
-            w: c_yt/(2 dy),                    -a,               -c_yt/(2 dy)
+            v: S + A,  -2 S - b,  S - A        w: -g i,  -a,  g i
 
-        the central differences of -(c_yt w_y + c_yy v_yy + c_y v_y)
-        - a (w - drift v_y) - b v collected per node. weight_rows is 1 when
-        the rows share a and b. bt is the (rows, 1) beta(t) column and f the
-        (rows, nodes) source, None when off. The table is built for all times
-        in a few whole-array passes from one coefficient_grids call, each
-        row's beta.eval and one source call, all on the array of times; each
+        with S = N^2/alpha^2 - g^2 i^2 and A = (2 g^2 - alpha''/alpha - a g) i/2,
+        from the coefficient_grids columns and the node vectors i, i^2, i/2.
+        weight_rows is 1 when the rows share a and b. bt is the (rows, 1)
+        beta(t) column and f the (rows, nodes) source, None when off. Each
         weight is one contiguous (times, weight_rows, nodes) block, and K a
-        view across the six. Every operation is elementwise, so the entry of
-        a time is bit for bit what a table of that time alone gives.
+        view across the six; S and A are made in the blocks of w_left and
+        w_mid, written last, so no other array of the nodes is made. Every
+        operation is elementwise, so the entry of a time is bit for bit what
+        a table of that time alone gives.
         """
         times = np.asarray(times, dtype=float)
-        c_yt, c_yy, c_y, drift = (c[:, None] for c in coefficient_grids(self.y, times, self.alpha))
-        weights = np.empty((2, 3, times.size, self.weight_rows, self.y.size))
+        inv_al_sq, g, g_sq, app_al = coefficient_grids(times, self.alpha)
+        weights = np.empty((2, 3, times.size, self.weight_rows, self.i.size))
         (v_left, v_mid, v_right), (w_left, w_mid, w_right) = weights
-        # the formulas above, with 1/(2 dy) = N/2 and 1/dy^2 = N^2 as factors
-        c_yy *= self.per_dy2
-        c_y *= self.per_two_dy
-        drift *= self.per_two_dy
-        np.multiply(self.a, drift, out=v_right)
-        np.subtract(c_y, c_yy, out=v_left)
-        v_left -= v_right
-        c_y += c_yy
-        v_right -= c_y
-        np.multiply(c_yy, 2.0, out=v_mid)
+        S, A = w_left[:, :1], w_mid if np.ndim(self.a) else w_mid[:, :1]
+        np.multiply(g_sq, self.i_sq, out=S)
+        np.subtract(self.n_sq * inv_al_sq, S, out=S)
+        np.multiply(2.0 * g_sq - app_al - self.a * g, self.half_i, out=A)
+        np.add(S, A, out=v_left)
+        np.subtract(S, A, out=v_right)
+        np.multiply(S, -2.0, out=v_mid)
         v_mid -= self.b
-        np.multiply(c_yt, self.per_two_dy, out=w_left)
+        np.multiply(g, self.i, out=w_right)
+        np.negative(w_right, out=w_left)
         np.negative(self.a, out=w_mid)
-        np.negative(w_left, out=w_right)
         bt = f = None
         if self.nonlinear:
             bt = np.empty((times.size, len(self.specs), 1))
@@ -708,9 +709,11 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
         raise ConfigError(
             "simulate_batch: rows must share alpha, rho, horizon, linear_mode, being forced and the step"
         )
-    fit = rows_within_cap(plan, grid)
+    fit = rows_within_cap(plan, grid, [specs[r] for r in live])
     if len(live) > fit:
-        raise ResourceLimitError(f"simulate_batch: {len(live)} rows of snapshots exceed the cap, which holds {fit}")
+        raise ResourceLimitError(
+            f"simulate_batch: {len(live)} rows of snapshots and stage table exceed the cap, which holds {fit}"
+        )
 
     T = lead.horizon
     dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot
@@ -777,25 +780,21 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
 # manufactured solutions
 
 
-def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec) -> Callable:
-    """Source term f(y, times) that makes the descriptor's field an exact solution.
+def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec, y: np.ndarray) -> Callable:
+    """Source term f(times) at nodes y that makes the descriptor's field an exact solution.
 
-    The one-row case of the solver's source (see _Source for the formula):
-    f is a (times, nodes) array, one vectorised pass over the array of
-    times whose row j is f at times[j] alone. The node vectors are computed
-    once and reused while y stays equal.
+    The one-row case of the solver's source (see _Source for the formula),
+    with its node vectors made once here: f is a (times, nodes) array, one
+    vectorised pass over the array of times whose row j is f at times[j]
+    alone.
     """
-
     damping = spec.damping
-    built = []  # (nodes, _Source) of the last node array: its node vectors once
+    source = _Source([field], spec.alpha, damping.rho, damping.a, damping.b, np.asarray(y, dtype=float))
 
-    def forcing(y_nodes, times):
+    def forcing(times):
         times = np.asarray(times, dtype=float)
-        if not built or not np.array_equal(built[0], y_nodes):
-            nodes = np.array(y_nodes, dtype=float)
-            built[:] = nodes, _Source([field], spec.alpha, damping.rho, damping.a, damping.b, nodes)
         bt = None if spec.linear_mode else on_times(spec.beta.eval(times), times)[0][:, None, None]
-        return built[1](times, bt)[:, 0]
+        return source(times, bt)[:, 0]
 
     return forcing
 

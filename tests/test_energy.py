@@ -195,13 +195,13 @@ class TestSnapshotIntegrals:
         assert len(traj.times) > 2 * 64  # several blocks, the last one partial
         spec, g = traj.spec, traj.grid
         table = snapshot_integrals(spec, g, traj.times, traj.V, traj.W)
-        forcing = manufactured_forcing(spec.source, spec)
+        forcing = manufactured_forcing(spec.source, spec, g.y)
         for k, (t, v, w) in enumerate(zip(traj.times, traj.V, traj.W)):
             al, ap, _ = spec.alpha.eval(t)
             v_y = np.gradient(v, g.dy, edge_order=2)
             u_t = w - g.y * (ap / al) * v_y
             u_x = v_y / al
-            f = forcing(g.y, [t])[0]
+            f = forcing([t])[0]
             weights = g.quad_weights * al
             oracle = {
                 "ut2": weights @ u_t**2, "ux2": weights @ u_x**2, "u2": weights @ v**2,

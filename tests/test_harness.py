@@ -561,6 +561,30 @@ class TestBatchedSweep:
         assert outputs_of(self.run(tmp_path, 1, "capped")) == whole
         assert sizes == [1] * 8
 
+    def test_batches_count_their_stage_table_rows(self, tmp_path, monkeypatch):
+        # rows that differ in a get a weight row each of the stage table: four
+        # such rows fit the cap by their snapshots, but not with their table rows
+        cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, 1.5, 2.0, 2.5]}}
+        path = write_config(tmp_path, cfg, "sweep_a.json")
+
+        def run(name):
+            outdir = tmp_path / name
+            assert main(["sweep", path, "--grid-n", "16", "--outdir", str(outdir)]) == 0
+            return outputs_of(outdir)
+
+        whole = run("whole")
+        sizes = []
+        real = harness.simulate_batch
+        monkeypatch.setattr(harness, "simulate_batch", lambda specs, *a: sizes.append(len(specs)) or real(specs, *a))
+        spec = mowave.spec_from_dict(cfg["base"])
+        plan = mowave.solver.step_plan(spec, mowave.Grid(16), 10, 1.0)  # the sweep's default flags
+        snapshots = (plan.steps // plan.per_snapshot + 2) * 2 * 17 * 8
+        table = 6 * (2 * mowave.solver._BLOCK + 1) * 15 * 8
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * (snapshots + table) - 1)
+        assert 4 * snapshots <= mowave.solver.SNAPSHOT_CAP_BYTES
+        assert run("capped") == whole
+        assert sizes == [1] * 4
+
     def test_inadmissible_cell_fails_alone(self, tmp_path, capsys):
         cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, -1.0, 2.0]}}
         outdir = tmp_path / "sweep"

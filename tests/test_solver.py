@@ -143,10 +143,10 @@ class TestStepSize:
         plan = step_plan(spec, Grid(8), 1, cfl=2.0**-50)
         per_row = (2**4 + 2) * 2 * 9 * 8
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", per_row)
-        assert rows_within_cap(plan, Grid(8)) == 1
+        assert rows_within_cap(plan, Grid(8), [spec]) == 1
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", per_row - 1)
         with pytest.raises(ResourceLimitError, match=f"about {per_row} bytes"):
-            rows_within_cap(plan, Grid(8))
+            rows_within_cap(plan, Grid(8), [spec])
         with pytest.raises(ConfigError, match=r"cfl .* is too small: .* more than the 2\*\*53"):
             step_plan(spec, Grid(8), 1, cfl=2.0**-51)
 
@@ -489,8 +489,19 @@ def assert_same_run(batch_row, solo):
     assert np.array_equal(batch_row.V, solo.V) and np.array_equal(batch_row.W, solo.W)
 
 
+def textbook_coefficients(y, t, alpha):
+    """(c_yt, c_yy, c_y, drift) at nodes y and time t, as the change of variables writes them."""
+    al, ap, app = alpha.eval(t)
+    drift = y * (ap / al)
+    return -2.0 * drift, drift * drift - 1.0 / (al * al), y * (2.0 * (ap / al) ** 2 - app / al), drift
+
+
 def reference_simulate(spec, grid, sample_every):
-    """The one-row RK4 loop the batched kernel replaced, kept as its oracle."""
+    """The one-row RK4 loop the batched kernel replaced, kept as its oracle.
+
+    Its coefficients come from textbook_coefficients, not from the solver's
+    coefficient_grids, so the oracle shares no transform code with the solver.
+    """
     y, dy = grid.y, grid.dy
     a, b, rho = spec.damping.a, spec.damping.b, spec.damping.rho
 
@@ -516,7 +527,7 @@ def reference_simulate(spec, grid, sample_every):
         return f
 
     def rhs_arrays(t, v, w):
-        c_yt, c_yy, c_y, drift = (c[0] for c in coefficient_grids(y, [t], spec.alpha))
+        c_yt, c_yy, c_y, drift = textbook_coefficients(y, t, spec.alpha)
         bt, _ = spec.beta_at(t)
         Dv, Dw, D2v = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
         Dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
@@ -559,14 +570,17 @@ def banded_simulate(spec, grid, sample_every):
     """The one-row RK4 loop of the banded kernel in plain formulas, kept as its oracle.
 
     Each time's coefficients are written out from the families' float eval:
-    the alpha ratios, the 3-point stencil of the stage table's weights, summed
-    term by term, and the source as its four products of node vectors and
-    scalars, in _Source's order; TestManufacturedAgainstSympy checks that
-    source. The source's scalars of a time are 1-element arrays: numpy's
-    power of an array differs from its power of a scalar in the last bit.
+    the alpha ratios, the 3-point stencil of the stage table's weights in
+    node-index form (S and A of _Rows.stage_table, in its operation order),
+    summed term by term, and the source as its four products of node vectors
+    and scalars, in _Source's order; TestManufacturedAgainstSympy checks that
+    source, and test_weights_are_the_textbook_fold the weights. The source's scalars of a time
+    are 1-element arrays: numpy's power of an array differs from its power of
+    a scalar in the last bit.
     """
-    y, dy = grid.y, grid.dy
+    y = grid.y
     yi = y[1:-1]
+    i = np.arange(1.0, grid.n)  # N yi, exactly
     a, b, rho = spec.damping.a, spec.damping.b, spec.damping.rho
     field = spec.source
     if field is not None:
@@ -596,14 +610,11 @@ def banded_simulate(spec, grid, sample_every):
     def rhs_arrays(t, v, w):
         al, ap, app = spec.alpha.eval(t)
         g = ap / al
-        drift = yi * g
-        c_yt = -2.0 * drift
-        c_yy = drift * drift - 1.0 / (al * al)
-        c_y = yi * (2.0 * (g * g) - app / al)
-        n = grid.n  # 1/(2 dy) = n/2 and 1/dy^2 = n^2
-        cyy, cy, d = c_yy * float(n * n), c_y * (0.5 * n), drift * (0.5 * n)
-        v_left, v_mid, v_right = cy - cyy - a * d, 2.0 * cyy - b, a * d - (cy + cyy)
-        w_left, w_mid, w_right = c_yt * (0.5 * n), -a, -(c_yt * (0.5 * n))
+        g_sq = g * g
+        S = float(grid.n * grid.n) * (1.0 / (al * al)) - g_sq * (i * i)
+        A = (2.0 * g_sq - app / al - a * g) * (0.5 * i)
+        v_left, v_mid, v_right = S + A, S * -2.0 - b, S - A
+        w_left, w_mid, w_right = -(g * i), -a, g * i
         vi = v[1:-1]
         dw = np.zeros_like(v)
         dw[1:-1] = (
@@ -739,18 +750,40 @@ class TestSimulateBatch:
         specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, 2.0, 3.0)]
         g = Grid(16)
         plan = step_plan(specs[0], g)
-        per_row = (math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 2) * 2 * 17 * 8
+        # its snapshots and, since the rows differ in a, its six weight rows of a block's table
+        per_row = (math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 2) * 2 * 17 * 8 + 6 * 65 * 15 * 8
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * per_row - 1)
-        assert rows_within_cap(plan, g) == 2
+        assert rows_within_cap(plan, g, specs) == 2
         with pytest.raises(ResourceLimitError):
             simulate_batch(specs, g)
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * per_row)
-        assert rows_within_cap(plan, g) == 3
+        assert rows_within_cap(plan, g, specs) == 3
         assert len(simulate_batch(specs, g)) == 3
         # inadmissible rows store nothing and do not count
         specs[2] = make_spec(damping=DampingParams(a=-1.0, b=1.0, rho=1.0), horizon=0.5)
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * per_row)
         assert isinstance(simulate_batch(specs, g)[2], ValidationError)
+
+    def test_cap_counts_the_stage_table_rows(self, monkeypatch):
+        # a mixed-a batch that fits the cap by its snapshots alone
+        mixed = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=5.0) for a in (1.0, 2.0, 3.0)]
+        shared = [make_spec(beta=ExponentialBeta(beta0=1.0, mu=mu), horizon=5.0) for mu in (0.1, 0.2, 0.3)]
+        forced = [make_spec(damping=d, horizon=5.0, source=ManufacturedField()) for d in (mixed[0].damping,) * 3]
+        g = Grid(16)
+        plan = step_plan(mixed[0], g)
+        snapshots = (plan.steps // plan.per_snapshot + 2) * 2 * 17 * 8
+        block = 65 * 15 * 8  # one row of a block's table: 2 _BLOCK + 1 stage times of the interior nodes
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * snapshots)
+        assert rows_within_cap(plan, g, shared) == 3
+        assert rows_within_cap(plan, g, mixed) == 3 * snapshots // (snapshots + 6 * block) == 1
+        assert rows_within_cap(plan, g, forced) == 3 * snapshots // (snapshots + block) == 2
+        with pytest.raises(ResourceLimitError, match="stage table exceed the cap, which holds 1$"):
+            simulate_batch(mixed, g)
+        assert all(isinstance(row, Trajectory) for row in simulate_batch(shared, g))
+        # a single row's table is the working memory of one run, which its own cap counts
+        assert rows_within_cap(plan, g, mixed[:1]) == 3
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", snapshots)
+        assert rows_within_cap(plan, g, mixed) == 1
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigError):
@@ -865,6 +898,28 @@ class TestKernel:
                 for together, alone in zip(entry, rows.stage_table([t])[0]):
                     assert together.tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("alpha", [ConstantAlpha(), AffineAlpha(k=0.3), SaturatingAlpha(k=0.5, tau=1.0)])
+    @pytest.mark.parametrize("dampings", [[(1.3, 0.7)] * 2, [(0.5, 0.7), (2.0, 0.7)], [(1.3, 0.0), (1.3, 2.5)]])
+    def test_weights_are_the_textbook_fold(self, alpha, dampings):
+        # the node-index form regroups the central differences of the transformed
+        # equation; the bitwise oracle spells that same regrouping, so check it here
+        g = Grid(40)
+        specs = [make_spec(alpha=alpha, damping=DampingParams(a=a, b=b, rho=1.0)) for a, b in dampings]
+        rows = _Rows(specs, g)
+        times = np.linspace(0.0, 10.0, 65)
+        y, dy = g.y[1:-1], g.dy
+        for t, (K, _, _) in zip(times, rows.stage_table(times)):
+            c_yt, c_yy, c_y, drift = textbook_coefficients(y, t, alpha)
+            for r, (a, b) in enumerate(dampings):
+                cyy, cy, d = c_yy / dy**2, c_y / (2.0 * dy), a * drift / (2.0 * dy)
+                w_side = c_yt / (2.0 * dy)
+                fold = ((-cyy + cy - d, 2.0 * cyy - b, -cyy - cy + d), (w_side, np.full_like(y, -a), -w_side))
+                for c in range(2):
+                    for side in range(3):
+                        want = fold[c][side]
+                        got = K[c, side, min(r, K.shape[2] - 1)]
+                        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (t, r, c, side)
+
     def test_rhs_is_the_kernels_first_stage(self):
         specs = [
             make_spec(
@@ -938,9 +993,8 @@ class TestManufactured:
             linear_mode=True,
             source=field,
         )
-        forcing = manufactured_forcing(field, spec)
         g = Grid(16)
-        f = forcing(g.y, [0.7])[0]
+        f = manufactured_forcing(field, spec, g.y)([0.7])[0]
         assert np.allclose(f, np.pi**2 * np.sin(np.pi * g.y), atol=1e-12)
 
     @pytest.mark.parametrize("linear", [False, True])
@@ -953,12 +1007,13 @@ class TestManufactured:
             source=field,
             linear_mode=linear,
         )
-        forcing, y = manufactured_forcing(field, spec), Grid(32).y
+        y = Grid(32).y
+        forcing = manufactured_forcing(field, spec, y)
         times = np.array([0.0, 0.21, 0.7, 1.9])
-        together = forcing(y, times)
+        together = forcing(times)
         assert together.shape == (times.size, y.size)
         for row, t in zip(together, times.tolist()):
-            assert row.tobytes() == forcing(y, [t])[0].tobytes()
+            assert row.tobytes() == forcing([t])[0].tobytes()
 
     def test_forced_run_tracks_exact_field(self):
         field = ManufacturedField(amp=1.0, rate=1.0, mode=1)
@@ -1031,11 +1086,11 @@ class TestManufacturedAgainstSympy:
             linear_mode=linear,
         )
         f_sym, v_sym, w_sym = sympy_manufactured(field, spec)
-        forcing = manufactured_forcing(field, spec)
-        v_fn, w_fn = exact_reference_fields(field, spec)
         y = Grid(64).y
+        forcing = manufactured_forcing(field, spec, y)
+        v_fn, w_fn = exact_reference_fields(field, spec)
         for t in (0.0, 0.37, 1.9):
-            for ours, ref in ((forcing(y, [t])[0], f_sym), (v_fn(y, t), v_sym), (w_fn(y, t), w_sym)):
+            for ours, ref in ((forcing([t])[0], f_sym), (v_fn(y, t), v_sym), (w_fn(y, t), w_sym)):
                 expect = np.broadcast_to(ref(y, t), y.shape)
                 scale = np.max(np.abs(expect))
                 assert np.max(np.abs(ours - expect)) <= 1e-14 * scale

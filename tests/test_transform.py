@@ -9,10 +9,16 @@ from mowave import AffineAlpha, ConstantAlpha, SaturatingAlpha
 from mowave.solver import coefficient_grids
 
 
+def transformed_coefficients(y, t, fam):
+    """(c_yt, c_yy, c_y, drift) at nodes y and time t, rebuilt from the coefficient_grids columns."""
+    inv_al_sq, g, g_sq, app_al = (float(c[0, 0, 0]) for c in coefficient_grids([t], fam))
+    return -2.0 * y * g, y * y * g_sq - inv_al_sq, y * (2.0 * g_sq - app_al), y * g
+
+
 def point_coefficients(y, t, fam):
-    """coefficient_grids at one node y and one time t, by name, as floats."""
-    grids = coefficient_grids(np.array([y]), [t], fam)
-    return SimpleNamespace(**{name: float(c[0, 0]) for name, c in zip(("c_yt", "c_yy", "c_y", "drift"), grids)})
+    """The transformed coefficients at one node y and one time t, by name, as floats."""
+    names = ("c_yt", "c_yy", "c_y", "drift")
+    return SimpleNamespace(**{name: float(c) for name, c in zip(names, transformed_coefficients(y, t, fam))})
 
 
 alphas = st.one_of(
@@ -80,7 +86,7 @@ class TestTransformedCoefficients:
     def test_grid_helper_matches_pointwise(self):
         fam = SaturatingAlpha(0.5, 1.0)
         y = np.linspace(0.0, 1.0, 11)
-        c_yt, c_yy, c_y, drift = (c[0] for c in coefficient_grids(y, [0.3], fam))
+        c_yt, c_yy, c_y, drift = transformed_coefficients(y, 0.3, fam)
         al, ap, _ = fam.eval(0.3)
         for i, yi in enumerate(y):
             tc = point_coefficients(float(yi), 0.3, fam)
@@ -91,11 +97,10 @@ class TestTransformedCoefficients:
 
     @pytest.mark.parametrize("fam", [ConstantAlpha(), AffineAlpha(0.3), SaturatingAlpha(0.5, 1.0)])
     def test_times_sequence_is_bitwise_the_single_time_calls(self, fam):
-        y = np.linspace(0.0, 1.0, 17)
         times = [0.0, 0.013, 0.5, 1.7, 9.25]
-        together = coefficient_grids(y, times, fam)
+        together = coefficient_grids(times, fam)
         for j, t in enumerate(times):
-            for block, alone in zip(together, coefficient_grids(y, [t], fam)):
-                assert block.shape == (len(times), y.size) and alone.shape == (1, y.size)
-                assert block[j].tobytes() == alone[0].tobytes()
+            for column, alone in zip(together, coefficient_grids([t], fam)):
+                assert column.shape == (len(times), 1, 1) and alone.shape == (1, 1, 1)
+                assert column[j].tobytes() == alone[0].tobytes()
 
