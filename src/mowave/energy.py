@@ -5,11 +5,12 @@ quantities: with y = x/alpha, dx = alpha dy, u_t = w - (y alpha'/alpha) v_y
 and u_x = v_y / alpha. Spatial integrals use the grid's composite Simpson
 weights; space-time integrals add a trapezoid rule over snapshot times.
 
-snapshot_integrals computes every integral the checks below use in one pass
-over a run's snapshots. A Trajectory keeps that table as traj.integrals,
-made on first use, so every check on a run reads the one table. The energy
-is EnergySeries, one array per column over the snapshots; boundary_flux is
-the table's flux at one state.
+An IntegralPass computes every integral the checks below use in one pass
+over a run's snapshots, fed a block at a time while the solver steps; a
+Trajectory keeps its table as traj.integrals, so every check on a run reads
+the one table, and no run keeps its snapshots. snapshot_integrals is the
+pass fed from arrays. The energy is EnergySeries, one array per column over
+the snapshots; boundary_flux is the table's flux at one state.
 
 Three checks are provided.
 
@@ -28,7 +29,7 @@ Three checks are provided.
    argument (the lateral boundary is time-like and the domain expands).
 
 3. Multiplier identity. Multiplying instead by (u_t + lambda u) phi(t) with
-   phi = exp(s t) and integrating over the space-time slab yields a sum of
+   phi = exp(s (t - T)) and integrating over the space-time slab yields a sum of
    roughly twenty-five integrals that cancels exactly for solutions.
    multiplier_identity_residual evaluates every term separately (grouped by
    the equation piece it came from: u_tt, -u_xx, a u_t, b u, the nonlinear
@@ -53,7 +54,7 @@ from .errors import ConfigError
 from .model import ProblemSpec, on_times
 from .solver import Grid, ReferenceState, Trajectory, manufactured_forcing
 
-BLOCK = 64  # snapshots per block of snapshot_integrals; bounds its temporaries
+BLOCK = 64  # snapshots per block of an IntegralPass; bounds its temporaries and a run's snapshot buffer
 
 
 def first_derivative(values: np.ndarray, dy: float) -> np.ndarray:
@@ -97,46 +98,67 @@ class SnapshotIntegrals:
         return 0.5 * ap * (1.0 - ap * ap) * self.ux_end**2
 
 
-def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIntegrals:
-    """One pass over the snapshots (times[k], V[k], W[k]), BLOCK at a time.
+class IntegralPass:
+    """The integral pass of one run, fed its snapshots a block at a time.
 
-    alpha, alpha', beta and beta' are evaluated on all snapshot times at
-    once. u_t, u_x and, for a forced run, the source are built once per
-    snapshot and integrated with the Simpson weights times alpha(t).
+    add(times, V, W) integrates the next len(times) snapshots, v and w as
+    (len(times), N+1) arrays; table() returns the SnapshotIntegrals of every
+    snapshot added, once all nsnap are. Per block, alpha, alpha', beta and
+    beta' are evaluated on the block's times at once, and u_t, u_x and, for
+    a forced run, the source (built once, here) per snapshot; each integral
+    uses the Simpson weights and is then multiplied by alpha(t) (dx = alpha
+    dy). Every operation is elementwise in the snapshot, and a block's
+    products with the weights are one matrix-vector product, so a snapshot's
+    entries are those of any pass whose blocks of BLOCK snapshots start at
+    the same snapshots.
     """
-    times = np.asarray(times, dtype=float)
-    al, ap = on_times(spec.alpha.eval(times)[:2], times)
-    bt, bt_p = on_times(spec.beta_at(times), times)
-    forcing = manufactured_forcing(spec.source, spec, grid.y) if spec.source is not None else None
-    names = ("ut2", "ux2", "u2", "uut", "nl") + (("fut", "fu") if forcing is not None else ())
-    ints = {name: np.empty(times.size) for name in names}
-    ux_end = np.empty(times.size)
-    q, y, power = grid.quad_weights, grid.y, spec.damping.rho + 2.0
-    for lo in range(0, times.size, BLOCK):
-        k = slice(lo, lo + BLOCK)
+
+    def __init__(self, spec: ProblemSpec, grid: Grid, nsnap: int):
+        self.spec, self.grid = spec, grid
+        self.forcing = manufactured_forcing(spec.source, spec, grid.y) if spec.source is not None else None
+        names = [f.name for f in fields(SnapshotIntegrals) if self.forcing is not None or f.name not in ("fut", "fu")]
+        self.columns = {name: np.empty(nsnap) for name in names}
+        self.filled = 0
+
+    def add(self, times, V, W) -> None:
+        times = np.asarray(times, dtype=float)
+        k = slice(self.filled, self.filled + times.size)
+        spec, grid, c = self.spec, self.grid, self.columns
+        c["t"][k] = times
+        al, ap = on_times(spec.alpha.eval(times)[:2], times)
+        c["alpha_p"][k] = ap
+        c["beta"][k], c["beta_p"][k] = on_times(spec.beta_at(times), times)
         # the source first, so that its temporaries are gone before the block's own
-        f = forcing(times[k]) if forcing is not None else None
-        v, w, al_k = V[k], W[k], al[k, None]
-        v_y = first_derivative(v, grid.dy)
-        u_t = w - (y * (ap[k, None] / al_k)) * v_y
+        f = self.forcing(times) if self.forcing is not None else None
+        q, al_k = grid.quad_weights, al[:, None]
+        v_y = first_derivative(V, grid.dy)
+        u_t = W - (grid.y * (ap[:, None] / al_k)) * v_y
         u_x = v_y / al_k
-        ints["ut2"][k] = u_t**2 @ q
-        ints["ux2"][k] = u_x**2 @ q
-        ints["u2"][k] = v**2 @ q
-        ints["uut"][k] = (v * u_t) @ q
-        ints["nl"][k] = np.abs(v) ** power @ q
-        ux_end[k] = u_x[:, -1]
+        c["ut2"][k] = (u_t**2 @ q) * al
+        c["ux2"][k] = (u_x**2 @ q) * al
+        c["u2"][k] = (V**2 @ q) * al
+        c["uut"][k] = ((V * u_t) @ q) * al
+        c["nl"][k] = (np.abs(V) ** (spec.damping.rho + 2.0) @ q) * al
+        c["ux_end"][k] = u_x[:, -1]
         if f is not None:
-            ints["fut"][k] = (f * u_t) @ q
-            ints["fu"][k] = (f * v) @ q
-    ux_end.setflags(write=False)
-    for values in ints.values():
-        values *= al  # dx = alpha dy
-        values.setflags(write=False)
-    return SnapshotIntegrals(
-        **{"fut": None, "fu": None, **ints},
-        t=times, alpha_p=ap, beta=bt, beta_p=bt_p, ux_end=ux_end,
-    )
+            c["fut"][k] = ((f * u_t) @ q) * al
+            c["fu"][k] = ((f * V) @ q) * al
+        self.filled = k.stop
+
+    def table(self) -> SnapshotIntegrals:
+        for values in self.columns.values():
+            values.setflags(write=False)
+        return SnapshotIntegrals(**{"fut": None, "fu": None, **self.columns})
+
+
+def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIntegrals:
+    """The integral table of the snapshots (times[k], V[k], W[k]): an
+    IntegralPass fed BLOCK snapshots at a time, as simulate_batch feeds it."""
+    times = np.asarray(times, dtype=float)
+    run = IntegralPass(spec, grid, times.size)
+    for lo in range(0, times.size, BLOCK):
+        run.add(times[lo : lo + BLOCK], V[lo : lo + BLOCK], W[lo : lo + BLOCK])
+    return run.table()
 
 
 @dataclass(frozen=True)
@@ -283,8 +305,11 @@ class IdentityReport:
 
 
 def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) -> IdentityReport:
-    """Evaluate every integral of the multiplier identity with phi = exp(s t).
+    """Evaluate every integral of the multiplier identity with phi = exp(s (t - T)).
 
+    phi is exp(s t) scaled by exp(-s T): the identity is linear in phi, so
+    the relative residual is unchanged up to rounding, and with phi <= 1 no
+    term overflows a double while the energy does not, whatever s T.
     The equation is multiplied by (u_t + lambda u) phi and integrated over
     the space-time slab; each piece is integrated by parts in its natural
     direction. Volume integrals are Simpson in y and trapezoid in t; the
@@ -298,7 +323,7 @@ def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) 
     vol = traj.integrals
     a, b, rho = traj.spec.damping.a, traj.spec.damping.b, traj.spec.damping.rho
     times, ap, ux_end, beta, beta_p = vol.t, vol.alpha_p, vol.ux_end, vol.beta, vol.beta_p
-    phi = np.exp(phi_rate * times)
+    phi = np.exp(phi_rate * (times - times[-1]))
     phi_p = phi_rate * phi
     phi0, phiT = float(phi[0]), float(phi[-1])
 

@@ -47,6 +47,7 @@ the batch sizes change any output byte. --jobs must be at least 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -54,6 +55,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -175,13 +177,35 @@ def verify_manifest(manifest_path) -> list[str]:
     return problems
 
 
-def _write_trajectory_csv(traj, path: Path) -> None:
-    rows = ["t,y,v,w"]
-    y = traj.grid.y.tolist()
-    for t, v, w in zip(traj.times.tolist(), traj.V.tolist(), traj.W.tolist()):
-        rows.extend(f"{t!r},{yi!r},{vi!r},{wi!r}" for yi, vi, wi in zip(y, v, w))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+class _TrajectoryCsv:
+    """trajectory.csv streamed from simulate's blocks (an on_block callback)
+    into a temporary file in the nearest existing directory of outdir, so
+    that move_to can put it into outdir with the other outputs. Leaving the
+    with block removes the file unless it was moved."""
+
+    def __init__(self, outdir: Path, y: np.ndarray):
+        parent = outdir
+        while not parent.is_dir():
+            parent = parent.parent
+        fd, self.path = tempfile.mkstemp(prefix=".trajectory-", suffix=".csv", dir=parent)
+        self.fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+        self.fh.write("t,y,v,w\n")
+        self.y = y.tolist()
+
+    def __call__(self, row: int, times: np.ndarray, V: np.ndarray, W: np.ndarray) -> None:
+        for t, v, w in zip(times.tolist(), V.tolist(), W.tolist()):
+            self.fh.write("".join(f"{t!r},{yi!r},{vi!r},{wi!r}\n" for yi, vi, wi in zip(self.y, v, w)))
+
+    def move_to(self, target: Path) -> None:
+        self.fh.close()
+        os.replace(self.path, target)
+
+    def __enter__(self) -> "_TrajectoryCsv":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+        Path(self.path).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -211,74 +235,79 @@ def run_simulation(
     bound or an identity residual that overflows a double, or the
     certificate's error. solution is the run's Trajectory or
     error when the caller has already solved it (sweep solves cells in
-    batches); by default the spec is solved here.
+    batches); by default the spec is solved here. trajectory.csv is
+    streamed from that solve's snapshot blocks (_TrajectoryCsv), so
+    write_trajectory needs solution None; its temporary file is removed
+    whatever stops the run.
     """
     started = time.perf_counter()
     outdir = Path(outdir)
-    if solution is None:
-        solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl)
-    if isinstance(solution, MowaveError):
-        raise solution
-    traj = solution
-    if len(traj.times) < 3:
-        raise ConfigError(
-            f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
-            "the identity checks need at least 3: lower --sample-every"
-        )
+    if write_trajectory and solution is not None:
+        raise ConfigError("run_simulation: trajectory.csv is streamed from the solve, so it needs solution None")
+    with _TrajectoryCsv(outdir, Grid(grid_n).y) if write_trajectory else contextlib.nullcontext() as stream:
+        if solution is None:
+            solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl, on_block=stream)
+        if isinstance(solution, MowaveError):
+            raise solution
+        traj = solution
+        if len(traj.times) < 3:
+            raise ConfigError(
+                f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
+                "the identity checks need at least 3: lower --sample-every"
+            )
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        series_exact = EnergySeries.from_trajectory(traj)
-        series_out = EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
-    finite = np.isfinite(series_exact.E) & np.isfinite(series_out.E)
-    if not finite.all():  # the solution is finite (simulate checks it), its energy is not
-        raise ConfigError(
-            f"the energy overflows a double, first at t = {traj.times[np.argmin(finite)]:.6g}, "
-            "although the solution stays finite; no outputs written"
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            series_exact = EnergySeries.from_trajectory(traj)
+            series_out = EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
+        finite = np.isfinite(series_exact.E) & np.isfinite(series_out.E)
+        if not finite.all():  # the solution is finite (simulate checks it), its energy is not
+            raise ConfigError(
+                f"the energy overflows a double, first at t = {traj.times[np.argmin(finite)]:.6g}, "
+                "although the solution stays finite; no outputs written"
+            )
 
-    edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
-    cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
-    lam = cert.lam if cert is not None else 0.1
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
-        bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
-    overflowed = [
-        name
-        for name, values in (
-            ("the certificate bound C E(0) exp(-lambda t)", bound_values),
-            ("the identity residuals", [identity.residual_rate, identity.residual_plu]),
-        )
-        if values is not None and not np.isfinite(values).all()
-    ]
-    if overflowed:
-        raise ConfigError(
-            f"{' and '.join(overflowed)} overflow a double, although the energy stays finite "
-            f"(E(0) = {series_exact.e0:.6g}); no outputs written"
-        )
+        edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
+        cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
+        lam = cert.lam if cert is not None else 0.1
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
+            bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
+        overflowed = [
+            name
+            for name, values in (
+                ("the certificate bound C E(0) exp(-lambda t)", bound_values),
+                ("the identity residuals", [identity.residual_rate, identity.residual_plu]),
+            )
+            if values is not None and not np.isfinite(values).all()
+        ]
+        if overflowed:
+            raise ConfigError(
+                f"{' and '.join(overflowed)} overflow a double, although the energy stays finite "
+                f"(E(0) = {series_exact.e0:.6g}); no outputs written"
+            )
 
-    bound_report = None
-    if cert is not None:
-        # the allowance 10 dt^2 rate_residual at a step no larger than h0: it may not grow with --cfl
-        bound_report = check_decay_bound(
-            series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
-        )
-    try:
-        lambda_fit = fit_decay(series_exact).lambda_fit
-    except DegenerateDataError:
-        lambda_fit = None
+        bound_report = None
+        if cert is not None:
+            # the allowance 10 dt^2 rate_residual at a step no larger than h0: it may not grow with --cfl
+            bound_report = check_decay_bound(
+                series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
+            )
+        try:
+            lambda_fit = fit_decay(series_exact).lambda_fit
+        except DegenerateDataError:
+            lambda_fit = None
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    energy_path = outdir / "energy.csv"
-    write_energy_csv(series_out, energy_path, bound=bound_values)
-    identity_path = outdir / "identity.csv"
-    write_identity_csv(identity, identity_path)
-    svg_path = outdir / "decay.svg"
-    write_decay_svg(svg_path, series_out.t, series_out.E, bound=bound_values)
-    outputs = [energy_path, identity_path, svg_path]
-    if write_trajectory:
-        traj_path = outdir / "trajectory.csv"
-        _write_trajectory_csv(traj, traj_path)
-        outputs.append(traj_path)
+        outdir.mkdir(parents=True, exist_ok=True)
+        energy_path = outdir / "energy.csv"
+        write_energy_csv(series_out, energy_path, bound=bound_values)
+        identity_path = outdir / "identity.csv"
+        write_identity_csv(identity, identity_path)
+        svg_path = outdir / "decay.svg"
+        write_decay_svg(svg_path, series_out.t, series_out.E, bound=bound_values)
+        outputs = [energy_path, identity_path, svg_path]
+        if stream is not None:
+            outputs.append(outdir / "trajectory.csv")
+            stream.move_to(outputs[-1])
 
     exit_code = EXIT_OK
     if bound_report is not None and not bound_report.holds:
@@ -373,9 +402,9 @@ def cmd_certify(args) -> int:
 
 
 def _l2_error(traj, v_exact) -> float:
-    t, grid = float(traj.times[-1]), traj.grid
-    al = traj.spec.alpha.eval(t)[0]
-    diff = traj.V[-1] - v_exact(grid.y, t)
+    final, grid = traj.final, traj.grid
+    al = traj.spec.alpha.eval(final.t)[0]
+    diff = final.v - v_exact(grid.y, final.t)
     return math.sqrt(float((grid.quad_weights * al) @ diff**2))
 
 
@@ -496,9 +525,8 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
 
     Each cell goes through run_simulation with its solved row (or that
     row's error), which writes the cell's files into outdir/cell_XXXX; a
-    row is dropped once written, with the integrals its checks cached (its
-    snapshots are views of the batch's one array, freed with the last row),
-    and a cell that fails is reported by _fail. An error of the whole batch
+    row is dropped once written, with its integral table, and a cell that
+    fails is reported by _fail. An error of the whole batch
     is reported once and gives every cell its exit code. Returns the
     sweep.csv rows in the order of cells.
     """
@@ -603,7 +631,7 @@ def cmd_sweep(args) -> int:
     for idx in range(len(rows)):
         (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
     # at most ceil(cells/jobs) rows per batch, so every worker gets work,
-    # and no more than the cap holds of their snapshots and stage table rows
+    # and no more than the cap holds of what their rows keep and their stage table rows
     jobs_rows = -(-len(rows) // args.jobs)
     batches = []
     for plan, group in groups.values():

@@ -80,6 +80,12 @@ constants and a stage table built for them by the code that built the
 first ones, so a dead row costs no further steps. The loop stops once
 every row has blown up.
 
+No run keeps its snapshots. simulate_batch gathers energy.BLOCK of them per
+row in one buffer and hands each filled block to the row's
+energy.IntegralPass, and to the caller's on_block when given, so a
+Trajectory holds the integral table, 10 or 12 doubles per snapshot, and the
+state at T.
+
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
 source f = u_tt - u_xx + a u_t + b u + beta |u|^rho u is written in closed
@@ -93,7 +99,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -101,8 +107,11 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
 from .model import AlphaFamily, ManufacturedField, ProblemSpec, on_times, validate_assumptions
 
+if TYPE_CHECKING:
+    from .energy import SnapshotIntegrals
+
 SNAPSHOT_CAP_BYTES = 256 * 2**20
-WORK_CAP_BYTES = 256 * 2**20  # what one run allocates besides the snapshots between 0 and T; N alone sets it
+WORK_CAP_BYTES = 256 * 2**20  # what one run allocates besides its integral table; N alone sets it
 _BLOCK = 32  # steps per stage table of simulate_batch; bounds the table's memory
 DAMPING_LIMIT = 2.5  # a dt at most this: RK4's real-axis stability limit is 2.785
 REACTION_LIMIT = 1.4  # dt sqrt(b + (rho+1) beta(0) |v0|^rho) at most this: RK4's imaginary-axis limit is 2 sqrt 2
@@ -162,8 +171,9 @@ class Grid:
 
 @dataclass(frozen=True)
 class ReferenceState:
-    """One state (t, v, w) on the reference grid, as initialize returns it and
-    energy.boundary_flux takes it; arrays are frozen copies."""
+    """One state (t, v, w) on the reference grid, as initialize returns it,
+    a Trajectory keeps it at T and energy.boundary_flux takes it; arrays
+    are frozen copies."""
 
     t: float
     v: np.ndarray
@@ -183,42 +193,37 @@ class ReferenceState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The snapshots of one run plus the step plan the run used: row k of V
-    and W, shape (nsnap, N+1), holds v and w at times[k]. The arrays are
-    taken as given, not copied, and made read-only."""
+    """What one run keeps: the step plan it used, its energy.SnapshotIntegrals
+    table (every integral the checks read, one entry per snapshot time) and
+    its final state at T. The snapshots themselves pass through simulate_batch
+    a block at a time and are not kept."""
 
     spec: ProblemSpec
     grid: Grid
     plan: StepPlan
-    times: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
+    integrals: SnapshotIntegrals
+    final: ReferenceState
 
     def __post_init__(self):
-        times, V, W = (np.asarray(x, dtype=float) for x in (self.times, self.V, self.W))
-        if times.ndim != 1 or V.shape != (times.size, self.grid.n + 1) or W.shape != V.shape:
-            raise ConfigError("trajectory: times must have shape (nsnap,), V and W (nsnap, N+1)")
+        times = self.times
         if times.size < 1 or times[0] != 0.0:
             raise ConfigError("trajectory: snapshots must start at t = 0")
         if np.any(times[1:] <= times[:-1]):
             raise ConfigError("trajectory: snapshot times must be strictly increasing")
         if times.size > 1 and abs(times[-1] - self.spec.horizon) > 1e-12 * max(1.0, self.spec.horizon):
             raise ConfigError("trajectory: snapshots must end at t = T")
-        for name, array in (("times", times), ("V", V), ("W", W)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        if self.final.t != times[-1] or self.final.v.shape != (self.grid.n + 1,):
+            raise ConfigError("trajectory: the final state must be the last snapshot, with N+1 nodes")
+
+    @property
+    def times(self) -> np.ndarray:
+        """The snapshot times, integrals.t."""
+        return self.integrals.t
 
     @property
     def dt(self) -> float:
         """The fixed step, plan.dt."""
         return self.plan.dt
-
-    @cached_property
-    def integrals(self):
-        """The run's energy.snapshot_integrals table (read-only arrays), one pass on first use."""
-        from .energy import snapshot_integrals  # energy imports this module
-
-        return snapshot_integrals(self.spec, self.grid, self.times, self.V, self.W)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,8 @@ def step_plan(
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     step_size(spec, grid, cfl)  # rejects a cfl that is not positive and finite
     # one block's stage table as 10 arrays of the N-1 interior nodes per stage time (K and the source
-    # take 7; kept at 10, so N <= 50,382 still), the 4 stage buffers of 3 arrays, and v and w at 0 and T
+    # take 7, and the other 3 hold a block of energy.BLOCK snapshots of v and w: 195 (N-1) >= 128 (N+1),
+    # so N <= 50,382 still), the 4 stage buffers of 3 arrays, and v and w at 0 and T
     need = 8 * ((2 * _BLOCK + 1) * 10 * (grid.n - 1) + (4 * 3 + 2 * 2) * (grid.n + 1))
     if need > WORK_CAP_BYTES:
         raise ResourceLimitError(
@@ -385,24 +391,28 @@ def batch_key(spec: ProblemSpec, plan: StepPlan) -> tuple:
 
 
 def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int:
-    """The most rows of one batch of specs stepping by plan whose snapshots
-    and stage table rows fit SNAPSHOT_CAP_BYTES together, read at the call.
+    """The most rows of one batch of specs stepping by plan that fit
+    SNAPSHOT_CAP_BYTES, read at the call, with what each row keeps.
 
-    A row stores about steps // per_snapshot + 2 snapshots of v and w, and
-    a block's stage table at its 2 _BLOCK + 1 times holds K's six weights
-    per row when the specs differ in a or b, and a source row per row when
-    they are forced. One row always fits, its table counted by
-    WORK_CAP_BYTES. Raises ResourceLimitError when not even one row's
-    snapshots fit.
+    A row keeps about steps // per_snapshot + 2 snapshots of its integral
+    table, 10 doubles each (12 when forced: the source's two), a block of
+    energy.BLOCK snapshots of v and w, and its share of a block's stage
+    table at 2 _BLOCK + 1 times: K's six weights when the specs differ in a
+    or b, and a source row when they are forced. One row always fits, its
+    block and table counted by WORK_CAP_BYTES. Raises ResourceLimitError
+    when not even one row's integral table fits.
     """
-    per_row = (plan.steps // plan.per_snapshot + 2) * 2 * (grid.n + 1) * 8
+    from .energy import BLOCK  # energy imports this module
+
+    forced = specs[0].source is not None
+    per_row = (plan.steps // plan.per_snapshot + 2) * (10 + 2 * forced) * 8
     if per_row > SNAPSHOT_CAP_BYTES:
         raise ResourceLimitError(
-            f"run would store about {per_row} bytes of snapshots (cap {SNAPSHOT_CAP_BYTES}); "
+            f"run would keep about {per_row} bytes of snapshot integrals (cap {SNAPSHOT_CAP_BYTES}); "
             "raise sample_every or the cap"
         )
     differ = len({repr((s.damping.a, s.damping.b)) for s in specs}) > 1  # as _column compares them
-    per_row += (6 * differ + (specs[0].source is not None)) * (2 * _BLOCK + 1) * (grid.n - 1) * 8
+    per_row += 2 * BLOCK * (grid.n + 1) * 8 + (6 * differ + forced) * (2 * _BLOCK + 1) * (grid.n - 1) * 8
     return max(SNAPSHOT_CAP_BYTES // per_row, 1)
 
 
@@ -612,15 +622,18 @@ def _rhs_arrays(stage: tuple, coef: tuple, rows: _Rows) -> None:
 # time integration
 
 
-def simulate(spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> Trajectory:
-    """Advance one spec from 0 to T: the batch of one of simulate_batch.
+def simulate(
+    spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5, on_block: Callable | None = None
+) -> Trajectory:
+    """Advance one spec from 0 to T: the batch of one of simulate_batch, whose
+    on_block this passes on (its row index is 0).
 
     Raises ValidationError if the spec fails the admissibility checks,
     BlowUpError when the solution leaves the finite range, and
-    ResourceLimitError if the snapshot storage estimate, or the working
+    ResourceLimitError if the integral table's estimate, or the working
     memory of a run on the grid, exceeds the cap.
     """
-    (result,) = simulate_batch([spec], grid, sample_every, cfl)
+    (result,) = simulate_batch([spec], grid, sample_every, cfl, on_block)
     if isinstance(result, MowaveError):
         raise result
     return result
@@ -668,28 +681,38 @@ def _instability(spec: ProblemSpec, plan: StepPlan, t: float, sample_every: int)
     )
 
 
-def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -> list:
+def simulate_batch(
+    specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5, on_block: Callable | None = None
+) -> list:
     """Advance several specs from 0 to T as one (rows, N+1) state.
 
     The admissible specs must have one batch_key: they share alpha, rho,
     horizon and linear_mode, and with them the stage times, are all forced
     or all unforced, and share the step and snapshot stride of their
     step_plan; a, b, beta and the source may differ. Classical RK4 at
-    fixed dt; snapshots are recorded at t = 0, every sample_every h0 of
-    time (every step_plan per_snapshot steps), and at t = T, into one
-    (2, rows, nsnap, N+1) array. Every operation is elementwise per row, so
-    each row is bit-identical to its run alone.
+    fixed dt; snapshots are taken at t = 0, every sample_every h0 of time
+    (every step_plan per_snapshot steps), and at t = T, into a buffer of
+    energy.BLOCK snapshots per row. Each time it fills, and at T, the block
+    of every live row goes to the row's energy.IntegralPass and then, when
+    given, to on_block(i, times, V, W): i is the spec's index in specs,
+    times the block's snapshot times, and V and W read-only (len(times),
+    N+1) views of v and w there, overwritten by the next block. Blocks are
+    aligned at snapshot 0, as snapshot_integrals cuts a run's arrays, so a
+    row's table is bit for bit the one of its snapshots. Every operation is
+    elementwise per row, so each row is bit-identical to its run alone.
 
-    Returns one Trajectory per spec, carrying the spec's own step plan and
-    views of its row's snapshots, or the row's error: ValidationError if the
-    spec fails the admissibility checks, BlowUpError (see _instability) once
-    the row left the finite range (it is then dropped and the others carry
-    on; the loop stops when every row has). Raises
-    ConfigError if the admissible specs differ in batch_key or have no step
-    plan, and ResourceLimitError if the snapshots of all admissible rows
-    together, or the working memory of one run on the grid, would exceed
-    the cap.
+    Returns one Trajectory per spec, carrying the spec's own step plan, its
+    integral table and its state at T, or the row's error: ValidationError
+    if the spec fails the admissibility checks, BlowUpError (see
+    _instability) once the row left the finite range (it is then dropped,
+    its blocks so far handed on, and the others carry on; the loop stops
+    when every row has). Raises ConfigError if the admissible specs differ
+    in batch_key or have no step plan, and ResourceLimitError if what the
+    admissible rows keep together, or the working memory of one run on the
+    grid, would exceed the cap.
     """
+    from .energy import BLOCK, IntegralPass  # energy imports this module
+
     specs = list(specs)
     if not specs:
         raise ConfigError("simulate_batch needs at least one spec")
@@ -712,7 +735,8 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
     fit = rows_within_cap(plan, grid, [specs[r] for r in live])
     if len(live) > fit:
         raise ResourceLimitError(
-            f"simulate_batch: {len(live)} rows of snapshots and stage table exceed the cap, which holds {fit}"
+            f"simulate_batch: {len(live)} rows of integral tables, snapshot blocks and stage table "
+            f"exceed the cap, which holds {fit}"
         )
 
     T = lead.horizon
@@ -721,12 +745,24 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
     state = np.array([[first.v for first in firsts], [first.w for first in firsts]])
     # snapshots at t = 0, after every stride-th step and after the last
     nsnap = 1 + nsteps // stride + (nsteps % stride != 0)
-    times = np.zeros(nsnap)
-    snaps = np.empty((2, len(live), nsnap, grid.n + 1))  # V and W of every row
-    snaps[:, :, 0] = state
+    passes = [IntegralPass(specs[r], grid, nsnap) for r in live]
+    times = np.zeros(BLOCK)  # the block's snapshot times: snapshot j of the run sits at j % BLOCK
+    block = np.empty((2, len(live), BLOCK, grid.n + 1))  # v and w of every row at those times
+    block[:, :, 0] = state
     taken = 1
     held = np.arange(len(live))  # the position in live of each state row
     k, t = 0, 0.0
+
+    def hand_on(n: int) -> None:
+        """The block's first n snapshots of every held row to its pass, then to on_block."""
+        ts = times[:n]
+        ts.flags.writeable = False
+        for i in held:
+            V, W = block[:, i, :n]
+            V.flags.writeable = W.flags.writeable = False
+            passes[i].add(ts, V, W)
+            if on_block is not None:
+                on_block(live[i], ts, V, W)
 
     with np.errstate(over="ignore", invalid="ignore"):
         while k < nsteps and held.size:
@@ -759,20 +795,28 @@ def simulate_batch(specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5) -
                 dz2 *= h6
                 z1 += dz2
                 k, t = k + 1, t_next
-                if k % stride == 0 or k == nsteps:
-                    times[taken] = t
-                    snaps[:, held, taken] = z1  # that of a row blowing up on this step is never read
-                    taken += 1
                 if not np.isfinite(z1, out=finite).all():
                     bad = ~finite.all(axis=(0, 2))
                     for i in held[bad]:
                         results[live[i]] = _instability(specs[live[i]], plans[live[i]], t, sample_every)
+                        passes[i] = None
                     held, state = held[~bad], z1[:, ~bad]
+                if k % stride == 0 or k == nsteps:
+                    times[taken % BLOCK] = t
+                    block[:, held, taken % BLOCK] = z1 if state is None else state
+                    taken += 1
+                    if taken % BLOCK == 0:
+                        hand_on(BLOCK)
+                if state is not None:
                     break  # the table holds the blown rows too
             del table  # before the next block's table is built; an entry kept by another name would keep it all
+        if taken % BLOCK:
+            hand_on(taken % BLOCK)
 
+    last = (taken - 1) % BLOCK  # the snapshot at T of every held row
     for i in held:
-        results[live[i]] = Trajectory(specs[live[i]], grid, plans[live[i]], times, snaps[0, i], snaps[1, i])
+        final = ReferenceState(t, block[0, i, last], block[1, i, last])
+        results[live[i]] = Trajectory(specs[live[i]], grid, plans[live[i]], passes[i].table(), final)
     return results
 
 

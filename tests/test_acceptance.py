@@ -91,7 +91,7 @@ class TestCriterion1ModalAccuracy:
         elapsed = time.perf_counter() - t0
         omega = math.sqrt(math.pi**2 + 0.75)
         exact = math.exp(-1.0) * math.cos(2.0 * omega) * np.sin(np.pi * g.y)
-        err = float(np.max(np.abs(traj.V[-1] - exact)) / np.max(np.abs(exact)))
+        err = float(np.max(np.abs(traj.final.v - exact)) / np.max(np.abs(exact)))
         ok = err < 1e-4 and elapsed < 5.0
         report(
             capsys,
@@ -119,7 +119,7 @@ class TestCriterion2ManufacturedConvergence:
             traj = simulate(spec, g, sample_every=10**6)
             v_fn, _ = exact_reference_fields(field, spec)
             last_t = traj.times[-1]
-            diff = traj.V[-1] - v_fn(g.y, last_t)
+            diff = traj.final.v - v_fn(g.y, last_t)
             al = 1.0 + 0.5 * last_t
             errors.append(float(np.sqrt(g.quad_weights @ diff**2 * al)))
         elapsed = time.perf_counter() - t0

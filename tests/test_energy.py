@@ -184,19 +184,26 @@ def forced_run(horizon=2.0, sample_every=1):
         alpha=SaturatingAlpha(k=0.5, tau=1.0),
         horizon=horizon,
     )
-    return simulate(spec, Grid(24), sample_every=sample_every)
+    return with_snapshots(spec, Grid(24), sample_every=sample_every)
+
+
+def with_snapshots(spec, grid, sample_every=1):
+    """simulate's Trajectory and its snapshots (times, V, W), copied from the blocks on_block hands on."""
+    blocks = []
+    traj = simulate(spec, grid, sample_every, on_block=lambda i, *block: blocks.append([x.copy() for x in block]))
+    return traj, tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 class TestSnapshotIntegrals:
     def test_matches_per_snapshot_oracle_across_blocks(self):
         from mowave.solver import manufactured_forcing
 
-        traj = forced_run()
+        traj, snaps = forced_run()
         assert len(traj.times) > 2 * 64  # several blocks, the last one partial
         spec, g = traj.spec, traj.grid
-        table = snapshot_integrals(spec, g, traj.times, traj.V, traj.W)
+        table = snapshot_integrals(spec, g, *snaps)
         forcing = manufactured_forcing(spec.source, spec, g.y)
-        for k, (t, v, w) in enumerate(zip(traj.times, traj.V, traj.W)):
+        for k, (t, v, w) in enumerate(zip(*snaps)):
             al, ap, _ = spec.alpha.eval(t)
             v_y = np.gradient(v, g.dy, edge_order=2)
             u_t = w - g.y * (ap / al) * v_y
@@ -213,16 +220,16 @@ class TestSnapshotIntegrals:
                 assert getattr(table, name)[k] == pytest.approx(want, rel=1e-12, abs=1e-14), (name, k)
 
     def test_unforced_run_has_no_source_columns(self):
-        traj = simulate(make_spec(horizon=0.5), Grid(16))
-        table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
-        assert table.fut is None and table.fu is None
+        traj, snaps = with_snapshots(make_spec(horizon=0.5), Grid(16))
+        table = snapshot_integrals(traj.spec, traj.grid, *snaps)
+        assert table.fut is None and table.fu is None and traj.integrals.fut is None
         assert table.t.shape == table.ut2.shape == table.flux.shape == traj.times.shape
 
     def test_one_snapshot_functions_read_the_same_table(self):
-        traj = forced_run(sample_every=7)
+        traj, snaps = forced_run(sample_every=7)
         spec = traj.spec
         series = EnergySeries.from_trajectory(traj)
-        for k, state in enumerate(zip(traj.times, traj.V, traj.W)):
+        for k, state in enumerate(zip(*snaps)):
             sample = one_snapshot_energy(ReferenceState(*state), spec, traj.grid)
             for name in ("t", "E", "kinetic", "gradient", "restoring", "nonlinear", "flux"):
                 assert getattr(sample, name) == pytest.approx(getattr(series, name)[k], rel=1e-14, abs=1e-300)
@@ -238,23 +245,26 @@ class TestSnapshotIntegrals:
             assert np.array_equal(getattr(literal, name), getattr(exact, name))
 
     def test_trajectory_integrals_is_the_table_of_its_snapshots(self):
-        traj = forced_run(sample_every=3)
-        table = snapshot_integrals(traj.spec, traj.grid, traj.times, traj.V, traj.W)
+        # streamed during the solve in blocks of 64, 64 and 17 snapshots, bit for bit the table of the arrays
+        traj, snaps = forced_run()
+        assert traj.times.size == 145
+        table = snapshot_integrals(traj.spec, traj.grid, *snaps)
         assert traj.integrals is traj.integrals
         for field in fields(SnapshotIntegrals):
             shared = getattr(traj.integrals, field.name)
-            assert np.array_equal(shared, getattr(table, field.name)), field.name
+            assert shared.tobytes() == getattr(table, field.name).tobytes(), field.name
             assert not shared.flags.writeable, field.name  # every check reads this one table
 
     def test_the_checks_of_a_run_share_one_pass(self, monkeypatch):
         passes = []
 
-        def counted(spec, grid, times, V, W):
-            passes.append(len(times))
-            return snapshot_integrals(spec, grid, times, V, W)
+        class Counted(mowave.energy.IntegralPass):
+            def __init__(self, spec, grid, nsnap):
+                passes.append(nsnap)
+                super().__init__(spec, grid, nsnap)
 
-        monkeypatch.setattr(mowave.energy, "snapshot_integrals", counted)
-        traj = forced_run(sample_every=3)
+        monkeypatch.setattr(mowave.energy, "IntegralPass", Counted)
+        traj, _ = forced_run(sample_every=3)
         EnergySeries.from_trajectory(traj)
         EnergySeries.from_trajectory(traj, paper_literal=True)
         energy_rate_residual(traj)
@@ -328,16 +338,25 @@ class TestMultiplierIdentity:
 
     def test_boundary_group_matches_flux_integral(self):
         spec = make_spec(alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=1.0)
-        traj = simulate(spec, Grid(50), sample_every=5)
+        traj, snaps = with_snapshots(spec, Grid(50), sample_every=5)
         s = 0.1
         rep = multiplier_identity_residual(traj, 0.1, s)
         times = traj.times
-        flux = np.array(
-            [one_snapshot_energy(ReferenceState(*state), spec, traj.grid).flux for state in zip(traj.times, traj.V, traj.W)]
-        )
-        expected = float(np.trapezoid(np.exp(s * times) * flux, times))
+        flux = np.array([one_snapshot_energy(ReferenceState(*state), spec, traj.grid).flux for state in zip(*snaps)])
+        expected = float(np.trapezoid(np.exp(s * (times - times[-1])) * flux, times))
         assert rep.boundary_group == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert rep.boundary_group >= 0.0
+
+    def test_phi_is_one_at_T(self):
+        # phi = exp(s (t - T)) <= 1, so no term overflows before the energy does, whatever s T
+        spec = make_spec(beta=ExponentialBeta(beta0=1.0, mu=0.1), alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=2.0)
+        traj = simulate(spec, Grid(32), sample_every=2)
+        table = traj.integrals
+        for s in (0.1, 400.0):  # exp(400 T) overflows a double
+            rep = multiplier_identity_residual(traj, 0.1, s)
+            assert rep.term("ut2_T") == 0.5 * table.ut2[-1]
+            assert rep.term("ut2_0") == pytest.approx(-0.5 * math.exp(-2.0 * s) * table.ut2[0], rel=1e-15, abs=0.0)
+            assert math.isfinite(rep.residual_plu) and math.isfinite(rep.relative_residual)
 
     def test_forced_run_has_source_term(self):
         from mowave import ManufacturedField

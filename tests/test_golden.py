@@ -453,7 +453,7 @@ CLI_FAILURES = {
     ),
     "simulate-snapshot-cap": (
         ["simulate", "c.json", "--sample-every", "1", "--outdir", "out"],
-        {"c.json": _cfg(horizon=1000.0)},
+        {"c.json": _cfg(horizon=7000.0)},
     ),
     "simulate-too-few-snapshots": (
         ["simulate", "c.json", "--grid-n", "16", "--outdir", "out"],
@@ -579,7 +579,7 @@ CLI_FAILURES = {
     ),
     "convergence-snapshot-cap": (
         ["convergence", "c.json", "--grid-n", "400,3200"],
-        {"c.json": _cfg(horizon=50.0, manufactured=_MANUFACTURED)},
+        {"c.json": _cfg(horizon=5000.0, manufactured=_MANUFACTURED)},
     ),
     "convergence-blowup-a2000": (
         ["convergence", "c.json", "--grid-n", "100,200"],
@@ -632,7 +632,7 @@ CLI_FAILURES = {
     ),
     "sweep-cells-over-snapshot-cap": (
         ["sweep", "s.json", "--sample-every", "1", "--outdir", "out"],
-        {"s.json": _sweep(base=_cfg(horizon=1000.0))},
+        {"s.json": _sweep(base=_cfg(horizon=7000.0))},
     ),
     "sweep-cell-certificate-bound-overflow": (
         ["sweep", "s.json", "--grid-n", "32", "--outdir", "out"],
@@ -657,7 +657,10 @@ CLI_FAILURES = {
 # rejected before any array of the grid is made (they raised MemoryError before);
 # simulate-blowup-cfl and sweep-cells-fail changed, and simulate-blowup-beta-growth
 # came in, when exit 3 came to name the numerical instability, the exact
-# solution's bound, the step's bound and the --cfl that takes a smaller step
+# solution's bound, the step's bound and the --cfl that takes a smaller step;
+# the three snapshot-cap rows changed, and their horizons rose from 1000 (50
+# for convergence) so that they still exit before any step, when a run came to
+# keep its integral table (10 or 12 doubles per snapshot) instead of its snapshots
 CLI_FAILURE_RESULTS = {
     'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
     'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[FAIL] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -683,7 +686,7 @@ CLI_FAILURE_RESULTS = {
     'convergence-grid-n-repeated-of-three': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '16,16,32'\n"),
     'convergence-grid-n-too-small': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'convergence-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
-    'convergence-snapshot-cap': (2, '', 'mowave: run would store about 384972832 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
+    'convergence-snapshot-cap': (2, '', 'mowave: run would keep about 576000192 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
     'convergence-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'simulate-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: AffineAlpha: requires sup α'(t)<1, got sup alpha' = 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ExponentialBeta: mu = -0.5 < 0 makes beta decreasing\n[pass] beta(T): beta(T) = 0.00673795, beta'(T) = -0.00336897 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -704,7 +707,7 @@ CLI_FAILURE_RESULTS = {
     'simulate-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
     'simulate-not-json': (2, '', 'mowave: config c.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n'),
     'simulate-sample-every': (2, '', 'mowave: sample_every must be a positive integer, got 0\n'),
-    'simulate-snapshot-cap': (2, '', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
+    'simulate-snapshot-cap': (2, '', 'mowave: run would keep about 336000160 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
     'simulate-too-few-snapshots': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 10; the identity checks need at least 3: lower --sample-every\n'),
     'simulate-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'sweep-axes-not-an-object': (2, '', "mowave: sweep config: 'axes' must be an object of axis -> value list\n"),
@@ -714,7 +717,7 @@ CLI_FAILURE_RESULTS = {
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
     'sweep-cell-damping-steps-past-2-53': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
     'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: numerical instability: the discrete solution left the finite range at t=0.0261976, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 2.38493e+11 E(0); the step dt = 0.0012475 was set by the damping bound from the data at t = 0: lower --cfl below 0.0299401\n"),
-    'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would store about 1929606432 bytes of snapshots (cap 268435456); raise sample_every or the cap\n'),
+    'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would keep about 336000160 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
     'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),

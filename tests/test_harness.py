@@ -85,8 +85,13 @@ class TestSimulate:
         code, outdir = run_simulate(tmp_path, reference_config(), "--trajectory")
         assert code == 0
         with open(outdir / "trajectory.csv", newline="") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["t", "y", "v", "w"]
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "y", "v", "w"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert len(rows) == 1 + manifest["grid"]["snapshots"] * 101
+        assert [float(rows[i][0]) for i in (1, 101, -1)] == [0.0, 0.0, 4.0] and float(rows[102][0]) > 0.0
+        assert "trajectory.csv" in manifest["outputs"] and verify_manifest(outdir / "manifest.json") == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]  # no temporary file left
 
     def test_paper_literal_changes_restoring_column(self, tmp_path):
         cfg = reference_config(damping={"a": 1.0, "b": 3.0, "rho": 1.0}, horizon=1.0)
@@ -343,13 +348,13 @@ class TestConvergence:
         assert code == 2
 
     def test_snapshot_budget_exits_without_traceback(self, tmp_path, capsys):
-        # T = 50 at N = 400 would store hundreds of MB of snapshots; simulate
-        # refuses before allocating, and main reports it as a config failure
-        cfg = reference_config(horizon=50.0, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
+        # T = 5000 at N = 400 would keep hundreds of MB of snapshot integrals;
+        # simulate refuses before allocating, and main reports it as a config failure
+        cfg = reference_config(horizon=5000.0, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
         code = main(["convergence", write_config(tmp_path, cfg), "--grid-n", "400,3200"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("mowave: ") and "snapshots" in err
+        assert err.startswith("mowave: ") and "snapshot integrals" in err
         assert err.count("\n") == 1
 
 
@@ -556,14 +561,15 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "simulate_batch", recorded)
         spec = mowave.spec_from_dict(json.loads(Path(self.sweep_path(tmp_path)).read_text())["base"])
         plan = mowave.solver.step_plan(spec, mowave.Grid(32), 5, 1.0)  # the sweep's flags
-        per_row = (plan.steps // plan.per_snapshot + 2) * 2 * 33 * 8
+        # a row's integral table and block of snapshots; the rows differ in mu and rho, not in a or b
+        per_row = (plan.steps // plan.per_snapshot + 2) * 10 * 8 + 2 * mowave.energy.BLOCK * 33 * 8
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * per_row - 1)  # one row per batch
         assert outputs_of(self.run(tmp_path, 1, "capped")) == whole
         assert sizes == [1] * 8
 
     def test_batches_count_their_stage_table_rows(self, tmp_path, monkeypatch):
         # rows that differ in a get a weight row each of the stage table: four
-        # such rows fit the cap by their snapshots, but not with their table rows
+        # such rows fit the cap by what they keep, but not with their table rows
         cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, 1.5, 2.0, 2.5]}}
         path = write_config(tmp_path, cfg, "sweep_a.json")
 
@@ -578,10 +584,10 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "simulate_batch", lambda specs, *a: sizes.append(len(specs)) or real(specs, *a))
         spec = mowave.spec_from_dict(cfg["base"])
         plan = mowave.solver.step_plan(spec, mowave.Grid(16), 10, 1.0)  # the sweep's default flags
-        snapshots = (plan.steps // plan.per_snapshot + 2) * 2 * 17 * 8
+        kept = (plan.steps // plan.per_snapshot + 2) * 10 * 8 + 2 * mowave.energy.BLOCK * 17 * 8
         table = 6 * (2 * mowave.solver._BLOCK + 1) * 15 * 8
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * (snapshots + table) - 1)
-        assert 4 * snapshots <= mowave.solver.SNAPSHOT_CAP_BYTES
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * (kept + table) - 1)
+        assert 4 * kept <= mowave.solver.SNAPSHOT_CAP_BYTES
         assert run("capped") == whole
         assert sizes == [1] * 4
 
@@ -793,26 +799,39 @@ def test_verify_manifest_rejects_an_output_outside_the_run_directory(tmp_path, w
         (["--cfl", "5e-324"], {}),
         ([], {"damping": {"a": -1.0, "b": 1.0, "rho": 1.0}}),
         (["--grid-n", "64", "--cfl", "10.0"], {"horizon": 1.0}),
+        (["--grid-n", "64", "--cfl", "10.0", "--trajectory"], {"horizon": 1.0}),
+        (["--grid-n", "16", "--trajectory"], {"horizon": 0.05}),
     ],
-    ids=["cfl-negative", "cfl-step-underflows", "inadmissible", "blow-up"],
+    ids=["cfl-negative", "cfl-step-underflows", "inadmissible", "blow-up", "blow-up-trajectory", "too-few-snapshots-trajectory"],
 )
 def test_rejected_simulate_leaves_no_outdir(tmp_path, capsys, extra, cfg):
     outdir = tmp_path / "new" / "out"
     code = main(["simulate", write_config(tmp_path, reference_config(**cfg)), *extra, "--outdir", str(outdir)])
     assert code in (2, 3) and capsys.readouterr().out == ""
     assert not (tmp_path / "new").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nor a temporary trajectory file
+
+
+def test_blown_up_trajectory_run_leaves_an_existing_outdir_as_it_was(tmp_path, capsys):
+    # the simulate-blowup-cfl case with --trajectory: its temporary file, made in outdir, is removed
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "keep.txt").write_text("kept\n")
+    cfg_path = write_config(tmp_path, reference_config(horizon=1.0))
+    code = main(["simulate", cfg_path, "--grid-n", "64", "--cfl", "10.0", "--trajectory", "--outdir", str(outdir)])
+    assert code == 3 and "numerical instability" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["keep.txt"]
 
 
 def test_run_simulation_returns_the_manifest_checks_from_one_pass(tmp_path, monkeypatch):
-    energy = mowave.energy
     passes = []
 
-    def counted(*args):
-        passes.append(args)
-        return original(*args)
+    class Counted(mowave.energy.IntegralPass):
+        def __init__(self, *args):
+            passes.append(args)
+            super().__init__(*args)
 
-    original = energy.snapshot_integrals
-    monkeypatch.setattr(energy, "snapshot_integrals", counted)
+    monkeypatch.setattr(mowave.energy, "IntegralPass", Counted)
     spec = mowave.spec_from_dict(reference_config(horizon=0.5))
     code, checks = run_simulation(spec, tmp_path / "run", grid_n=32, paper_literal=True)
     assert code == 0 and len(passes) == 1

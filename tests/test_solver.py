@@ -1,6 +1,8 @@
 """Grid, quadrature, time stepping, and manufactured-solution machinery."""
 
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,12 +25,15 @@ from mowave import (
     ResourceLimitError,
     SaturatingAlpha,
     SineMode,
+    SnapshotIntegrals,
     Trajectory,
     ValidationError,
     PolynomialBeta,
     exact_reference_fields,
     simulate,
+    snapshot_integrals,
 )
+from mowave.energy import BLOCK
 from mowave.solver import (
     _BLOCK,
     StepPlan,
@@ -57,6 +62,30 @@ def make_spec(**kw):
     )
     base.update(kw)
     return ProblemSpec(**base)
+
+
+def copies(arrays):
+    return [array.copy() for array in arrays]  # on_block's arrays are views of buffers the next block reuses
+
+
+def batch_with_snapshots(specs, grid, sample_every=1, cfl=0.5):
+    """simulate_batch's results, each paired with the snapshots (times, V, W)
+    of its row as on_block handed them on, None for a row that failed."""
+    blocks = {}
+    results = simulate_batch(
+        specs, grid, sample_every, cfl, on_block=lambda i, *block: blocks.setdefault(i, []).append(copies(block))
+    )
+    return [
+        (result, None if isinstance(result, Exception) else tuple(np.concatenate(parts) for parts in zip(*blocks[i])))
+        for i, result in enumerate(results)
+    ]
+
+
+def with_snapshots(spec, grid, sample_every=1, cfl=0.5):
+    """simulate's Trajectory and its snapshots (times, V, W), collected through on_block."""
+    blocks = []
+    traj = simulate(spec, grid, sample_every, cfl, on_block=lambda i, *block: blocks.append(copies(block)))
+    return traj, tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def rhs(state, spec, grid):
@@ -138,10 +167,10 @@ class TestStepSize:
 
     def test_step_count_stops_at_2_53(self, monkeypatch):
         # dt = cfl/8 on Grid(8) at T = 1: 2**53 steps have exact step times, 2**54 do not;
-        # a snapshot every h0 = 1/16 of time is every 2**49 steps
+        # a snapshot every h0 = 1/16 of time is every 2**49 steps; a row keeps 10 doubles of each
         spec = make_spec()
         plan = step_plan(spec, Grid(8), 1, cfl=2.0**-50)
-        per_row = (2**4 + 2) * 2 * 9 * 8
+        per_row = (2**4 + 2) * 10 * 8
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", per_row)
         assert rows_within_cap(plan, Grid(8), [spec]) == 1
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", per_row - 1)
@@ -379,14 +408,14 @@ class TestRhs:
 class TestSimulate:
     def test_zero_data_stays_zero(self):
         spec = make_spec(init=SineMode(m=1, amp_u0=0.0, amp_u1=0.0), horizon=0.5)
-        traj = simulate(spec, Grid(16))
-        assert np.all(traj.V == 0.0) and np.all(traj.W == 0.0)
+        traj, (_, V, W) = with_snapshots(spec, Grid(16))
+        assert np.all(V == 0.0) and np.all(W == 0.0)
         assert EnergySeries.from_trajectory(traj).E[-1] == 0.0
 
     def test_boundary_rows_exactly_zero(self):
         spec = make_spec(alpha=SaturatingAlpha(k=0.5, tau=1.0), horizon=0.5)
-        traj = simulate(spec, Grid(32))
-        for v, w in zip(traj.V, traj.W):
+        _, (_, V, W) = with_snapshots(spec, Grid(32))
+        for v, w in zip(V, W):
             assert v[0] == 0.0 and v[-1] == 0.0
             assert w[0] == 0.0 and w[-1] == 0.0
 
@@ -453,6 +482,25 @@ class TestSimulate:
                 simulate(spec, Grid(2000))
         assert simulate(spec, Grid(150)).times.size == 2
 
+    @pytest.mark.parametrize("forced, columns", [(False, 10), (True, 12)])
+    def test_peak_memory_grows_by_the_integral_table_alone(self, forced, columns):
+        # a run keeps its integral table, 10 doubles per snapshot (12 forced), and its final
+        # state, not the 2 (N+1) = 130 doubles of every snapshot's v and w
+        g = Grid(64)
+        source = ManufacturedField() if forced else None
+        simulate(make_spec(horizon=0.1, source=source), g)  # the grid's and numpy's caches, filled before measuring
+        peaks, sizes = [], []
+        for horizon in (2.0, 8.0):
+            tracemalloc.start()
+            try:
+                sizes.append(simulate(make_spec(horizon=horizon, source=source), g).times.size)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added = sizes[1] - sizes[0]
+        assert added == 768
+        assert peaks[1] - peaks[0] <= added * columns * 8 + 16 * 1024
+
     def test_bad_sample_every(self):
         with pytest.raises(ConfigError):
             simulate(make_spec(), Grid(16), sample_every=0)
@@ -484,9 +532,15 @@ def blow_up_batch():
 
 
 def assert_same_run(batch_row, solo):
-    assert batch_row.dt == solo.dt
-    assert np.array_equal(batch_row.times, solo.times)
-    assert np.array_equal(batch_row.V, solo.V) and np.array_equal(batch_row.W, solo.W)
+    """Two (Trajectory, snapshots) pairs agree bit for bit: snapshots, integral table and final state."""
+    (ours, snaps), (theirs, solo_snaps) = batch_row, solo
+    assert ours.dt == theirs.dt
+    for mine, other in zip(snaps, solo_snaps):
+        assert mine.tobytes() == other.tobytes()
+    for field in fields(SnapshotIntegrals):
+        mine, other = getattr(ours.integrals, field.name), getattr(theirs.integrals, field.name)
+        assert (mine is None and other is None) or mine.tobytes() == other.tobytes(), field.name
+    assert ours.final.v.tobytes() == theirs.final.v.tobytes() and ours.final.w.tobytes() == theirs.final.w.tobytes()
 
 
 def textbook_coefficients(y, t, alpha):
@@ -675,31 +729,31 @@ class TestSimulateBatch:
                 )
                 for i, beta in enumerate(betas)
             ]
-            batch = simulate_batch(specs, g, sample_every=3)
+            batch = batch_with_snapshots(specs, g, sample_every=3)
             assert len(batch) == len(specs)
             for spec, row in zip(specs, batch):
-                assert_same_run(row, simulate(spec, g, sample_every=3))
+                assert_same_run(row, with_snapshots(spec, g, sample_every=3))
 
     @pytest.mark.parametrize("kw", ONE_ROW_CASES)
     def test_batch_of_one_matches_reference_loop(self, kw):
         spec = make_spec(horizon=0.5, **kw)
         g = Grid(32)
-        traj = simulate(spec, g, sample_every=4)
+        _, snaps = with_snapshots(spec, g, sample_every=4)
         expected = banded_simulate(spec, g, 4)
-        assert len(traj.times) == len(expected)
-        for state, (t, v, w) in zip(zip(traj.times, traj.V, traj.W), expected):
+        assert len(snaps[0]) == len(expected)
+        for state, (t, v, w) in zip(zip(*snaps), expected):
             assert state[0] == t and np.array_equal(state[1], v) and np.array_equal(state[2], w)
 
     def test_blow_up_row_leaves_neighbours_unchanged(self):
         specs = blow_up_batch()
         g = Grid(100)
-        first, blown, last = simulate_batch(specs, g, sample_every=10)
+        first, (blown, _), last = batch_with_snapshots(specs, g, sample_every=10)
         with pytest.raises(BlowUpError) as solo:
             simulate(specs[1], g, sample_every=10)
         assert isinstance(blown, BlowUpError)
         assert blown.time == solo.value.time
-        assert_same_run(first, simulate(specs[0], g, sample_every=10))
-        assert_same_run(last, simulate(specs[2], g, sample_every=10))
+        assert_same_run(first, with_snapshots(specs[0], g, sample_every=10))
+        assert_same_run(last, with_snapshots(specs[2], g, sample_every=10))
 
     def test_batch_stops_at_the_last_blow_up(self, monkeypatch):
         # every row blows up, at steps 73, 127 and 90 of 150
@@ -723,6 +777,27 @@ class TestSimulateBatch:
         assert blown_at == [73, 127, 90] and plan.steps == 150
         assert len(calls) == 4 * max(blown_at)
 
+    def test_blocks_are_read_only_and_aligned_at_snapshot_0(self):
+        # 151 snapshots: blocks of 64, 64 and 23; the middle row blows up at step 90, in the second block
+        specs = blow_up_batch()
+        g = Grid(100)
+        seen = []
+
+        def record(i, times, V, W):
+            assert not (times.flags.writeable or V.flags.writeable or W.flags.writeable)
+            assert V.shape == W.shape == (times.size, 101)
+            seen.append((i, float(times[0]), times.size))
+
+        first, blown, last = simulate_batch(specs, g, sample_every=1, on_block=record)
+        assert isinstance(blown, BlowUpError) and round(blown.time / first.dt) == 90
+        times = first.times
+        assert times.size == last.times.size == 151
+        assert seen == [
+            (0, 0.0, BLOCK), (1, 0.0, BLOCK), (2, 0.0, BLOCK),
+            (0, times[BLOCK], BLOCK), (2, times[BLOCK], BLOCK),
+            (0, times[2 * BLOCK], 23), (2, times[2 * BLOCK], 23),
+        ]
+
     @pytest.mark.parametrize(
         "other",
         [
@@ -740,9 +815,9 @@ class TestSimulateBatch:
     def test_inadmissible_row_returns_its_validation_error(self):
         specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, -1.0)]
         g = Grid(16)
-        good, bad = simulate_batch(specs, g)
+        good, (bad, _) = batch_with_snapshots(specs, g)
         assert isinstance(bad, ValidationError) and not bad.report.ok
-        assert_same_run(good, simulate(specs[0], g))
+        assert_same_run(good, with_snapshots(specs[0], g))
         with pytest.raises(ValidationError):
             simulate(specs[1], g)
 
@@ -750,8 +825,9 @@ class TestSimulateBatch:
         specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, 2.0, 3.0)]
         g = Grid(16)
         plan = step_plan(specs[0], g)
-        # its snapshots and, since the rows differ in a, its six weight rows of a block's table
-        per_row = (math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 2) * 2 * 17 * 8 + 6 * 65 * 15 * 8
+        # its integral table, a block of snapshots and, since the rows differ in a, its six weight rows of a block's table
+        nsnap = math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 2
+        per_row = nsnap * 10 * 8 + 2 * BLOCK * 17 * 8 + 6 * 65 * 15 * 8
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * per_row - 1)
         assert rows_within_cap(plan, g, specs) == 2
         with pytest.raises(ResourceLimitError):
@@ -759,30 +835,32 @@ class TestSimulateBatch:
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * per_row)
         assert rows_within_cap(plan, g, specs) == 3
         assert len(simulate_batch(specs, g)) == 3
-        # inadmissible rows store nothing and do not count
+        # inadmissible rows keep nothing and do not count
         specs[2] = make_spec(damping=DampingParams(a=-1.0, b=1.0, rho=1.0), horizon=0.5)
         monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * per_row)
         assert isinstance(simulate_batch(specs, g)[2], ValidationError)
 
     def test_cap_counts_the_stage_table_rows(self, monkeypatch):
-        # a mixed-a batch that fits the cap by its snapshots alone
+        # a mixed-a batch that fits the cap by what its rows keep alone
         mixed = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=5.0) for a in (1.0, 2.0, 3.0)]
         shared = [make_spec(beta=ExponentialBeta(beta0=1.0, mu=mu), horizon=5.0) for mu in (0.1, 0.2, 0.3)]
         forced = [make_spec(damping=d, horizon=5.0, source=ManufacturedField()) for d in (mixed[0].damping,) * 3]
         g = Grid(16)
         plan = step_plan(mixed[0], g)
-        snapshots = (plan.steps // plan.per_snapshot + 2) * 2 * 17 * 8
+        nsnap = plan.steps // plan.per_snapshot + 2
+        kept = nsnap * 10 * 8 + 2 * BLOCK * 17 * 8  # an unforced row's integral table and block of snapshots
         block = 65 * 15 * 8  # one row of a block's table: 2 _BLOCK + 1 stage times of the interior nodes
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * snapshots)
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * kept)
         assert rows_within_cap(plan, g, shared) == 3
-        assert rows_within_cap(plan, g, mixed) == 3 * snapshots // (snapshots + 6 * block) == 1
-        assert rows_within_cap(plan, g, forced) == 3 * snapshots // (snapshots + block) == 2
+        assert rows_within_cap(plan, g, mixed) == 3 * kept // (kept + 6 * block) == 1
+        # a forced row also keeps the source's two integrals per snapshot
+        assert rows_within_cap(plan, g, forced) == 3 * kept // (kept + nsnap * 2 * 8 + block) == 2
         with pytest.raises(ResourceLimitError, match="stage table exceed the cap, which holds 1$"):
             simulate_batch(mixed, g)
         assert all(isinstance(row, Trajectory) for row in simulate_batch(shared, g))
         # a single row's table is the working memory of one run, which its own cap counts
         assert rows_within_cap(plan, g, mixed[:1]) == 3
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", snapshots)
+        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", kept)
         assert rows_within_cap(plan, g, mixed) == 1
 
     def test_empty_batch_rejected(self):
@@ -790,10 +868,10 @@ class TestSimulateBatch:
             simulate_batch([], Grid(16))
 
 
-def assert_matches_reference(traj, spec, grid, sample_every):
+def assert_matches_reference(snaps, spec, grid, sample_every):
     expected = banded_simulate(spec, grid, sample_every)
-    assert len(traj.times) == len(expected)
-    for state, (t, v, w) in zip(zip(traj.times, traj.V, traj.W), expected):
+    assert len(snaps[0]) == len(expected)
+    for state, (t, v, w) in zip(zip(*snaps), expected):
         assert state[0] == t and state[1].tobytes() == v.tobytes() and state[2].tobytes() == w.tobytes()
 
 
@@ -809,11 +887,11 @@ class TestKernel:
             source=ManufacturedField(amp=0.7, rate=0.3, mode=2),
         )
         g = Grid(16)
-        traj = simulate(spec, g, sample_every=7)
+        traj, snaps = with_snapshots(spec, g, sample_every=7)
         nsteps = math.ceil(spec.horizon / traj.dt - 1e-12)
         assert nsteps > 3 * _BLOCK and nsteps % _BLOCK != 0  # three full blocks and a part
         assert nsteps * traj.dt > spec.horizon  # the last step is shortened
-        assert_matches_reference(traj, spec, g, 7)
+        assert_matches_reference(snaps, spec, g, 7)
 
     def test_block_lists_every_stage_time_once(self):
         dt, T = 0.1, 0.75
@@ -844,22 +922,22 @@ class TestKernel:
             )
         ]
         g = Grid(24)
-        batch = simulate_batch(specs, g, sample_every=5)
-        assert math.ceil(1.7 / batch[0].dt - 1e-12) > 2 * _BLOCK
-        for spec, row in zip(specs, batch):
-            assert_matches_reference(row, spec, g, 5)
+        batch = batch_with_snapshots(specs, g, sample_every=5)
+        assert math.ceil(1.7 / batch[0][0].dt - 1e-12) > 2 * _BLOCK
+        for spec, (_, snaps) in zip(specs, batch):
+            assert_matches_reference(snaps, spec, g, 5)
 
     def test_blow_up_mid_block_keeps_every_rows_bits(self):
         specs = blow_up_batch()
         g = Grid(100)
-        first, blown, last = simulate_batch(specs, g, sample_every=10)
+        (first, first_snaps), (blown, _), (_, last_snaps) = batch_with_snapshots(specs, g, sample_every=10)
         with pytest.raises(BlowUpError) as solo:
             simulate(specs[1], g, sample_every=10)
         assert isinstance(blown, BlowUpError) and blown.time == solo.value.time
         step = round(blown.time / first.dt)
         assert step % _BLOCK not in (0, 1) and math.ceil(0.5 / first.dt - 1e-12) > step + _BLOCK
-        assert_matches_reference(first, specs[0], g, 10)
-        assert_matches_reference(last, specs[2], g, 10)
+        assert_matches_reference(first_snaps, specs[0], g, 10)
+        assert_matches_reference(last_snaps, specs[2], g, 10)
 
     @pytest.mark.parametrize("kw", ONE_ROW_CASES)
     def test_stays_within_round_off_of_the_pre_banded_loop(self, kw):
@@ -867,10 +945,10 @@ class TestKernel:
         # T = 2 at N = 32 the largest drift measured was 8.6e-14 of a column's max
         spec = make_spec(horizon=2.0, **kw)
         g = Grid(32)
-        traj = simulate(spec, g, sample_every=4)
+        _, (times, V, W) = with_snapshots(spec, g, sample_every=4)
         expected = reference_simulate(spec, g, 4)
-        assert traj.times.tolist() == [t for t, _, _ in expected]
-        for ours, plain in ((traj.V, [v for _, v, _ in expected]), (traj.W, [w for _, _, w in expected])):
+        assert times.tolist() == [t for t, _, _ in expected]
+        for ours, plain in ((V, [v for _, v, _ in expected]), (W, [w for _, _, w in expected])):
             assert np.max(np.abs(ours - plain)) <= 1e-12 * np.max(np.abs(plain))
 
     @pytest.mark.parametrize("alpha", [ConstantAlpha(), AffineAlpha(k=0.3), SaturatingAlpha(k=0.5, tau=1.0)])
@@ -946,41 +1024,42 @@ class TestKernel:
 class TestTrajectoryInvariants:
     plan = StepPlan(0.1, 10, 1, "wave", 0.5)
 
+    def trajectory(self, times, final_t=None, nodes=9):
+        """A Trajectory of zero snapshots at times on Grid(8), T = 1, with its final state at final_t."""
+        spec, g = make_spec(horizon=1.0), Grid(8)
+        z = np.zeros((len(times), 9))
+        final = ReferenceState(times[-1] if final_t is None else final_t, np.zeros(nodes), np.zeros(nodes))
+        return Trajectory(spec, g, self.plan, snapshot_integrals(spec, g, times, z, z), final)
+
     def test_arrays_are_read_only_and_sized_to_the_snapshots(self):
         spec = make_spec(horizon=0.5)
-        traj = simulate(spec, Grid(16), sample_every=3)
+        traj, (times, V, W) = with_snapshots(spec, Grid(16), sample_every=3)
         nsteps = math.ceil(0.5 / traj.dt - 1e-12)
-        assert traj.times.shape == (nsteps // 3 + 1 + (nsteps % 3 != 0),)
-        assert traj.V.shape == traj.W.shape == (traj.times.size, 17)
-        for array in (traj.times, traj.V, traj.W):
+        assert traj.times.shape == (nsteps // 3 + 1 + (nsteps % 3 != 0),) == times.shape
+        assert traj.times is traj.integrals.t and traj.times.tobytes() == times.tobytes()
+        assert traj.final.t == 0.5 and traj.final.v.tobytes() == V[-1].tobytes() and traj.final.w.tobytes() == W[-1].tobytes()
+        for array in (traj.times, traj.integrals.ut2, traj.final.v, traj.final.w):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
     def test_shapes_must_agree(self):
-        g = Grid(8)
-        spec = make_spec(horizon=1.0)
-        with pytest.raises(ConfigError):
-            Trajectory(spec, g, self.plan, times=[0.0, 1.0], V=np.zeros((2, 9)), W=np.zeros((2, 8)))
-        with pytest.raises(ConfigError):
-            Trajectory(spec, g, self.plan, times=[0.0, 1.0], V=np.zeros((3, 9)), W=np.zeros((3, 9)))
+        assert self.trajectory([0.0, 1.0]).final.v.shape == (9,)
+        with pytest.raises(ConfigError, match="final state"):
+            self.trajectory([0.0, 1.0], nodes=8)
+        with pytest.raises(ConfigError, match="final state"):
+            self.trajectory([0.0, 1.0], final_t=0.5)
 
     def test_must_start_at_zero(self):
-        g = Grid(8)
-        z = np.zeros((1, 9))
         with pytest.raises(ConfigError):
-            Trajectory(make_spec(), g, self.plan, times=[0.5], V=z, W=z)
+            self.trajectory([0.5])
 
     def test_times_strictly_increasing(self):
-        g = Grid(8)
-        z = np.zeros((2, 9))
         with pytest.raises(ConfigError):
-            Trajectory(make_spec(horizon=1.0), g, self.plan, times=[0.0, 0.0], V=z, W=z)
+            self.trajectory([0.0, 0.0])
 
     def test_must_end_at_horizon(self):
-        g = Grid(8)
-        z = np.zeros((2, 9))
         with pytest.raises(ConfigError):
-            Trajectory(make_spec(horizon=1.0), g, self.plan, times=[0.0, 0.5], V=z, W=z)
+            self.trajectory([0.0, 0.5])
 
 
 class TestManufactured:
@@ -1021,7 +1100,7 @@ class TestManufactured:
         g = Grid(100)
         traj = simulate(spec, g, sample_every=1000)
         v_fn, _ = exact_reference_fields(field, spec)
-        err = np.max(np.abs(traj.V[-1] - v_fn(g.y, traj.times[-1])))
+        err = np.max(np.abs(traj.final.v - v_fn(g.y, traj.final.t)))
         assert err < 5e-4
 
     def test_exact_reference_fields_satisfy_boundary(self):
