@@ -55,6 +55,7 @@ from .model import ProblemSpec, on_times
 from .solver import Grid, ReferenceState, Trajectory, manufactured_forcing
 
 BLOCK = 64  # snapshots per block of an IntegralPass; bounds its temporaries and a run's snapshot buffer
+WRITE_CHUNK = 1024  # rows of energy.csv (points of a decay.svg curve) formatted and written at a time
 
 
 def first_derivative(values: np.ndarray, dy: float) -> np.ndarray:
@@ -210,16 +211,20 @@ def write_energy_csv(series: EnergySeries, path, bound=None) -> None:
 
     bound is an optional array of certificate values C E(0) exp(-lambda t);
     the column is left empty when no certificate exists. Floats are written
-    with repr so identical runs produce bit-identical files.
+    with repr so identical runs produce bit-identical files. Rows are
+    formatted and written WRITE_CHUNK at a time, so memory does not grow
+    with the series.
     """
-    rows = ["t,E,kinetic,gradient,restoring,nonlinear,flux,bound"]
     columns = [getattr(series, f.name) for f in fields(EnergySeries)]
-    for i, cells in enumerate(zip(*columns)):
-        text = [repr(float(c)) for c in cells]
-        text.append(repr(float(bound[i])) if bound is not None else "")
-        rows.append(",".join(text))
+    end = ",\n"  # the bound column left empty
+    if bound is not None:
+        columns.append(bound)
+        end = "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("t,E,kinetic,gradient,restoring,nonlinear,flux,bound\n")
+        for lo in range(0, len(series.t), WRITE_CHUNK):
+            chunk = [np.asarray(c[lo : lo + WRITE_CHUNK], dtype=float).tolist() for c in columns]
+            fh.write("".join(",".join(map(repr, cells)) + end for cells in zip(*chunk)))
 
 
 # ---------------------------------------------------------------------------

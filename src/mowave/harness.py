@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -121,6 +120,8 @@ def _outdir(arg) -> Path:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # loads OpenSSL's libcrypto (about 3.5 MB of RSS): only a process that hashes pays it
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -129,6 +130,8 @@ def _sha256(path: Path) -> str:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # as in _sha256
+
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -367,8 +370,11 @@ def cmd_simulate(args) -> int:
     )
     if code == EXIT_OK:
         parts = [f"wrote {outdir / 'energy.csv'}"]
-        if checks["lambda_hi"] is not None:
-            parts.append(f"lambda window [{checks['lambda_lo']:.6g}, {checks['lambda_hi']:.6g}]")
+        lo, hi = checks["lambda_lo"], checks["lambda_hi"]
+        if checks["certificate"] == "empty":
+            parts.append(f"empty lambda window: lambda_lo = {lo:.6g} exceeds lambda_hi = {hi:.6g}")
+        else:
+            parts.append(f"lambda window [{lo:.6g}, {hi:.6g}]")
         if checks["lambda_fit"] is not None:
             parts.append(f"lambda_fit {checks['lambda_fit']:.6g}")
         print("; ".join(parts))

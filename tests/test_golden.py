@@ -455,6 +455,11 @@ CLI_FAILURES = {
         ["simulate", "c.json", "--sample-every", "1", "--outdir", "out"],
         {"c.json": _cfg(horizon=7000.0)},
     ),
+    # the benchmark sweep's base at mu = 2: the run exits 0, its window is empty
+    "simulate-empty-window": (
+        ["simulate", "c.json", "--grid-n", "32", "--outdir", "out"],
+        {"c.json": _cfg(beta={"variant": "exponential", "beta0": 1.0, "mu": 2.0}, horizon=4.0)},
+    ),
     "simulate-too-few-snapshots": (
         ["simulate", "c.json", "--grid-n", "16", "--outdir", "out"],
         {"c.json": _cfg(horizon=0.05)},
@@ -660,7 +665,9 @@ CLI_FAILURES = {
 # solution's bound, the step's bound and the --cfl that takes a smaller step;
 # the three snapshot-cap rows changed, and their horizons rose from 1000 (50
 # for convergence) so that they still exit before any step, when a run came to
-# keep its integral table (10 or 12 doubles per snapshot) instead of its snapshots
+# keep its integral table (10 or 12 doubles per snapshot) instead of its snapshots;
+# simulate-empty-window came in when simulate came to print an empty window as
+# empty (it printed "lambda window [1, 0.638897]" before)
 CLI_FAILURE_RESULTS = {
     'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
     'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[FAIL] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -708,6 +715,7 @@ CLI_FAILURE_RESULTS = {
     'simulate-not-json': (2, '', 'mowave: config c.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n'),
     'simulate-sample-every': (2, '', 'mowave: sample_every must be a positive integer, got 0\n'),
     'simulate-snapshot-cap': (2, '', 'mowave: run would keep about 336000160 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
+    'simulate-empty-window': (0, 'wrote out/energy.csv; empty lambda window: lambda_lo = 1 exceeds lambda_hi = 0.638897; lambda_fit 0.725207\n', ''),
     'simulate-too-few-snapshots': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 10; the identity checks need at least 3: lower --sample-every\n'),
     'simulate-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'sweep-axes-not-an-object': (2, '', "mowave: sweep config: 'axes' must be an object of axis -> value list\n"),

@@ -735,6 +735,15 @@ def test_window_edges_computed_once_per_run_and_certify(tmp_path, monkeypatch, c
         assert len(calls) == 1
 
 
+def run_fresh(script: str) -> list[str]:
+    """Run script in a fresh interpreter with this mowave; return its stdout lines."""
+    src = str(Path(mowave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout.splitlines()
+
+
 def test_cli_paths_do_not_import_sympy(tmp_path):
     poly = reference_config(beta={"variant": "polynomial", "coeffs": [1.0, 0.0, 0.5]})
     conv = reference_config(horizon=0.25, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
@@ -745,20 +754,36 @@ def test_cli_paths_do_not_import_sympy(tmp_path):
         f"main(['convergence', {write_config(tmp_path, conv, 'conv.json')!r}, '--grid-n', '16,32'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
     )
-    src = str(Path(mowave.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.stdout.splitlines()[-1] == "[]", done.stdout + done.stderr
+    assert run_fresh(script)[-1] == "[]"
 
 
 def test_import_does_not_load_the_process_pool():
     script = "import sys, mowave.harness; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    src = str(Path(mowave.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "[]", done.stdout + done.stderr
+    assert run_fresh(script)[-1] == "[]"
+
+
+HASHLIB = "print('loaded', sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+
+
+def test_only_hashing_loads_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto: certify and convergence hash nothing,
+    # simulate hashes its outputs into manifest.json
+    conv = reference_config(horizon=0.25, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
+    cfg = write_config(tmp_path, reference_config(horizon=0.5))
+    script = (
+        "import sys, mowave\n"
+        + HASHLIB
+        + "from mowave.harness import main\n"
+        f"assert main(['certify', {cfg!r}]) == 0\n"
+        f"main(['convergence', {write_config(tmp_path, conv, 'conv.json')!r}, '--grid-n', '16,32'])\n"
+        + HASHLIB
+        + f"assert main(['simulate', {cfg!r}, '--grid-n', '16', '--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
+        + HASHLIB
+    )
+    loaded = [line for line in run_fresh(script) if line.startswith("loaded ")]
+    assert loaded == ["loaded []", "loaded []", "loaded ['_hashlib', 'hashlib']"]
+    verify = f"from mowave import verify_manifest; print(verify_manifest({str(tmp_path / 'out' / 'manifest.json')!r}))"
+    assert run_fresh(verify) == ["[]"]
 
 
 @pytest.mark.parametrize(
