@@ -250,12 +250,23 @@ class PolynomialBeta(BetaFamily):
             val = val * t + c
         return val, der
 
+    @property
+    def degree(self) -> int:
+        """The degree of beta: the highest power with a nonzero coefficient (0 for a constant)."""
+        return max((k for k, c in enumerate(self.coeffs) if c != 0.0), default=0)
+
     def sup_ratio(self, T: float) -> float:
         """sup of beta'/beta on [0, T].
 
-        Raises UnsupportedConfigError when the numerator whose roots are
-        sought overflows a double.
+        Raises UnsupportedConfigError when the degree is past _DEGREE, which
+        (A2) rejects too, or when the numerator whose roots are sought
+        overflows a double.
         """
+        if self.degree > _DEGREE:
+            raise UnsupportedConfigError(
+                f"certificate: polynomial beta of degree {self.degree}; "
+                f"lambda_lo is computed only up to degree {_DEGREE}"
+            )
         # (beta'/beta)' = (beta'' beta - beta'^2) / beta^2, so the supremum sits
         # at t = 0, at t = T, or at a root of the numerator. The roots are taken
         # in s = t/T (s = t on an unbounded horizon). Leading numerator
@@ -286,13 +297,13 @@ class PolynomialBeta(BetaFamily):
             return AssumptionCheck(
                 "A2", False, f"{name}: constant coefficient {self.coeffs[0]} must be positive"
             )
+        if self.degree > _DEGREE:
+            return AssumptionCheck(
+                "A2", False, f"{name}: degree {self.degree}; beta is admitted only up to degree {_DEGREE}"
+            )
         if all(c >= 0.0 for c in self.coeffs):
             return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
         d = np.trim_zeros(np.polyder(np.array(self.coeffs[::-1])), "f")  # beta', descending powers
-        if d.size > _DEGREE:
-            return AssumptionCheck(
-                "A2", False, f"{name}: degree {d.size} with a negative coefficient; beta' >= 0 is tested only up to degree {_DEGREE}"
-            )
         if np.abs(d).max() > _SPAN * abs(d[0]):
             return AssumptionCheck(
                 "A2", False, f"{name}: the coefficients of beta' span more than {_SPAN:g}, too far apart to find its roots"
@@ -306,7 +317,7 @@ class PolynomialBeta(BetaFamily):
 
 
 _SPAN = 1e300  # the largest |d_k / d_0| _negative_at takes: its roots and its probes then stay finite
-_DEGREE = 16  # the highest degree of beta whose beta' _negative_at reads: it finds O(degree^2) sets of roots
+_DEGREE = 16  # the highest degree of beta: _negative_at finds O(degree^2) sets of roots, sup_ratio 2 degree - 2 roots
 
 
 def _negative_at(d: np.ndarray) -> float | None:

@@ -55,18 +55,20 @@ buffer into scratch arrays allocated once per batch.
 
 The linear part of dw/dt is a 3-point stencil in v and in w whose node
 weights K depend only on the stage time and on a and b. The stage table
-holds K, so the right-hand side is one multiply of K with a strided band
-view of the state and one add.reduce over the six (v or w, left, centre,
-right) terms, then the nonlinear term and the source. Collecting the
-formula above into weights of the node index i = N y regroups its
-roundings: the results differ from it in the last bits (about 1e-13 of a
-column's largest value over a run), and are bit for bit those of a plain
-loop over those weights with the same operand order.
+holds K and -beta(t), so the right-hand side is one multiply of K with a
+strided band view of the state, the nonlinear term (|v|^rho (-beta)) v as
+a seventh row, one add.reduce over the seven (v or w, left, centre, right,
+then the nonlinear term), and the source. Collecting the formula above
+into weights of the node index i = N y regroups its roundings: the results
+differ from it in the last bits (about 1e-13 of a column's largest value
+over a run), and are bit for bit those of a plain loop over those weights
+with the same operand order.
 
-The table is built for _BLOCK steps at a time. A block of S steps has the
-2S + 1 stage times t_0, t_0 + h_0/2, t_1, t_1 + h_1/2, ..., t_S, one step's
-stage 4 being the next step's stage 1 (t_k + h_k is t_{k+1} exactly), so
-step j reads entries 2j, 2j + 1 and 2j + 2. The times are listed in
+The table is built for _BLOCK steps at a time, into arrays made once per
+batch. A block of S steps has the 2S + 1 stage times t_0, t_0 + h_0/2,
+t_1, t_1 + h_1/2, ..., t_S, one step's stage 4 being the next step's
+stage 1 (t_k + h_k is t_{k+1} exactly), so step j reads entries 2j,
+2j + 1 and 2j + 2. The times are listed in
 Python. alpha, beta and the source's scalars are then evaluated on all of
 them at once, as arrays, by each family's eval, and K and the source
 follow in a few whole-array passes. Every operation is elementwise in the
@@ -453,9 +455,10 @@ class _Source:
         sin = np.sin(theta)
         self.nodes = (theta * np.cos(theta), sin, theta * theta * sin, np.abs(sin) ** rho * sin)
 
-    def __call__(self, times: np.ndarray, bt) -> np.ndarray:
-        """The source at each of times, shape (times, rows, nodes); bt is the
-        (times, rows, 1) beta(t) column, None in linear mode."""
+    def __call__(self, times: np.ndarray, bt, out: np.ndarray | None = None) -> np.ndarray:
+        """The source at each of times, shape (times, rows, nodes), written
+        into out when given; bt is the (times, rows, 1) beta(t) column, None
+        in linear mode."""
         al, al1, al2 = (x[:, None, None] for x in on_times(self.alpha.eval(times), times))
         g = al1 / al
         g_sq = g * g
@@ -468,7 +471,7 @@ class _Source:
         ]
         if bt is not None:
             scalars.append(bt * np.abs(E) ** self.rho * E)
-        f = scalars[0] * self.nodes[0]
+        f = np.multiply(scalars[0], self.nodes[0], out)
         tmp = np.empty_like(f)
         for scalar, node in zip(scalars[1:], self.nodes[1:]):
             f += np.multiply(scalar, node, out=tmp)
@@ -515,9 +518,24 @@ class _Rows:
             if specs[0].source is not None
             else None
         )
+        self.entries: list[tuple] = []  # the stage table's, one per stage time its arrays hold
+
+    def _allocate(self, size: int) -> None:
+        """The table's arrays for size stage times, with w_mid = -a, and their per-time entries."""
+        rows = len(self.specs)
+        self.weights = np.empty((2, 3, size, self.weight_rows, self.i.size))
+        np.negative(self.a, out=self.weights[1, 1])
+        self.neg_bt = np.empty((size, rows, 1)) if self.nonlinear else None
+        self.f = np.empty((size, rows, self.i.size)) if self.source is not None else None
+        none = itertools.repeat(None)
+        neg_bt = none if self.neg_bt is None else self.neg_bt
+        if self.neg_bt is not None and rows == 1:  # 0-d views, which numpy multiplies by without broadcasting
+            neg_bt = [column[0, 0, ...] for column in self.neg_bt]
+        f = none if self.f is None else self.f
+        self.entries = list(zip(self.weights.transpose(2, 0, 1, 3, 4), neg_bt, f))
 
     def stage_table(self, times) -> list[tuple]:
-        """What _rhs_arrays needs at each of times: (K, bt, f).
+        """What _rhs_arrays needs at each of times: (K, -bt, f).
 
         K, shape (2, 3, weight_rows, nodes), holds the weights of the linear
         part of dw/dt as a 3-point stencil in v and w: dw_i is the sum over
@@ -530,19 +548,22 @@ class _Rows:
 
         with S = N^2/alpha^2 - g^2 i^2 and A = (2 g^2 - alpha''/alpha - a g) i/2,
         from the coefficient_grids columns and the node vectors i, i^2, i/2.
-        weight_rows is 1 when the rows share a and b. bt is the (rows, 1)
-        beta(t) column and f the (rows, nodes) source, None when off. Each
+        weight_rows is 1 when the rows share a and b. -bt is the (rows, 1)
+        -beta(t) column and f the (rows, nodes) source, None when off. Each
         weight is one contiguous (times, weight_rows, nodes) block, and K a
         view across the six; S and A are made in the blocks of w_left and
-        w_mid, written last, so no other array of the nodes is made. Every
+        w_right, written last, so no other array of the nodes is made. Every
         operation is elementwise, so the entry of a time is bit for bit what
-        a table of that time alone gives.
+        a table of that time alone gives. The entries are views of arrays
+        kept for the next table, which overwrites them.
         """
         times = np.asarray(times, dtype=float)
+        n = times.size
+        if n > len(self.entries):
+            self._allocate(n)
         inv_al_sq, g, g_sq, app_al = coefficient_grids(times, self.alpha)
-        weights = np.empty((2, 3, times.size, self.weight_rows, self.i.size))
-        (v_left, v_mid, v_right), (w_left, w_mid, w_right) = weights
-        S, A = w_left[:, :1], w_mid if np.ndim(self.a) else w_mid[:, :1]
+        (v_left, v_mid, v_right), (w_left, _, w_right) = self.weights[:, :, :n]
+        S, A = w_left[:, :1], w_right if np.ndim(self.a) else w_right[:, :1]
         np.multiply(g_sq, self.i_sq, out=S)
         np.subtract(self.n_sq * inv_al_sq, S, out=S)
         np.multiply(2.0 * g_sq - app_al - self.a * g, self.half_i, out=A)
@@ -552,16 +573,16 @@ class _Rows:
         v_mid -= self.b
         np.multiply(g, self.i, out=w_right)
         np.negative(w_right, out=w_left)
-        np.negative(self.a, out=w_mid)
-        bt = f = None
+        bt = None
         if self.nonlinear:
-            bt = np.empty((times.size, len(self.specs), 1))
+            bt = self.neg_bt[:n]
             for i, spec in enumerate(self.specs):
                 bt[:, i, 0] = spec.beta.eval(times)[0]
         if self.source is not None:
-            f = self.source(times, bt)
-        none = itertools.repeat(None)
-        return list(zip(weights.transpose(2, 0, 1, 3, 4), none if bt is None else bt, none if f is None else f))
+            self.source(times, bt, self.f[:n])
+        if bt is not None:
+            np.negative(bt, out=bt)
+        return self.entries[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -577,45 +598,62 @@ def _stages(z: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     are bound once here: its interior v and dw, and its band, a strided
     (2, 3, rows, N-1) view of buf[0:2] whose [c, s] is z_c at the interior
     nodes shifted by s - 1, the operand of the stage table's K. The product
-    scratch P, its (6, rows, N-1) reshape and a (rows, N-1) scratch row of it
-    are shared by the four stages.
+    scratch P7, (7, rows, N-1), its first six rows P6 and their (2, 3, rows,
+    N-1) reshape P, and its seventh row are shared by the four stages.
     """
     rows, nodes = z.shape[1:]
     bufs = np.zeros((4, 3, rows, nodes))
     bufs[0, 0:2] = z
-    P = np.empty((2, 3, rows, nodes - 2))
-    P6 = P.reshape(6, rows, nodes - 2)
+    P7 = np.empty((7, rows, nodes - 2))
+    P6 = P7[:6]
+    P = P6.reshape(2, 3, rows, nodes - 2)
     views = []
     for buf in bufs:
         s0, s1, s2 = buf.strides
         band = as_strided(buf, (2, 3, rows, nodes - 2), (s0, s2, s1, s2), writeable=False)
-        views.append((buf[0, :, 1:-1], buf[2, :, 1:-1], band, P, P6, P6[0]))
+        views.append((buf[0, :, 1:-1], buf[2, :, 1:-1], band, P, P6, P7, P7[6]))
     return bufs, views
+
+
+_add, _multiply, _absolute, _sum = np.add, np.multiply, np.absolute, np.add.reduce  # looked up once, called often
 
 
 def _rhs_arrays(stage: tuple, coef: tuple, rows: _Rows) -> None:
     """Interior dw/dt of every row of one stage buffer, written into its dw.
 
     stage is a buffer's views from _stages, coef the stage time's entry of
-    the stage table. The linear part is K times the band, summed over its
-    six (c, s) terms in that order (left to right: v left, centre, right,
-    then w); the nonlinear term and the source follow. Every call writes
-    into preallocated arrays. dv/dt is w itself: the boundary columns of w
-    are zero at every stage, and those of dw are never written.
+    the stage table. K times the band gives six (c, s) terms in that order
+    (v left, centre, right, then w), (|v|^rho (-beta)) v a seventh, and one
+    reduce adds them left to right: bit for bit the six-term sum minus
+    beta |v|^rho v, since (-beta) x is -(beta x) and s + (-r) is s - r in
+    IEEE arithmetic. The source follows. Every call writes into
+    preallocated arrays. dv/dt is w itself: the boundary columns of w are
+    zero at every stage, and those of dw are never written.
     """
-    vi, dw, band, P, P6, r = stage
-    K, bt, f = coef
-    np.multiply(K, band, out=P)
-    np.add.reduce(P6, axis=0, out=dw)
-    if bt is not None:
+    vi, dw, band, P, P6, P7, r = stage
+    K, neg_bt, f = coef
+    _multiply(K, band, P)
+    if neg_bt is None:
+        _sum(P6, 0, None, dw)
+    else:
         # |v|^rho v, continuously extended by 0 at v = 0 for every rho > 0
-        np.absolute(vi, out=r)
-        r **= rows.rho  # not np.power: keeps numpy's scalar fast paths
-        r *= bt
-        r *= vi
-        dw -= r
+        _absolute(vi, r)
+        if rows.rho != 1.0:  # x ** 1.0 is x exactly
+            r **= rows.rho  # not np.power: keeps numpy's scalar fast paths
+        _multiply(r, neg_bt, r)
+        _multiply(r, vi, r)
+        _sum(P7, 0, None, dw)
     if f is not None:
-        dw += f
+        _add(dw, f, dw)
+
+
+def _all_finite(z: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether every entry of z is finite; when not, mask holds np.isfinite(z).
+
+    An inf or NaN entry makes the sum of z inf or NaN; a sum that is not
+    finite, as an overflow of finite entries also gives, takes the exact test.
+    """
+    return math.isfinite(_sum(z, None)) or bool(np.isfinite(z, mask).all())
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +802,10 @@ def simulate_batch(
             if on_block is not None:
                 on_block(live[i], ts, V, W)
 
+    # a block's steps; h/2, h and h/6 are read through 0-d views, which numpy multiplies by without converting a float
+    step_scalars = np.empty((_BLOCK, 4))
+    scalar_views = [(row[0, ...], row[1, ...], row[2, ...]) for row in step_scalars]
+    add, multiply, all_finite = np.add, np.multiply, _all_finite
     with np.errstate(over="ignore", invalid="ignore"):
         while k < nsteps and held.size:
             if state is not None:  # at the start, and after rows blew up: the rows left, in fresh buffers
@@ -774,28 +816,30 @@ def simulate_batch(
                 finite = np.empty(z1.shape, dtype=bool)
                 state = None
             steps, stage_times = _block(k, min(k + _BLOCK, nsteps), t, dt, T)
+            step_scalars[: len(steps)] = steps
             table = rows.stage_table(stage_times)
-            for j, (hh, h, h6, t_next) in enumerate(steps):
-                _rhs_arrays(s1, table[2 * j], rows)
-                np.multiply(dz1, hh, out=z2)
-                z2 += z1
-                _rhs_arrays(s2, table[2 * j + 1], rows)
-                np.multiply(dz2, hh, out=z3)
-                z3 += z1
-                _rhs_arrays(s3, table[2 * j + 1], rows)
-                np.multiply(dz3, h, out=z4)
-                z4 += z1
-                _rhs_arrays(s4, table[2 * j + 2], rows)
-                # z1 += (h/6) (dz1 + 2 dz2 + 2 dz3 + dz4), summed left to right in dz2
-                dz2 *= 2.0
-                dz2 += dz1
-                dz3 *= 2.0
-                dz2 += dz3
-                dz2 += dz4
-                dz2 *= h6
-                z1 += dz2
+            ends = stage_times[2::2]  # step j ends at stage time 2j + 2
+            for (hh, h, h6), t_next, c1, c2, c4 in zip(scalar_views, ends, table[0::2], table[1::2], table[2::2]):
+                _rhs_arrays(s1, c1, rows)
+                multiply(dz1, hh, z2)
+                add(z2, z1, z2)
+                _rhs_arrays(s2, c2, rows)
+                multiply(dz2, hh, z3)
+                add(z3, z1, z3)
+                _rhs_arrays(s3, c2, rows)
+                multiply(dz3, h, z4)
+                add(z4, z1, z4)
+                _rhs_arrays(s4, c4, rows)
+                # z1 += (h/6) (dz1 + 2 dz2 + 2 dz3 + dz4), summed left to right in dz2; x + x is 2 x bit for bit
+                add(dz2, dz2, dz2)
+                add(dz2, dz1, dz2)
+                add(dz3, dz3, dz3)
+                add(dz2, dz3, dz2)
+                add(dz2, dz4, dz2)
+                multiply(dz2, h6, dz2)
+                add(z1, dz2, z1)
                 k, t = k + 1, t_next
-                if not np.isfinite(z1, out=finite).all():
+                if not all_finite(z1, finite):
                     bad = ~finite.all(axis=(0, 2))
                     for i in held[bad]:
                         results[live[i]] = _instability(specs[live[i]], plans[live[i]], t, sample_every)
@@ -809,7 +853,7 @@ def simulate_batch(
                         hand_on(BLOCK)
                 if state is not None:
                     break  # the table holds the blown rows too
-            del table  # before the next block's table is built; an entry kept by another name would keep it all
+            del table  # the old rows' arrays go with their last table after a blow-up
         if taken % BLOCK:
             hand_on(taken % BLOCK)
 

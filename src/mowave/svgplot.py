@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .energy import WRITE_CHUNK
+from .errors import ConfigError
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
@@ -104,9 +105,13 @@ def write_decay_svg(path, times, energies, bound=None) -> None:
 
     The axis ranges come from reductions over the arrays and each polyline
     is formatted and written WRITE_CHUNK points at a time, so memory does
-    not grow with the series.
+    not grow with the series. Raises ConfigError, before the file is
+    opened, when the series has a positive energy and every time of it is
+    equal: the curve then spans no t axis.
     """
     t = np.asarray(times, dtype=float)
     E = np.asarray(energies, dtype=float)
+    if E.max(initial=0.0) > 0.0 and t.min() == t.max():
+        raise ConfigError(f"decay.svg: every time of the series is t = {float(t[0])!r}, so the plot has no t axis")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_markup(t, E, bound))

@@ -24,6 +24,7 @@ from mowave import (
     ProblemSpec,
     SaturatingAlpha,
     SineMode,
+    UnsupportedConfigError,
     spec_from_dict,
     spec_to_dict,
     validate_assumptions,
@@ -162,9 +163,23 @@ class TestBetaFamilies:
         assert beta_prime_exact(beta, 3.75) < 0
         long = PolynomialBeta((1.0, 1.0, -0.1) + (1.0,) * 400)
         assert long.check() == AssumptionCheck(
-            "A2", False, "PolynomialBeta: degree 402 with a negative coefficient; beta' >= 0 is tested only up to degree 16"
+            "A2", False, "PolynomialBeta: degree 402; beta is admitted only up to degree 16"
         )
-        assert PolynomialBeta((1.0,) * 403).check().passed  # nonnegative coefficients pass at any degree
+
+    def test_one_degree_cap_for_every_polynomial_beta(self):
+        # nonnegative coefficients no longer pass at any degree: one cap, checked before any root is sought
+        for coeffs in ((1.0,) * 18, (1.0,) * 403, (1.0,) + (0.0,) * 20 + (2.0,)):
+            beta = PolynomialBeta(coeffs)
+            assert beta.degree == len(coeffs) - 1
+            assert beta.check() == AssumptionCheck(
+                "A2", False, f"PolynomialBeta: degree {beta.degree}; beta is admitted only up to degree 16"
+            )
+            with pytest.raises(UnsupportedConfigError, match="only up to degree 16"):
+                beta.sup_ratio(1.0)
+        # the degree counts the last nonzero coefficient, so trailing zeros keep a beta under the cap
+        at_cap = PolynomialBeta((1.0,) * 17 + (0.0,) * 5)
+        assert at_cap.degree == 16 and at_cap.check().passed
+        assert at_cap.sup_ratio(1.0) == PolynomialBeta((1.0,) * 17).sup_ratio(1.0)
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))

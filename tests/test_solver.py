@@ -37,6 +37,7 @@ from mowave.energy import BLOCK
 from mowave.solver import (
     _BLOCK,
     StepPlan,
+    _all_finite,
     _Rows,
     _block,
     _rhs_arrays,
@@ -1019,6 +1020,55 @@ class TestKernel:
             dv, dw = rhs(ReferenceState(t, z[0, i], z[1, i]), spec, g)
             assert dv.tobytes() == bufs[0, 1, i].tobytes()
             assert dw.tobytes() == bufs[0, 2, i].tobytes()
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5])
+    def test_nonlinear_term_is_the_six_term_sum_minus_r_bit_for_bit(self, rho):
+        # the reduce over seven rows, the seventh (|v|^rho (-beta)) v, gives the six-term sum minus
+        # (|v|^rho beta) v to the bit, the signs of zeros included; at rho = 1 no power is taken
+        spec = make_spec(
+            damping=DampingParams(a=0.7, b=0.3, rho=rho),
+            beta=ExponentialBeta(beta0=1.3, mu=0.4),
+            alpha=SaturatingAlpha(k=0.5, tau=1.0),
+        )
+        g, t = Grid(40), 0.37
+        K = _Rows([spec], g).stage_table([t])[0][0]
+        rng = np.random.default_rng(11)
+        v, w = rng.choice([0.0, -0.0, 1.25, -0.75, 3e-200, -2.5e-170], (2, 41))  # 3e-200 ** 2 underflows
+        v[:20], w[:20] = rng.choice([0.0, -0.0], (2, 20))
+        for i in (5, 10):  # every product of the six-term sum at node i is -0
+            for c, z in enumerate((v, w)):
+                z[i - 1 : i + 2] = np.copysign(0.0, -K[c, :, 0, i - 1])
+        v[0] = v[-1] = w[0] = w[-1] = 0.0
+        _, dw = rhs(ReferenceState(t, v, w), spec, g)
+        band = np.array([[z[s : s + 39] for s in range(3)] for z in (v, w)])[:, :, None]
+        six = np.add.reduce((K * band).reshape(6, 1, 39), axis=0)[0]
+        r = np.abs(v[1:-1])
+        r **= rho
+        r *= spec.beta.eval(t)[0]
+        r *= v[1:-1]
+        assert dw[1:-1].tobytes() == (six - r).tobytes()
+        # the operands hold zeros of both signs, and some of dw is zero
+        assert np.signbit(r[r == 0.0]).any() and not np.signbit(r[r == 0.0]).all()
+        assert np.signbit((K * band)[..., 4]).all() and dw[5] == 0.0
+
+    def test_finiteness_screen_is_the_exact_test(self):
+        mask = np.empty((2, 3, 9), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # finite states whose sum overflows fall through to the exact test, and count as finite
+            for signs in ([1.0], [-1.0], [1.0, 1.0, -1.0, -1.0]):
+                z = 1.5e308 * np.resize(signs, (2, 3, 9))
+                assert not math.isfinite(np.add.reduce(z, None))
+                assert _all_finite(z, mask)
+            # one NaN, +inf or -inf anywhere counts as non-finite, and the mask marks it
+            rng = np.random.default_rng(3)
+            for base in (rng.standard_normal((2, 3, 9)), 1.5e308 * np.ones((2, 3, 9))):
+                assert _all_finite(base, mask)
+                for bad in (math.nan, math.inf, -math.inf):
+                    for index in np.ndindex(base.shape):
+                        z = base.copy()
+                        z[index] = bad
+                        assert not _all_finite(z, mask)
+                        assert mask.tobytes() == np.isfinite(z).tobytes()
 
 
 class TestTrajectoryInvariants:

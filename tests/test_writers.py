@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mowave.energy import WRITE_CHUNK, EnergySeries, write_energy_csv
+from mowave.errors import ConfigError
 from mowave.svgplot import _H, _MB, _ML, _MR, _MT, _W, _nice_ticks, write_decay_svg
 
 CHUNK = WRITE_CHUNK
@@ -122,11 +123,12 @@ def test_energy_csv_equals_the_joined_writer(tmp_path, rows, bound_as):
 def test_decay_svg_equals_the_joined_writer(tmp_path, rows, with_bound):
     series = decaying_series(rows, seed=rows)
     bound = certificate(series) if with_bound else None
-    if rows == 1:  # one time spans no t axis: both writers divide by zero
+    if rows == 1:  # one time spans no t axis: the joined writer divides by zero, the streamed one refuses
         with pytest.raises(ZeroDivisionError):
             joined_decay_svg(series.t, series.E, bound)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ConfigError, match="no t axis"):
             write_decay_svg(tmp_path / "decay.svg", series.t, series.E, bound=bound)
+        assert not (tmp_path / "decay.svg").exists()
         return
     write_decay_svg(tmp_path / "decay.svg", series.t, series.E, bound=bound)
     assert (tmp_path / "decay.svg").read_bytes() == joined_decay_svg(series.t, series.E, bound).encode()
@@ -149,6 +151,16 @@ def test_decay_svg_all_zero_energy_equals_the_joined_writer(tmp_path, rows, with
     bound = np.ones(rows) if with_bound else None
     write_decay_svg(tmp_path / "decay.svg", t, np.zeros(rows), bound=bound)
     assert (tmp_path / "decay.svg").read_bytes() == joined_decay_svg(t, np.zeros(rows), bound).encode()
+
+
+@pytest.mark.parametrize("times", [[2.5] * 3, [0.0] * 2 * CHUNK], ids=["3-rows", "2-chunks"])
+def test_decay_svg_of_equal_times_writes_no_file(tmp_path, times):
+    # a series whose times are all equal spans no t axis; the error comes before the file is opened
+    path = tmp_path / "decay.svg"
+    E = np.linspace(1.0, 0.5, len(times))
+    with pytest.raises(ConfigError, match="no t axis"):
+        write_decay_svg(path, times, E, bound=2.0 * E)
+    assert not path.exists()
 
 
 def traced_peak(write) -> int:
