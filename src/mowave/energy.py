@@ -55,6 +55,7 @@ from .model import ProblemSpec, on_times
 from .solver import Grid, ReferenceState, Trajectory, manufactured_forcing
 
 BLOCK = 64  # snapshots per block of an IntegralPass; bounds its temporaries and a run's snapshot buffer
+PASS_ARRAYS = 5  # (BLOCK, N+1) arrays IntegralPass.add holds at its peak, one more when forced (tracemalloc)
 WRITE_CHUNK = 1024  # rows of energy.csv (points of a decay.svg curve) formatted and written at a time
 
 
@@ -99,6 +100,11 @@ class SnapshotIntegrals:
         return 0.5 * ap * (1.0 - ap * ap) * self.ux_end**2
 
 
+def table_columns(forced: bool) -> list[str]:
+    """The SnapshotIntegrals fields an IntegralPass fills: all, or all but fut and fu when unforced."""
+    return [f.name for f in fields(SnapshotIntegrals) if forced or f.name not in ("fut", "fu")]
+
+
 class IntegralPass:
     """The integral pass of one run, fed its snapshots a block at a time.
 
@@ -117,8 +123,7 @@ class IntegralPass:
     def __init__(self, spec: ProblemSpec, grid: Grid, nsnap: int):
         self.spec, self.grid = spec, grid
         self.forcing = manufactured_forcing(spec.source, spec, grid.y) if spec.source is not None else None
-        names = [f.name for f in fields(SnapshotIntegrals) if self.forcing is not None or f.name not in ("fut", "fu")]
-        self.columns = {name: np.empty(nsnap) for name in names}
+        self.columns = {name: np.empty(nsnap) for name in table_columns(self.forcing is not None)}
         self.filled = 0
 
     def add(self, times, V, W) -> None:

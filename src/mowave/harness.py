@@ -21,7 +21,7 @@ prints the assumption report, any other MowaveError or an OSError prints
 its message; a BlowUpError exits 3, the others 2. main calls it for the
 error of a command, and sweep for the error of each failed cell, or once
 for an error that every cell of a batch shares (a group none of whose
-cells fits the snapshot cap is one such error).
+cells fits the memory cap is one such error).
 
 main may be called any number of times in one process: the parser is
 built on the first call and reused, and every call parses its argv into a
@@ -98,6 +98,7 @@ EXIT_EMPTY_WINDOW = 5
 EXIT_ORDER = 6
 
 _MIN_ORDER = 1.8
+GRID_N, CFL, SAMPLE_EVERY = 200, 1.0, 10  # the defaults of run_simulation and of the CLI's flags
 
 
 def _err(msg: str) -> None:
@@ -218,9 +219,9 @@ class _TrajectoryCsv:
 def run_simulation(
     spec: ProblemSpec,
     outdir: Path,
-    grid_n: int = 200,
-    cfl: float = 1.0,
-    sample_every: int = 10,
+    grid_n: int = GRID_N,
+    cfl: float = CFL,
+    sample_every: int = SAMPLE_EVERY,
     paper_literal: bool = False,
     write_trajectory: bool = False,
     solution=None,
@@ -636,8 +637,7 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for idx in range(len(rows)):
         (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
-    # at most ceil(cells/jobs) rows per batch, so every worker gets work,
-    # and no more than the cap holds of what their rows keep and their stage table rows
+    # at most ceil(cells/jobs) rows per batch, so every worker gets work, and no more than the memory cap holds
     jobs_rows = -(-len(rows) // args.jobs)
     batches = []
     for plan, group in groups.values():
@@ -682,8 +682,16 @@ def cmd_sweep(args) -> int:
 # parser
 
 
-_CFL_HELP = "upper bound on the CFL number; the damping and reaction bounds may lower it (default 1.0)"
-_SAMPLE_HELP = "snapshot interval in units of h0 = dy / (2 s_max), the step at CFL 0.5 (default 10)"
+_CFL_HELP = "upper bound on the CFL number; the damping and reaction bounds may lower it (default %(default)s)"
+_SAMPLE_HELP = "snapshot interval in units of h0 = dy / (2 s_max), the step at CFL 0.5 (default %(default)s)"
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    """--grid-n, --cfl, --sample-every and --outdir of simulate and sweep."""
+    parser.add_argument("--grid-n", type=int, default=GRID_N, help="grid intervals N (default %(default)s)")
+    parser.add_argument("--cfl", type=float, default=CFL, help=_CFL_HELP)
+    parser.add_argument("--sample-every", type=int, default=SAMPLE_EVERY, help=_SAMPLE_HELP)
+    parser.add_argument("--outdir", default=None, help="output directory (default $MOWAVE_OUTDIR or .)")
 
 
 @functools.cache
@@ -697,10 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one config and write outputs")
     sim.add_argument("config", help="path to a JSON problem config")
-    sim.add_argument("--grid-n", type=int, default=200, help="grid intervals N (default 200)")
-    sim.add_argument("--cfl", type=float, default=1.0, help=_CFL_HELP)
-    sim.add_argument("--sample-every", type=int, default=10, help=_SAMPLE_HELP)
-    sim.add_argument("--outdir", default=None, help="output directory (default $MOWAVE_OUTDIR or .)")
+    _run_flags(sim)
     sim.add_argument("--trajectory", action="store_true", help="also write trajectory.csv")
     sim.add_argument(
         "--paper-literal-energy",
@@ -720,16 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="50,100,200",
         help="comma-separated grid sizes (default 50,100,200)",
     )
-    conv.add_argument("--cfl", type=float, default=1.0, help=_CFL_HELP)
+    conv.add_argument("--cfl", type=float, default=CFL, help=_CFL_HELP)
     conv.set_defaults(func=cmd_convergence)
 
     swp = sub.add_parser("sweep", help="Cartesian parameter sweep, one directory per cell")
     swp.add_argument("config", help="path to a JSON sweep config ({base, axes})")
     swp.add_argument("--jobs", type=int, default=1, help="concurrent cells (default 1)")
-    swp.add_argument("--grid-n", type=int, default=200, help="grid intervals N (default 200)")
-    swp.add_argument("--cfl", type=float, default=1.0, help=_CFL_HELP)
-    swp.add_argument("--sample-every", type=int, default=10, help=_SAMPLE_HELP)
-    swp.add_argument("--outdir", default=None, help="output directory (default $MOWAVE_OUTDIR or .)")
+    _run_flags(swp)
     swp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -37,56 +37,40 @@ step, and at cfl 1.0 with an even sample_every m = sample_every / 2 steps of
 the cfl 1.0 step, bit for bit.
 
 The kernel advances a (rows, N+1) state: simulate_batch solves several
-specs with one batch_key (alpha, rho, horizon, linear_mode, all forced or
-all unforced, and one step and snapshot stride, hence one step count and
-one set of stage times) in one loop, and simulate is its batch of one.
-a, b, beta(t) and the source are per-row columns (a and b plain floats
-when every row shares them). Every operation is
-elementwise per row, so a row's bits never depend on its neighbours; rho is
-shared because numpy takes scalar fast paths for some exponents (x ** 2.0,
-x ** 0.5) that differ in the last bit from pow with an array exponent.
+specs with one batch_key (one step count and one set of stage times) in
+one loop, and simulate is its batch of one. a, b, beta(t) and the source
+are per-row columns (a and b plain floats when every row shares them).
+Every operation is elementwise per row, so a row's bits never depend on
+its neighbours; rho is shared because numpy takes scalar fast paths for
+some exponents (x ** 2.0, x ** 0.5) that differ in the last bit from pow
+with an array exponent.
 
-The step allocates nothing. Each RK stage owns one (3, rows, N+1) buffer
-[v_k, w_k, dw_k]; its state z_k = buf[0:2] and its derivative dz_k =
-buf[1:3] (dv/dt = w) are overlapping views, so a stage update z1 + c dz_k
-and the final z1 + (h/6)(dz1 + 2 dz2 + 2 dz3 + dz4) are a few whole-state
-calls written in place. _rhs_arrays writes through views bound once per
-buffer into scratch arrays allocated once per batch.
+The step allocates nothing: each RK stage owns one [v_k, w_k, dw_k]
+buffer whose overlapping views are its state and its derivative (_stages),
+and every call writes in place. The linear part of dw/dt is a 3-point
+stencil in v and in w whose node weights K depend only on the stage time
+and on a and b. The stage table holds K and -beta(t), so the right-hand
+side is one multiply of K with a strided band view of the state, the
+nonlinear term (|v|^rho (-beta)) v as a seventh row, one add.reduce over
+the seven, and the source. Collecting the formula above into weights of
+the node index i = N y regroups its roundings: the results differ from it
+in the last bits (about 1e-13 of a column's largest value over a run), and
+are bit for bit those of a plain loop over those weights with the same
+operand order.
 
-The linear part of dw/dt is a 3-point stencil in v and in w whose node
-weights K depend only on the stage time and on a and b. The stage table
-holds K and -beta(t), so the right-hand side is one multiply of K with a
-strided band view of the state, the nonlinear term (|v|^rho (-beta)) v as
-a seventh row, one add.reduce over the seven (v or w, left, centre, right,
-then the nonlinear term), and the source. Collecting the formula above
-into weights of the node index i = N y regroups its roundings: the results
-differ from it in the last bits (about 1e-13 of a column's largest value
-over a run), and are bit for bit those of a plain loop over those weights
-with the same operand order.
-
-The table is built for _BLOCK steps at a time, into arrays made once per
-batch. A block of S steps has the 2S + 1 stage times t_0, t_0 + h_0/2,
-t_1, t_1 + h_1/2, ..., t_S, one step's stage 4 being the next step's
-stage 1 (t_k + h_k is t_{k+1} exactly), so step j reads entries 2j,
-2j + 1 and 2j + 2. The times are listed in
-Python. alpha, beta and the source's scalars are then evaluated on all of
-them at once, as arrays, by each family's eval, and K and the source
-follow in a few whole-array passes. Every operation is elementwise in the
-time, and numpy's exp and power give an element the same bits alone or
-inside a long array, so the entry of a time is bit for bit a table of that
-time alone.
+The table is built for _BLOCK steps at a time (_block lists their stage
+times), into arrays made once per batch, each family evaluated on all the
+times at once. Every operation is elementwise in the time, and numpy's exp
+and power give an element the same bits alone or inside a long array, so
+the entry of a time is bit for bit a table of that time alone.
 
 A row that leaves the finite range gets its BlowUpError (_instability) and
-is dropped: the rows left go on from the next step in buffers, per-row
-constants and a stage table built for them by the code that built the
-first ones, so a dead row costs no further steps. The loop stops once
-every row has blown up.
-
-No run keeps its snapshots. simulate_batch gathers energy.BLOCK of them per
-row in one buffer and hands each filled block to the row's
-energy.IntegralPass, and to the caller's on_block when given, so a
-Trajectory holds the integral table, 10 or 12 doubles per snapshot, and the
-state at T.
+is dropped; the rows left go on in buffers built for them, so a dead row
+costs no further steps. No run keeps its snapshots: simulate_batch hands
+them, energy.BLOCK at a time, to each row's energy.IntegralPass, so a
+Trajectory holds the integral table and the state at T. batch_bytes
+counts what a batch allocates, and no batch may allocate more than
+MEMORY_CAP_BYTES.
 
 Manufactured-solution support lives here too: given the exact-field
 descriptor u = amp sin(mode pi x / alpha(t)) exp(-rate t), the matching
@@ -112,8 +96,7 @@ from .model import AlphaFamily, ManufacturedField, ProblemSpec, on_times, valida
 if TYPE_CHECKING:
     from .energy import SnapshotIntegrals
 
-SNAPSHOT_CAP_BYTES = 256 * 2**20
-WORK_CAP_BYTES = 256 * 2**20  # what one run allocates besides its integral table; N alone sets it
+MEMORY_CAP_BYTES = 256 * 2**20  # the most batch_bytes of one simulate_batch call
 _BLOCK = 32  # steps per stage table of simulate_batch; bounds the table's memory
 DAMPING_LIMIT = 2.5  # a dt at most this: RK4's real-axis stability limit is 2.785
 REACTION_LIMIT = 1.4  # dt sqrt(b + (rho+1) beta(0) |v0|^rho) at most this: RK4's imaginary-axis limit is 2 sqrt 2
@@ -347,19 +330,17 @@ def step_plan(
     sample_every and the cfl 0.5 step, bit for bit. Raises ConfigError,
     naming the binding bound, when dt gives no finite step count or more
     than 2**53 steps, and ResourceLimitError, before any array of the grid
-    exists, when one run's working memory on the grid exceeds the cap.
+    exists, when batch_bytes of one row with no snapshots exceeds
+    MEMORY_CAP_BYTES.
     """
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     step_size(spec, grid, cfl)  # rejects a cfl that is not positive and finite
-    # one block's stage table as 10 arrays of the N-1 interior nodes per stage time (K and the source
-    # take 7, and the other 3 hold a block of energy.BLOCK snapshots of v and w: 195 (N-1) >= 128 (N+1),
-    # so N <= 50,382 still), the 4 stage buffers of 3 arrays, and v and w at 0 and T
-    need = 8 * ((2 * _BLOCK + 1) * 10 * (grid.n - 1) + (4 * 3 + 2 * 2) * (grid.n + 1))
-    if need > WORK_CAP_BYTES:
+    need = batch_bytes(grid, 1, 0, spec.source is not None)
+    if need > MEMORY_CAP_BYTES:
         raise ResourceLimitError(
-            f"grid N = {grid.n} needs about {need} bytes for a stage table, the stage buffers "
-            f"and two snapshots (cap {WORK_CAP_BYTES}); lower N"
+            f"grid N = {grid.n} needs about {need} bytes for a stage table, the stage buffers, "
+            f"a snapshot block and the integral pass (cap {MEMORY_CAP_BYTES}); lower N"
         )
     c, bound, who = cfl, "wave", f"cfl {cfl!r} is too small"
     if stiff:
@@ -371,7 +352,6 @@ def step_plan(
     m = -(-sample_every * den // (2 * num))  # ceil(sample_every / (2 c)), exact for any sample_every
     dt = step_size(spec, grid, sample_every / (2 * m))
     return StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound, c)
-
 
 
 # ---------------------------------------------------------------------------
@@ -392,30 +372,46 @@ def batch_key(spec: ProblemSpec, plan: StepPlan) -> tuple:
     return (spec.alpha, spec.damping.rho, spec.horizon, spec.linear_mode, forced, plan.dt, plan.per_snapshot)
 
 
-def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int:
-    """The most rows of one batch of specs stepping by plan that fit
-    SNAPSHOT_CAP_BYTES, read at the call, with what each row keeps.
+def batch_bytes(grid: Grid, rows: int, nsnap: int, forced: bool, weight_rows: int = 1) -> int:
+    """What simulate_batch allocates at most for rows rows of nsnap
+    snapshots on the grid, with weight_rows rows of K (1 when they share a and b).
 
-    A row keeps about steps // per_snapshot + 2 snapshots of its integral
-    table, 10 doubles each (12 when forced: the source's two), a block of
-    energy.BLOCK snapshots of v and w, and its share of a block's stage
-    table at 2 _BLOCK + 1 times: K's six weights when the specs differ in a
-    or b, and a source row when they are forced. One row always fits, its
-    block and table counted by WORK_CAP_BYTES. Raises ResourceLimitError
-    when not even one row's integral table fits.
+    Per row: the stage buffers (12 arrays of the N+1 nodes), the product
+    scratch (7 of the N-1 interior ones), -beta at the 2 _BLOCK + 1 stage
+    times, a block of energy.BLOCK snapshots of v and w, v and w at 0 and T,
+    and the integral table (energy.table_columns per snapshot); forced, the
+    source at the stage times twice (the table and _Source's scratch) and
+    its 4 node vectors in _Rows and in the row's pass. Per weight row, K's
+    six weights at the stage times. Once: the pass's PASS_ARRAYS temporaries
+    of one block (one more forced), the grid's 2 and _Rows' 3 node vectors.
+    Python objects and small arrays: 256 KiB and 8 KiB per row.
     """
-    from .energy import BLOCK  # energy imports this module
+    from .energy import BLOCK, PASS_ARRAYS, table_columns  # energy imports this module
 
+    nodes, interior, times = grid.n + 1, grid.n - 1, 2 * _BLOCK + 1
+    per_row = (12 + 2 * BLOCK + 4 + 4 * forced) * nodes + (7 + (2 * times + 4) * forced) * interior + times
+    per_row += nsnap * len(table_columns(forced))
+    once = 6 * times * interior * weight_rows + (PASS_ARRAYS + forced) * BLOCK * nodes + 2 * nodes + 3 * interior
+    return 8 * (rows * per_row + once) + 2**18 + 2**13 * rows
+
+
+def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int:
+    """The most rows of specs stepping by plan whose batch_bytes fits
+    MEMORY_CAP_BYTES, read at the call: a row keeps 1 + ceil(steps /
+    per_snapshot) snapshots, and has a weight row of its own when the specs
+    differ in a or b. Raises ResourceLimitError when no row fits."""
     forced = specs[0].source is not None
-    per_row = (plan.steps // plan.per_snapshot + 2) * (10 + 2 * forced) * 8
-    if per_row > SNAPSHOT_CAP_BYTES:
-        raise ResourceLimitError(
-            f"run would keep about {per_row} bytes of snapshot integrals (cap {SNAPSHOT_CAP_BYTES}); "
-            "raise sample_every or the cap"
-        )
+    nsnap = 1 - (-plan.steps // plan.per_snapshot)
     differ = len({repr((s.damping.a, s.damping.b)) for s in specs}) > 1  # as _column compares them
-    per_row += 2 * BLOCK * (grid.n + 1) * 8 + (6 * differ + forced) * (2 * _BLOCK + 1) * (grid.n - 1) * 8
-    return max(SNAPSHOT_CAP_BYTES // per_row, 1)
+    one = batch_bytes(grid, 1, nsnap, forced)
+    if one > MEMORY_CAP_BYTES:
+        table = one - batch_bytes(grid, 1, 0, forced)
+        raise ResourceLimitError(
+            f"run would keep about {table} bytes of snapshot integrals, {one} bytes in all "
+            f"(cap {MEMORY_CAP_BYTES}); raise sample_every"
+        )
+    per_row = batch_bytes(grid, 2, nsnap, forced, 1 + differ) - one
+    return 1 + (MEMORY_CAP_BYTES - one) // per_row
 
 
 class _Source:
@@ -668,8 +664,7 @@ def simulate(
 
     Raises ValidationError if the spec fails the admissibility checks,
     BlowUpError when the solution leaves the finite range, and
-    ResourceLimitError if the integral table's estimate, or the working
-    memory of a run on the grid, exceeds the cap.
+    ResourceLimitError if the run's batch_bytes exceeds MEMORY_CAP_BYTES.
     """
     (result,) = simulate_batch([spec], grid, sample_every, cfl, on_block)
     if isinstance(result, MowaveError):
@@ -745,9 +740,9 @@ def simulate_batch(
     _instability) once the row left the finite range (it is then dropped,
     its blocks so far handed on, and the others carry on; the loop stops
     when every row has). Raises ConfigError if the admissible specs differ
-    in batch_key or have no step plan, and ResourceLimitError if what the
-    admissible rows keep together, or the working memory of one run on the
-    grid, would exceed the cap.
+    in batch_key or have no step plan, and ResourceLimitError if the
+    batch_bytes of the admissible rows exceeds MEMORY_CAP_BYTES (step_plan
+    checks one row with no snapshots, rows_within_cap all of them).
     """
     from .energy import BLOCK, IntegralPass  # energy imports this module
 
@@ -772,10 +767,7 @@ def simulate_batch(
         )
     fit = rows_within_cap(plan, grid, [specs[r] for r in live])
     if len(live) > fit:
-        raise ResourceLimitError(
-            f"simulate_batch: {len(live)} rows of integral tables, snapshot blocks and stage table "
-            f"exceed the cap, which holds {fit}"
-        )
+        raise ResourceLimitError(f"simulate_batch: {len(live)} rows exceed the memory cap, which holds {fit}")
 
     T = lead.horizon
     dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot

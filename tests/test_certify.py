@@ -137,6 +137,11 @@ class TestWindow:
         assert lo == 0.0
         assert hi == pytest.approx(WINDOW_HI_A1_B1, abs=2e-6)
 
+    def test_window_of_the_reference_setup(self):
+        args = (DampingParams(a=1.0, b=1.0, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 10.0)
+        lo, hi = lambda_window(*args)
+        assert (lo, hi) == window_edges(*args) and lo == 0.0 < hi
+
     def test_empty_window_for_fast_growth(self):
         win = lambda_window(
             DampingParams(a=1.0, b=1.0, rho=1.0),

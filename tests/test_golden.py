@@ -667,7 +667,11 @@ CLI_FAILURES = {
 # for convergence) so that they still exit before any step, when a run came to
 # keep its integral table (10 or 12 doubles per snapshot) instead of its snapshots;
 # simulate-empty-window came in when simulate came to print an empty window as
-# empty (it printed "lambda window [1, 0.638897]" before)
+# empty (it printed "lambda window [1, 0.638897]" before); the three grid-n-huge
+# and the three snapshot-cap rows changed in their numbers and advice when one
+# memory cap came to bound one count of everything a batch allocates (the
+# stage table, buffers, snapshot block, integral table and the integral
+# pass's temporaries) in place of a working-memory and a snapshot cap
 CLI_FAILURE_RESULTS = {
     'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
     'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[FAIL] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -687,13 +691,13 @@ CLI_FAILURE_RESULTS = {
     'convergence-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'convergence-cfl-step-count-overflows': (2, '', 'mowave: cfl 1e-320 is too small: dt = 1.33e-322 gives no finite number of steps to T\n'),
     'convergence-grid-n-not-integers': (2, '', "mowave: --grid-n expects a comma-separated integer list, got '50,x'\n"),
-    'convergence-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 5327999999994928 bytes for a stage table, the stage buffers and two snapshots (cap 268435456); lower N\n'),
+    'convergence-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 8544000000270856 bytes for a stage table, the stage buffers, a snapshot block and the integral pass (cap 268435456); lower N\n'),
     'convergence-grid-n-one-size': (2, '', 'mowave: --grid-n needs at least two grid sizes for observed orders\n'),
     'convergence-grid-n-repeated': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '50,50'\n"),
     'convergence-grid-n-repeated-of-three': (2, '', "mowave: --grid-n sizes must differ for observed orders, got '16,16,32'\n"),
     'convergence-grid-n-too-small': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'convergence-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
-    'convergence-snapshot-cap': (2, '', 'mowave: run would keep about 576000192 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
+    'convergence-snapshot-cap': (2, '', 'mowave: run would keep about 576000096 bytes of snapshot integrals, 579688552 bytes in all (cap 268435456); raise sample_every\n'),
     'convergence-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'simulate-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: AffineAlpha: requires sup α'(t)<1, got sup alpha' = 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ExponentialBeta: mu = -0.5 < 0 makes beta decreasing\n[pass] beta(T): beta(T) = 0.00673795, beta'(T) = -0.00336897 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -710,11 +714,11 @@ CLI_FAILURE_RESULTS = {
     'simulate-reaction-steps-past-2-53': (2, '', 'mowave: reaction rate sqrt(b + (rho+1) beta(0) |v0|^rho) = 2e+18 is too stiff: dt = 7e-19 gives about 1.43e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
     'simulate-energy-overflow': (2, '', 'mowave: the energy overflows a double, first at t = 0, although the solution stays finite; no outputs written\n'),
     'simulate-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
-    'simulate-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 5327999999994928 bytes for a stage table, the stage buffers and two snapshots (cap 268435456); lower N\n'),
+    'simulate-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 6928000000271384 bytes for a stage table, the stage buffers, a snapshot block and the integral pass (cap 268435456); lower N\n'),
     'simulate-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
     'simulate-not-json': (2, '', 'mowave: config c.json is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n'),
     'simulate-sample-every': (2, '', 'mowave: sample_every must be a positive integer, got 0\n'),
-    'simulate-snapshot-cap': (2, '', 'mowave: run would keep about 336000160 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
+    'simulate-snapshot-cap': (2, '', 'mowave: run would keep about 336000080 bytes of snapshot integrals, 337657064 bytes in all (cap 268435456); raise sample_every\n'),
     'simulate-empty-window': (0, 'wrote out/energy.csv; empty lambda window: lambda_lo = 1 exceeds lambda_hi = 0.638897; lambda_fit 0.725207\n', ''),
     'simulate-too-few-snapshots': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 10; the identity checks need at least 3: lower --sample-every\n'),
     'simulate-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
@@ -725,13 +729,13 @@ CLI_FAILURE_RESULTS = {
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
     'sweep-cell-damping-steps-past-2-53': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
     'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: numerical instability: the discrete solution left the finite range at t=0.0261976, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 2.38493e+11 E(0); the step dt = 0.0012475 was set by the damping bound from the data at t = 0: lower --cfl below 0.0299401\n"),
-    'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would keep about 336000160 bytes of snapshot integrals (cap 268435456); raise sample_every or the cap\n'),
+    'sweep-cells-over-snapshot-cap': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: run would keep about 336000080 bytes of snapshot integrals, 337657064 bytes in all (cap 268435456); raise sample_every\n'),
     'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'sweep-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),
     'sweep-grid-n': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
-    'sweep-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 5327999999994928 bytes for a stage table, the stage buffers and two snapshots (cap 268435456); lower N\n'),
+    'sweep-grid-n-huge': (2, '', 'mowave: grid N = 1000000000000 needs about 6928000000271384 bytes for a stage table, the stage buffers, a snapshot block and the integral pass (cap 268435456); lower N\n'),
     'sweep-jobs-0': (2, '', 'mowave: --jobs must be at least 1, got 0\n'),
     'sweep-jobs-negative': (2, '', 'mowave: --jobs must be at least 1, got -2\n'),
     'sweep-k-needs-growing-alpha': (2, '', "mowave: sweep axis 'k' requires the base alpha to be affine or saturating\n"),

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: exit codes, outputs, manifests, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -62,6 +64,19 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "lambda window" in out
         assert "lambda_fit" in out
+
+    def test_violated_bound_exits_4_with_every_output(self, tmp_path, capsys, monkeypatch):
+        # a certificate with C = 0.5 < 1 that E(0) itself exceeds
+        real = harness.build_certificate
+        monkeypatch.setattr(harness, "build_certificate", lambda *a, **kw: dataclasses.replace(real(*a, **kw), C=0.5))
+        code, outdir = run_simulate(tmp_path, reference_config())
+        assert code == 4
+        assert re.fullmatch(r"mowave: decay bound violated: worst margin \S+ first at t = 0\n", capsys.readouterr().err)
+        for name in ("energy.csv", "identity.csv", "decay.svg", "manifest.json"):
+            assert (outdir / name).is_file(), name
+        checks = json.loads((outdir / "manifest.json").read_text())["checks"]
+        assert (checks["C"], checks["bound_holds"], checks["exit_code"]) == (0.5, False, 4)
+        assert verify_manifest(outdir / "manifest.json") == []
 
     def test_manifest_verifies(self, tmp_path):
         _, outdir = run_simulate(tmp_path, reference_config())
@@ -324,6 +339,11 @@ class TestConvergence:
         assert "order" in out
         assert "minimum observed order" in out
 
+    def test_orders_of_a_zero_error_are_infinite(self):
+        assert harness._orders([50, 100, 200], [1e-2, 0.0, 0.0]) == [math.inf, math.inf]
+        assert harness._orders([50, 100], [0.0, 1e-2]) == [math.inf]
+        assert harness._orders([50, 100], [4e-2, 1e-2]) == [pytest.approx(2.0)]
+
     def test_stiff_study_refines_the_step_with_the_grid(self, tmp_path, capsys, monkeypatch):
         # a = 2000: the damping bound sets the step, at 6, 3 and 2 steps per h0 on N = 50, 100, 200
         plans = []
@@ -549,7 +569,7 @@ class TestBatchedSweep:
         assert outputs_of(self.run(tmp_path, 5000, "single_rows")) == whole
         assert pool_sizes == [8]
 
-    def test_batches_respect_the_snapshot_cap(self, tmp_path, monkeypatch):
+    def test_batches_respect_the_memory_cap(self, tmp_path, monkeypatch):
         whole = outputs_of(self.run(tmp_path, 1, "whole_groups"))
         sizes = []
 
@@ -561,15 +581,17 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "simulate_batch", recorded)
         spec = mowave.spec_from_dict(json.loads(Path(self.sweep_path(tmp_path)).read_text())["base"])
         plan = mowave.solver.step_plan(spec, mowave.Grid(32), 5, 1.0)  # the sweep's flags
-        # a row's integral table and block of snapshots; the rows differ in mu and rho, not in a or b
-        per_row = (plan.steps // plan.per_snapshot + 2) * 10 * 8 + 2 * mowave.energy.BLOCK * 33 * 8
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * per_row - 1)  # one row per batch
+        # what one row counts on Grid(32) and what a second adds; the rows differ in mu and rho, not in a or b
+        nsnap = 1 + math.ceil(plan.steps / plan.per_snapshot)
+        per_row = 8 * (144 * 33 + 7 * 31 + 65 + nsnap * 10) + 2**13
+        once = 8 * (6 * 65 * 31 + 5 * 64 * 33 + 2 * 33 + 3 * 31) + 2**18
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 2 * per_row - 1)  # one row per batch
         assert outputs_of(self.run(tmp_path, 1, "capped")) == whole
         assert sizes == [1] * 8
 
     def test_batches_count_their_stage_table_rows(self, tmp_path, monkeypatch):
-        # rows that differ in a get a weight row each of the stage table: four
-        # such rows fit the cap by what they keep, but not with their table rows
+        # rows that differ in a get a weight row each of the stage table: three
+        # such rows would fit the cap with one weight row, but not with their own
         cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, 1.5, 2.0, 2.5]}}
         path = write_config(tmp_path, cfg, "sweep_a.json")
 
@@ -584,10 +606,11 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "simulate_batch", lambda specs, *a: sizes.append(len(specs)) or real(specs, *a))
         spec = mowave.spec_from_dict(cfg["base"])
         plan = mowave.solver.step_plan(spec, mowave.Grid(16), 10, 1.0)  # the sweep's default flags
-        kept = (plan.steps // plan.per_snapshot + 2) * 10 * 8 + 2 * mowave.energy.BLOCK * 17 * 8
+        kept = 8 * (144 * 17 + 7 * 15 + 65 + (1 + math.ceil(plan.steps / plan.per_snapshot)) * 10) + 2**13
         table = 6 * (2 * mowave.solver._BLOCK + 1) * 15 * 8
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * (kept + table) - 1)
-        assert 4 * kept <= mowave.solver.SNAPSHOT_CAP_BYTES
+        once = 8 * (5 * 64 * 17 + 2 * 17 + 3 * 15) + 2**18
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 2 * (kept + table) - 1)
+        assert once + 3 * kept + table <= mowave.solver.MEMORY_CAP_BYTES  # three rows with one weight row fit
         assert run("capped") == whole
         assert sizes == [1] * 4
 

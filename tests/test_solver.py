@@ -42,6 +42,7 @@ from mowave.solver import (
     _block,
     _rhs_arrays,
     _stages,
+    batch_bytes,
     coefficient_grids,
     initialize,
     manufactured_forcing,
@@ -171,14 +172,25 @@ class TestStepSize:
         # a snapshot every h0 = 1/16 of time is every 2**49 steps; a row keeps 10 doubles of each
         spec = make_spec()
         plan = step_plan(spec, Grid(8), 1, cfl=2.0**-50)
-        per_row = (2**4 + 2) * 10 * 8
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", per_row)
+        table = (1 + 2**4) * 10 * 8
+        one = table + unforced_row_bytes(8)
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", one)
         assert rows_within_cap(plan, Grid(8), [spec]) == 1
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", per_row - 1)
-        with pytest.raises(ResourceLimitError, match=f"about {per_row} bytes"):
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", one - 1)
+        with pytest.raises(ResourceLimitError, match=f"about {table} bytes of snapshot integrals, {one} bytes in all"):
             rows_within_cap(plan, Grid(8), [spec])
         with pytest.raises(ConfigError, match=r"cfl .* is too small: .* more than the 2\*\*53"):
             step_plan(spec, Grid(8), 1, cfl=2.0**-51)
+
+
+def unforced_row_bytes(n):
+    """What one unforced row with no snapshots counts on Grid(n), written out: per row the stage
+    buffers (12), a block of 64 snapshots (128) and the states at 0 and T (4) of the N+1 nodes, 7
+    scratch rows of the N-1 interior ones and -beta at 65 stage times; K's 6 weights at those times,
+    the integral pass's 5 temporaries of 64 snapshots, the grid's 2 and _Rows' 3 node vectors;
+    256 KiB and 8 KiB per row of Python objects."""
+    doubles = 144 * (n + 1) + 7 * (n - 1) + 65 + 6 * 65 * (n - 1) + 5 * 64 * (n + 1) + 2 * (n + 1) + 3 * (n - 1)
+    return 8 * doubles + 2**18 + 2**13
 
 
 def readme_spec(**kw):
@@ -464,24 +476,57 @@ class TestSimulate:
         assert f"left the finite range at t={exc.value.time:.6g}, although {exact}; the step dt = " in str(exc.value)
 
     def test_snapshot_cap(self, monkeypatch):
+        # Grid(64) at T = 1 takes 128 steps of 1/128: the run keeps 129 snapshots of 10 doubles
         spec = make_spec(horizon=1.0)
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 1024)
-        with pytest.raises(ResourceLimitError):
+        table = 129 * 10 * 8
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", unforced_row_bytes(64) + table - 1)
+        with pytest.raises(ResourceLimitError, match=f"about {table} bytes of snapshot integrals.*; raise sample_every$"):
             simulate(spec, Grid(64))
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", unforced_row_bytes(64) + table)
+        assert simulate(spec, Grid(64)).times.size == 129
 
     def test_working_memory_caps_the_grid(self, monkeypatch):
-        # two snapshots fit the snapshot cap at any N here; the stage table of N = 2000 does not fit 1 MiB
+        # the run keeps two snapshots; one row of N = 2000 does not fit 1 MiB, one of N = 100 does
         spec = readme_spec(horizon=1e-5)
-        monkeypatch.setattr("mowave.solver.WORK_CAP_BYTES", 2**20)
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", 2**20)
+        assert unforced_row_bytes(2000) == 14127384 and unforced_row_bytes(100) + 2 * 10 * 8 <= 2**20
 
         def no_arrays(*args):
             raise AssertionError("initialize called before the grid was checked")
 
         with monkeypatch.context() as patched:
             patched.setattr("mowave.solver.initialize", no_arrays)
-            with pytest.raises(ResourceLimitError, match=r"grid N = 2000 needs about 10650928 bytes .* lower N"):
+            with pytest.raises(ResourceLimitError, match=r"grid N = 2000 needs about 14127384 bytes .* lower N"):
                 simulate(spec, Grid(2000))
-        assert simulate(spec, Grid(150)).times.size == 2
+        assert simulate(spec, Grid(100)).times.size == 2
+
+    def test_largest_grid(self):
+        # the README spec: N = 38,707 fits the cap, and N = 38,708 is refused before any array of it
+        spec = readme_spec()
+        assert unforced_row_bytes(38707) <= 2**28 < unforced_row_bytes(38708)
+        assert step_plan(spec, Grid(38707), 10, 1.0).steps > 0
+        with pytest.raises(ResourceLimitError, match=f"grid N = 38708 needs about {unforced_row_bytes(38708)} bytes"):
+            step_plan(spec, Grid(38708), 10, 1.0)
+
+    @pytest.mark.parametrize(
+        "a_values, source", [((1.0,), None), ((1.0,), ManufacturedField()), ((1.0, 1.5, 2.0, 2.5), None)]
+    )
+    def test_count_bounds_what_a_run_allocates(self, a_values, source):
+        # batch_bytes is at least tracemalloc's peak over simulate_batch, and at most 1.5 times it;
+        # at N = 2000 and T = 0.05, sample_every 2 at cfl 1.0 takes 150 steps and 151 snapshots
+        g = Grid(2000)
+        specs = [readme_spec(a=a, horizon=0.05, source=source) for a in a_values]
+        simulate_batch(specs, g, 2, 1.0)  # the grid's and numpy's caches, filled before measuring
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (first, *_) = simulate_batch(specs, g, 2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert first.times.size == 151 > 2 * BLOCK
+        count = batch_bytes(g, len(specs), 151, source is not None, len(specs))
+        assert peak <= count <= 1.5 * peak
 
     @pytest.mark.parametrize("forced, columns", [(False, 10), (True, 12)])
     def test_peak_memory_grows_by_the_integral_table_alone(self, forced, columns):
@@ -826,42 +871,49 @@ class TestSimulateBatch:
         specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, 2.0, 3.0)]
         g = Grid(16)
         plan = step_plan(specs[0], g)
-        # its integral table, a block of snapshots and, since the rows differ in a, its six weight rows of a block's table
-        nsnap = math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 2
-        per_row = nsnap * 10 * 8 + 2 * BLOCK * 17 * 8 + 6 * 65 * 15 * 8
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * per_row - 1)
+        # a row's buffers, block, states, scratch, -beta, integral table and, since the rows differ in
+        # a, its six weight rows of a block's table, and 8 KiB; once, what unforced_row_bytes counts once
+        nsnap = math.ceil(0.5 / step_size(specs[0], g) - 1e-12) + 1
+        per_row = 8 * (144 * 17 + 7 * 15 + 65 + nsnap * 10 + 6 * 65 * 15) + 2**13
+        once = 8 * (5 * 64 * 17 + 2 * 17 + 3 * 15) + 2**18
+        assert once + per_row == unforced_row_bytes(16) + nsnap * 10 * 8
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 3 * per_row - 1)
         assert rows_within_cap(plan, g, specs) == 2
         with pytest.raises(ResourceLimitError):
             simulate_batch(specs, g)
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * per_row)
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 3 * per_row)
         assert rows_within_cap(plan, g, specs) == 3
         assert len(simulate_batch(specs, g)) == 3
         # inadmissible rows keep nothing and do not count
         specs[2] = make_spec(damping=DampingParams(a=-1.0, b=1.0, rho=1.0), horizon=0.5)
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 2 * per_row)
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 2 * per_row)
         assert isinstance(simulate_batch(specs, g)[2], ValidationError)
 
     def test_cap_counts_the_stage_table_rows(self, monkeypatch):
-        # a mixed-a batch that fits the cap by what its rows keep alone
+        # a mixed-a batch that would fit the cap if its rows shared one weight row of the table
         mixed = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=5.0) for a in (1.0, 2.0, 3.0)]
         shared = [make_spec(beta=ExponentialBeta(beta0=1.0, mu=mu), horizon=5.0) for mu in (0.1, 0.2, 0.3)]
         forced = [make_spec(damping=d, horizon=5.0, source=ManufacturedField()) for d in (mixed[0].damping,) * 3]
         g = Grid(16)
         plan = step_plan(mixed[0], g)
-        nsnap = plan.steps // plan.per_snapshot + 2
-        kept = nsnap * 10 * 8 + 2 * BLOCK * 17 * 8  # an unforced row's integral table and block of snapshots
-        block = 65 * 15 * 8  # one row of a block's table: 2 _BLOCK + 1 stage times of the interior nodes
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", 3 * kept)
-        assert rows_within_cap(plan, g, shared) == 3
-        assert rows_within_cap(plan, g, mixed) == 3 * kept // (kept + 6 * block) == 1
-        # a forced row also keeps the source's two integrals per snapshot
-        assert rows_within_cap(plan, g, forced) == 3 * kept // (kept + nsnap * 2 * 8 + block) == 2
-        with pytest.raises(ResourceLimitError, match="stage table exceed the cap, which holds 1$"):
+        nsnap = plan.steps // plan.per_snapshot + 1
+        row = 8 * (144 * 17 + 7 * 15 + 65 + nsnap * 10) + 2**13  # what an unforced row adds, but weight rows
+        weights = 6 * 65 * 15 * 8  # one weight row of a block's table: 2 _BLOCK + 1 stage times of the interior nodes
+        once = unforced_row_bytes(16) + nsnap * 10 * 8 - row  # with one weight row
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", 4 * row + once)
+        assert rows_within_cap(plan, g, shared) == 4
+        assert rows_within_cap(plan, g, mixed) == 1 + (3 * row) // (row + weights) == 2
+        # a forced row also keeps the source's two integrals per snapshot, its source at the stage
+        # times twice and 8 node vectors, and the pass holds one more temporary
+        row_forced = row + 8 * (nsnap * 2 + 2 * 65 * 15 + 4 * 15 + 4 * 17)
+        once_forced = once + 64 * 17 * 8
+        assert rows_within_cap(plan, g, forced) == 1 + (4 * row + once - row_forced - once_forced) // row_forced == 2
+        with pytest.raises(ResourceLimitError, match="3 rows exceed the memory cap, which holds 2$"):
             simulate_batch(mixed, g)
-        assert all(isinstance(row, Trajectory) for row in simulate_batch(shared, g))
-        # a single row's table is the working memory of one run, which its own cap counts
-        assert rows_within_cap(plan, g, mixed[:1]) == 3
-        monkeypatch.setattr("mowave.solver.SNAPSHOT_CAP_BYTES", kept)
+        assert all(isinstance(result, Trajectory) for result in simulate_batch(shared, g))
+        # a single row has the one weight row
+        assert rows_within_cap(plan, g, mixed[:1]) == 4
+        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", row + once)
         assert rows_within_cap(plan, g, mixed) == 1
 
     def test_empty_batch_rejected(self):

@@ -163,6 +163,16 @@ def test_decay_svg_of_equal_times_writes_no_file(tmp_path, times):
     assert not path.exists()
 
 
+def test_decay_svg_of_a_flat_log_range_spans_one_decade(tmp_path):
+    # log10 E = 0 at every time and no bound: the y axis runs from 0 to 1, not over an empty range
+    t, E = np.linspace(0.0, 1.0, 5), np.ones(5)
+    write_decay_svg(tmp_path / "decay.svg", t, E)
+    text = (tmp_path / "decay.svg").read_text()
+    assert text == joined_decay_svg(t, E)
+    assert 'text-anchor="end">0</text>' in text and 'text-anchor="end">1</text>' in text
+    assert 'text-anchor="end">2</text>' not in text and 'text-anchor="end">-1</text>' not in text
+
+
 def traced_peak(write) -> int:
     tracemalloc.start()
     try:
