@@ -45,11 +45,16 @@ lambda_hi = min(a/(3 + a^2 |Omega*|^2), 0.9/|Omega*|). An edge that misses
 its own inequality by a rounding error is moved down by a few ulps. The
 window is [lambda_lo, lambda_hi] and is empty when lambda_lo > lambda_hi.
 
-The constant: for b > 0, C = (1 + lambda/sqrt(b)) / (1 - lambda/sqrt(b))
-from |lambda u u_t| <= (lambda/sqrt(b)) (u_t^2/2 + b u^2/2). For b = 0 the
-same argument through the Poincare inequality gives
-C = (1 + lambda |Omega*|) / (1 - lambda |Omega*|); condition (iv) keeps it
-finite. Both constants are this artifact's own construction.
+The constant is C = (1 + r) / (1 - r). For b > 0, r = lambda/sqrt(b), from
+|lambda u u_t| <= (lambda/sqrt(b)) (u_t^2/2 + b u^2/2). For b = 0 the same
+argument through the Poincare inequality gives r = lambda |Omega*|;
+condition (iv) keeps C finite. Both constants are this artifact's own
+construction.
+
+One function, _branch, defines both branches: at a rate lambda it gives the
+branch's name, its conditions with their slacks, and r. window_edges walks
+its closed-form lambda_hi down against those conditions, and
+build_certificate reports them with C.
 """
 
 from __future__ import annotations
@@ -158,30 +163,33 @@ def _cross_term_root(a: float, b: float) -> float:
     return float(roots[roots.imag == 0.0].real.min())
 
 
-def _standard_conditions(params: DampingParams, lam: float) -> tuple[CertCondition, ...]:
+def _branch(
+    params: DampingParams, alpha: AlphaFamily, T: float, lam: float
+) -> tuple[str, tuple[CertCondition, ...], float]:
+    """The branch at rate lam: its name, its conditions (i)-(iii) or (i)-(iv)
+    with their slacks, and the ratio r of its constant C = (1 + r)/(1 - r)."""
     a, b = params.a, params.b
-    s1 = a - 1.5 * lam
-    s2 = 2.0 * b * (a - 1.5 * lam) - lam * (lam - a) ** 2
-    s3 = 0.9 * math.sqrt(b) - lam
-    return (
-        CertCondition("ut2_coefficient", s1, s1 >= 0.0),
-        CertCondition("cross_term_psd", s2, s2 >= 0.0),
-        CertCondition("coercivity", s3, s3 >= 0.0),
+    if b > 0.0:
+        branch, r = "standard", lam / math.sqrt(b)
+        slacks = {
+            "ut2_coefficient": a - 1.5 * lam,
+            "cross_term_psd": 2.0 * b * (a - 1.5 * lam) - lam * (lam - a) ** 2,
+            "coercivity": 0.9 * math.sqrt(b) - lam,
+        }
+    else:
+        omega = _omega_star(alpha, T)
+        branch, r = "remark1", lam * omega
+        slacks = {
+            "ut2_coefficient": a - 1.5 * lam,
+            "poincare_budget": 1.0 - a * lam * omega * omega,
+            "young_absorption": 0.5 * a - lam * (1.5 + 0.5 * a * a * omega * omega),
+            "coercivity": 0.9 - lam * omega,
+        }
+    # the budget (ii) of b = 0 is the one strict inequality
+    conditions = tuple(
+        CertCondition(n, v, v > 0.0 if n == "poincare_budget" else v >= 0.0) for n, v in slacks.items()
     )
-
-
-def _remark1_conditions(params: DampingParams, omega: float, lam: float) -> tuple[CertCondition, ...]:
-    a = params.a
-    s1 = a - 1.5 * lam
-    s2 = 1.0 - a * lam * omega * omega
-    s3 = 0.5 * a - lam * (1.5 + 0.5 * a * a * omega * omega)
-    s4 = 0.9 - lam * omega
-    return (
-        CertCondition("ut2_coefficient", s1, s1 >= 0.0),
-        CertCondition("poincare_budget", s2, s2 > 0.0),
-        CertCondition("young_absorption", s3, s3 >= 0.0),
-        CertCondition("coercivity", s4, s4 >= 0.0),
-    )
+    return branch, conditions, r
 
 
 def window_edges(
@@ -197,20 +205,12 @@ def window_edges(
 
     if b > 0.0:
         hi = min(0.9 * math.sqrt(b), _cross_term_root(a, b))
-
-        def ok(lam: float) -> bool:
-            return all(c.satisfied for c in _standard_conditions(params, lam))
-
     else:
         omega = _omega_star(alpha, T)
         hi = min(a / (3.0 + a * a * omega * omega), 0.9 / omega)
-
-        def ok(lam: float) -> bool:
-            return all(c.satisfied for c in _remark1_conditions(params, omega, lam))
-
     # an exact edge can miss its own inequality by a rounding error
     step = math.ulp(hi)
-    while not ok(hi):
+    while not all(c.satisfied for c in _branch(params, alpha, T, hi)[1]):
         hi -= step
         step *= 2.0
     return (lo, hi)
@@ -227,17 +227,7 @@ def lambda_window(
 
 
 # ---------------------------------------------------------------------------
-# constant and certificate
-
-
-def constant_C(params: DampingParams, lam: float) -> float:
-    """Equivalence constant (1 + lambda/sqrt(b))/(1 - lambda/sqrt(b)) for b > 0."""
-    if params.b <= 0.0:
-        raise ConfigError("constant_C requires b > 0; the b = 0 branch builds its own constant")
-    ratio = lam / math.sqrt(params.b)
-    if ratio >= 1.0:
-        raise ConfigError(f"lambda = {lam:g} is not below sqrt(b) = {math.sqrt(params.b):g}")
-    return (1.0 + ratio) / (1.0 - ratio)
+# certificate
 
 
 def build_certificate(
@@ -262,24 +252,14 @@ def build_certificate(
         raise ConfigError(f"lambda = {chosen:g} outside the certified window [{lo:g}, {hi:g}]")
 
     growth_slack = chosen - lo
-    growth = CertCondition("beta_growth", growth_slack, growth_slack >= 0.0)
-    if params.b > 0.0:
-        branch = "standard"
-        conditions = (growth,) + _standard_conditions(params, chosen)
-        C = constant_C(params, chosen)
-    else:
-        branch = "remark1"
-        omega = _omega_star(alpha, T)
-        conditions = (growth,) + _remark1_conditions(params, omega, chosen)
-        ratio = chosen * omega
-        C = (1.0 + ratio) / (1.0 - ratio)
+    branch, conditions, r = _branch(params, alpha, T, chosen)
     return DecayCertificate(
         branch=branch,
         lambda_lo=lo,
         lambda_hi=hi,
         lam=chosen,
-        C=C,
-        conditions=conditions,
+        C=(1.0 + r) / (1.0 - r),
+        conditions=(CertCondition("beta_growth", growth_slack, growth_slack >= 0.0),) + conditions,
     )
 
 

@@ -342,7 +342,7 @@ def run_simulation(
         "dt_bound": plan.bound,
         "sample_every": sample_every,
         "steps_per_snapshot": plan.per_snapshot,
-        "snapshots": len(traj.times),
+        "snapshots": plan.snapshots,
         "steps": plan.steps,
         "rhs_evals": 4 * plan.steps,
     }

@@ -267,6 +267,11 @@ class StepPlan(NamedTuple):
     bound: str
     cfl: float
 
+    @property
+    def snapshots(self) -> int:
+        """1 + ceil(steps / per_snapshot): at t = 0, every per_snapshot steps and at T."""
+        return 1 - (-self.steps // self.per_snapshot)
+
 
 def _reaction_rate(spec: ProblemSpec, grid: Grid) -> float:
     """sqrt(b + (rho+1) beta(0) |v0|^rho), v0 the state initialize returns;
@@ -397,20 +402,19 @@ def batch_bytes(grid: Grid, rows: int, nsnap: int, forced: bool, weight_rows: in
 
 def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int:
     """The most rows of specs stepping by plan whose batch_bytes fits
-    MEMORY_CAP_BYTES, read at the call: a row keeps 1 + ceil(steps /
-    per_snapshot) snapshots, and has a weight row of its own when the specs
-    differ in a or b. Raises ResourceLimitError when no row fits."""
+    MEMORY_CAP_BYTES, read at the call: a row keeps plan.snapshots
+    snapshots, and has a weight row of its own when the specs differ in a or
+    b. Raises ResourceLimitError when no row fits."""
     forced = specs[0].source is not None
-    nsnap = 1 - (-plan.steps // plan.per_snapshot)
     differ = len({repr((s.damping.a, s.damping.b)) for s in specs}) > 1  # as _column compares them
-    one = batch_bytes(grid, 1, nsnap, forced)
+    one = batch_bytes(grid, 1, plan.snapshots, forced)
     if one > MEMORY_CAP_BYTES:
         table = one - batch_bytes(grid, 1, 0, forced)
         raise ResourceLimitError(
             f"run would keep about {table} bytes of snapshot integrals, {one} bytes in all "
             f"(cap {MEMORY_CAP_BYTES}); raise sample_every"
         )
-    per_row = batch_bytes(grid, 2, nsnap, forced, 1 + differ) - one
+    per_row = batch_bytes(grid, 2, plan.snapshots, forced, 1 + differ) - one
     return 1 + (MEMORY_CAP_BYTES - one) // per_row
 
 
@@ -773,9 +777,7 @@ def simulate_batch(
     dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot
     firsts = [initialize(specs[r], grid) for r in live]
     state = np.array([[first.v for first in firsts], [first.w for first in firsts]])
-    # snapshots at t = 0, after every stride-th step and after the last
-    nsnap = 1 + nsteps // stride + (nsteps % stride != 0)
-    passes = [IntegralPass(specs[r], grid, nsnap) for r in live]
+    passes = [IntegralPass(specs[r], grid, plan.snapshots) for r in live]
     times = np.zeros(BLOCK)  # the block's snapshot times: snapshot j of the run sits at j % BLOCK
     block = np.empty((2, len(live), BLOCK, grid.n + 1))  # v and w of every row at those times
     block[:, :, 0] = state

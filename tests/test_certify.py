@@ -25,7 +25,7 @@ from mowave import (
     lambda_window,
     window_edges,
 )
-from mowave.certify import DecayCertificate, constant_C, lambda_floor
+from mowave.certify import DecayCertificate, _branch, lambda_floor
 
 # root of lambda^3 - 2 lambda^2 + 4 lambda - 2 = 0, the binding cross-term
 # condition at a = b = 1 (frozen; re-derived independently in the acceptance
@@ -205,6 +205,8 @@ class TestWindow:
             window_edges(DampingParams(a=0.0, b=1.0, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 1.0)
         with pytest.raises(ConfigError):
             window_edges(DampingParams(a=1.0, b=-1.0, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 1.0)
+        with pytest.raises(ConfigError, match="rho must be positive, got 0.0"):
+            window_edges(DampingParams(a=1.0, b=1.0, rho=0.0), ConstantBeta(1.0), ConstantAlpha(), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 0.5), st.floats(0.5, 1.5))
@@ -247,26 +249,25 @@ class TestWindow:
         assert hi > 0.0
 
 
+def constant_of(a, b, lam):
+    """C of the certificate at rate lam, constant beta and alpha, T = 10."""
+    return build_certificate(DampingParams(a=a, b=b, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 10.0, lam=lam).C
+
+
 class TestConstantC:
     def test_examples(self):
-        assert constant_C(DampingParams(a=1.0, b=1.0, rho=1.0), 0.5) == pytest.approx(3.0)
-        assert constant_C(DampingParams(a=1.0, b=4.0, rho=1.0), 1.0) == pytest.approx(3.0)
+        assert constant_of(1.0, 1.0, 0.5) == pytest.approx((1.0 + 0.5) / (1.0 - 0.5))
+        assert constant_of(4.0, 4.0, 1.0) == pytest.approx((1.0 + 1.0 / 2.0) / (1.0 - 1.0 / 2.0))
+        # b = 0: r = lambda |Omega*|, and |Omega*| = 1 for constant alpha
+        assert constant_of(1.0, 0.0, 0.2) == pytest.approx((1.0 + 0.2 * 1.0) / (1.0 - 0.2 * 1.0))
 
     def test_limit_at_zero(self):
-        assert constant_C(DampingParams(a=1.0, b=1.0, rho=1.0), 0.0) == 1.0
+        assert constant_of(1.0, 1.0, 0.0) == 1.0
+        assert constant_of(1.0, 0.0, 0.0) == 1.0
 
     def test_monotone_in_lambda(self):
-        params = DampingParams(a=1.0, b=1.0, rho=1.0)
-        vals = [constant_C(params, lam) for lam in (0.1, 0.3, 0.5, 0.8)]
+        vals = [constant_of(1.0, 1.0, lam) for lam in (0.1, 0.3, 0.5, 0.6)]
         assert all(u < v for u, v in zip(vals, vals[1:]))
-
-    def test_rejects_lambda_at_or_above_sqrt_b(self):
-        with pytest.raises(ConfigError):
-            constant_C(DampingParams(a=1.0, b=1.0, rho=1.0), 1.0)
-
-    def test_rejects_b_zero(self):
-        with pytest.raises(ConfigError):
-            constant_C(DampingParams(a=1.0, b=0.0, rho=1.0), 0.1)
 
 
 class TestBuildCertificate:
@@ -293,7 +294,7 @@ class TestBuildCertificate:
         params, beta, alpha, T = self.reference_args()
         cert = build_certificate(params, beta, alpha, T, lam=0.3)
         assert cert.lam == 0.3
-        assert cert.C == pytest.approx(constant_C(params, 0.3))
+        assert cert.C == pytest.approx((1.0 + 0.3 / 1.0) / (1.0 - 0.3 / 1.0))  # b = 1
 
     def test_lambda_outside_window_rejected(self):
         params, beta, alpha, T = self.reference_args()
@@ -321,6 +322,14 @@ class TestBuildCertificate:
             "young_absorption",
             "coercivity",
         ]
+
+    def test_only_the_poincare_budget_is_strict(self):
+        # b = 0, a = 1, |Omega*| = 1: a lambda |Omega*|^2 = 1 at lambda = 1, lambda |Omega*| = 0.9 at 0.9
+        params = DampingParams(a=1.0, b=0.0, rho=1.0)
+        budget = _branch(params, ConstantAlpha(), 10.0, 1.0)[1][1]
+        coercivity = _branch(params, ConstantAlpha(), 10.0, 0.9)[1][3]
+        assert (budget.name, budget.value, budget.satisfied) == ("poincare_budget", 0.0, False)
+        assert (coercivity.name, coercivity.value, coercivity.satisfied) == ("coercivity", 0.0, True)
 
     def test_json_shape(self):
         cert = build_certificate(*self.reference_args())

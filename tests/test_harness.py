@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mowave
@@ -324,6 +325,43 @@ class TestCertify:
         blob = json.loads(capsys.readouterr().out)
         assert blob["branch"] == "remark1"
         assert blob["lambda_hi"] == pytest.approx(hi, abs=2e-6)
+
+    @pytest.mark.parametrize("b, roots", [(1.0, 1), (0.0, 0)])
+    def test_the_cubic_is_solved_once_and_only_for_b_positive(self, tmp_path, capsys, monkeypatch, b, roots):
+        # the window finds the root of condition (ii); the certificate reuses its edges
+        calls = []
+        real = np.roots
+        monkeypatch.setattr(np, "roots", lambda coeffs: calls.append(coeffs) or real(coeffs))
+        cfg = reference_config(damping={"a": 1.0, "b": b, "rho": 1.0})
+        assert main(["certify", write_config(tmp_path, cfg)]) == 0
+        assert len(calls) == roots
+        assert json.loads(capsys.readouterr().out)["branch"] == ("standard" if b > 0.0 else "remark1")
+
+    @pytest.mark.parametrize(
+        "overrides, report",
+        [
+            ({"init": {"variant": "sine", "m": 1.5, "amp_u0": 1.0, "amp_u1": 0.0}}, "init.m: expected an integer, got 1.5"),
+            ({"beta": {"variant": "polynomial", "coeffs": 3}}, "beta.coeffs: expected a list"),
+            # beta' = -1 + 2e-301 t; beta = 1 - t + 1e-301 t^2 stays positive up to T = 0.5
+            (
+                {"beta": {"variant": "polynomial", "coeffs": [1.0, -1.0, 1e-301]}, "horizon": 0.5},
+                "[FAIL] A2: PolynomialBeta: the coefficients of beta' span more than 1e+300",
+            ),
+            ({"init": {"variant": "sine", "m": 0, "amp_u0": 1.0, "amp_u1": 0.0}}, "init.m: mode number must be >= 1, got 0"),
+            ({"init": {"variant": "samples", "u0": [0.0], "u1": [0.0]}}, "init: need at least two sample values"),
+            ({"manufactured": {"mode": 0}}, "manufactured.mode: must be >= 1, got 0"),
+            ({"damping": []}, "damping: expected an object, got list"),
+            ({"beta": 3}, "beta: expected an object, got int"),
+        ],
+        ids=["m-not-integer", "coeffs-not-list", "beta-prime-span", "m-zero", "one-sample", "mode-zero", "damping-list", "beta-number"],
+    )
+    def test_rejected_config_exits_2_in_one_report(self, tmp_path, capsys, overrides, report):
+        code = main(["certify", write_config(tmp_path, reference_config(**overrides))])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("mowave: ") and err.count("mowave:") == 1 and err.count("[FAIL]") <= 1
+        assert report in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestConvergence:
@@ -758,6 +796,43 @@ def test_window_edges_computed_once_per_run_and_certify(tmp_path, monkeypatch, c
         assert len(calls) == 1
 
 
+def test_a_failed_batch_gives_each_of_its_cells_its_exit_code(tmp_path, capsys, monkeypatch):
+    # rho is part of the batch key: a batch per rho, of the two mu cells
+    axes = {"rho": [1.0, 2.0], "mu": [0.0, 0.1]}
+    sweep = write_config(tmp_path, {"base": reference_config(horizon=1.0), "axes": axes}, "sweep.json")
+
+    def run(name):
+        assert main(["sweep", sweep, "--grid-n", "32", "--outdir", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "sweep.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    whole = run("whole")
+    capsys.readouterr()
+    real = harness.simulate_batch
+
+    def failing(specs, *args):
+        if specs[0].damping.rho == 2.0:
+            raise mowave.ResourceLimitError("simulate_batch: 2 rows exceed the memory cap, which holds 1")
+        return real(specs, *args)
+
+    monkeypatch.setattr(harness, "simulate_batch", failing)
+    failed = run("failed")
+    assert capsys.readouterr().err == "mowave: simulate_batch: 2 rows exceed the memory cap, which holds 1\n"
+    assert [(r["mu"], r["exit"]) for r in failed if r["rho"] == "2.0"] == [("0.0", "2"), ("0.1", "2")]
+    assert [r for r in failed if r["rho"] == "1.0"] == [r for r in whole if r["rho"] == "1.0"]
+    # cells 0 and 2 are rho = 1.0; cells 1 and 3 wrote no file
+    kept = {k: v for k, v in outputs_of(tmp_path / "whole").items() if k.startswith(("cell_0000", "cell_0002"))}
+    assert kept and {k: v for k, v in outputs_of(tmp_path / "failed").items() if k != "sweep.csv"} == kept
+
+
+def test_a_streamed_trajectory_needs_its_own_solve(tmp_path):
+    spec = mowave.spec_from_dict(reference_config(horizon=0.5))
+    traj = mowave.simulate(spec, mowave.Grid(16))
+    with pytest.raises(mowave.ConfigError, match="trajectory.csv is streamed from the solve, so it needs solution None"):
+        run_simulation(spec, tmp_path / "out", grid_n=16, write_trajectory=True, solution=traj)
+    assert not (tmp_path / "out").exists()
+
+
 def run_fresh(script: str) -> list[str]:
     """Run script in a fresh interpreter with this mowave; return its stdout lines."""
     src = str(Path(mowave.__file__).resolve().parents[1])
@@ -824,6 +899,35 @@ def test_verify_manifest_reports_a_manifest_of_the_wrong_shape(tmp_path, manifes
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     assert verify_manifest(path) == problems
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        ("not-json", "cannot read manifest: "),
+        ("config", "config_hash does not match the embedded config"),
+        ("missing", "energy.csv: missing"),
+        ("bytes", "energy.csv: size mismatch"),
+    ],
+)
+def test_verify_manifest_names_what_no_longer_matches(tmp_path, edit, problem):
+    energy, path = tmp_path / "energy.csv", tmp_path / "manifest.json"
+    energy.write_text("t,E\n0,1\n")
+    harness.write_manifest(path, {"horizon": 1.0}, {}, [energy], {}, 0.0)
+    assert verify_manifest(path) == []
+    manifest = json.loads(path.read_text())
+    if edit == "not-json":
+        path.write_text("{not json")
+    elif edit == "missing":
+        energy.unlink()
+    else:
+        if edit == "config":
+            manifest["config"]["horizon"] = 2.0
+        else:  # the file's checksum still matches
+            manifest["outputs"]["energy.csv"]["bytes"] += 1
+        path.write_text(json.dumps(manifest))
+    problems = verify_manifest(path)
+    assert len(problems) == 1 and problems[0].startswith(problem)
 
 
 @pytest.mark.parametrize("where", ["../outside.txt", "absolute", "sub/energy.csv", "..", "."])

@@ -235,6 +235,13 @@ class TestStepPlan:
         assert np.array_equal(one.times, half.times) and np.array_equal(quarter.times, half.times)
         np.testing.assert_allclose(other.times, half.times, rtol=1e-14)
 
+    def test_snapshot_count(self):
+        # at t = 0, after every per_snapshot steps and after the last, shortened, interval
+        assert [StepPlan(0.1, steps, 3, "wave", 0.5).snapshots for steps in (0, 1, 3, 9, 10)] == [1, 2, 2, 4, 5]
+        for cfl in (0.5, 1.0, 0.3):  # 0.3 leaves a short last interval (17 steps of cfl 5/17 per snapshot)
+            run = simulate(readme_spec(horizon=1.0), Grid(32), sample_every=10, cfl=cfl)
+            assert run.times.size == run.plan.snapshots == 1 + math.ceil(run.plan.steps / run.plan.per_snapshot)
+
     @pytest.mark.parametrize("a", [600.0, 2000.0])
     def test_damping_caps_the_step(self, a):
         spec, g = readme_spec(a=a), Grid(100)
