@@ -148,19 +148,51 @@ def _omega_star(alpha: AlphaFamily, T: float) -> float:
 
 
 def _cross_term_root(a: float, b: float) -> float:
-    """The one real root of the cubic g of condition (ii), b > 0 (see above).
+    """The double nearest the one real root r of the cubic g of condition
+    (ii), b > 0 (see above), in closed form.
 
-    The minimum guards against a complex pair rounded onto the real axis.
+    With lambda = m y and m = max(a, sqrt(b)), -g/m^3 is the monic cubic
+    y^3 - 2A y^2 + (A^2 + 3B) y - 2AB in A = a/m and B = b/m^2, both at most
+    1, so no intermediate overflows. Cardano's real root u + v + 2A/3
+    cancels when r is small next to a or to sqrt(b); Vieta's product gives
+    it as 2AB / |w|^2 instead, where |w|^2, the squared modulus of the
+    complex pair, is a sum of squares. That is within a few ulps; exact sign
+    tests of g at the midpoints between doubles (g > 0 below r, < 0 above)
+    then move it to the nearest double.
     Raises UnsupportedConfigError when a coefficient overflows a double.
     """
-    coeffs = [-1.0, 2.0 * a, -(a * a + 3.0 * b), 2.0 * a * b]
-    if not all(map(math.isfinite, coeffs)):
+    if not all(map(math.isfinite, (2.0 * a, a * a + 3.0 * b, 2.0 * a * b))):
         raise UnsupportedConfigError(
             f"certificate: damping a = {a:g}, b = {b:g} overflow the cubic of condition (ii), "
             "so lambda_hi cannot be computed"
         )
-    roots = np.roots(coeffs)
-    return float(roots[roots.imag == 0.0].real.min())
+    if a * a >= b:  # m = a, and A B m = b/a
+        A, B, ABm = 1.0, b / (a * a), b / a
+    else:  # m = sqrt(b), and A B m = a
+        A, B, ABm = a / math.sqrt(b), 1.0, a
+    P = 3.0 * B - A * A / 3.0  # the depressed cubic z^3 + P z + Q, y = z + 2A/3
+    Q = 2.0 * A**3 / 27.0
+    D = B * (27.0 * B * B - 9.0 * A * A * B + A**4) / 27.0  # Q^2/4 + P^3/27 > 0
+    u = -((0.5 * Q + math.sqrt(D)) ** (1.0 / 3.0))
+    v = -P / (3.0 * u)
+    # the pair is w = 2A/3 - (u + v)/2 +- i sqrt(3) (u - v)/2
+    pair_sq = (2.0 * A / 3.0 - 0.5 * (u + v)) ** 2 + 0.75 * (u - v) ** 2
+    lam = 2.0 * ABm / pair_sq  # r = m y, and y |w|^2 = 2AB
+
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+
+    def below_root(lo: float, hi: float) -> bool:
+        """g > 0 at the midpoint n/d of lo and hi, exactly (times ad^2 bd d^3 > 0)."""
+        (pn, pd), (qn, qd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        n, d = pn * qd + qn * pd, 2 * pd * qd
+        lhs = 2 * an * ad * d * (bd * n * n + bn * d * d)
+        return lhs > n * (ad * ad * bd * n * n + (an * an * bd + 3 * bn * ad * ad) * d * d)
+
+    while below_root(lam, math.nextafter(lam, math.inf)):
+        lam = math.nextafter(lam, math.inf)
+    while not below_root(math.nextafter(lam, -math.inf), lam):
+        lam = math.nextafter(lam, -math.inf)
+    return lam
 
 
 def _branch(
@@ -287,10 +319,14 @@ def fit_decay(series) -> EmpiricalDecay:
         )
     tt = t[keep]
     logE = np.log(E[keep])
-    slope, intercept = np.polyfit(tt, logE, 1)
+    # degree-1 least squares from two-pass centred sums
+    t_mean, y_mean = tt.mean(), logE.mean()
+    dt, dy = tt - t_mean, logE - y_mean
+    slope = float(np.sum(dt * dy) / np.sum(dt * dt))
+    intercept = float(y_mean - slope * t_mean)
     fitted = slope * tt + intercept
     ss_res = float(np.sum((logE - fitted) ** 2))
-    ss_tot = float(np.sum((logE - logE.mean()) ** 2))
+    ss_tot = float(np.sum(dy**2))
     # a flat series leaves ss_tot at round-off scale, not exactly zero
     tiny = 64.0 * (np.finfo(float).eps * max(1.0, float(np.abs(logE).max()))) ** 2 * logE.size
     r2 = 1.0 if ss_tot <= tiny else 1.0 - ss_res / ss_tot

@@ -90,6 +90,16 @@ from .solver import (
 )
 from .svgplot import write_decay_svg
 
+# SHA-256 from the interpreter's own module, as random.py takes _sha512:
+# hashlib maps OpenSSL's libcrypto, about 3.5 MB of RSS for ~100 KB of outputs
+try:
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _new_sha256
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BLOWUP = 3
@@ -121,9 +131,7 @@ def _outdir(arg) -> Path:
 
 
 def _sha256(path: Path) -> str:
-    import hashlib  # loads OpenSSL's libcrypto (about 3.5 MB of RSS): only a process that hashes pays it
-
-    digest = hashlib.sha256()
+    digest = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
@@ -131,10 +139,8 @@ def _sha256(path: Path) -> str:
 
 
 def config_hash(config: dict) -> str:
-    import hashlib  # as in _sha256
-
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _new_sha256(canon.encode("utf-8")).hexdigest()
 
 
 def write_manifest(path: Path, config: dict, grid_info: dict, outputs: list[Path], checks: dict, wall_clock: float) -> None:

@@ -25,7 +25,7 @@ from mowave import (
     lambda_window,
     window_edges,
 )
-from mowave.certify import DecayCertificate, _branch, lambda_floor
+from mowave.certify import DecayCertificate, _branch, _cross_term_root, lambda_floor
 
 # root of lambda^3 - 2 lambda^2 + 4 lambda - 2 = 0, the binding cross-term
 # condition at a = b = 1 (frozen; re-derived independently in the acceptance
@@ -249,6 +249,61 @@ class TestWindow:
         assert hi > 0.0
 
 
+def cubic_root_to_double(a, b):
+    """The real root of g to 50 digits (mpmath), rounded to the nearest double.
+
+    l0 = 2ab/(a^2 + 3b) is the root of g's linear part, so with lambda =
+    l0 (1 + w), g/(2ab) = -w + l0^2 (1 + w)^2 (2a - l0 (1 + w))/(2ab), a sum
+    free of cancellation. It is positive at w = 0 and negative at w = 1, and
+    w is solved to 50 digits absolute.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        A, B = mpmath.mpf(a), mpmath.mpf(b)
+        l0 = 2 * A * B / (A * A + 3 * B)
+
+        def h(w):
+            return -w + l0**2 * (1 + w) ** 2 * (2 * A - l0 * (1 + w)) / (2 * A * B)
+
+        assert h(0) > 0 > h(1)
+        return float(l0 * (1 + mpmath.findroot(h, (0, 1), solver="anderson")))
+
+
+class TestCrossTermRoot:
+    # a in [1e-100, 1e100] and b/a^2 in [1e-12, 1e12], where the coefficients are finite
+    GRID = [
+        (a, c * a * a)
+        for a in (10.0**e for e in range(-100, 101, 10))
+        for c in (10.0**e for e in range(-12, 13, 2))
+        if math.isfinite(2.0 * a * (c * a * a))
+    ]
+
+    def test_nearest_double_on_a_log_grid(self):
+        assert len(self.GRID) == 270  # 3 of the 21 x 13 pairs overflow 2ab
+        wrong = [(a, b) for a, b in self.GRID if _cross_term_root(a, b) != cubic_root_to_double(a, b)]
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "a, b, root",
+        # np.roots returned 0.0 for the first two (lambda_hi = 0); a naive
+        # Cardano overflows from a = 1e51 upward
+        [(1e60, 1.0, 2e-60), (1e150, 1e150, 2.0), (1e51, 1.0, 2e-51), (1.0, 1.0, 0.6388969194713526)],
+    )
+    def test_nearest_double_at_the_extremes(self, a, b, root):
+        assert _cross_term_root(a, b) == cubic_root_to_double(a, b) == pytest.approx(root, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(1e60, 1.0), (1e150, 1e150)])
+    def test_a_tiny_root_is_certified(self, a, b):
+        cert = build_certificate(DampingParams(a=a, b=b, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 10.0)
+        assert cert.lambda_hi == pytest.approx(2.0 * b / a, rel=1e-15)
+        assert all(c.satisfied for c in cert.conditions)
+
+    @pytest.mark.parametrize("a, b", [(1e300, 1.0), (1e100, 1e300), (1.0, 1e308)])
+    def test_coefficient_overflow_is_unsupported(self, a, b):
+        with pytest.raises(UnsupportedConfigError, match="overflow the cubic of condition"):
+            _cross_term_root(a, b)
+
+
 def constant_of(a, b, lam):
     """C of the certificate at rate lam, constant beta and alpha, T = 10."""
     return build_certificate(DampingParams(a=a, b=b, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 10.0, lam=lam).C
@@ -375,6 +430,23 @@ class TestFitDecay:
         fit = fit_decay(series_from(t, E))
         assert fit.window[1] < 6.0
         assert fit.lambda_fit == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_polyfit(self, seed):
+        # the slope and intercept come from centred sums; np.polyfit is the oracle
+        rng = np.random.default_rng(seed)
+        # E stays above the floor, so every sample is fitted
+        t = np.sort(rng.uniform(0.0, rng.uniform(1.0, 10.0), rng.integers(10, 2000)))
+        rate, offset = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0), rng.uniform(-5.0, 5.0)
+        logE = offset - rate * t + rng.normal(0.0, rng.uniform(0.0, 0.5), t.size)
+        fit = fit_decay(series_from(t, np.exp(logE)))
+        slope, intercept = np.polyfit(t, logE, 1)
+        fitted = slope * t + intercept
+        r2 = 1.0 - np.sum((logE - fitted) ** 2) / np.sum((logE - logE.mean()) ** 2)
+        assert fit.lambda_fit == pytest.approx(-slope, rel=1e-12)
+        assert fit.C_fit == pytest.approx(math.exp(intercept) / math.exp(logE[0]), rel=1e-12)
+        assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=1e-12)
+        assert fit.window == (t[0], t[-1])
 
     def test_too_few_samples(self):
         t = np.linspace(0.0, 1.0, 5)

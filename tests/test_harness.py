@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from mowave import verify_manifest
 from mowave.harness import main, run_simulation
 
 harness = sys.modules["mowave.harness"]
+certify = sys.modules["mowave.certify"]
 
 
 def reference_config(**overrides):
@@ -328,13 +330,17 @@ class TestCertify:
 
     @pytest.mark.parametrize("b, roots", [(1.0, 1), (0.0, 0)])
     def test_the_cubic_is_solved_once_and_only_for_b_positive(self, tmp_path, capsys, monkeypatch, b, roots):
-        # the window finds the root of condition (ii); the certificate reuses its edges
-        calls = []
-        real = np.roots
-        monkeypatch.setattr(np, "roots", lambda coeffs: calls.append(coeffs) or real(coeffs))
+        # the window finds the root of condition (ii); the certificate reuses its edges.
+        # The root is a closed form: np.roots serves only a polynomial beta
+        calls, np_calls = [], []
+        real = certify._cross_term_root
+        monkeypatch.setattr(certify, "_cross_term_root", lambda a, b: calls.append((a, b)) or real(a, b))
+        monkeypatch.setattr(np, "roots", lambda coeffs: np_calls.append(coeffs))
         cfg = reference_config(damping={"a": 1.0, "b": b, "rho": 1.0})
+        assert cfg["beta"]["variant"] == "exponential"
         assert main(["certify", write_config(tmp_path, cfg)]) == 0
         assert len(calls) == roots
+        assert np_calls == []
         assert json.loads(capsys.readouterr().out)["branch"] == ("standard" if b > 0.0 else "remark1")
 
     @pytest.mark.parametrize(
@@ -860,28 +866,31 @@ def test_import_does_not_load_the_process_pool():
     assert run_fresh(script)[-1] == "[]"
 
 
-HASHLIB = "print('loaded', sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
-
-
-def test_only_hashing_loads_hashlib(tmp_path):
-    # hashlib maps OpenSSL's libcrypto: certify and convergence hash nothing,
-    # simulate hashes its outputs into manifest.json
+def test_no_command_loads_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; the manifest's digests come from the
+    # interpreter's own SHA-256 module, so no command, hashing or not, loads it
     conv = reference_config(horizon=0.25, manufactured={"amp": 1.0, "rate": 1.0, "mode": 1})
     cfg = write_config(tmp_path, reference_config(horizon=0.5))
+    manifest = str(tmp_path / "out" / "manifest.json")
     script = (
-        "import sys, mowave\n"
-        + HASHLIB
-        + "from mowave.harness import main\n"
+        "import sys\n"
+        "from mowave.harness import main, verify_manifest\n"
         f"assert main(['certify', {cfg!r}]) == 0\n"
         f"main(['convergence', {write_config(tmp_path, conv, 'conv.json')!r}, '--grid-n', '16,32'])\n"
-        + HASHLIB
-        + f"assert main(['simulate', {cfg!r}, '--grid-n', '16', '--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
-        + HASHLIB
+        f"assert main(['simulate', {cfg!r}, '--grid-n', '16', '--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"print(verify_manifest({manifest!r}))\n"
+        "print('loaded', sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
     )
-    loaded = [line for line in run_fresh(script) if line.startswith("loaded ")]
-    assert loaded == ["loaded []", "loaded []", "loaded ['_hashlib', 'hashlib']"]
-    verify = f"from mowave import verify_manifest; print(verify_manifest({str(tmp_path / 'out' / 'manifest.json')!r}))"
-    assert run_fresh(verify) == ["[]"]
+    assert run_fresh(script)[-2:] == ["[]", "loaded []"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_000])
+def test_file_digest_is_hashlibs_sha256(tmp_path, size):
+    # _sha256 reads 65,536-byte chunks: sizes on and around a chunk edge
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob.bin"
+    path.write_bytes(data)
+    assert harness._sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize(
