@@ -7,7 +7,7 @@ proof term by term, and certifies exponential energy decay
 E(t) <= C E(0) exp(-lambda t) with an explicit admissible rate window.
 """
 
-from .certify import build_certificate, check_decay_bound, fit_decay, lambda_window, window_edges
+from .certify import build_certificate, check_decay_bound, fit_decay, window_edges
 from .energy import (
     EnergySeries,
     SnapshotIntegrals,

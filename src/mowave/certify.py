@@ -106,14 +106,6 @@ class DecayCertificate:
 
 
 @dataclass(frozen=True)
-class EmpiricalDecay:
-    lambda_fit: float
-    C_fit: float
-    r_squared: float
-    window: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class BoundReport:
     holds: bool
     worst_margin: float
@@ -248,16 +240,6 @@ def window_edges(
     return (lo, hi)
 
 
-def lambda_window(
-    params: DampingParams, beta: BetaFamily, alpha: AlphaFamily, T: float
-) -> Optional[tuple[float, float]]:
-    """Admissible rate window [lambda_lo, lambda_hi], or None when empty."""
-    lo, hi = window_edges(params, beta, alpha, T)
-    if lo > hi:
-        return None
-    return (lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # certificate
 
@@ -301,11 +283,11 @@ def build_certificate(
 FIT_FLOOR = 1e-12  # fit_decay drops samples below this fraction of E(0)
 
 
-def fit_decay(series) -> EmpiricalDecay:
-    """Least-squares log-linear fit of the energy series.
+def fit_decay(series) -> float:
+    """lambda_fit, minus the slope of the least-squares line through log E.
 
     Uses only samples with E > FIT_FLOOR * E(0); needs at least 10 such
-    samples. lambda_fit = -slope, C_fit = exp(intercept)/E(0).
+    samples.
     """
     t = np.asarray(series.t, dtype=float)
     E = np.asarray(series.E, dtype=float)
@@ -319,23 +301,9 @@ def fit_decay(series) -> EmpiricalDecay:
         )
     tt = t[keep]
     logE = np.log(E[keep])
-    # degree-1 least squares from two-pass centred sums
-    t_mean, y_mean = tt.mean(), logE.mean()
-    dt, dy = tt - t_mean, logE - y_mean
-    slope = float(np.sum(dt * dy) / np.sum(dt * dt))
-    intercept = float(y_mean - slope * t_mean)
-    fitted = slope * tt + intercept
-    ss_res = float(np.sum((logE - fitted) ** 2))
-    ss_tot = float(np.sum(dy**2))
-    # a flat series leaves ss_tot at round-off scale, not exactly zero
-    tiny = 64.0 * (np.finfo(float).eps * max(1.0, float(np.abs(logE).max()))) ** 2 * logE.size
-    r2 = 1.0 if ss_tot <= tiny else 1.0 - ss_res / ss_tot
-    return EmpiricalDecay(
-        lambda_fit=float(-slope),
-        C_fit=float(math.exp(intercept) / e0),
-        r_squared=float(r2),
-        window=(float(tt[0]), float(tt[-1])),
-    )
+    # the degree-1 slope from two-pass centred sums
+    dt, dy = tt - tt.mean(), logE - logE.mean()
+    return float(-np.sum(dt * dy) / np.sum(dt * dt))
 
 
 def check_decay_bound(

@@ -307,12 +307,6 @@ class IdentityReport:
     def boundary_group(self) -> float:
         return sum(t.value for t in self.terms if t.group == "boundary")
 
-    def term(self, name: str) -> float:
-        for t in self.terms:
-            if t.name == name:
-                return t.value
-        raise KeyError(name)
-
 
 def multiplier_identity_residual(traj: Trajectory, lam: float, phi_rate: float) -> IdentityReport:
     """Evaluate every integral of the multiplier identity with phi = exp(s (t - T)).

@@ -243,23 +243,20 @@ def run_simulation(
     MowaveError and writes nothing, not even outdir: the solver's error, a
     ConfigError for fewer than 3 snapshots or for an energy, a certificate
     bound or an identity residual that overflows a double, or the
-    certificate's error. solution is the run's Trajectory or
-    error when the caller has already solved it (sweep solves cells in
-    batches); by default the spec is solved here. trajectory.csv is
-    streamed from that solve's snapshot blocks (_TrajectoryCsv), so
-    write_trajectory needs solution None; its temporary file is removed
-    whatever stops the run.
+    certificate's error. solution is the spec's solved Trajectory when
+    the caller has already solved it (sweep solves cells in batches); by
+    default the spec is solved here. trajectory.csv is streamed from that
+    solve's snapshot blocks (_TrajectoryCsv), so write_trajectory needs
+    solution None; its temporary file is removed whatever stops the run.
     """
     started = time.perf_counter()
     outdir = Path(outdir)
     if write_trajectory and solution is not None:
         raise ConfigError("run_simulation: trajectory.csv is streamed from the solve, so it needs solution None")
     with _TrajectoryCsv(outdir, Grid(grid_n).y) if write_trajectory else contextlib.nullcontext() as stream:
-        if solution is None:
-            solution = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl, on_block=stream)
-        if isinstance(solution, MowaveError):
-            raise solution
         traj = solution
+        if traj is None:
+            traj = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl, on_block=stream)
         if len(traj.times) < 3:
             raise ConfigError(
                 f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
@@ -303,7 +300,7 @@ def run_simulation(
                 series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
             )
         try:
-            lambda_fit = fit_decay(series_exact).lambda_fit
+            lambda_fit = fit_decay(series_exact)
         except DegenerateDataError:
             lambda_fit = None
 
@@ -536,12 +533,12 @@ def _sweep_row(cfg: dict, code: int, checks: dict | None = None) -> dict:
 def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, outdir: str) -> list[dict]:
     """Solve cells with one batch_key as one state, then write each cell.
 
-    Each cell goes through run_simulation with its solved row (or that
-    row's error), which writes the cell's files into outdir/cell_XXXX; a
-    row is dropped once written, with its integral table, and a cell that
-    fails is reported by _fail. An error of the whole batch
-    is reported once and gives every cell its exit code. Returns the
-    sweep.csv rows in the order of cells.
+    Each solved row goes through run_simulation, which writes the cell's
+    files into outdir/cell_XXXX; a row is dropped once written, with its
+    integral table. A row's own error, or one that run_simulation raises,
+    is reported by _fail. An error of the whole batch is reported once and
+    gives every cell its exit code. Returns the sweep.csv rows in the order
+    of cells.
     """
     specs = [cell["spec"] for cell in cells]
     try:
@@ -551,19 +548,22 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
         return [_sweep_row(cell["config"], code) for cell in cells]
     rows = []
     for i, cell in enumerate(cells):
-        solution, solved[i] = solved[i], None
-        try:
-            code, checks = run_simulation(
-                cell["spec"],
-                Path(outdir) / f"cell_{cell['index']:04d}",
-                grid_n=grid_n,
-                cfl=cfl,
-                sample_every=sample_every,
-                solution=solution,
-            )
-        except MowaveError as exc:
-            rows.append(_sweep_row(cell["config"], _fail(exc)))
-            continue
+        traj, solved[i] = solved[i], None
+        checks = None
+        if isinstance(traj, MowaveError):
+            code = _fail(traj)
+        else:
+            try:
+                code, checks = run_simulation(
+                    cell["spec"],
+                    Path(outdir) / f"cell_{cell['index']:04d}",
+                    grid_n=grid_n,
+                    cfl=cfl,
+                    sample_every=sample_every,
+                    solution=traj,
+                )
+            except MowaveError as exc:
+                code = _fail(exc)
         rows.append(_sweep_row(cell["config"], code, checks))
     return rows
 

@@ -406,7 +406,7 @@ def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int
     snapshots, and has a weight row of its own when the specs differ in a or
     b. Raises ResourceLimitError when no row fits."""
     forced = specs[0].source is not None
-    differ = len({repr((s.damping.a, s.damping.b)) for s in specs}) > 1  # as _column compares them
+    differ = any(np.ndim(_column([getattr(s.damping, c) for s in specs])) for c in "ab")  # as _Rows builds K
     one = batch_bytes(grid, 1, plan.snapshots, forced)
     if one > MEMORY_CAP_BYTES:
         table = one - batch_bytes(grid, 1, 0, forced)

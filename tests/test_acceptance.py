@@ -33,7 +33,6 @@ from mowave import (
     energy_rate_residual,
     exact_reference_fields,
     fit_decay,
-    lambda_window,
     multiplier_identity_residual,
     run_simulation,
     simulate,
@@ -210,12 +209,12 @@ class TestCriterion6CertifiedDecay:
         series = EnergySeries.from_trajectory(traj)
         rate_res = energy_rate_residual(traj)
         bound = check_decay_bound(series, cert, dt=traj.dt, rate_residual=rate_res)
-        fit = fit_decay(series)
+        lambda_fit = fit_decay(series)
         elapsed = sim_time + (time.perf_counter() - t0)
         ok = (
             cert.lambda_lo == 0.05
             and bound.holds
-            and fit.lambda_fit >= cert.lambda_hi
+            and lambda_fit >= cert.lambda_hi
             and elapsed < 20.0
         )
         report(
@@ -224,7 +223,7 @@ class TestCriterion6CertifiedDecay:
             ok,
             f"lambda_lo {cert.lambda_lo} == 0.05, bound holds at lambda={cert.lam:.4f} "
             f"(margin {bound.worst_margin:.3f}, tol {bound.tol:.2e}), "
-            f"lambda_fit {fit.lambda_fit:.4f} >= {cert.lambda_hi:.4f}, {elapsed:.2f}s < 20s",
+            f"lambda_fit {lambda_fit:.4f} >= {cert.lambda_hi:.4f}, {elapsed:.2f}s < 20s",
         )
 
 
@@ -258,14 +257,14 @@ def oracle_window_hi(tol=1e-9):
 class TestCriterion7WindowScreening:
     def test_empty_window_and_independent_ceiling(self, capsys):
         params = REF_DAMPING
-        win = lambda_window(
+        fast_lo, fast_hi = window_edges(
             params, ExponentialBeta(beta0=1.0, mu=2.0), ConstantAlpha(), 10.0
         )
         oracle = oracle_window_hi()
         _, hi = window_edges(params, ConstantBeta(1.0), ConstantAlpha(), 10.0)
         drift = abs(hi - oracle)
         frozen = abs(oracle - 0.6388969194710322)
-        ok = win is None and drift < 2e-6 and frozen < 1e-8
+        ok = fast_lo > fast_hi and drift < 2e-6 and frozen < 1e-8
         report(
             capsys,
             "criterion 7 (window screening)",

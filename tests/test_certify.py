@@ -22,7 +22,6 @@ from mowave import (
     build_certificate,
     check_decay_bound,
     fit_decay,
-    lambda_window,
     window_edges,
 )
 from mowave.certify import DecayCertificate, _branch, _cross_term_root, lambda_floor
@@ -136,20 +135,6 @@ class TestWindow:
         )
         assert lo == 0.0
         assert hi == pytest.approx(WINDOW_HI_A1_B1, abs=2e-6)
-
-    def test_window_of_the_reference_setup(self):
-        args = (DampingParams(a=1.0, b=1.0, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 10.0)
-        lo, hi = lambda_window(*args)
-        assert (lo, hi) == window_edges(*args) and lo == 0.0 < hi
-
-    def test_empty_window_for_fast_growth(self):
-        win = lambda_window(
-            DampingParams(a=1.0, b=1.0, rho=1.0),
-            ExponentialBeta(beta0=1.0, mu=2.0),
-            ConstantAlpha(),
-            10.0,
-        )
-        assert win is None
 
     def test_edges_still_reported_when_empty(self):
         lo, hi = window_edges(
@@ -404,49 +389,33 @@ class TestBuildCertificate:
 class TestFitDecay:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 4.0, 41)
-        fit = fit_decay(series_from(t, 5.0 * np.exp(-0.5 * t)))
-        assert fit.lambda_fit == pytest.approx(0.5, abs=1e-12)
-        assert fit.C_fit == pytest.approx(1.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.window == (0.0, 4.0)
+        assert fit_decay(series_from(t, 5.0 * np.exp(-0.5 * t))) == pytest.approx(0.5, abs=1e-12)
 
     def test_oscillating_envelope(self):
         t = np.linspace(0.0, 6.0, 301)
         E = np.exp(-t) * (1.0 + 0.1 * np.sin(10.0 * t))
-        fit = fit_decay(series_from(t, E))
-        assert fit.lambda_fit == pytest.approx(1.0, abs=0.02)
-        assert fit.r_squared > 0.99
+        assert fit_decay(series_from(t, E)) == pytest.approx(1.0, abs=0.02)
 
     def test_constant_series(self):
         t = np.linspace(0.0, 2.0, 21)
-        fit = fit_decay(series_from(t, np.full_like(t, 3.0)))
-        assert fit.lambda_fit == pytest.approx(0.0, abs=1e-12)
-        assert fit.r_squared == 1.0
+        assert fit_decay(series_from(t, np.full_like(t, 3.0))) == pytest.approx(0.0, abs=1e-12)
 
     def test_floor_prunes_dead_tail(self):
         t = np.linspace(0.0, 10.0, 101)
         E = np.exp(-0.5 * t)
         E[60:] = 0.0
-        fit = fit_decay(series_from(t, E))
-        assert fit.window[1] < 6.0
-        assert fit.lambda_fit == pytest.approx(0.5, abs=1e-9)
+        assert fit_decay(series_from(t, E)) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_polyfit(self, seed):
-        # the slope and intercept come from centred sums; np.polyfit is the oracle
+        # the slope comes from centred sums; np.polyfit is the oracle
         rng = np.random.default_rng(seed)
         # E stays above the floor, so every sample is fitted
         t = np.sort(rng.uniform(0.0, rng.uniform(1.0, 10.0), rng.integers(10, 2000)))
         rate, offset = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0), rng.uniform(-5.0, 5.0)
         logE = offset - rate * t + rng.normal(0.0, rng.uniform(0.0, 0.5), t.size)
-        fit = fit_decay(series_from(t, np.exp(logE)))
-        slope, intercept = np.polyfit(t, logE, 1)
-        fitted = slope * t + intercept
-        r2 = 1.0 - np.sum((logE - fitted) ** 2) / np.sum((logE - logE.mean()) ** 2)
-        assert fit.lambda_fit == pytest.approx(-slope, rel=1e-12)
-        assert fit.C_fit == pytest.approx(math.exp(intercept) / math.exp(logE[0]), rel=1e-12)
-        assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=1e-12)
-        assert fit.window == (t[0], t[-1])
+        slope, _ = np.polyfit(t, logE, 1)
+        assert fit_decay(series_from(t, np.exp(logE))) == pytest.approx(-slope, rel=1e-12)
 
     def test_too_few_samples(self):
         t = np.linspace(0.0, 1.0, 5)

@@ -354,8 +354,9 @@ class TestMultiplierIdentity:
         table = traj.integrals
         for s in (0.1, 400.0):  # exp(400 T) overflows a double
             rep = multiplier_identity_residual(traj, 0.1, s)
-            assert rep.term("ut2_T") == 0.5 * table.ut2[-1]
-            assert rep.term("ut2_0") == pytest.approx(-0.5 * math.exp(-2.0 * s) * table.ut2[0], rel=1e-15, abs=0.0)
+            values = {t.name: t.value for t in rep.terms}
+            assert values["ut2_T"] == 0.5 * table.ut2[-1]
+            assert values["ut2_0"] == pytest.approx(-0.5 * math.exp(-2.0 * s) * table.ut2[0], rel=1e-15, abs=0.0)
             assert math.isfinite(rep.residual_plu) and math.isfinite(rep.relative_residual)
 
     def test_forced_run_has_source_term(self):
@@ -426,8 +427,9 @@ class TestCsvWriters:
             assert by_name[key][1] == "summary"
         term_rows = [r for r in body if r[1] != "summary"]
         assert len(term_rows) == len(rep.terms)
+        values = {t.name: t.value for t in rep.terms}
         for r in term_rows:
-            assert float(r[2]) == rep.term(r[0])
+            assert float(r[2]) == values[r[0]]
         # cells are parseable floats in every row
         for r in body:
             float(r[2])

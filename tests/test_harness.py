@@ -165,6 +165,14 @@ class TestSimulate:
         assert "E(0) beta(t)/beta(0) = " in err
         assert err.endswith("was set by the wave bound from the data at t = 0: lower --cfl below 5\n")
 
+    @pytest.mark.xfail(strict=True, reason="the step plan reads the reaction's stiffness at t = 0 only")
+    def test_a_run_its_step_does_not_resolve_exits_blowup(self, tmp_path, capsys):
+        # beta = exp(60 t) stiffens the reaction as the run goes on; RK4 damps the fast oscillation,
+        # and the run exits 0 with lambda_fit 47.3 and a relative PLU residual of 0.909
+        cfg = reference_config(beta={"variant": "exponential", "beta0": 1.0, "mu": 60.0}, horizon=1.0)
+        code, _ = run_simulate(tmp_path, cfg, "--cfl", "0.3")
+        assert code == 3
+
     def test_beta_beyond_doubles_exits_2(self, tmp_path, capsys):
         cfg = reference_config(
             beta={"variant": "exponential", "beta0": 1.0, "mu": 1000.0},

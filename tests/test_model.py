@@ -156,6 +156,15 @@ class TestBetaFamilies:
         assert check.detail == f"PolynomialBeta: beta' < 0 at t = {shown}"
         assert beta_prime_exact(beta, float(shown)) < 0
 
+    @pytest.mark.xfail(
+        strict=True, reason="(A2) reads beta' between np.roots' roots with a rounding tolerance, not exactly"
+    )
+    def test_polynomial_fails_when_beta_prime_dips_below_zero_between_close_roots(self):
+        # exact doubles with beta' = 3 ((t - 1)^2 - 2^-50): negative on an interval of width 6e-8 around t = 1
+        beta = PolynomialBeta((1.0, 3.0 - 3.0 * 2.0**-50, -3.0, 1.0))
+        assert beta_prime_exact(beta, 1.0) == -3 * Fraction(2) ** -50
+        assert not beta.check().passed
+
     def test_polynomial_a2_is_exact_up_to_degree_16(self):
         # beta = 1 + t + ... + t^15 - t^16: beta' leads negative; past degree 16 the check stops before np.roots
         beta = PolynomialBeta((1.0,) * 16 + (-1.0,))
