@@ -136,6 +136,25 @@ class TestWindow:
         assert lo == 0.0
         assert hi == pytest.approx(WINDOW_HI_A1_B1, abs=2e-6)
 
+    def test_window_of_the_reference_setup(self):
+        # the certificate reports the window that window_edges computes
+        args = (DampingParams(a=1.0, b=1.0, rho=1.0), ConstantBeta(1.0), ConstantAlpha(), 10.0)
+        lo, hi = window_edges(*args)
+        cert = build_certificate(*args)
+        assert (cert.lambda_lo, cert.lambda_hi) == (lo, hi) and lo == 0.0 < hi
+
+    def test_empty_window_for_fast_growth(self):
+        # lo > hi is the empty window, and edges passed in give no certificate either
+        args = (
+            DampingParams(a=1.0, b=1.0, rho=1.0),
+            ExponentialBeta(beta0=1.0, mu=2.0),
+            ConstantAlpha(),
+            10.0,
+        )
+        lo, hi = window_edges(*args)
+        assert lo > hi
+        assert build_certificate(*args, edges=(lo, hi)) is None
+
     def test_edges_still_reported_when_empty(self):
         lo, hi = window_edges(
             DampingParams(a=1.0, b=1.0, rho=1.0),
