@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation or config failure (also an input that
 overflows a double in the certificate, or in the energy of a finite run,
-and an output path that cannot be written), 3 blow-up, 4 decay-bound
+an output path that cannot be written, and a sweep worker that a signal
+ends), 3 blow-up, 4 decay-bound
 violation, 5 empty certificate window, 6 convergence order below 1.8.
 Diagnostics go to standard error; results go to files and standard output.
 
@@ -36,12 +37,14 @@ solver.batch_key (alpha, rho, horizon, linear_mode, forced or not, and the
 step of that plan, which the damping and reaction bounds can make the
 cell's own), cuts each group into batches of at most ceil(cells/jobs) rows
 and of no more rows than solver.rows_within_cap allows, and solves every
-batch as one state
-(solver.simulate_batch), in a pool of min(jobs, batches) processes when
-that is more than one. Each row then goes through
-the same run_simulation tail as a single run; rows are merged back in cell
-order. Batch rows are bit-identical to single runs, so neither --jobs nor
-the batch sizes change any output byte. --jobs must be at least 1.
+batch as one state (solver.simulate_batch). When min(jobs, batches) is more
+than one, that many children are forked (_fork_map): batch i goes to child
+i mod that count, and each child sends its rows back through a pipe. Where
+os.fork does not exist, the batches run in this process. Each row then goes
+through the same run_simulation tail as a single run; rows are merged back
+in cell order. Batch rows are bit-identical to single runs, so neither
+--jobs nor the batch sizes change any output byte. --jobs must be at least
+1. A child that a signal ends fails the sweep with exit 2 and no sweep.csv.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -538,7 +543,8 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
     integral table. A row's own error, or one that run_simulation raises,
     is reported by _fail. An error of the whole batch is reported once and
     gives every cell its exit code. Returns the sweep.csv rows in the order
-    of cells.
+    of cells. Runs in this process, or in a child that _fork_map forked,
+    which inherits cells and sends back only the returned rows.
     """
     specs = [cell["spec"] for cell in cells]
     try:
@@ -566,6 +572,91 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
                 code = _fail(exc)
         rows.append(_sweep_row(cell["config"], code, checks))
     return rows
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], computed in `workers` forked children.
+
+    Child w inherits items w, w + workers, ... and sends back their results,
+    or the exception it raised, through its own pipe as one pickle. Every
+    child is reaped before this returns or raises; the first exception in
+    child order is raised again here. A child that a signal ends, or that
+    sends nothing, is a MowaveError. Children still running when this
+    process leaves early (an interrupt, a failed fork) are killed.
+
+    The objects that exist at the fork stay frozen (gc.freeze): no cycle
+    collection passes over them again, in a child, where it would copy every
+    page they share, or in this process, whose exit then skips them.
+    """
+    sys.stdout.flush()  # else each child, which flushes before it leaves, would write it again
+    sys.stderr.flush()
+    children, reaped = [], 0  # (pid, read end of its pipe) in child order; how many are reaped
+    results, error = [None] * len(items), None
+    gc.freeze()
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _fork_child(fn, items[w::workers], write)  # leaves by os._exit
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        for w, (pid, pipe) in enumerate(children):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped += 1
+            if error is not None:
+                continue
+            if os.WIFSIGNALED(status):
+                import signal  # only a killed child pays its import
+
+                sig = os.WTERMSIG(status)
+                name = {s.value: s.name for s in signal.Signals}.get(sig, str(sig))
+                error = MowaveError(f"sweep worker {w} of {workers} was ended by signal {name}; no sweep.csv written")
+            elif not data:
+                code = os.waitstatus_to_exitcode(status)
+                error = MowaveError(f"sweep worker {w} of {workers} exited {code} without its rows; no sweep.csv written")
+            else:
+                result = pickle.loads(data)
+                if isinstance(result, BaseException):
+                    error = result
+                else:
+                    results[w::workers] = result
+    finally:
+        for pid, pipe in children[reaped:]:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    if error is not None:
+        raise error
+    return results
+
+
+def _fork_child(fn, items: list, fd: int) -> None:
+    """A _fork_map child: pickle [fn(item) for item in items], or the exception, down fd; leave."""
+    status = 70  # EX_SOFTWARE: nothing was sent
+    try:
+        try:
+            result = [fn(item) for item in items]
+        except BaseException as exc:  # raised again by the parent, with this traceback as a note
+            import traceback
+
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), "in a sweep worker:\n" + traceback.format_exc()]
+            result = exc
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _format_cell(value) -> str:
@@ -663,11 +754,8 @@ def cmd_sweep(args) -> int:
         outdir=str(outdir),
     )
     workers = min(args.jobs, len(batches))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve, batches))
+    if workers > 1 and hasattr(os, "fork"):
+        solved = _fork_map(solve, batches, workers)
     else:
         solved = [solve(batch) for batch in batches]
     for batch, batch_rows in zip(batches, solved):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -542,23 +543,14 @@ class TestSweep:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces the sweep's process pool by an in-process one; lists its sizes."""
+    """Replaces the sweep's fork runner by an in-process one; lists its worker counts."""
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def in_process(fn, items, workers):
+        sizes.append(workers)
+        return [fn(item) for item in items]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_fork_map", in_process)
     return sizes
 
 
@@ -620,6 +612,50 @@ class TestBatchedSweep:
         # ceil(8 / 5000) = 1 row per batch: eight batches of one, eight workers
         assert outputs_of(self.run(tmp_path, 5000, "single_rows")) == whole
         assert pool_sizes == [8]
+
+    def test_worker_exception_raised_in_the_parent_with_its_type(self, tmp_path, monkeypatch):
+        # the patched run_simulation reaches the workers through fork
+        def broken(*args, **kwargs):
+            return 1 / 0
+
+        monkeypatch.setattr(harness, "run_simulation", broken)
+        with pytest.raises(ZeroDivisionError) as info:
+            self.run(tmp_path, 2, "jobs2")
+        assert any(note.startswith("in a sweep worker:\nTraceback") for note in info.value.__notes__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # batches of cells [0, 2], [1, 3], [4, 6], [5, 7]: worker 1 of 2 gets the second
+        # and the fourth, and ends itself by SIGKILL on the second
+        real = harness._sweep_batch
+
+        def killed_on_cell_1(cells, *args, **kwargs):
+            if cells[0]["index"] == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cells, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_sweep_batch", killed_on_cell_1)
+        outdir = tmp_path / "killed"
+        code = main(["sweep", self.sweep_path(tmp_path), "--jobs", "2", "--grid-n", "32",
+                     "--sample-every", "5", "--outdir", str(outdir)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "mowave: sweep worker 1 of 2 was ended by signal SIGKILL; no sweep.csv written\n"
+        assert not (outdir / "sweep.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_left_after_a_parallel_sweep(self, tmp_path):
+        self.run(tmp_path, 2, "jobs2")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_batches_run_in_process(self, tmp_path, monkeypatch):
+        serial = outputs_of(self.run(tmp_path, 1, "jobs1"))
+        monkeypatch.delattr(os, "fork")
+        assert outputs_of(self.run(tmp_path, 2, "jobs2")) == serial
 
     def test_batches_respect_the_memory_cap(self, tmp_path, monkeypatch):
         whole = outputs_of(self.run(tmp_path, 1, "whole_groups"))
@@ -693,7 +729,7 @@ class TestBatchedSweep:
         code, solo = run_simulate(tmp_path, reference_config(horizon=1.0), "--grid-n", "16", outname="solo")
         assert code == 0
         assert outputs_of(solo) == outputs_of(outdir / "cell_0000")
-        if jobs == "1":  # a pool worker's stderr is not captured here
+        if jobs == "1":  # a forked worker's stderr is not captured here
             err = capsys.readouterr().err
             assert "[FAIL] beta(T)" in err
             assert "mowave: numerical instability: the discrete solution left the finite range at t=" in err
@@ -746,7 +782,7 @@ class TestBatchedSweep:
         with open(outdir / "sweep.csv", newline="") as fh:
             assert [r["exit"] for r in csv.DictReader(fh)] == ["2", "2"]
         assert [list(cell.iterdir()) for cell in sorted(outdir.glob("cell_*"))] == [[], []]
-        if jobs == "1":  # a pool worker's stderr is not captured here
+        if jobs == "1":  # a forked worker's stderr is not captured here
             err = capsys.readouterr().err
             assert err.count("\n") == 2 and err.count("certificate bound C E(0) exp(-lambda t)") == 2
 
@@ -872,6 +908,20 @@ def test_cli_paths_do_not_import_sympy(tmp_path):
 def test_import_does_not_load_the_process_pool():
     script = "import sys, mowave.harness; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     assert run_fresh(script)[-1] == "[]"
+
+
+def test_parallel_sweep_loads_no_process_pool(tmp_path):
+    # the sweep's workers are forked directly, not through concurrent.futures
+    cfg = {"base": reference_config(horizon=0.5), "axes": {"mu": [0.1, 0.2], "rho": [1.0, 2.0]}}
+    script = (
+        "import sys\n"
+        "from mowave.harness import main\n"
+        f"assert main(['sweep', {write_config(tmp_path, cfg)!r}, '--jobs', '2', '--grid-n', '16',"
+        f" '--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('loaded', sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    assert run_fresh(script)[-1] == "loaded []"
+    assert len(list((tmp_path / "out").glob("cell_*/manifest.json"))) == 4
 
 
 def test_no_command_loads_hashlib(tmp_path):
