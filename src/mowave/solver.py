@@ -449,7 +449,8 @@ class _Source:
         self.alpha, self.rho = alpha, rho
         self.amp = np.array([f.amp for f in fields])[:, None]
         rate = np.array([f.rate for f in fields])[:, None]
-        self.neg_rate, self.g_weight, self.sin_offset = -rate, 2.0 * rate - a, rate * (rate - a) + b
+        with np.errstate(over="ignore"):  # a rate whose square overflows makes an inf source: the run blows up
+            self.neg_rate, self.g_weight, self.sin_offset = -rate, 2.0 * rate - a, rate * (rate - a) + b
         self.k = np.array([f.mode * math.pi for f in fields])[:, None]
         theta = self.k * y
         sin = np.sin(theta)

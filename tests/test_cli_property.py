@@ -89,6 +89,7 @@ def run(argv):
 @given(config, flags)
 @example(dict(README, init=BUMP), DEFAULT_FLAGS)  # s = (y - center)/width overflowed at every node
 @example(dict(README, horizon=-1.0), DEFAULT_FLAGS)  # sweep sized its batches from a negative step count
+@example(dict(README, manufactured={"amp": 1.0, "rate": 1e300, "mode": 1}), DEFAULT_FLAGS)  # rate^2 overflowed in _Source
 def test_every_command_ends_in_a_documented_exit_code(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path, sweep_path, out = Path(tmp, "c.json"), Path(tmp, "s.json"), Path(tmp, "out")
