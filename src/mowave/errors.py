@@ -37,7 +37,7 @@ class BlowUpError(MowaveError):
 
 
 class ResourceLimitError(MowaveError):
-    """A run would exceed a hard memory or snapshot budget."""
+    """A run would exceed the memory cap, solver.MEMORY_CAP_BYTES."""
 
 
 class UnsupportedConfigError(MowaveError):

@@ -21,8 +21,7 @@ _fail, turns an error into its stderr line and exit code: a ValidationError
 prints the assumption report, any other MowaveError or an OSError prints
 its message; a BlowUpError exits 3, the others 2. main calls it for the
 error of a command, and sweep for the error of each failed cell, or once
-for an error that every cell of a batch shares (a group none of whose
-cells fits the memory cap is one such error).
+for an error that every cell of a batch shares.
 
 main may be called any number of times in one process: the parser is
 built on the first call and reused, and every call parses its argv into a
@@ -32,11 +31,12 @@ The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
-sweep makes each cell's solver.step_plan and groups the cells by their
-solver.batch_key (alpha, rho, horizon, linear_mode, forced or not, and the
-step of that plan, which the damping and reaction bounds can make the
-cell's own), cuts each group into batches of at most ceil(cells/jobs) rows
-and of no more rows than solver.rows_within_cap allows, and solves every
+sweep makes each cell's solver.step_plan (a cell that it refuses gets its
+row alone) and groups the cells by their solver.batch_key (alpha, rho,
+horizon, linear_mode, forced or not, and the step of that plan, which the
+damping and reaction bounds can make the cell's own), cuts each group into
+batches of at most ceil(cells/jobs) rows and of no more rows than
+solver.rows_within_cap allows, and solves every
 batch as one state (solver.simulate_batch). When min(jobs, batches) is more
 than one, that many children are forked (_fork_map): batch i goes to child
 i mod that count, and each child sends its rows back through a pipe. Where
@@ -68,7 +68,7 @@ import numpy as np
 
 from .certify import build_certificate, check_decay_bound, fit_decay, window_edges
 from .energy import EnergySeries, multiplier_identity_residual, write_energy_csv, write_identity_csv
-from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ResourceLimitError, ValidationError
+from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ValidationError
 from .model import (
     FAMILIES,
     ConstantAlpha,
@@ -660,8 +660,6 @@ def _fork_child(fn, items: list, fd: int) -> None:
 
 
 def _format_cell(value) -> str:
-    if value == "":
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, int):
@@ -693,7 +691,7 @@ def cmd_sweep(args) -> int:
         base = spec_from_dict(sweep_cfg["base"])
     except ConfigError as exc:
         raise ConfigError(f"sweep base config invalid: {exc}") from exc
-    # --grid-n, --sample-every and --cfl hold for every cell alike; the stiffness bounds are per cell
+    # checked once: --grid-n, --sample-every, --cfl and the base's table; stiffness and a k cell's h0 are per cell
     grid = Grid(args.grid_n)
     step_plan(base, grid, args.sample_every, args.cfl, stiff=False)
 
@@ -723,7 +721,7 @@ def cmd_sweep(args) -> int:
         try:
             spec = spec_from_dict(cfg)
             plan = step_plan(spec, grid, args.sample_every, args.cfl)
-        except ConfigError as exc:
+        except MowaveError as exc:  # a bad config, a bound past 2**53 steps or a table past the cap
             rows.append(_sweep_row(cfg, _fail(exc)))
             continue
         rows.append(None)  # filled in from the cell's batch
@@ -738,13 +736,7 @@ def cmd_sweep(args) -> int:
     jobs_rows = -(-len(rows) // args.jobs)
     batches = []
     for plan, group in groups.values():
-        try:
-            size = min(jobs_rows, rows_within_cap(plan, grid, [cell["spec"] for cell in group]))
-        except ResourceLimitError as exc:  # no row of the group fits: one report for all its cells
-            code = _fail(exc)
-            for cell in group:
-                rows[cell["index"]] = _sweep_row(cell["config"], code)
-            continue
+        size = min(jobs_rows, rows_within_cap(plan, grid, [cell["spec"] for cell in group]))
         batches.extend(group[i : i + size] for i in range(0, len(group), size))
     solve = functools.partial(
         _sweep_batch,

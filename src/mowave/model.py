@@ -44,8 +44,8 @@ Admissibility, checked by validate_assumptions:
   A2: beta(t) > 0 and beta'(t) >= 0 for all t >= 0;
   A3: rho > 0 (one space dimension imposes no upper bound).
 
-plus structural checks on the damping constants, the initial data, and the
-horizon.
+plus structural checks on the damping constants, the initial data, the
+horizon and the constants of a manufactured source.
 """
 
 from __future__ import annotations
@@ -631,7 +631,8 @@ _LINEAR_MODE_A2 = AssumptionCheck(
 
 
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
-    """Check (A1), (A2), (A3) plus the structural requirements of a run."""
+    """Check (A1), (A2), (A3) plus the structural requirements of a run; a
+    manufactured source adds its check only when it fails."""
     checks = [
         spec.alpha.check(),
         _LINEAR_MODE_A2 if spec.linear_mode else spec.beta.check(),
@@ -659,6 +660,12 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
         checks.append(AssumptionCheck("horizon", True, f"T = {spec.horizon:g}"))
     else:
         checks.append(AssumptionCheck("horizon", False, f"T = {spec.horizon:g} must be positive"))
+
+    if spec.source is not None:  # the constants of the source's closed form (solver._Source) must be finite
+        r = spec.source.rate
+        if not all(map(math.isfinite, (r * r, r * (r - a) + b, 2.0 * r - a))):
+            detail = f"rate = {r:g}: rate^2, rate (rate - a) + b or 2 rate - a overflows a double"
+            checks.append(AssumptionCheck("source", False, detail))
 
     return ValidationReport(tuple(checks))
 

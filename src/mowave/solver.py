@@ -281,11 +281,9 @@ def _reaction_rate(spec: ProblemSpec, grid: Grid) -> float:
     b, rho = spec.damping.b, spec.damping.rho
     rate2 = b if b > 0.0 else 0.0
     if not spec.linear_mode and rho > 0.0:
-        peak = float(np.max(np.abs(initialize(spec, grid).v)))
-        try:
+        peak = np.max(np.abs(initialize(spec, grid).v))
+        with np.errstate(over="ignore", invalid="ignore"):  # unvalidated data, and beta'(0) that eval also makes
             term = (rho + 1.0) * spec.beta.eval(0.0)[0] * peak**rho
-        except OverflowError:
-            term = math.inf
         if term > 0.0:
             rate2 += term
     return math.sqrt(rate2)
@@ -334,9 +332,9 @@ def step_plan(
     step_size(cfl = sample_every / (2 m)). At cfl 0.5 that is m =
     sample_every and the cfl 0.5 step, bit for bit. Raises ConfigError,
     naming the binding bound, when dt gives no finite step count or more
-    than 2**53 steps, and ResourceLimitError, before any array of the grid
-    exists, when batch_bytes of one row with no snapshots exceeds
-    MEMORY_CAP_BYTES.
+    than 2**53 steps. It alone admits a run's memory: ResourceLimitError when
+    batch_bytes of one row with no snapshots, checked before any array of the
+    grid exists, or with the plan's snapshots exceeds MEMORY_CAP_BYTES.
     """
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
@@ -356,7 +354,14 @@ def step_plan(
     num, den = c.as_integer_ratio()
     m = -(-sample_every * den // (2 * num))  # ceil(sample_every / (2 c)), exact for any sample_every
     dt = step_size(spec, grid, sample_every / (2 * m))
-    return StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound, c)
+    plan = StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound, c)
+    one = batch_bytes(grid, 1, plan.snapshots, spec.source is not None)
+    if one > MEMORY_CAP_BYTES:
+        raise ResourceLimitError(
+            f"run would keep about {one - need} bytes of snapshot integrals, {one} bytes in all "
+            f"(cap {MEMORY_CAP_BYTES}); raise sample_every"
+        )
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +407,14 @@ def batch_bytes(grid: Grid, rows: int, nsnap: int, forced: bool, weight_rows: in
 
 def rows_within_cap(plan: StepPlan, grid: Grid, specs: list[ProblemSpec]) -> int:
     """The most rows of specs stepping by plan whose batch_bytes fits
-    MEMORY_CAP_BYTES, read at the call: a row keeps plan.snapshots
-    snapshots, and has a weight row of its own when the specs differ in a or
-    b. Raises ResourceLimitError when no row fits."""
+    MEMORY_CAP_BYTES, read at the call, 0 when not even one does (step_plan
+    refuses that run): a row keeps plan.snapshots snapshots, and has a weight
+    row of its own when the specs differ in a or b."""
     forced = specs[0].source is not None
     differ = any(np.ndim(_column([getattr(s.damping, c) for s in specs])) for c in "ab")  # as _Rows builds K
     one = batch_bytes(grid, 1, plan.snapshots, forced)
-    if one > MEMORY_CAP_BYTES:
-        table = one - batch_bytes(grid, 1, 0, forced)
-        raise ResourceLimitError(
-            f"run would keep about {table} bytes of snapshot integrals, {one} bytes in all "
-            f"(cap {MEMORY_CAP_BYTES}); raise sample_every"
-        )
     per_row = batch_bytes(grid, 2, plan.snapshots, forced, 1 + differ) - one
-    return 1 + (MEMORY_CAP_BYTES - one) // per_row
+    return max(0, 1 + (MEMORY_CAP_BYTES - one) // per_row)
 
 
 class _Source:
@@ -449,8 +448,7 @@ class _Source:
         self.alpha, self.rho = alpha, rho
         self.amp = np.array([f.amp for f in fields])[:, None]
         rate = np.array([f.rate for f in fields])[:, None]
-        with np.errstate(over="ignore"):  # a rate whose square overflows makes an inf source: the run blows up
-            self.neg_rate, self.g_weight, self.sin_offset = -rate, 2.0 * rate - a, rate * (rate - a) + b
+        self.neg_rate, self.g_weight, self.sin_offset = -rate, 2.0 * rate - a, rate * (rate - a) + b
         self.k = np.array([f.mode * math.pi for f in fields])[:, None]
         theta = self.k * y
         sin = np.sin(theta)
@@ -747,7 +745,7 @@ def simulate_batch(
     when every row has). Raises ConfigError if the admissible specs differ
     in batch_key or have no step plan, and ResourceLimitError if the
     batch_bytes of the admissible rows exceeds MEMORY_CAP_BYTES (step_plan
-    checks one row with no snapshots, rows_within_cap all of them).
+    refuses a row that does not fit alone, rows_within_cap counts the rest).
     """
     from .energy import BLOCK, IntegralPass  # energy imports this module
 

@@ -1099,6 +1099,44 @@ def test_sweep_rejects_a_too_small_cfl_before_any_cell(tmp_path, capsys):
         assert not outdir.exists()
 
 
+def test_sweep_refuses_a_base_table_past_the_cap_before_any_cell(tmp_path, capsys):
+    # the README base at T = 7000 would keep about 336 MB of snapshot integrals at --sample-every 1
+    cfg = {"base": reference_config(horizon=7000.0), "axes": {"mu": [0.1, 0.2]}}
+    outdir = tmp_path / "s"
+    assert main(["sweep", write_config(tmp_path, cfg), "--sample-every", "1", "--outdir", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("mowave: run would keep about ") and err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_a_manufactured_rate_that_overflows_is_refused_as_input(tmp_path, capsys):
+    # rate^2 of rate = 1e300 overflows whatever the step: each command prints the assumption
+    # report, and a sweep cell records exit 2, before any source is made
+    cfg = reference_config(
+        beta={"variant": "constant", "c": 1.0},
+        alpha={"variant": "constant"},
+        horizon=0.1,
+        manufactured={"amp": 1.0, "rate": 1e300, "mode": 1},
+    )
+    path = write_config(tmp_path, cfg)
+    sweep = write_config(tmp_path, {"base": cfg, "axes": {"a": [1.0]}}, "sweep.json")
+    commands = [
+        (["certify", path], 2),
+        (["simulate", path, "--grid-n", "8", "--cfl", "0.3", "--outdir", str(tmp_path / "run")], 2),
+        (["convergence", path, "--grid-n", "8,16", "--cfl", "0.3"], 2),
+        (["sweep", sweep, "--grid-n", "8", "--cfl", "0.3", "--outdir", str(tmp_path / "sweep")], 0),
+    ]
+    for argv, exit_code in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == exit_code, argv
+        err = capsys.readouterr().err
+        assert err.startswith("mowave: assumption checks failed:\n") and err.count("mowave: ") == 1, argv
+        assert err.endswith("[FAIL] source: rate = 1e+300: rate^2, rate (rate - a) + b or 2 rate - a overflows a double\n"), argv
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        assert [r["exit"] for r in csv.DictReader(fh)] == ["2"]
+
+
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

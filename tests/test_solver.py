@@ -171,14 +171,14 @@ class TestStepSize:
         # dt = cfl/8 on Grid(8) at T = 1: 2**53 steps have exact step times, 2**54 do not;
         # a snapshot every h0 = 1/16 of time is every 2**49 steps; a row keeps 10 doubles of each
         spec = make_spec()
-        plan = step_plan(spec, Grid(8), 1, cfl=2.0**-50)
         table = (1 + 2**4) * 10 * 8
         one = table + unforced_row_bytes(8)
         monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", one)
+        plan = step_plan(spec, Grid(8), 1, cfl=2.0**-50)
         assert rows_within_cap(plan, Grid(8), [spec]) == 1
         monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", one - 1)
         with pytest.raises(ResourceLimitError, match=f"about {table} bytes of snapshot integrals, {one} bytes in all"):
-            rows_within_cap(plan, Grid(8), [spec])
+            step_plan(spec, Grid(8), 1, cfl=2.0**-50)
         with pytest.raises(ConfigError, match=r"cfl .* is too small: .* more than the 2\*\*53"):
             step_plan(spec, Grid(8), 1, cfl=2.0**-51)
 
@@ -508,12 +508,16 @@ class TestSimulate:
         assert simulate(spec, Grid(100)).times.size == 2
 
     def test_largest_grid(self):
-        # the README spec: N = 38,707 fits the cap, and N = 38,708 is refused before any array of it
-        spec = readme_spec()
-        assert unforced_row_bytes(38707) <= 2**28 < unforced_row_bytes(38708)
-        assert step_plan(spec, Grid(38707), 10, 1.0).steps > 0
+        # the README spec: N = 38,707 fits the cap, and N = 38,708 is refused before any array of it;
+        # at N = 38,707 one row leaves room for 24 snapshots of 10 doubles, 13 at T = 0.001, not
+        # the 116,122 at T = 10
+        spec = readme_spec(horizon=0.001)
+        assert unforced_row_bytes(38707) + 24 * 80 <= 2**28 < unforced_row_bytes(38708)
+        assert step_plan(spec, Grid(38707), 10, 1.0).snapshots == 13
         with pytest.raises(ResourceLimitError, match=f"grid N = 38708 needs about {unforced_row_bytes(38708)} bytes"):
             step_plan(spec, Grid(38708), 10, 1.0)
+        with pytest.raises(ResourceLimitError, match="about 9289760 bytes of snapshot integrals"):
+            step_plan(readme_spec(), Grid(38707), 10, 1.0)
 
     @pytest.mark.parametrize(
         "a_values, source", [((1.0,), None), ((1.0,), ManufacturedField()), ((1.0, 1.5, 2.0, 2.5), None)]
@@ -922,6 +926,16 @@ class TestSimulateBatch:
         assert rows_within_cap(plan, g, mixed[:1]) == 4
         monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", row + once)
         assert rows_within_cap(plan, g, mixed) == 1
+
+    def test_rows_within_cap_counts_and_never_raises(self, monkeypatch):
+        # step_plan refuses a row that does not fit; below one row the count is 0
+        spec = make_spec(horizon=0.5)
+        g = Grid(16)
+        plan = step_plan(spec, g)
+        one = batch_bytes(g, 1, plan.snapshots, False)
+        for cap, rows in ((one, 1), (one - 1, 0), (0, 0)):
+            monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", cap)
+            assert rows_within_cap(plan, g, [spec]) == rows
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigError):
