@@ -19,7 +19,6 @@ from .energy import (
 from .errors import (
     BlowUpError,
     ConfigError,
-    DegenerateDataError,
     MowaveError,
     ResourceLimitError,
     UnsupportedConfigError,

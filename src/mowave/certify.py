@@ -54,7 +54,7 @@ construction.
 One function, _branch, defines both branches: at a rate lambda it gives the
 branch's name, its conditions with their slacks, and r. window_edges walks
 its closed-form lambda_hi down against those conditions, and
-build_certificate reports them with C.
+build_certificate reports them with C at lambda_hi, the fastest rate.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, UnsupportedConfigError
+from .errors import ConfigError, UnsupportedConfigError
 from .model import AlphaFamily, BetaFamily, DampingParams
 
 
@@ -115,17 +115,6 @@ class BoundReport:
 
 # ---------------------------------------------------------------------------
 # window
-
-
-def lambda_floor(beta: BetaFamily, rho: float, T: float) -> float:
-    """lambda_lo = sup over [0, T] of beta'/((rho+1) beta).
-
-    Raises UnsupportedConfigError when, for polynomial beta, the numerator
-    whose roots are sought overflows a double (PolynomialBeta.sup_ratio).
-    """
-    if rho <= 0.0:
-        raise ConfigError(f"rho must be positive, got {rho}")
-    return beta.sup_ratio(T) / (rho + 1.0)
 
 
 def _omega_star(alpha: AlphaFamily, T: float) -> float:
@@ -219,13 +208,18 @@ def _branch(
 def window_edges(
     params: DampingParams, beta: BetaFamily, alpha: AlphaFamily, T: float
 ) -> tuple[float, float]:
-    """Raw (lambda_lo, lambda_hi) edges; they cross when the window is empty."""
-    a, b = params.a, params.b
+    """Raw (lambda_lo, lambda_hi) edges; they cross when the window is empty.
+
+    Raises UnsupportedConfigError where PolynomialBeta.sup_ratio overflows.
+    """
+    a, b, rho = params.a, params.b, params.rho
     if a <= 0.0:
         raise ConfigError(f"damping a must be positive, got {a}")
     if b < 0.0:
         raise ConfigError(f"damping b must be nonnegative, got {b}")
-    lo = lambda_floor(beta, params.rho, T)
+    if rho <= 0.0:
+        raise ConfigError(f"rho must be positive, got {rho}")
+    lo = beta.sup_ratio(T) / (rho + 1.0)
 
     if b > 0.0:
         hi = min(0.9 * math.sqrt(b), _cross_term_root(a, b))
@@ -249,29 +243,24 @@ def build_certificate(
     beta: BetaFamily,
     alpha: AlphaFamily,
     T: float,
-    lam: Optional[float] = None,
     edges: Optional[tuple[float, float]] = None,
 ) -> Optional[DecayCertificate]:
-    """Assemble the decay certificate, or None when the window is empty.
+    """The decay certificate at lambda_hi, the fastest certifiable rate, or
+    None when the window is empty.
 
-    lam defaults to lambda_hi, the fastest certifiable rate; any requested
-    lam outside the window is a config error. edges are the window_edges of
-    the same arguments when the caller already has them.
+    edges are the window_edges of the same arguments when the caller already
+    has them.
     """
     lo, hi = window_edges(params, beta, alpha, T) if edges is None else edges
     if lo > hi:
         return None
-    chosen = hi if lam is None else float(lam)
-    if chosen < lo or chosen > hi:
-        raise ConfigError(f"lambda = {chosen:g} outside the certified window [{lo:g}, {hi:g}]")
-
-    growth_slack = chosen - lo
-    branch, conditions, r = _branch(params, alpha, T, chosen)
+    growth_slack = hi - lo
+    branch, conditions, r = _branch(params, alpha, T, hi)
     return DecayCertificate(
         branch=branch,
         lambda_lo=lo,
         lambda_hi=hi,
-        lam=chosen,
+        lam=hi,
         C=(1.0 + r) / (1.0 - r),
         conditions=(CertCondition("beta_growth", growth_slack, growth_slack >= 0.0),) + conditions,
     )
@@ -283,22 +272,18 @@ def build_certificate(
 FIT_FLOOR = 1e-12  # fit_decay drops samples below this fraction of E(0)
 
 
-def fit_decay(series) -> float:
+def fit_decay(series) -> Optional[float]:
     """lambda_fit, minus the slope of the least-squares line through log E.
 
-    Uses only samples with E > FIT_FLOOR * E(0); needs at least 10 such
-    samples.
+    Uses only samples with E > FIT_FLOOR * E(0); None, nothing to fit, when
+    E(0) = 0 or fewer than 10 samples lie above the floor.
     """
     t = np.asarray(series.t, dtype=float)
     E = np.asarray(series.E, dtype=float)
     e0 = float(E[0])
-    if e0 <= 0.0:
-        raise DegenerateDataError("fit_decay: E(0) = 0, nothing to fit")
     keep = E > FIT_FLOOR * e0
-    if int(keep.sum()) < 10:
-        raise DegenerateDataError(
-            f"fit_decay: only {int(keep.sum())} samples above the floor, need 10"
-        )
+    if e0 <= 0.0 or int(keep.sum()) < 10:
+        return None
     tt = t[keep]
     logE = np.log(E[keep])
     # the degree-1 slope from two-pass centred sums

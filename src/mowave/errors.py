@@ -42,7 +42,3 @@ class ResourceLimitError(MowaveError):
 
 class UnsupportedConfigError(MowaveError):
     """The request is outside what the certificate machinery covers."""
-
-
-class DegenerateDataError(MowaveError):
-    """A fit was requested on data with no usable content."""

@@ -35,16 +35,17 @@ sweep makes each cell's solver.step_plan (a cell that it refuses gets its
 row alone) and groups the cells by their solver.batch_key (alpha, rho,
 horizon, linear_mode, forced or not, and the step of that plan, which the
 damping and reaction bounds can make the cell's own), cuts each group into
-batches of at most ceil(cells/jobs) rows and of no more rows than
-solver.rows_within_cap allows, and solves every
-batch as one state (solver.simulate_batch). When min(jobs, batches) is more
-than one, that many children are forked (_fork_map): batch i goes to child
-i mod that count, and each child sends its rows back through a pipe. Where
-os.fork does not exist, the batches run in this process. Each row then goes
-through the same run_simulation tail as a single run; rows are merged back
-in cell order. Batch rows are bit-identical to single runs, so neither
---jobs nor the batch sizes change any output byte. --jobs must be at least
-1. A child that a signal ends fails the sweep with exit 2 and no sweep.csv.
+batches of at most ceil(cells/jobs) rows, counting only the cells it does
+not refuse, and of no more rows than solver.rows_within_cap allows, and
+solves every batch as one state (solver.simulate_batch). When
+min(jobs, batches) is more than one, that many children are forked
+(_fork_map): batch i goes to child i mod that count, and each child sends
+its rows back through a pipe. Where os.fork does not exist, the batches run
+in this process. Each row then goes through the same run_simulation tail as
+a single run; rows are merged back in cell order. Batch rows are
+bit-identical to single runs, so neither --jobs nor the batch sizes change
+any output byte. --jobs must be at least 1. A child that a signal ends fails
+the sweep with exit 2 and no sweep.csv.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 
 from .certify import build_certificate, check_decay_bound, fit_decay, window_edges
 from .energy import EnergySeries, multiplier_identity_residual, write_energy_csv, write_identity_csv
-from .errors import BlowUpError, ConfigError, DegenerateDataError, MowaveError, ValidationError
+from .errors import BlowUpError, ConfigError, MowaveError, ValidationError
 from .model import (
     FAMILIES,
     ConstantAlpha,
@@ -304,10 +305,7 @@ def run_simulation(
             bound_report = check_decay_bound(
                 series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
             )
-        try:
-            lambda_fit = fit_decay(series_exact)
-        except DegenerateDataError:
-            lambda_fit = None
+        lambda_fit = fit_decay(series_exact)
 
         outdir.mkdir(parents=True, exist_ok=True)
         energy_path = outdir / "energy.csv"
@@ -732,8 +730,9 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for idx in range(len(rows)):
         (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
-    # at most ceil(cells/jobs) rows per batch, so every worker gets work, and no more than the memory cap holds
-    jobs_rows = -(-len(rows) // args.jobs)
+    # at most ceil(solvable cells/jobs) rows per batch, so every worker gets work, and no more than the
+    # memory cap holds; a refused cell has its row already and never reaches a batch
+    jobs_rows = -(-rows.count(None) // args.jobs)
     batches = []
     for plan, group in groups.values():
         size = min(jobs_rows, rows_within_cap(plan, grid, [cell["spec"] for cell in group]))

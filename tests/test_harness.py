@@ -207,6 +207,22 @@ class TestSimulate:
         assert checks["bound_holds"] is True
         assert checks["lambda_lo"] == pytest.approx(0.05)
 
+    def test_a_run_with_nothing_to_fit_exits_0_with_a_null_lambda_fit(self, tmp_path, capsys):
+        # E(0) = 0: fit_decay has nothing to fit, in a single run and in a sweep cell
+        cfg = reference_config(horizon=10.0, init={"variant": "sine", "m": 1, "amp_u0": 0.0, "amp_u1": 0.0})
+        code, outdir = run_simulate(tmp_path, cfg)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "lambda window" in out and "lambda_fit" not in out
+        assert '"lambda_fit": null' in (outdir / "manifest.json").read_text()
+        assert verify_manifest(outdir / "manifest.json") == []
+        swept = tmp_path / "sweep"
+        sweep_cfg = write_config(tmp_path, {"base": cfg, "axes": {}}, "sweep.json")
+        assert main(["sweep", sweep_cfg, "--grid-n", "100", "--outdir", str(swept)]) == 0
+        with open(swept / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["exit"], row["lambda_fit"]) == ("0", "")
+
     def test_manifest_records_solver_counters(self, tmp_path):
         _, out1 = run_simulate(tmp_path, reference_config(), outname="run1")
         _, out2 = run_simulate(tmp_path, reference_config(), outname="run2")
@@ -796,6 +812,26 @@ class TestBatchedSweep:
         assert err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
+    def test_refused_cells_leave_every_worker_its_batch(self, tmp_path, monkeypatch, capsys):
+        # the four a = 1e308 cells are refused before any batch, so the two
+        # solvable cells make two batches of one, one per worker
+        cfg = {"base": reference_config(horizon=1.0), "axes": {"a": [1.0, 2.0] + [1e308] * 4}}
+        path = write_config(tmp_path, cfg, "refused.json")
+        assert main(["sweep", path, "--grid-n", "16", "--outdir", str(tmp_path / "jobs1")]) == 0
+        forks = []
+        real = harness._fork_map
+
+        def spied(fn, items, workers):
+            forks.append((workers, [len(batch) for batch in items]))
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(harness, "_fork_map", spied)
+        assert main(["sweep", path, "--jobs", "2", "--grid-n", "16", "--outdir", str(tmp_path / "jobs2")]) == 0
+        assert forks == [(2, [1, 1])]
+        assert outputs_of(tmp_path / "jobs2") == outputs_of(tmp_path / "jobs1")
+        with open(tmp_path / "jobs2" / "sweep.csv", newline="") as fh:
+            assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "0", "2", "2", "2", "2"]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         code = main(["sweep", self.sweep_path(tmp_path), "--jobs", jobs, "--outdir", str(tmp_path / "s")])
@@ -890,6 +926,17 @@ def run_fresh(script: str) -> list[str]:
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     return done.stdout.splitlines()
+
+
+def test_module_entry_point_prints_what_main_prints(tmp_path, capsys):
+    path = write_config(tmp_path, reference_config(horizon=10.0))
+    assert main(["certify", path]) == 0
+    src = str(Path(mowave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "mowave", "certify", path], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_cli_paths_do_not_import_sympy(tmp_path):

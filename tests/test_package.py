@@ -48,7 +48,7 @@ def test_the_package_exports_the_documented_names():
     )
     table = exported_by_submodule()
     assert public == sorted(name for names in table.values() for name in names)
-    assert len(public) == 42
+    assert len(public) == 41
     for module, names in table.items():
         for name in names:
             assert getattr(mowave, name) is getattr(importlib.import_module(module), name), name
