@@ -301,7 +301,8 @@ def check_decay_bound(
 
     tol = 1e-6 plus the discretization allowance 10 dt^2 scaled by the
     measured energy-rate residual. worst_margin is the largest ratio of
-    sample to bound (0 for the zero solution).
+    sample to bound (0 for the zero solution); a sample E = 0 holds, and one
+    above a bound that underflowed to 0 has ratio inf.
     """
     t = np.asarray(series.t, dtype=float)
     E = np.asarray(series.E, dtype=float)
@@ -313,7 +314,7 @@ def check_decay_bound(
         first = None if holds else float(t[np.argmax(E > 0.0)])
         return BoundReport(holds=holds, worst_margin=0.0, first_violation=first, tol=tol)
     bound = cert.bound_values(t, e0)
-    ratio = E / bound
+    ratio = np.divide(E, bound, out=np.where(E > 0.0, np.inf, 0.0), where=bound > 0.0)
     worst = float(ratio.max())
     violations = ratio > 1.0 + tol
     if bool(violations.any()):

@@ -554,20 +554,19 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
     for i, cell in enumerate(cells):
         traj, solved[i] = solved[i], None
         checks = None
-        if isinstance(traj, MowaveError):
-            code = _fail(traj)
-        else:
-            try:
-                code, checks = run_simulation(
-                    cell["spec"],
-                    Path(outdir) / f"cell_{cell['index']:04d}",
-                    grid_n=grid_n,
-                    cfl=cfl,
-                    sample_every=sample_every,
-                    solution=traj,
-                )
-            except MowaveError as exc:
-                code = _fail(exc)
+        try:
+            if isinstance(traj, MowaveError):
+                raise traj
+            code, checks = run_simulation(
+                cell["spec"],
+                Path(outdir) / f"cell_{cell['index']:04d}",
+                grid_n=grid_n,
+                cfl=cfl,
+                sample_every=sample_every,
+                solution=traj,
+            )
+        except MowaveError as exc:
+            code = _fail(exc)
         rows.append(_sweep_row(cell["config"], code, checks))
     return rows
 

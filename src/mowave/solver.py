@@ -345,11 +345,8 @@ def step_plan(
             f"grid N = {grid.n} needs about {need} bytes for a stage table, the stage buffers, "
             f"a snapshot block and the integral pass (cap {MEMORY_CAP_BYTES}); lower N"
         )
-    c, bound, who = cfl, "wave", f"cfl {cfl!r} is too small"
-    if stiff:
-        for limit, name, what in _stiffness_bounds(spec, grid):
-            if limit < c:
-                c, bound, who = limit, name, what
+    caps = [(cfl, "wave", f"cfl {cfl!r} is too small"), *(_stiffness_bounds(spec, grid) if stiff else ())]
+    c, bound, who = min(caps, key=lambda cap: cap[0])  # the first of equal caps
     _steps_to(spec.horizon, step_size(spec, grid, c) if c > 0.0 else 0.0, who)  # dt at the cap
     num, den = c.as_integer_ratio()
     m = -(-sample_every * den // (2 * num))  # ceil(sample_every / (2 c)), exact for any sample_every
@@ -440,12 +437,12 @@ class _Source:
 
     The per-row node vectors and constants 2 rate - a and rate (rate - a) + b
     do not depend on t and are made once; each scalar is a (times, rows)
-    column, evaluated on all times at once. alpha and rho are shared, a and
-    b are the rows' columns.
+    column, evaluated on all times at once from the coefficient_grids columns
+    of the shared alpha. rho is shared, a and b are the rows' columns.
     """
 
-    def __init__(self, fields: list[ManufacturedField], alpha, rho: float, a, b, y: np.ndarray):
-        self.alpha, self.rho = alpha, rho
+    def __init__(self, fields: list[ManufacturedField], rho: float, a, b, y: np.ndarray):
+        self.rho = rho
         self.amp = np.array([f.amp for f in fields])[:, None]
         rate = np.array([f.rate for f in fields])[:, None]
         self.neg_rate, self.g_weight, self.sin_offset = -rate, 2.0 * rate - a, rate * (rate - a) + b
@@ -454,17 +451,15 @@ class _Source:
         sin = np.sin(theta)
         self.nodes = (theta * np.cos(theta), sin, theta * theta * sin, np.abs(sin) ** rho * sin)
 
-    def __call__(self, times: np.ndarray, bt, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, times: np.ndarray, columns: tuple, bt, out: np.ndarray | None = None) -> np.ndarray:
         """The source at each of times, shape (times, rows, nodes), written
-        into out when given; bt is the (times, rows, 1) beta(t) column, None
-        in linear mode."""
-        al, al1, al2 = (x[:, None, None] for x in on_times(self.alpha.eval(times), times))
-        g = al1 / al
-        g_sq = g * g
+        into out when given; columns are coefficient_grids(times, alpha),
+        and bt is the (times, rows, 1) beta(t) column, None in linear mode."""
+        al, g, g_sq, app_al = columns
         E = self.amp * np.exp(self.neg_rate * times[:, None, None])
         k_al = self.k / al
         scalars = [
-            E * (2.0 * g_sq - al2 / al + self.g_weight * g),
+            E * (2.0 * g_sq - app_al + self.g_weight * g),
             E * (k_al * k_al + self.sin_offset),
             -(E * g_sq),
         ]
@@ -480,8 +475,9 @@ class _Source:
 def coefficient_grids(times, alpha: AlphaFamily):
     """The functions of t alone in the transformed equation's coefficients.
 
-    Returns (1/alpha^2, g, g^2, alpha''/alpha) with g = alpha'/alpha, each a
-    (times, 1, 1) column whose entry j is the value at times[j]. At a node y
+    Returns (alpha, g, g^2, alpha''/alpha) with g = alpha'/alpha, each a
+    (times, 1, 1) column whose entry j is the value at times[j]: what the
+    stage table's weights and _Source read of alpha. At a node y
 
         c_yt = -2 y g,   c_yy = y^2 g^2 - 1/alpha^2,   c_y = y (2 g^2 - alpha''/alpha),   drift = y g.
 
@@ -491,7 +487,7 @@ def coefficient_grids(times, alpha: AlphaFamily):
     times = np.asarray(times, dtype=float)
     al, ap, app = (x[:, None, None] for x in on_times(alpha.eval(times), times))
     g = ap / al
-    return 1.0 / (al * al), g, g * g, app / al
+    return al, g, g * g, app / al
 
 
 class _Rows:
@@ -500,7 +496,8 @@ class _Rows:
     a, b, beta(t) and the source differ per row and broadcast as columns
     over the interior nodes; a and b are plain floats when every row shares
     them. The nonlinear term is on exactly when linear_mode is off:
-    validation (A2) makes beta(t) > 0 then.
+    validation (A2) makes beta(t) > 0 then. The stage table's arrays, with
+    w_mid = -a, are made here for the 2 _BLOCK + 1 stage times of a block.
     """
 
     def __init__(self, specs: list[ProblemSpec], grid: Grid):
@@ -513,28 +510,23 @@ class _Rows:
         self.b = _column([s.damping.b for s in specs])
         self.weight_rows = 1 if np.ndim(self.a) == np.ndim(self.b) == 0 else len(specs)
         self.source = (
-            _Source([s.source for s in specs], self.alpha, self.rho, self.a, self.b, grid.y[1:-1])
+            _Source([s.source for s in specs], self.rho, self.a, self.b, grid.y[1:-1])
             if specs[0].source is not None
             else None
         )
-        self.entries: list[tuple] = []  # the stage table's, one per stage time its arrays hold
-
-    def _allocate(self, size: int) -> None:
-        """The table's arrays for size stage times, with w_mid = -a, and their per-time entries."""
-        rows = len(self.specs)
+        rows, size = len(specs), 2 * _BLOCK + 1
         self.weights = np.empty((2, 3, size, self.weight_rows, self.i.size))
         np.negative(self.a, out=self.weights[1, 1])
         self.neg_bt = np.empty((size, rows, 1)) if self.nonlinear else None
         self.f = np.empty((size, rows, self.i.size)) if self.source is not None else None
-        none = itertools.repeat(None)
-        neg_bt = none if self.neg_bt is None else self.neg_bt
+        neg_bt = itertools.repeat(None) if self.neg_bt is None else self.neg_bt
         if self.neg_bt is not None and rows == 1:  # 0-d views, which numpy multiplies by without broadcasting
             neg_bt = [column[0, 0, ...] for column in self.neg_bt]
-        f = none if self.f is None else self.f
+        f = itertools.repeat(None) if self.f is None else self.f
         self.entries = list(zip(self.weights.transpose(2, 0, 1, 3, 4), neg_bt, f))
 
     def stage_table(self, times) -> list[tuple]:
-        """What _rhs_arrays needs at each of times: (K, -bt, f).
+        """What _rhs_arrays needs at each of times, at most 2 _BLOCK + 1: (K, -bt, f).
 
         K, shape (2, 3, weight_rows, nodes), holds the weights of the linear
         part of dw/dt as a 3-point stencil in v and w: dw_i is the sum over
@@ -558,13 +550,11 @@ class _Rows:
         """
         times = np.asarray(times, dtype=float)
         n = times.size
-        if n > len(self.entries):
-            self._allocate(n)
-        inv_al_sq, g, g_sq, app_al = coefficient_grids(times, self.alpha)
+        al, g, g_sq, app_al = columns = coefficient_grids(times, self.alpha)
         (v_left, v_mid, v_right), (w_left, _, w_right) = self.weights[:, :, :n]
         S, A = w_left[:, :1], w_right if np.ndim(self.a) else w_right[:, :1]
         np.multiply(g_sq, self.i_sq, out=S)
-        np.subtract(self.n_sq * inv_al_sq, S, out=S)
+        np.subtract(self.n_sq * (1.0 / (al * al)), S, out=S)
         np.multiply(2.0 * g_sq - app_al - self.a * g, self.half_i, out=A)
         np.add(S, A, out=v_left)
         np.subtract(S, A, out=v_right)
@@ -578,7 +568,7 @@ class _Rows:
             for i, spec in enumerate(self.specs):
                 bt[:, i, 0] = spec.beta.eval(times)[0]
         if self.source is not None:
-            self.source(times, bt, self.f[:n])
+            self.source(times, columns, bt, self.f[:n])
         if bt is not None:
             np.negative(bt, out=bt)
         return self.entries[:n]
@@ -678,9 +668,9 @@ def simulate(
 def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple], list[float]]:
     """Steps k0 .. k1-1, the first starting at t, and their 2 (k1 - k0) + 1 stage times.
 
-    Each step is (h/2, h, h/6, t_next). Step j has stage 1 at times[2j],
-    stages 2 and 3 at times[2j+1] = t + h/2, and stage 4 at times[2j+2] =
-    t_next, the next step's stage 1. t_next is t + h bit for bit: h =
+    Each step is (h/2, h, h/6). Step j has stage 1 at times[2j], stages 2
+    and 3 at times[2j+1] = t + h/2, and stage 4 at times[2j+2] = t_next,
+    its end and the next step's stage 1. t_next is t + h bit for bit: h =
     t_next - t is exact by Sterbenz's lemma (t_next <= 2 t once k >= 1,
     and t = 0 before), and so is the sum.
     """
@@ -688,7 +678,7 @@ def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple]
     for k in range(k0, k1):
         t_next = min((k + 1) * dt, T)
         h = t_next - t
-        steps.append((0.5 * h, h, h / 6.0, t_next))
+        steps.append((0.5 * h, h, h / 6.0))
         times += (t + 0.5 * h, t_next)
         t = t_next
     return steps, times
@@ -781,32 +771,30 @@ def simulate_batch(
     block = np.empty((2, len(live), BLOCK, grid.n + 1))  # v and w of every row at those times
     block[:, :, 0] = state
     taken = 1
-    held = np.arange(len(live))  # the position in live of each state row
     k, t = 0, 0.0
 
     def hand_on(n: int) -> None:
-        """The block's first n snapshots of every held row to its pass, then to on_block."""
+        """The block's first n snapshots of every live row to its pass, then to on_block."""
         ts = times[:n]
         ts.flags.writeable = False
-        for i in held:
-            V, W = block[:, i, :n]
+        for r, integral_pass, V, W in zip(live, passes, block[0, :, :n], block[1, :, :n]):
             V.flags.writeable = W.flags.writeable = False
-            passes[i].add(ts, V, W)
+            integral_pass.add(ts, V, W)
             if on_block is not None:
-                on_block(live[i], ts, V, W)
+                on_block(r, ts, V, W)
 
     # a block's steps; h/2, h and h/6 are read through 0-d views, which numpy multiplies by without converting a float
-    step_scalars = np.empty((_BLOCK, 4))
+    step_scalars = np.empty((_BLOCK, 3))
     scalar_views = [(row[0, ...], row[1, ...], row[2, ...]) for row in step_scalars]
     add, multiply, all_finite = np.add, np.multiply, _all_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < nsteps and held.size:
+        while k < nsteps and live:
             if state is not None:  # at the start, and after rows blew up: the rows left, in fresh buffers
-                rows = _Rows([specs[live[i]] for i in held], grid)
                 bufs, (s1, s2, s3, s4) = _stages(state)
                 z1, z2, z3, z4 = bufs[:, 0:2]
                 dz1, dz2, dz3, dz4 = bufs[:, 1:3]
                 finite = np.empty(z1.shape, dtype=bool)
+                rows = _Rows([specs[r] for r in live], grid)  # made once the old buffers are gone
                 state = None
             steps, stage_times = _block(k, min(k + _BLOCK, nsteps), t, dt, T)
             step_scalars[: len(steps)] = steps
@@ -833,27 +821,27 @@ def simulate_batch(
                 add(z1, dz2, z1)
                 k, t = k + 1, t_next
                 if not all_finite(z1, finite):
-                    bad = ~finite.all(axis=(0, 2))
-                    for i in held[bad]:
-                        results[live[i]] = _instability(specs[live[i]], plans[live[i]], t, sample_every)
-                        passes[i] = None
-                    held, state = held[~bad], z1[:, ~bad]
+                    ok = finite.all(axis=(0, 2))
+                    for r in itertools.compress(live, ~ok):
+                        results[r] = _instability(specs[r], plans[r], t, sample_every)
+                    for j, i in enumerate(np.flatnonzero(ok)):  # in place: j <= i reads a row not yet moved
+                        block[:, j] = block[:, i]
+                    live, passes = list(itertools.compress(live, ok)), list(itertools.compress(passes, ok))
+                    block, state = block[:, : len(live)], z1[:, ok]
                 if k % stride == 0 or k == nsteps:
                     times[taken % BLOCK] = t
-                    block[:, held, taken % BLOCK] = z1 if state is None else state
+                    block[:, :, taken % BLOCK] = z1 if state is None else state
                     taken += 1
                     if taken % BLOCK == 0:
                         hand_on(BLOCK)
                 if state is not None:
                     break  # the table holds the blown rows too
-            del table  # the old rows' arrays go with their last table after a blow-up
         if taken % BLOCK:
             hand_on(taken % BLOCK)
 
-    last = (taken - 1) % BLOCK  # the snapshot at T of every held row
-    for i in held:
-        final = ReferenceState(t, block[0, i, last], block[1, i, last])
-        results[live[i]] = Trajectory(specs[live[i]], grid, plans[live[i]], passes[i].table(), final)
+    last = (taken - 1) % BLOCK  # the snapshot at T of every live row
+    for r, integral_pass, v, w in zip(live, passes, block[0, :, last], block[1, :, last]):
+        results[r] = Trajectory(specs[r], grid, plans[r], integral_pass.table(), ReferenceState(t, v, w))
     return results
 
 
@@ -870,12 +858,12 @@ def manufactured_forcing(field: ManufacturedField, spec: ProblemSpec, y: np.ndar
     alone.
     """
     damping = spec.damping
-    source = _Source([field], spec.alpha, damping.rho, damping.a, damping.b, np.asarray(y, dtype=float))
+    source = _Source([field], damping.rho, damping.a, damping.b, np.asarray(y, dtype=float))
 
     def forcing(times):
         times = np.asarray(times, dtype=float)
         bt = None if spec.linear_mode else on_times(spec.beta.eval(times), times)[0][:, None, None]
-        return source(times, bt)[:, 0]
+        return source(times, coefficient_grids(times, spec.alpha), bt)[:, 0]
 
     return forcing
 

@@ -1,6 +1,7 @@
 """Decay window, certificate assembly, empirical fit, and the bound check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,19 @@ class TestCheckDecayBound:
             series_from(t, np.exp(-t)), make_cert(1.0, 1.0), dt=0.01, rate_residual=2.0
         )
         assert rep.tol == pytest.approx(1e-6 + 10.0 * 0.01**2 * 2.0, abs=1e-15)
+
+    def test_zero_energy_holds_and_positive_energy_fails_against_an_underflowed_bound(self):
+        # exp(-lambda t) underflows to 0 for t past about 745 / lambda; E / bound would read 0/0 and
+        # x/0 there, each with a numpy warning
+        t = np.array([0.0, 1.0, 800.0, 900.0])
+        cert = make_cert(1.0, 2.0)
+        assert list(cert.bound_values(t, 1.0)[2:]) == [0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            held = check_decay_bound(series_from(t, [1.0, 0.5, 0.0, 0.0]), cert)
+            broken = check_decay_bound(series_from(t, [1.0, 0.5, 0.0, 1e-300]), cert)
+        assert (held.holds, held.worst_margin, held.first_violation) == (True, 0.5 / cert.bound_values(t, 1.0)[1], None)
+        assert (broken.holds, broken.worst_margin, broken.first_violation) == (False, math.inf, 900.0)
 
     def test_margin_just_inside_tolerance(self):
         t = np.array([0.0, 1.0])

@@ -11,8 +11,8 @@ from mowave.solver import coefficient_grids
 
 def transformed_coefficients(y, t, fam):
     """(c_yt, c_yy, c_y, drift) at nodes y and time t, rebuilt from the coefficient_grids columns."""
-    inv_al_sq, g, g_sq, app_al = (float(c[0, 0, 0]) for c in coefficient_grids([t], fam))
-    return -2.0 * y * g, y * y * g_sq - inv_al_sq, y * (2.0 * g_sq - app_al), y * g
+    al, g, g_sq, app_al = (float(c[0, 0, 0]) for c in coefficient_grids([t], fam))
+    return -2.0 * y * g, y * y * g_sq - 1.0 / (al * al), y * (2.0 * g_sq - app_al), y * g
 
 
 def point_coefficients(y, t, fam):

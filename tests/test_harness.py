@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -663,6 +664,44 @@ class TestBatchedSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def sweep_in_two(self, tmp_path, capsys):
+        """main's exit code and stderr for the sweep at --jobs 2, which must write nothing on
+        stdout, no sweep.csv and leave no child."""
+        outdir = tmp_path / "jobs2"
+        code = main(["sweep", self.sweep_path(tmp_path), "--jobs", "2", "--grid-n", "32",
+                     "--sample-every", "5", "--outdir", str(outdir)])
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert not (outdir / "sweep.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, err
+
+    def test_worker_that_exits_without_its_rows_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "_sweep_batch", lambda *args, **kwargs: os._exit(3))
+        assert self.sweep_in_two(tmp_path, capsys) == (
+            2, "mowave: sweep worker 0 of 2 exited 3 without its rows; no sweep.csv written\n"
+        )
+
+    def test_fork_that_fails_after_the_first_child_kills_and_reaps_it(self, tmp_path, monkeypatch, capsys):
+        real_fork, real_kill = os.fork, os.kill
+        forked, killed = [], []
+
+        def fork_once():
+            if forked:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = real_fork()
+            forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append((pid, sig)) or real_kill(pid, sig))
+        fds = len(os.listdir("/dev/fd"))
+        code, err = self.sweep_in_two(tmp_path, capsys)
+        assert (code, err) == (2, f"mowave: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n")
+        assert killed == [(forked[0], signal.SIGKILL)]
+        assert len(os.listdir("/dev/fd")) == fds
+
     def test_no_child_left_after_a_parallel_sweep(self, tmp_path):
         self.run(tmp_path, 2, "jobs2")
         with pytest.raises(ChildProcessError):
@@ -937,6 +976,30 @@ def test_module_entry_point_prints_what_main_prints(tmp_path, capsys):
         [sys.executable, "-m", "mowave", "certify", path], env=env, capture_output=True, text=True, timeout=120
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_a_run_whose_energy_and_bound_reach_zero_writes_nothing_on_stderr(tmp_path):
+    # E is exactly 0 from t = 75.3 and the certificate curve C E(0) exp(-lambda t) underflows to 0
+    # from t = 116.9, so the bound check meets 0/0
+    cfg = reference_config(
+        damping={"a": 10.0, "b": 100.0, "rho": 1.0},
+        beta={"variant": "constant", "c": 1.0},
+        alpha={"variant": "constant"},
+        horizon=150.0,
+    )
+    sweep = write_config(tmp_path, {"base": cfg, "axes": {"a": [10.0]}}, "sweep.json")
+    src = str(Path(mowave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for args in (["simulate", write_config(tmp_path, cfg)], ["sweep", sweep]):
+        outdir = tmp_path / args[0]
+        command = [sys.executable, "-m", "mowave", *args, "--grid-n", "16", "--outdir", str(outdir)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), args[0]
+    with open(tmp_path / "simulate" / "energy.csv") as fh:
+        final = list(csv.DictReader(fh))[-1]
+    assert (float(final["t"]), float(final["E"]), float(final["bound"])) == (150.0, 0.0, 0.0)
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        assert [row["bound_holds"] for row in csv.DictReader(fh)] == ["true"]
 
 
 def test_cli_paths_do_not_import_sympy(tmp_path):

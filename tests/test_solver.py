@@ -971,7 +971,8 @@ class TestKernel:
         dt, T = 0.1, 0.75
         steps, times = _block(3, 8, 0.30000000000000004, dt, T)
         t = 0.30000000000000004
-        for i, (k, (hh, h, h6, t_next)) in enumerate(zip(range(3, 8), steps)):
+        for i, (k, (hh, h, h6)) in enumerate(zip(range(3, 8), steps)):
+            t_next = times[2 * i + 2]  # the step's end
             assert t_next == min((k + 1) * dt, T) and h == t_next - t
             assert (hh, h6) == (0.5 * h, h / 6.0)
             assert times[2 * i : 2 * i + 3] == [t, t + 0.5 * h, t + h]
@@ -1175,6 +1176,11 @@ class TestTrajectoryInvariants:
     def test_must_start_at_zero(self):
         with pytest.raises(ConfigError):
             self.trajectory([0.5])
+
+    @pytest.mark.parametrize("v, w", [(np.zeros(9), np.zeros(8)), (np.zeros(9), np.zeros((1, 9))), (np.zeros((3, 3)),) * 2])
+    def test_state_v_and_w_must_be_one_dimensional_and_equal_length(self, v, w):
+        with pytest.raises(ConfigError, match="^state: v and w must be one-dimensional and equal-length$"):
+            ReferenceState(0.0, v, w)
 
     def test_times_strictly_increasing(self):
         with pytest.raises(ConfigError):
