@@ -302,17 +302,12 @@ def check_decay_bound(
     tol = 1e-6 plus the discretization allowance 10 dt^2 scaled by the
     measured energy-rate residual. worst_margin is the largest ratio of
     sample to bound (0 for the zero solution); a sample E = 0 holds, and one
-    above a bound that underflowed to 0 has ratio inf.
+    above a bound that is 0, underflowed or from E(0) = 0, has ratio inf.
     """
     t = np.asarray(series.t, dtype=float)
     E = np.asarray(series.E, dtype=float)
     e0 = float(E[0])
     tol = 1e-6 + 10.0 * dt * dt * rate_residual
-    if e0 == 0.0:
-        # zero solution: bound degenerates to E <= 0
-        holds = bool(np.all(E <= 0.0))
-        first = None if holds else float(t[np.argmax(E > 0.0)])
-        return BoundReport(holds=holds, worst_margin=0.0, first_violation=first, tol=tol)
     bound = cert.bound_values(t, e0)
     ratio = np.divide(E, bound, out=np.where(E > 0.0, np.inf, 0.0), where=bound > 0.0)
     worst = float(ratio.max())

@@ -17,11 +17,11 @@ violation, 5 empty certificate window, 6 convergence order below 1.8.
 Diagnostics go to standard error; results go to files and standard output.
 
 A failure is raised, never reported where it happens. One translator,
-_fail, turns an error into its stderr line and exit code: a ValidationError
-prints the assumption report, any other MowaveError or an OSError prints
-its message; a BlowUpError exits 3, the others 2. main calls it for the
-error of a command, and sweep for the error of each failed cell, or once
-for an error that every cell of a batch shares.
+_diagnosis, turns an error into its exit code and stderr message: a
+ValidationError gives the assumption report, any other MowaveError or an
+OSError its message; a BlowUpError exits 3, the others 2. main prints the
+message of a command's error, and sweep those of its cells, in cell order
+once every cell is done.
 
 main may be called any number of times in one process: the parser is
 built on the first call and reused, and every call parses its argv into a
@@ -31,21 +31,22 @@ The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
-sweep makes each cell's solver.step_plan (a cell that it refuses gets its
-row alone) and groups the cells by their solver.batch_key (alpha, rho,
-horizon, linear_mode, forced or not, and the step of that plan, which the
-damping and reaction bounds can make the cell's own), cuts each group into
-batches of at most ceil(cells/jobs) rows, counting only the cells it does
-not refuse, and of no more rows than solver.rows_within_cap allows, and
-solves every batch as one state (solver.simulate_batch). When
-min(jobs, batches) is more than one, that many children are forked
-(_fork_map): batch i goes to child i mod that count, and each child sends
-its rows back through a pipe. Where os.fork does not exist, the batches run
-in this process. Each row then goes through the same run_simulation tail as
-a single run; rows are merged back in cell order. Batch rows are
-bit-identical to single runs, so neither --jobs nor the batch sizes change
-any output byte. --jobs must be at least 1. A child that a signal ends fails
-the sweep with exit 2 and no sweep.csv.
+sweep admits each cell once, by its solver.step_plan and then
+validate_assumptions (a cell that either refuses gets its row alone), and
+groups the cells by their solver.batch_key (alpha, rho, horizon,
+linear_mode, forced or not, and the step of that plan, which the damping
+and reaction bounds can make the cell's own). It cuts each group into
+batches of at most ceil(admitted cells/jobs) rows, and of no more than
+solver.rows_within_cap allows, and steps every batch as one state
+(solver.simulate_batch) by its cells' plans. When min(jobs, batches) is
+more than one, that many children are forked (_fork_map): batch i goes to
+child i mod that count, and each child sends its rows back through a pipe.
+Where os.fork does not exist, the batches run in this process. Each row
+then goes through the same run_simulation tail as a single run; rows are
+merged back in cell order. Batch rows are bit-identical to single runs, so
+neither --jobs nor the batch sizes change any output byte, stderr
+included. --jobs must be at least 1. A child that a signal ends fails the
+sweep with exit 2 and no sweep.csv.
 """
 
 from __future__ import annotations
@@ -121,14 +122,12 @@ def _err(msg: str) -> None:
     print(f"mowave: {msg}", file=sys.stderr)
 
 
-def _fail(exc: Exception) -> int:
-    """Report a MowaveError or OSError on standard error; return its exit code."""
+def _diagnosis(exc: Exception) -> tuple[int, str]:
+    """The exit code of a MowaveError or OSError and its standard-error message."""
     code = EXIT_BLOWUP if isinstance(exc, BlowUpError) else EXIT_VALIDATION
     if isinstance(exc, ValidationError):
-        _err("assumption checks failed:\n" + exc.report.summary())
-    else:
-        _err(str(exc))
-    return code
+        return code, "assumption checks failed:\n" + exc.report.summary()
+    return code, str(exc)
 
 
 def _outdir(arg) -> Path:
@@ -237,6 +236,7 @@ def run_simulation(
     paper_literal: bool = False,
     write_trajectory: bool = False,
     solution=None,
+    err=_err,
 ) -> tuple[int, dict]:
     """Full single-run pipeline; returns (exit_code, checks).
 
@@ -254,6 +254,7 @@ def run_simulation(
     default the spec is solved here. trajectory.csv is streamed from that
     solve's snapshot blocks (_TrajectoryCsv), so write_trajectory needs
     solution None; its temporary file is removed whatever stops the run.
+    A violated decay bound's line goes to err (standard error by default).
     """
     started = time.perf_counter()
     outdir = Path(outdir)
@@ -321,7 +322,7 @@ def run_simulation(
 
     exit_code = EXIT_OK
     if bound_report is not None and not bound_report.holds:
-        _err(
+        err(
             f"decay bound violated: worst margin {bound_report.worst_margin:.6g} "
             f"first at t = {bound_report.first_violation:.6g}"
         )
@@ -533,27 +534,23 @@ def _sweep_row(cfg: dict, code: int, checks: dict | None = None) -> dict:
     return row
 
 
-def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, outdir: str) -> list[dict]:
-    """Solve cells with one batch_key as one state, then write each cell.
+def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, outdir: str) -> list[tuple]:
+    """Solve admitted cells with one batch_key as one state, each by its plan, then write each cell.
 
     Each solved row goes through run_simulation, which writes the cell's
     files into outdir/cell_XXXX; a row is dropped once written, with its
-    integral table. A row's own error, or one that run_simulation raises,
-    is reported by _fail. An error of the whole batch is reported once and
-    gives every cell its exit code. Returns the sweep.csv rows in the order
-    of cells. Runs in this process, or in a child that _fork_map forked,
-    which inherits cells and sends back only the returned rows.
+    integral table. Returns, in the order of cells, each cell's sweep.csv
+    row and the stderr messages that the sweep prints for it: a violated
+    bound's line, or the row's error or run_simulation's as _diagnosis
+    words it. Runs in this process, or in a child that _fork_map forked,
+    which inherits cells and sends back only what this returns.
     """
-    specs = [cell["spec"] for cell in cells]
-    try:
-        solved = simulate_batch(specs, Grid(grid_n), sample_every, cfl)
-    except MowaveError as exc:  # a setting or a limit of the whole batch, reported once
-        code = _fail(exc)
-        return [_sweep_row(cell["config"], code) for cell in cells]
+    specs, plans = [cell["spec"] for cell in cells], [cell["plan"] for cell in cells]
+    solved = simulate_batch(specs, plans, Grid(grid_n), sample_every)
     rows = []
     for i, cell in enumerate(cells):
         traj, solved[i] = solved[i], None
-        checks = None
+        checks, messages = None, []
         try:
             if isinstance(traj, MowaveError):
                 raise traj
@@ -564,10 +561,12 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
                 cfl=cfl,
                 sample_every=sample_every,
                 solution=traj,
+                err=messages.append,
             )
         except MowaveError as exc:
-            code = _fail(exc)
-        rows.append(_sweep_row(cell["config"], code, checks))
+            code, message = _diagnosis(exc)
+            messages.append(message)
+        rows.append((_sweep_row(cell["config"], code, checks), messages))
     return rows
 
 
@@ -708,7 +707,7 @@ def cmd_sweep(args) -> int:
         for value in values:
             _finite(value, f"sweep axis {name!r}")
 
-    rows: list = []
+    rows: list = []  # (sweep.csv row, stderr messages) of each cell, in cell order
     groups: dict = {}  # batch_key -> (a step plan of the key, the cells that can share one state, in cell order)
     for idx, combo in enumerate(itertools.product(*value_lists)):
         cfg = json.loads(json.dumps(sweep_cfg["base"]))  # deep copy
@@ -718,18 +717,22 @@ def cmd_sweep(args) -> int:
         try:
             spec = spec_from_dict(cfg)
             plan = step_plan(spec, grid, args.sample_every, args.cfl)
-        except MowaveError as exc:  # a bad config, a bound past 2**53 steps or a table past the cap
-            rows.append(_sweep_row(cfg, _fail(exc)))
+            report = validate_assumptions(spec)
+            if not report.ok:
+                raise ValidationError(report)
+        except MowaveError as exc:  # a bad config, a bound past 2**53 steps, a table past the cap, or inadmissible
+            code, message = _diagnosis(exc)
+            rows.append((_sweep_row(cfg, code), [message]))
             continue
         rows.append(None)  # filled in from the cell's batch
-        cell = {"index": idx, "config": cfg, "spec": spec}
+        cell = {"index": idx, "config": cfg, "spec": spec, "plan": plan}
         groups.setdefault(batch_key(spec, plan), (plan, []))[1].append(cell)
 
     outdir = _outdir(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for idx in range(len(rows)):
         (outdir / f"cell_{idx:04d}").mkdir(parents=True, exist_ok=True)
-    # at most ceil(solvable cells/jobs) rows per batch, so every worker gets work, and no more than the
+    # at most ceil(admitted cells/jobs) rows per batch, so every worker gets work, and no more than the
     # memory cap holds; a refused cell has its row already and never reaches a batch
     jobs_rows = -(-rows.count(None) // args.jobs)
     batches = []
@@ -751,9 +754,12 @@ def cmd_sweep(args) -> int:
     for batch, batch_rows in zip(batches, solved):
         for cell, row in zip(batch, batch_rows):
             rows[cell["index"]] = row
+    for _, messages in rows:  # in cell order, whatever --jobs and the batches were
+        for message in messages:
+            _err(message)
 
     lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
+    for row, _ in rows:
         lines.append(",".join(_format_cell(row[c]) for c in _SWEEP_COLUMNS))
     sweep_path = outdir / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -826,7 +832,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MowaveError, OSError) as exc:
-        return _fail(exc)
+        code, message = _diagnosis(exc)
+        _err(message)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ c_yy = drift^2 - 1/alpha^2 and c_y = y (2 (alpha'/alpha)^2 - alpha''/alpha);
 the tests re-derive them, and coefficient_grids evaluates their factors of t.
 The characteristic speeds (y alpha' +/- 1)/alpha are real and distinct while
 y alpha' < 1, so (A1), sup alpha' < 1, keeps the operator hyperbolic with
-margin 1 - sup alpha'; simulate_batch steps only specs that pass validation.
+margin 1 - sup alpha'; a spec is stepped only once it passes validation.
 As a first-order system in (v, w) = (v, v_t) on the uniform reference grid
 y_i = i/N:
 
@@ -36,9 +36,10 @@ snapshot interval. At cfl 0.5 that is m = sample_every steps of the cfl 0.5
 step, and at cfl 1.0 with an even sample_every m = sample_every / 2 steps of
 the cfl 1.0 step, bit for bit.
 
-The kernel advances a (rows, N+1) state: simulate_batch solves several
-specs with one batch_key (one step count and one set of stage times) in
-one loop, and simulate is its batch of one. a, b, beta(t) and the source
+The kernel advances a (rows, N+1) state: simulate_batch steps several
+admitted specs with one batch_key (one step count and one set of stage
+times) in one loop, each by its caller's step plan, and simulate is its
+batch of one. a, b, beta(t) and the source
 are per-row columns (a and b plain floats when every row shares them).
 Every operation is elementwise per row, so a row's bits never depend on
 its neighbours; rho is shared because numpy takes scalar fast paths for
@@ -90,7 +91,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import BlowUpError, ConfigError, MowaveError, ResourceLimitError, ValidationError
+from .errors import BlowUpError, ConfigError, ResourceLimitError, ValidationError
 from .model import AlphaFamily, ManufacturedField, ProblemSpec, on_times, validate_assumptions
 
 if TYPE_CHECKING:
@@ -655,12 +656,16 @@ def simulate(
     """Advance one spec from 0 to T: the batch of one of simulate_batch, whose
     on_block this passes on (its row index is 0).
 
-    Raises ValidationError if the spec fails the admissibility checks,
-    BlowUpError when the solution leaves the finite range, and
-    ResourceLimitError if the run's batch_bytes exceeds MEMORY_CAP_BYTES.
+    Raises ValidationError if the spec fails the admissibility checks, then
+    step_plan's ConfigError or ResourceLimitError (its memory refusal), and
+    BlowUpError when the solution leaves the finite range.
     """
-    (result,) = simulate_batch([spec], grid, sample_every, cfl, on_block)
-    if isinstance(result, MowaveError):
+    report = validate_assumptions(spec)
+    if not report.ok:
+        raise ValidationError(report)
+    plan = step_plan(spec, grid, sample_every, cfl)
+    (result,) = simulate_batch([spec], [plan], grid, sample_every, on_block)
+    if isinstance(result, BlowUpError):
         raise result
     return result
 
@@ -708,15 +713,18 @@ def _instability(spec: ProblemSpec, plan: StepPlan, t: float, sample_every: int)
 
 
 def simulate_batch(
-    specs, grid: Grid, sample_every: int = 1, cfl: float = 0.5, on_block: Callable | None = None
+    specs: list[ProblemSpec], plans: list[StepPlan], grid: Grid, sample_every: int, on_block: Callable | None = None
 ) -> list:
-    """Advance several specs from 0 to T as one (rows, N+1) state.
+    """Advance several admitted specs from 0 to T as one (rows, N+1) state.
 
-    The admissible specs must have one batch_key: they share alpha, rho,
-    horizon and linear_mode, and with them the stage times, are all forced
-    or all unforced, and share the step and snapshot stride of their
-    step_plan; a, b, beta and the source may differ. Classical RK4 at
-    fixed dt; snapshots are taken at t = 0, every sample_every h0 of time
+    The caller admits and plans every row, and nothing here checks it: each
+    spec passes validate_assumptions, plans[i] is step_plan(specs[i], grid,
+    sample_every, ...), there are at least one and at most rows_within_cap
+    rows, and they have one batch_key: they share alpha, rho, horizon and
+    linear_mode, and with them the stage times, are all forced or all
+    unforced, and share the step and snapshot stride of their plans; a, b,
+    beta and the source may differ. Classical RK4 at fixed dt; snapshots
+    are taken at t = 0, every sample_every h0 of time
     (every step_plan per_snapshot steps), and at t = T, into a buffer of
     energy.BLOCK snapshots per row. Each time it fills, and at T, the block
     of every live row goes to the row's energy.IntegralPass and then, when
@@ -727,48 +735,23 @@ def simulate_batch(
     row's table is bit for bit the one of its snapshots. Every operation is
     elementwise per row, so each row is bit-identical to its run alone.
 
-    Returns one Trajectory per spec, carrying the spec's own step plan, its
-    integral table and its state at T, or the row's error: ValidationError
-    if the spec fails the admissibility checks, BlowUpError (see
-    _instability) once the row left the finite range (it is then dropped,
-    its blocks so far handed on, and the others carry on; the loop stops
-    when every row has). Raises ConfigError if the admissible specs differ
-    in batch_key or have no step plan, and ResourceLimitError if the
-    batch_bytes of the admissible rows exceeds MEMORY_CAP_BYTES (step_plan
-    refuses a row that does not fit alone, rows_within_cap counts the rest).
+    Returns one Trajectory per spec, carrying its plan, its integral table
+    and its state at T, or the row's BlowUpError (see _instability) once
+    the row left the finite range (it is then dropped, its blocks so far
+    handed on, and the others carry on; the loop stops when every row has).
     """
     from .energy import BLOCK, IntegralPass  # energy imports this module
 
-    specs = list(specs)
-    if not specs:
-        raise ConfigError("simulate_batch needs at least one spec")
     results: list = [None] * len(specs)
-    for i, spec in enumerate(specs):
-        report = validate_assumptions(spec)
-        if not report.ok:
-            results[i] = ValidationError(report)
-    live = [i for i, result in enumerate(results) if result is None]  # spec index of each state row
-    if not live:
-        return results
-    lead = specs[live[0]]
-    plans = {r: step_plan(specs[r], grid, sample_every, cfl) for r in live}
-    plan = plans[live[0]]  # every row steps by the lead's plan; each keeps its own in its Trajectory
-    key = batch_key(lead, plan)
-    if any(batch_key(specs[r], plans[r]) != key for r in live[1:]):
-        raise ConfigError(
-            "simulate_batch: rows must share alpha, rho, horizon, linear_mode, being forced and the step"
-        )
-    fit = rows_within_cap(plan, grid, [specs[r] for r in live])
-    if len(live) > fit:
-        raise ResourceLimitError(f"simulate_batch: {len(live)} rows exceed the memory cap, which holds {fit}")
-
-    T = lead.horizon
+    live = list(range(len(specs)))  # spec index of each state row
+    plan = plans[0]  # every row steps by the first plan; each keeps its own in its Trajectory
+    T = specs[0].horizon
     dt, nsteps, stride = plan.dt, plan.steps, plan.per_snapshot
-    firsts = [initialize(specs[r], grid) for r in live]
+    firsts = [initialize(spec, grid) for spec in specs]
     state = np.array([[first.v for first in firsts], [first.w for first in firsts]])
-    passes = [IntegralPass(specs[r], grid, plan.snapshots) for r in live]
+    passes = [IntegralPass(spec, grid, plan.snapshots) for spec in specs]
     times = np.zeros(BLOCK)  # the block's snapshot times: snapshot j of the run sits at j % BLOCK
-    block = np.empty((2, len(live), BLOCK, grid.n + 1))  # v and w of every row at those times
+    block = np.empty((2, len(specs), BLOCK, grid.n + 1))  # v and w of every row at those times
     block[:, :, 0] = state
     taken = 1
     k, t = 0, 0.0

@@ -456,6 +456,14 @@ class TestCheckDecayBound:
         assert rep.worst_margin == 0.0
         assert rep.first_violation is None
 
+    def test_energy_from_zero_data_fails_against_the_zero_bound(self):
+        # E(0) = 0 makes the bound 0 everywhere: a later E > 0 has ratio inf, and no numpy warning
+        t = np.linspace(0.0, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_decay_bound(series_from(t, [0.0, 0.0, 1e-3, 0.0, 0.0]), make_cert(0.5, 2.0))
+        assert (rep.holds, rep.worst_margin, rep.first_violation) == (False, math.inf, t[2])
+
     def test_true_decay_passes(self):
         t = np.linspace(0.0, 5.0, 51)
         rep = check_decay_bound(series_from(t, np.exp(-0.6 * t)), make_cert(0.5, 1.5))

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -769,7 +770,8 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_beta_beyond_doubles_fails_its_cell_alone(self, tmp_path, capsys, jobs):
-        # mu = 60 shares the batch of mu = 0.1 (at --jobs 2 too) and blows up in it
+        # mu = 60 blows up, in the batch of mu = 0.1 at --jobs 1 and in a worker of its own at
+        # --jobs 2; mu = 1000 is refused before any batch
         base = reference_config(horizon=1.0)
         cfg = {"base": base, "axes": {"mu": [0.1, 60.0, 1000.0]}}
         outdir = tmp_path / "sweep"
@@ -784,10 +786,10 @@ class TestBatchedSweep:
         code, solo = run_simulate(tmp_path, reference_config(horizon=1.0), "--grid-n", "16", outname="solo")
         assert code == 0
         assert outputs_of(solo) == outputs_of(outdir / "cell_0000")
-        if jobs == "1":  # a forked worker's stderr is not captured here
-            err = capsys.readouterr().err
-            assert "[FAIL] beta(T)" in err
-            assert "mowave: numerical instability: the discrete solution left the finite range at t=" in err
+        err = capsys.readouterr().err  # the parent prints every cell's lines, in cell order
+        assert "[FAIL] beta(T)" in err
+        blown = "mowave: numerical instability: the discrete solution left the finite range at t="
+        assert err.index(blown) < err.index("[FAIL] beta(T)")
 
     def test_cells_batch_by_their_step(self, tmp_path, monkeypatch):
         sizes = []
@@ -921,33 +923,66 @@ def test_window_edges_computed_once_per_run_and_certify(tmp_path, monkeypatch, c
         assert len(calls) == 1
 
 
-def test_a_failed_batch_gives_each_of_its_cells_its_exit_code(tmp_path, capsys, monkeypatch):
-    # rho is part of the batch key: a batch per rho, of the two mu cells
-    axes = {"rho": [1.0, 2.0], "mu": [0.0, 0.1]}
-    sweep = write_config(tmp_path, {"base": reference_config(horizon=1.0), "axes": axes}, "sweep.json")
+# the README base at T = 2 over a x b x mu: at --grid-n 32 --cfl 3 the 18 cells of mu 30 and 60 blow up
+SWEEP_27 = {
+    "base": reference_config(horizon=2.0),
+    "axes": {"a": [0.5, 1.0, 2.0], "b": [0.5, 1.0, 4.0], "mu": [0.1, 30.0, 60.0]},
+}
 
-    def run(name):
-        assert main(["sweep", sweep, "--grid-n", "32", "--outdir", str(tmp_path / name)]) == 0
-        with open(tmp_path / name / "sweep.csv", newline="") as fh:
-            return list(csv.DictReader(fh))
 
-    whole = run("whole")
-    capsys.readouterr()
-    real = harness.simulate_batch
+def test_sweep_stderr_is_each_cells_lines_in_cell_order_at_any_jobs(tmp_path, capsys):
+    path = write_config(tmp_path, SWEEP_27, "sweep.json")
+    errs = []
+    for jobs in ("1", "2", "3"):
+        outdir = str(tmp_path / f"jobs{jobs}")
+        assert main(["sweep", path, "--grid-n", "32", "--cfl", "3", "--jobs", jobs, "--outdir", outdir]) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[1] == errs[0] and errs[2] == errs[0]
+    solo = []
+    for idx, (a, b, mu) in enumerate(itertools.product(*SWEEP_27["axes"].values())):
+        cell = reference_config(
+            horizon=2.0,
+            damping={"a": a, "b": b, "rho": 1.0},
+            beta={"variant": "exponential", "beta0": 1.0, "mu": mu},
+        )
+        cell_path = write_config(tmp_path, cell, "cell.json")
+        code = main(["simulate", cell_path, "--grid-n", "32", "--cfl", "3", "--outdir", str(tmp_path / f"solo{idx}")])
+        assert code == (0 if mu == 0.1 else 3)
+        solo.append(capsys.readouterr().err)
+    assert errs[0] == "".join(solo)
+    assert errs[0].count("mowave: numerical instability") == errs[0].count("\n") == 18
 
-    def failing(specs, *args):
-        if specs[0].damping.rho == 2.0:
-            raise mowave.ResourceLimitError("simulate_batch: 2 rows exceed the memory cap, which holds 1")
-        return real(specs, *args)
 
-    monkeypatch.setattr(harness, "simulate_batch", failing)
-    failed = run("failed")
-    assert capsys.readouterr().err == "mowave: simulate_batch: 2 rows exceed the memory cap, which holds 1\n"
-    assert [(r["mu"], r["exit"]) for r in failed if r["rho"] == "2.0"] == [("0.0", "2"), ("0.1", "2")]
-    assert [r for r in failed if r["rho"] == "1.0"] == [r for r in whole if r["rho"] == "1.0"]
-    # cells 0 and 2 are rho = 1.0; cells 1 and 3 wrote no file
-    kept = {k: v for k, v in outputs_of(tmp_path / "whole").items() if k.startswith(("cell_0000", "cell_0002"))}
-    assert kept and {k: v for k, v in outputs_of(tmp_path / "failed").items() if k != "sweep.csv"} == kept
+def test_sweep_reports_refused_cells_in_cell_order(tmp_path, capsys):
+    # cell 1 fails validation (b = -1); cells 2 and 3 have no step plan (a = 1e20), and
+    # cell 3, which fails both, gets the plan's error
+    cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, 1e20], "b": [1.0, -1.0]}}
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--outdir", str(outdir)]) == 0
+    with open(outdir / "sweep.csv", newline="") as fh:
+        assert [r["exit"] for r in csv.DictReader(fh)] == ["0", "2", "2", "2"]
+    plan = (
+        "damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, "
+        "more than the 2**53 whose step times stay exact\n"
+    )
+    first, invalid, *refused = capsys.readouterr().err.split("mowave: ")
+    assert first == "" and refused == [plan, plan]
+    assert invalid.startswith("assumption checks failed:\n") and "[FAIL] damping: b = -1 must be nonnegative\n" in invalid
+
+
+def test_a_sweep_prints_its_workers_violated_bounds_in_cell_order(tmp_path, capsys, monkeypatch):
+    # C = 0.5 < 1 fails every solved cell's bound at t = 0; at --jobs 2, cells 0 and 2 are
+    # solved in two workers, and cell 1 fails validation in this process
+    real = harness.build_certificate
+    monkeypatch.setattr(harness, "build_certificate", lambda *a, **kw: dataclasses.replace(real(*a, **kw), C=0.5))
+    cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, -1.0, 2.0]}}
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--jobs", "2", "--outdir", str(outdir)]) == 0
+    with open(outdir / "sweep.csv", newline="") as fh:
+        assert [r["exit"] for r in csv.DictReader(fh)] == ["4", "2", "4"]
+    violated = r"mowave: decay bound violated: worst margin \S+ first at t = 0\n"
+    report = r"mowave: assumption checks failed:\n(\[\w+\] [^\n]*\n)+"
+    assert re.fullmatch(violated + report + violated, capsys.readouterr().err)
 
 
 def test_a_streamed_trajectory_needs_its_own_solve(tmp_path):
@@ -1192,12 +1227,18 @@ def test_a_run_makes_one_step_plan(tmp_path, plan_calls):
     assert grid["snapshots"] == 1 + math.ceil(grid["steps"] / grid["steps_per_snapshot"])
 
 
-def test_a_sweep_makes_at_most_two_step_plans_per_cell(tmp_path, plan_calls):
-    # one for the flags, one per cell to group it, one per cell in its batch
-    cfg = {"base": reference_config(horizon=0.5), "axes": {"mu": [0.1, 1.0], "rho": [1.0, 2.0]}}
+def test_a_sweep_plans_and_validates_each_cell_once(tmp_path, plan_calls, monkeypatch):
+    # one plan for the flags and one per cell; a validation per cell that has a plan (a = 1e20 has
+    # none); the batch solve neither plans nor validates
+    validated = []
+    real = mowave.model.validate_assumptions
+    for module in (mowave.solver, harness):
+        monkeypatch.setattr(module, "validate_assumptions", lambda spec: validated.append(spec) or real(spec))
+    cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, 1e20], "mu": [0.1, 1.0], "rho": [1.0, 2.0]}}
     outdir = tmp_path / "sweep"
     assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "32", "--outdir", str(outdir)]) == 0
-    assert len(plan_calls) <= 2 * 4 + 1
+    assert len(plan_calls) == 1 + 8
+    assert [spec.damping.a for spec in validated] == [1.0] * 4
 
 
 def test_sweep_rejects_a_too_small_cfl_before_any_cell(tmp_path, capsys):

@@ -43,6 +43,7 @@ from mowave.solver import (
     _rhs_arrays,
     _stages,
     batch_bytes,
+    batch_key,
     coefficient_grids,
     initialize,
     manufactured_forcing,
@@ -70,11 +71,17 @@ def copies(arrays):
     return [array.copy() for array in arrays]  # on_block's arrays are views of buffers the next block reuses
 
 
+def planned_batch(specs, grid, sample_every=1, cfl=0.5, on_block=None):
+    """simulate_batch of specs, each row by its step_plan at sample_every and cfl, as the sweep plans its cells."""
+    plans = [step_plan(spec, grid, sample_every, cfl) for spec in specs]
+    return simulate_batch(specs, plans, grid, sample_every, on_block)
+
+
 def batch_with_snapshots(specs, grid, sample_every=1, cfl=0.5):
     """simulate_batch's results, each paired with the snapshots (times, V, W)
     of its row as on_block handed them on, None for a row that failed."""
     blocks = {}
-    results = simulate_batch(
+    results = planned_batch(
         specs, grid, sample_every, cfl, on_block=lambda i, *block: blocks.setdefault(i, []).append(copies(block))
     )
     return [
@@ -298,10 +305,22 @@ class TestStepPlan:
         with pytest.raises(ConfigError, match=words):
             simulate(readme_spec(**kw), Grid(16))
 
+    def test_simulate_validates_before_it_plans(self):
+        # a = 1e20 has no step plan and b = -1 fails validation: simulate reports the validation
+        spec = readme_spec(a=1e20, b=-1.0)
+        with pytest.raises(ConfigError, match="damping a = 1e\\+20 is too stiff"):
+            step_plan(spec, Grid(16))
+        with pytest.raises(ValidationError) as failed:
+            simulate(spec, Grid(16))
+        assert [check.name for check in failed.value.report.failures] == ["damping"]
+
     def test_rows_of_one_batch_share_the_step(self):
+        # a = 600 takes the damping bound's step, so the sweep batches it apart from a = 1
         specs = [readme_spec(a=a, horizon=0.5) for a in (1.0, 600.0)]
-        with pytest.raises(ConfigError, match="the step"):
-            simulate_batch(specs, Grid(100), sample_every=10, cfl=1.0)
+        g = Grid(100)
+        plans = [step_plan(spec, g, 10, 1.0) for spec in specs]
+        assert [plan.bound for plan in plans] == ["wave", "damping"]
+        assert batch_key(specs[0], plans[0]) != batch_key(specs[1], plans[1])
 
 
 class TestTimeRefinement:
@@ -527,11 +546,12 @@ class TestSimulate:
         # at N = 2000 and T = 0.05, sample_every 2 at cfl 1.0 takes 150 steps and 151 snapshots
         g = Grid(2000)
         specs = [readme_spec(a=a, horizon=0.05, source=source) for a in a_values]
-        simulate_batch(specs, g, 2, 1.0)  # the grid's and numpy's caches, filled before measuring
+        plans = [step_plan(spec, g, 2, 1.0) for spec in specs]
+        simulate_batch(specs, plans, g, 2)  # the grid's and numpy's caches, filled before measuring
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            (first, *_) = simulate_batch(specs, g, 2, 1.0)
+            (first, *_) = simulate_batch(specs, plans, g, 2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -826,7 +846,7 @@ class TestSimulateBatch:
             solo_times.append(solo.value.time)
         calls = []
         monkeypatch.setattr("mowave.solver._rhs_arrays", lambda *args: calls.append(1) or _rhs_arrays(*args))
-        batch = simulate_batch(specs, g, sample_every=10)
+        batch = planned_batch(specs, g, sample_every=10)
         assert all(isinstance(row, BlowUpError) for row in batch)
         assert [row.time for row in batch] == solo_times
         plan = step_plan(specs[0], g, 10)
@@ -845,7 +865,7 @@ class TestSimulateBatch:
             assert V.shape == W.shape == (times.size, 101)
             seen.append((i, float(times[0]), times.size))
 
-        first, blown, last = simulate_batch(specs, g, sample_every=1, on_block=record)
+        first, blown, last = planned_batch(specs, g, sample_every=1, on_block=record)
         assert isinstance(blown, BlowUpError) and round(blown.time / first.dt) == 90
         times = first.times
         assert times.size == last.times.size == 151
@@ -866,17 +886,15 @@ class TestSimulateBatch:
         ],
     )
     def test_rows_must_share_batch_key(self, other):
-        with pytest.raises(ConfigError):
-            simulate_batch([make_spec(horizon=0.5), make_spec(**{"horizon": 0.5, **other})], Grid(16))
-
-    def test_inadmissible_row_returns_its_validation_error(self):
-        specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, -1.0)]
+        # each of these differences puts the second spec in a batch of its own in a sweep
+        specs = [make_spec(horizon=0.5), make_spec(**{"horizon": 0.5, **other})]
         g = Grid(16)
-        good, (bad, _) = batch_with_snapshots(specs, g)
-        assert isinstance(bad, ValidationError) and not bad.report.ok
-        assert_same_run(good, with_snapshots(specs[0], g))
-        with pytest.raises(ValidationError):
-            simulate(specs[1], g)
+        assert batch_key(specs[0], step_plan(specs[0], g)) != batch_key(specs[1], step_plan(specs[1], g))
+
+    def test_inadmissible_spec_raises_its_validation_error(self):
+        with pytest.raises(ValidationError) as failed:
+            simulate(make_spec(damping=DampingParams(a=-1.0, b=1.0, rho=1.0), horizon=0.5), Grid(16))
+        assert not failed.value.report.ok
 
     def test_cap_covers_every_row_of_the_batch(self, monkeypatch):
         specs = [make_spec(damping=DampingParams(a=a, b=1.0, rho=1.0), horizon=0.5) for a in (1.0, 2.0, 3.0)]
@@ -890,15 +908,8 @@ class TestSimulateBatch:
         assert once + per_row == unforced_row_bytes(16) + nsnap * 10 * 8
         monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 3 * per_row - 1)
         assert rows_within_cap(plan, g, specs) == 2
-        with pytest.raises(ResourceLimitError):
-            simulate_batch(specs, g)
         monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 3 * per_row)
         assert rows_within_cap(plan, g, specs) == 3
-        assert len(simulate_batch(specs, g)) == 3
-        # inadmissible rows keep nothing and do not count
-        specs[2] = make_spec(damping=DampingParams(a=-1.0, b=1.0, rho=1.0), horizon=0.5)
-        monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", once + 2 * per_row)
-        assert isinstance(simulate_batch(specs, g)[2], ValidationError)
 
     def test_cap_counts_the_stage_table_rows(self, monkeypatch):
         # a mixed-a batch that would fit the cap if its rows shared one weight row of the table
@@ -919,9 +930,6 @@ class TestSimulateBatch:
         row_forced = row + 8 * (nsnap * 2 + 2 * 65 * 15 + 4 * 15 + 4 * 17)
         once_forced = once + 64 * 17 * 8
         assert rows_within_cap(plan, g, forced) == 1 + (4 * row + once - row_forced - once_forced) // row_forced == 2
-        with pytest.raises(ResourceLimitError, match="3 rows exceed the memory cap, which holds 2$"):
-            simulate_batch(mixed, g)
-        assert all(isinstance(result, Trajectory) for result in simulate_batch(shared, g))
         # a single row has the one weight row
         assert rows_within_cap(plan, g, mixed[:1]) == 4
         monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", row + once)
@@ -936,10 +944,6 @@ class TestSimulateBatch:
         for cap, rows in ((one, 1), (one - 1, 0), (0, 0)):
             monkeypatch.setattr("mowave.solver.MEMORY_CAP_BYTES", cap)
             assert rows_within_cap(plan, g, [spec]) == rows
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigError):
-            simulate_batch([], Grid(16))
 
 
 def assert_matches_reference(snaps, spec, grid, sample_every):
