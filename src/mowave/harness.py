@@ -20,8 +20,8 @@ A failure is raised, never reported where it happens. One translator,
 _diagnosis, turns an error into its exit code and stderr message: a
 ValidationError gives the assumption report, any other MowaveError or an
 OSError its message; a BlowUpError exits 3, the others 2. main prints the
-message of a command's error, and sweep those of its cells, in cell order
-once every cell is done.
+message of a command's error, and sweep those of its cells, each after its
+cell's directory name, in cell order once every cell is done.
 
 main may be called any number of times in one process: the parser is
 built on the first call and reused, and every call parses its argv into a
@@ -31,13 +31,11 @@ The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
-sweep admits each cell once, by its solver.step_plan and then
-validate_assumptions (a cell that either refuses gets its row alone), and
-groups the cells by their solver.batch_key (alpha, rho, horizon,
-linear_mode, forced or not, and the step of that plan, which the damping
-and reaction bounds can make the cell's own). It cuts each group into
-batches of at most ceil(admitted cells/jobs) rows, and of no more than
-solver.rows_within_cap allows, and steps every batch as one state
+sweep admits each cell once, by its solver.step_plan, which validates
+first (a cell that it refuses gets its row alone), and groups the cells by
+their solver.batch_key, which holds the step of that plan. It cuts each
+group into batches of at most ceil(admitted cells/jobs) rows, and of no
+more than solver.rows_within_cap allows, and steps every batch as one state
 (solver.simulate_batch) by its cells' plans. When min(jobs, batches) is
 more than one, that many children are forked (_fork_map): batch i goes to
 child i mod that count, and each child sends its rows back through a pipe.
@@ -185,6 +183,8 @@ def verify_manifest(manifest_path) -> list[str]:
             problems.append(f"{name}: entry is not a JSON object")
         elif not target.exists():
             problems.append(f"{name}: missing")
+        elif not target.is_file():
+            problems.append(f"{name}: not a file")
         elif _sha256(target) != entry.get("sha256"):
             problems.append(f"{name}: checksum mismatch")
         elif target.stat().st_size != entry.get("bytes"):
@@ -264,10 +264,11 @@ def run_simulation(
         traj = solution
         if traj is None:
             traj = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl, on_block=stream)
-        if len(traj.times) < 3:
+        if len(traj.times) < 3:  # at --sample-every 1, only a finer grid (a smaller h0) or a longer T adds one
+            remedy = "lower --sample-every" if sample_every > 1 else "raise --grid-n (or T)"
             raise ConfigError(
                 f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
-                "the identity checks need at least 3: lower --sample-every"
+                f"the identity checks need at least 3: {remedy}"
             )
 
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
@@ -477,6 +478,9 @@ def cmd_convergence(args) -> int:
         errors, rates, plus = [], [], []
         for n in ns:
             traj = simulate(study_spec, Grid(n), sample_every=1, cfl=cfl)
+            if len(traj.times) < 3:
+                remedy = "the identity checks need at least 3: raise the smallest --grid-n (or T)"
+                raise ConfigError(f"the {name} study stored {len(traj.times)} snapshots at --grid-n {n}; {remedy}")
             identity = multiplier_identity_residual(traj, lam=0.1, phi_rate=0.1)
             errors.append(_l2_error(traj, v_exact))
             rates.append(identity.residual_rate)
@@ -687,9 +691,9 @@ def cmd_sweep(args) -> int:
         base = spec_from_dict(sweep_cfg["base"])
     except ConfigError as exc:
         raise ConfigError(f"sweep base config invalid: {exc}") from exc
-    # checked once: --grid-n, --sample-every, --cfl and the base's table; stiffness and a k cell's h0 are per cell
+    # checked once, unadmitted since the axes may override the base: the flags and the base's table
     grid = Grid(args.grid_n)
-    step_plan(base, grid, args.sample_every, args.cfl, stiff=False)
+    step_plan(base, grid, args.sample_every, args.cfl, admit=False)
 
     names = sorted(axes)
     value_lists = []
@@ -717,10 +721,7 @@ def cmd_sweep(args) -> int:
         try:
             spec = spec_from_dict(cfg)
             plan = step_plan(spec, grid, args.sample_every, args.cfl)
-            report = validate_assumptions(spec)
-            if not report.ok:
-                raise ValidationError(report)
-        except MowaveError as exc:  # a bad config, a bound past 2**53 steps, a table past the cap, or inadmissible
+        except MowaveError as exc:  # a bad config, inadmissible, a bound past 2**53 steps, or a table past the cap
             code, message = _diagnosis(exc)
             rows.append((_sweep_row(cfg, code), [message]))
             continue
@@ -754,9 +755,9 @@ def cmd_sweep(args) -> int:
     for batch, batch_rows in zip(batches, solved):
         for cell, row in zip(batch, batch_rows):
             rows[cell["index"]] = row
-    for _, messages in rows:  # in cell order, whatever --jobs and the batches were
+    for idx, (_, messages) in enumerate(rows):  # in cell order, whatever --jobs and the batches were
         for message in messages:
-            _err(message)
+            _err(f"cell_{idx:04d}: {message}")
 
     lines = [",".join(_SWEEP_COLUMNS)]
     for row, _ in rows:

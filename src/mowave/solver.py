@@ -10,7 +10,7 @@ c_yy = drift^2 - 1/alpha^2 and c_y = y (2 (alpha'/alpha)^2 - alpha''/alpha);
 the tests re-derive them, and coefficient_grids evaluates their factors of t.
 The characteristic speeds (y alpha' +/- 1)/alpha are real and distinct while
 y alpha' < 1, so (A1), sup alpha' < 1, keeps the operator hyperbolic with
-margin 1 - sup alpha'; a spec is stepped only once it passes validation.
+margin 1 - sup alpha'; step_plan validates a spec before it can step.
 As a first-order system in (v, w) = (v, v_t) on the uniform reference grid
 y_i = i/N:
 
@@ -276,17 +276,13 @@ class StepPlan(NamedTuple):
 
 def _reaction_rate(spec: ProblemSpec, grid: Grid) -> float:
     """sqrt(b + (rho+1) beta(0) |v0|^rho), v0 the state initialize returns;
-    sqrt(b) in linear mode. A term that is not positive, or a rho that is
-    not (an inadmissible spec), is left out; a term past the doubles makes
-    the rate infinite."""
-    b, rho = spec.damping.b, spec.damping.rho
-    rate2 = b if b > 0.0 else 0.0
-    if not spec.linear_mode and rho > 0.0:
+    sqrt(b) in linear mode. The spec is admitted, so b >= 0, rho > 0 and
+    beta(0) > 0; a term past the doubles makes the rate infinite."""
+    rate2 = spec.damping.b
+    if not spec.linear_mode:
         peak = np.max(np.abs(initialize(spec, grid).v))
-        with np.errstate(over="ignore", invalid="ignore"):  # unvalidated data, and beta'(0) that eval also makes
-            term = (rho + 1.0) * spec.beta.eval(0.0)[0] * peak**rho
-        if term > 0.0:
-            rate2 += term
+        with np.errstate(over="ignore", invalid="ignore"):  # peak**rho, and beta'(0) that eval also makes
+            rate2 += (spec.damping.rho + 1.0) * spec.beta.eval(0.0)[0] * peak**spec.damping.rho
     return math.sqrt(rate2)
 
 
@@ -295,10 +291,8 @@ def _stiffness_bounds(spec: ProblemSpec, grid: Grid) -> list[tuple[float, str, s
     reaction bound dt rate <= REACTION_LIMIT, each as the cfl at which dt
     reaches it; who names the bound in an error."""
     per_dt = _s_max(spec) / grid.dy  # cfl per unit of dt
-    bounds = []
     a = spec.damping.a
-    if a > 0.0:
-        bounds.append((DAMPING_LIMIT / a * per_dt, "damping", f"damping a = {a!r} is too stiff"))
+    bounds = [(DAMPING_LIMIT / a * per_dt, "damping", f"damping a = {a!r} is too stiff")]
     rate = _reaction_rate(spec, grid)
     if rate > 0.0:
         who = f"reaction rate sqrt(b + (rho+1) beta(0) |v0|^rho) = {rate:.6g} is too stiff"
@@ -322,13 +316,14 @@ def _steps_to(horizon: float, dt: float, who: str) -> int:
 
 
 def step_plan(
-    spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5, stiff: bool = True
+    spec: ProblemSpec, grid: Grid, sample_every: int = 1, cfl: float = 0.5, admit: bool = True
 ) -> StepPlan:
-    """The step, the step count and the snapshot stride of one run.
+    """The step, the step count and the snapshot stride of one run, once
+    validate_assumptions admits its spec (else ValidationError, first).
 
     Snapshots are sample_every h0 apart in time, h0 = step_size at cfl 0.5,
     whatever the step. The step is capped at the cfl c (plan.cfl), the smallest
-    of cfl and (when stiff) the damping and reaction bounds, and divides a snapshot
+    of cfl and the damping and reaction bounds, and divides a snapshot
     interval into m = ceil(sample_every / (2 c)) whole steps: dt =
     step_size(cfl = sample_every / (2 m)). At cfl 0.5 that is m =
     sample_every and the cfl 0.5 step, bit for bit. Raises ConfigError,
@@ -336,7 +331,14 @@ def step_plan(
     than 2**53 steps. It alone admits a run's memory: ResourceLimitError when
     batch_bytes of one row with no snapshots, checked before any array of the
     grid exists, or with the plan's snapshots exceeds MEMORY_CAP_BYTES.
+    admit=False skips the validation and the stiffness bounds, checking only
+    the flags and the wave plan of a spec that never steps: the sweep's base,
+    which its axes may override. Only an admit=True plan shows admission.
     """
+    if admit:
+        report = validate_assumptions(spec)
+        if not report.ok:
+            raise ValidationError(report)
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
     step_size(spec, grid, cfl)  # rejects a cfl that is not positive and finite
@@ -346,7 +348,7 @@ def step_plan(
             f"grid N = {grid.n} needs about {need} bytes for a stage table, the stage buffers, "
             f"a snapshot block and the integral pass (cap {MEMORY_CAP_BYTES}); lower N"
         )
-    caps = [(cfl, "wave", f"cfl {cfl!r} is too small"), *(_stiffness_bounds(spec, grid) if stiff else ())]
+    caps = [(cfl, "wave", f"cfl {cfl!r} is too small"), *(_stiffness_bounds(spec, grid) if admit else ())]
     c, bound, who = min(caps, key=lambda cap: cap[0])  # the first of equal caps
     _steps_to(spec.horizon, step_size(spec, grid, c) if c > 0.0 else 0.0, who)  # dt at the cap
     num, den = c.as_integer_ratio()
@@ -656,13 +658,10 @@ def simulate(
     """Advance one spec from 0 to T: the batch of one of simulate_batch, whose
     on_block this passes on (its row index is 0).
 
-    Raises ValidationError if the spec fails the admissibility checks, then
-    step_plan's ConfigError or ResourceLimitError (its memory refusal), and
-    BlowUpError when the solution leaves the finite range.
+    Raises step_plan's errors, its ValidationError first, then its
+    ConfigError or ResourceLimitError (its memory refusal), and BlowUpError
+    when the solution leaves the finite range.
     """
-    report = validate_assumptions(spec)
-    if not report.ok:
-        raise ValidationError(report)
     plan = step_plan(spec, grid, sample_every, cfl)
     (result,) = simulate_batch([spec], [plan], grid, sample_every, on_block)
     if isinstance(result, BlowUpError):
@@ -717,15 +716,13 @@ def simulate_batch(
 ) -> list:
     """Advance several admitted specs from 0 to T as one (rows, N+1) state.
 
-    The caller admits and plans every row, and nothing here checks it: each
-    spec passes validate_assumptions, plans[i] is step_plan(specs[i], grid,
-    sample_every, ...), there are at least one and at most rows_within_cap
-    rows, and they have one batch_key: they share alpha, rho, horizon and
-    linear_mode, and with them the stage times, are all forced or all
-    unforced, and share the step and snapshot stride of their plans; a, b,
-    beta and the source may differ. Classical RK4 at fixed dt; snapshots
-    are taken at t = 0, every sample_every h0 of time
-    (every step_plan per_snapshot steps), and at t = T, into a buffer of
+    The caller admits and plans every row, and nothing here checks it:
+    plans[i] is step_plan(specs[i], grid, sample_every, ...), which admitted
+    specs[i], there are at least one and at most rows_within_cap rows, and
+    they have one batch_key, and with it one step and one set of stage
+    times; a, b, beta and the source may differ. Classical RK4 at fixed
+    dt; snapshots are taken at t = 0, every sample_every h0 of time (every
+    step_plan per_snapshot steps), and at t = T, into a buffer of
     energy.BLOCK snapshots per row. Each time it fills, and at T, the block
     of every live row goes to the row's energy.IntegralPass and then, when
     given, to on_block(i, times, V, W): i is the spec's index in specs,

@@ -464,6 +464,11 @@ CLI_FAILURES = {
         ["simulate", "c.json", "--grid-n", "16", "--outdir", "out"],
         {"c.json": _cfg(horizon=0.05)},
     ),
+    # at --sample-every 1 only a finer grid (a smaller h0) or a longer T stores more snapshots
+    "simulate-too-few-snapshots-at-sample-every-1": (
+        ["simulate", "c.json", "--grid-n", "16", "--sample-every", "1", "--outdir", "out"],
+        {"c.json": _cfg(horizon=0.01)},
+    ),
     "simulate-grid-n": (["simulate", "c.json", "--grid-n", "4", "--outdir", "out"], {"c.json": README_CONFIG}),
     "simulate-grid-n-huge": (
         ["simulate", "c.json", "--grid-n", "1000000000000", "--outdir", "out"],
@@ -573,6 +578,7 @@ CLI_FAILURES = {
         ["convergence", "c.json", "--grid-n", "50,1000000000000"],
         {"c.json": README_CONFIG},
     ),
+    "convergence-too-few-snapshots": (["convergence", "c.json", "--grid-n", "8,16"], {"c.json": _cfg(horizon=0.001)}),
     "convergence-grid-n-repeated-of-three": (
         ["convergence", "c.json", "--grid-n", "16,16,32"],
         {"c.json": _cfg(horizon=0.25)},
@@ -672,7 +678,11 @@ CLI_FAILURES = {
 # memory cap came to bound one count of everything a batch allocates (the
 # stage table, buffers, snapshot block, integral table and the integral
 # pass's temporaries) in place of a working-memory and a snapshot cap;
-# sweep-cells-over-snapshot-cap came to exit 2 before any cell when step_plan came to refuse the base's table
+# sweep-cells-over-snapshot-cap came to exit 2 before any cell when step_plan came to refuse the base's table;
+# sweep-cells-fail, sweep-cell-damping-steps-past-2-53 and sweep-cell-certificate-bound-overflow
+# changed when each sweep stderr line came to name its cell (cell_XXXX);
+# simulate-too-few-snapshots-at-sample-every-1 and convergence-too-few-snapshots came in
+# when a run of fewer than 3 snapshots came to name a remedy that can help
 CLI_FAILURE_RESULTS = {
     'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
     'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[FAIL] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -699,6 +709,7 @@ CLI_FAILURE_RESULTS = {
     'convergence-grid-n-too-small': (2, '', 'mowave: grid: N must be >= 8, got 4\n'),
     'convergence-missing-file': (2, '', "mowave: cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
     'convergence-snapshot-cap': (2, '', 'mowave: run would keep about 576000096 bytes of snapshot integrals, 579688552 bytes in all (cap 268435456); raise sample_every\n'),
+    'convergence-too-few-snapshots': (2, '', 'mowave: the manufactured study stored 2 snapshots at --grid-n 8; the identity checks need at least 3: raise the smallest --grid-n (or T)\n'),
     'convergence-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'simulate-A1': (2, '', "mowave: assumption checks failed:\n[FAIL] A1: AffineAlpha: requires sup α'(t)<1, got sup alpha' = 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 2.71828, beta'(T) = 0.271828 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
     'simulate-A2': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: ExponentialBeta: mu = -0.5 < 0 makes beta decreasing\n[pass] beta(T): beta(T) = 0.00673795, beta'(T) = -0.00336897 at T = 10\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -722,16 +733,17 @@ CLI_FAILURE_RESULTS = {
     'simulate-snapshot-cap': (2, '', 'mowave: run would keep about 336000080 bytes of snapshot integrals, 337657064 bytes in all (cap 268435456); raise sample_every\n'),
     'simulate-empty-window': (0, 'wrote out/energy.csv; empty lambda window: lambda_lo = 1 exceeds lambda_hi = 0.638897; lambda_fit 0.725207\n', ''),
     'simulate-too-few-snapshots': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 10; the identity checks need at least 3: lower --sample-every\n'),
+    'simulate-too-few-snapshots-at-sample-every-1': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 1; the identity checks need at least 3: raise --grid-n (or T)\n'),
     'simulate-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
     'sweep-axes-not-an-object': (2, '', "mowave: sweep config: 'axes' must be an object of axis -> value list\n"),
     'sweep-axis-empty': (2, '', "mowave: sweep axis 'rho' must be a nonempty list\n"),
     'sweep-axis-not-a-list': (2, '', "mowave: sweep axis 'mu' must be a nonempty list\n"),
     'sweep-axis-not-a-number': (2, '', "mowave: sweep axis 'mu': expected a number, got None\n"),
     'sweep-base-invalid': (2, '', "mowave: sweep base config invalid: config: unknown keys ['extra']\n"),
-    'sweep-cell-damping-steps-past-2-53': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
-    'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: numerical instability: the discrete solution left the finite range at t=0.0261976, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 2.38493e+11 E(0); the step dt = 0.0012475 was set by the damping bound from the data at t = 0: lower --cfl below 0.0299401\n"),
+    'sweep-cell-damping-steps-past-2-53': (0, 'wrote out/sweep.csv (2 cells)\n', 'mowave: cell_0001: damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, more than the 2**53 whose step times stay exact\n'),
+    'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: cell_0000: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: cell_0001: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: cell_0003: numerical instability: the discrete solution left the finite range at t=0.0261976, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 2.38493e+11 E(0); the step dt = 0.0012475 was set by the damping bound from the data at t = 0: lower --cfl below 0.0299401\n"),
     'sweep-cells-over-snapshot-cap': (2, '', 'mowave: run would keep about 336000080 bytes of snapshot integrals, 337657064 bytes in all (cap 268435456); raise sample_every\n'),
-    'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
+    'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: cell_0000: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'sweep-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),

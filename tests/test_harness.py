@@ -617,7 +617,7 @@ class TestBatchedSweep:
         assert [r["exit"] for r in rows if (r["k"], r["rho"]) == ("0.2", "3.0")] == ["0", "3"]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("mowave: numerical instability: the discrete solution left the finite range at t=")
+        assert err.startswith("mowave: cell_0003: numerical instability: the discrete solution left the finite range at t=")
         assert err.endswith("was set by the reaction bound from the data at t = 0: lower --cfl below 0.3125\n")
         expected = outputs_of(serial)
         assert len(expected) == 1 + 7 * 4
@@ -787,8 +787,8 @@ class TestBatchedSweep:
         assert code == 0
         assert outputs_of(solo) == outputs_of(outdir / "cell_0000")
         err = capsys.readouterr().err  # the parent prints every cell's lines, in cell order
-        assert "[FAIL] beta(T)" in err
-        blown = "mowave: numerical instability: the discrete solution left the finite range at t="
+        assert "mowave: cell_0002: assumption checks failed:\n" in err and "[FAIL] beta(T)" in err
+        blown = "mowave: cell_0001: numerical instability: the discrete solution left the finite range at t="
         assert err.index(blown) < err.index("[FAIL] beta(T)")
 
     def test_cells_batch_by_their_step(self, tmp_path, monkeypatch):
@@ -823,10 +823,11 @@ class TestBatchedSweep:
         with open(outdir / "sweep.csv", newline="") as fh:
             assert [r["exit"] for r in csv.DictReader(fh)] == ["3", "2"]
         assert capsys.readouterr().err == (
-            "mowave: numerical instability: the discrete solution left the finite range at t=0.0416667, although "
+            "mowave: cell_0000: numerical instability: the discrete solution left the finite range at t=0.0416667, "
+            "although "
             "the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 1.73611e+297 E(0); "
             "the step dt = 0.0208333 was set by the wave bound from the data at t = 0: lower --cfl below 1\n"
-            "mowave: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
+            "mowave: cell_0001: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
             "on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"
         )
 
@@ -948,14 +949,15 @@ def test_sweep_stderr_is_each_cells_lines_in_cell_order_at_any_jobs(tmp_path, ca
         cell_path = write_config(tmp_path, cell, "cell.json")
         code = main(["simulate", cell_path, "--grid-n", "32", "--cfl", "3", "--outdir", str(tmp_path / f"solo{idx}")])
         assert code == (0 if mu == 0.1 else 3)
-        solo.append(capsys.readouterr().err)
+        solo.append(capsys.readouterr().err.replace("mowave: ", f"mowave: cell_{idx:04d}: "))
     assert errs[0] == "".join(solo)
-    assert errs[0].count("mowave: numerical instability") == errs[0].count("\n") == 18
+    assert errs[0].count("mowave: numerical instability") == 0
+    assert len(re.findall(r"^mowave: cell_\d{4}: numerical instability", errs[0], re.M)) == errs[0].count("\n") == 18
 
 
 def test_sweep_reports_refused_cells_in_cell_order(tmp_path, capsys):
-    # cell 1 fails validation (b = -1); cells 2 and 3 have no step plan (a = 1e20), and
-    # cell 3, which fails both, gets the plan's error
+    # cells 1 and 3 fail validation (b = -1); cells 2 and 3 have no step plan (a = 1e20), and
+    # cell 3, which fails both, gets the assumption report, as simulate gives it
     cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, 1e20], "b": [1.0, -1.0]}}
     outdir = tmp_path / "sweep"
     assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--outdir", str(outdir)]) == 0
@@ -965,9 +967,12 @@ def test_sweep_reports_refused_cells_in_cell_order(tmp_path, capsys):
         "damping a = 1e+20 is too stiff: dt = 2.5e-20 gives about 2e+19 steps to T, "
         "more than the 2**53 whose step times stay exact\n"
     )
-    first, invalid, *refused = capsys.readouterr().err.split("mowave: ")
-    assert first == "" and refused == [plan, plan]
-    assert invalid.startswith("assumption checks failed:\n") and "[FAIL] damping: b = -1 must be nonnegative\n" in invalid
+    first, *lines = capsys.readouterr().err.split("mowave: ")
+    assert first == "" and [line[:11] for line in lines] == ["cell_0001: ", "cell_0002: ", "cell_0003: "]
+    assert lines[1][11:] == plan
+    for invalid in (lines[0][11:], lines[2][11:]):
+        assert invalid.startswith("assumption checks failed:\n") and "[FAIL] damping: b = -1 must be nonnegative\n" in invalid
+
 
 
 def test_a_sweep_prints_its_workers_violated_bounds_in_cell_order(tmp_path, capsys, monkeypatch):
@@ -980,9 +985,10 @@ def test_a_sweep_prints_its_workers_violated_bounds_in_cell_order(tmp_path, caps
     assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--jobs", "2", "--outdir", str(outdir)]) == 0
     with open(outdir / "sweep.csv", newline="") as fh:
         assert [r["exit"] for r in csv.DictReader(fh)] == ["4", "2", "4"]
-    violated = r"mowave: decay bound violated: worst margin \S+ first at t = 0\n"
-    report = r"mowave: assumption checks failed:\n(\[\w+\] [^\n]*\n)+"
-    assert re.fullmatch(violated + report + violated, capsys.readouterr().err)
+    violated = r"decay bound violated: worst margin \S+ first at t = 0\n"
+    report = r"assumption checks failed:\n(\[\w+\] [^\n]*\n)+"
+    lines = "mowave: cell_0000: " + violated + "mowave: cell_0001: " + report + "mowave: cell_0002: " + violated
+    assert re.fullmatch(lines, capsys.readouterr().err)
 
 
 def test_a_streamed_trajectory_needs_its_own_solve(tmp_path):
@@ -1119,6 +1125,7 @@ def test_verify_manifest_reports_a_manifest_of_the_wrong_shape(tmp_path, manifes
         ("not-json", "cannot read manifest: "),
         ("config", "config_hash does not match the embedded config"),
         ("missing", "energy.csv: missing"),
+        ("directory", "energy.csv: not a file"),
         ("bytes", "energy.csv: size mismatch"),
     ],
 )
@@ -1132,6 +1139,9 @@ def test_verify_manifest_names_what_no_longer_matches(tmp_path, edit, problem):
         path.write_text("{not json")
     elif edit == "missing":
         energy.unlink()
+    elif edit == "directory":  # reported, never opened
+        energy.unlink()
+        energy.mkdir()
     else:
         if edit == "config":
             manifest["config"]["horizon"] = 2.0
@@ -1228,8 +1238,8 @@ def test_a_run_makes_one_step_plan(tmp_path, plan_calls):
 
 
 def test_a_sweep_plans_and_validates_each_cell_once(tmp_path, plan_calls, monkeypatch):
-    # one plan for the flags and one per cell; a validation per cell that has a plan (a = 1e20 has
-    # none); the batch solve neither plans nor validates
+    # one plan for the flags, which does not validate, and one per cell, which validates first (a = 1e20
+    # too, which then has no plan); the batch solve neither plans nor validates
     validated = []
     real = mowave.model.validate_assumptions
     for module in (mowave.solver, harness):
@@ -1238,7 +1248,7 @@ def test_a_sweep_plans_and_validates_each_cell_once(tmp_path, plan_calls, monkey
     outdir = tmp_path / "sweep"
     assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "32", "--outdir", str(outdir)]) == 0
     assert len(plan_calls) == 1 + 8
-    assert [spec.damping.a for spec in validated] == [1.0] * 4
+    assert [spec.damping.a for spec in validated] == [1.0] * 4 + [1e20] * 4
 
 
 def test_sweep_rejects_a_too_small_cfl_before_any_cell(tmp_path, capsys):
@@ -1260,33 +1270,51 @@ def test_sweep_refuses_a_base_table_past_the_cap_before_any_cell(tmp_path, capsy
     assert not outdir.exists()
 
 
-def test_a_manufactured_rate_that_overflows_is_refused_as_input(tmp_path, capsys):
-    # rate^2 of rate = 1e300 overflows whatever the step: each command prints the assumption
-    # report, and a sweep cell records exit 2, before any source is made
-    cfg = reference_config(
-        beta={"variant": "constant", "c": 1.0},
-        alpha={"variant": "constant"},
-        horizon=0.1,
-        manufactured={"amp": 1.0, "rate": 1e300, "mode": 1},
-    )
+@pytest.mark.parametrize(
+    "cfg, axes, failed",
+    [
+        (  # rate^2 of rate = 1e300 overflows whatever the step: refused before any source is made
+            reference_config(
+                beta={"variant": "constant", "c": 1.0},
+                alpha={"variant": "constant"},
+                horizon=0.1,
+                manufactured={"amp": 1.0, "rate": 1e300, "mode": 1},
+            ),
+            {"a": [1.0]},
+            "[FAIL] source: rate = 1e+300: rate^2, rate (rate - a) + b or 2 rate - a overflows a double\n",
+        ),
+        (  # b = -1 fails validation and a = 1e20 has no step plan: each command validates first
+            reference_config(horizon=0.5, damping={"a": 1e20, "b": -1.0, "rho": 1.0}),
+            {"b": [-1.0]},
+            "[FAIL] damping: b = -1 must be nonnegative\n",
+        ),
+    ],
+    ids=["manufactured-rate-overflows", "fails-validation-and-plan"],
+)
+def test_an_inadmissible_input_gets_the_same_report_from_every_command(tmp_path, capsys, cfg, axes, failed):
+    # certify, simulate and convergence exit 2 and the one sweep cell records exit 2, each with
+    # the one assumption report (the sweep's after its cell's name)
     path = write_config(tmp_path, cfg)
-    sweep = write_config(tmp_path, {"base": cfg, "axes": {"a": [1.0]}}, "sweep.json")
+    sweep = write_config(tmp_path, {"base": cfg, "axes": axes}, "sweep.json")
     commands = [
         (["certify", path], 2),
         (["simulate", path, "--grid-n", "8", "--cfl", "0.3", "--outdir", str(tmp_path / "run")], 2),
         (["convergence", path, "--grid-n", "8,16", "--cfl", "0.3"], 2),
         (["sweep", sweep, "--grid-n", "8", "--cfl", "0.3", "--outdir", str(tmp_path / "sweep")], 0),
     ]
+    reports = []
     for argv, exit_code in commands:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == exit_code, argv
         err = capsys.readouterr().err
-        assert err.startswith("mowave: assumption checks failed:\n") and err.count("mowave: ") == 1, argv
-        assert err.endswith("[FAIL] source: rate = 1e+300: rate^2, rate (rate - a) + b or 2 rate - a overflows a double\n"), argv
+        prefix = "mowave: cell_0000: " if argv[0] == "sweep" else "mowave: "
+        assert err.startswith(prefix + "assumption checks failed:\n") and err.count("mowave: ") == 1, argv
+        assert failed in err, argv
+        reports.append(err.removeprefix(prefix))
+    assert reports == [reports[0]] * len(commands)
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
         assert [r["exit"] for r in csv.DictReader(fh)] == ["2"]
-
 
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
