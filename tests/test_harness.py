@@ -824,8 +824,7 @@ class TestBatchedSweep:
             assert [r["exit"] for r in csv.DictReader(fh)] == ["3", "2"]
         assert capsys.readouterr().err == (
             "mowave: cell_0000: numerical instability: the discrete solution left the finite range at t=0.0416667, "
-            "although "
-            "the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 1.73611e+297 E(0); "
+            "although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 1.73611e+297 E(0); "
             "the step dt = 0.0208333 was set by the wave bound from the data at t = 0: lower --cfl below 1\n"
             "mowave: cell_0001: certificate: beta'' beta - beta'^2 of the polynomial beta overflows a double "
             "on [0, T], so lambda_lo cannot be computed; scale the coefficients down\n"
@@ -951,7 +950,6 @@ def test_sweep_stderr_is_each_cells_lines_in_cell_order_at_any_jobs(tmp_path, ca
         assert code == (0 if mu == 0.1 else 3)
         solo.append(capsys.readouterr().err.replace("mowave: ", f"mowave: cell_{idx:04d}: "))
     assert errs[0] == "".join(solo)
-    assert errs[0].count("mowave: numerical instability") == 0
     assert len(re.findall(r"^mowave: cell_\d{4}: numerical instability", errs[0], re.M)) == errs[0].count("\n") == 18
 
 
@@ -972,7 +970,6 @@ def test_sweep_reports_refused_cells_in_cell_order(tmp_path, capsys):
     assert lines[1][11:] == plan
     for invalid in (lines[0][11:], lines[2][11:]):
         assert invalid.startswith("assumption checks failed:\n") and "[FAIL] damping: b = -1 must be nonnegative\n" in invalid
-
 
 
 def test_a_sweep_prints_its_workers_violated_bounds_in_cell_order(tmp_path, capsys, monkeypatch):
