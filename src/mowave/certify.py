@@ -60,8 +60,7 @@ build_certificate reports them with C at lambda_hi, the fastest rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -69,8 +68,7 @@ from .errors import ConfigError, UnsupportedConfigError
 from .model import AlphaFamily, BetaFamily, DampingParams
 
 
-@dataclass(frozen=True)
-class CertCondition:
+class CertCondition(NamedTuple):
     """One scalar inequality at the chosen lambda; value is the slack."""
 
     name: str
@@ -78,8 +76,7 @@ class CertCondition:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class DecayCertificate:
+class DecayCertificate(NamedTuple):
     branch: str  # "standard" (b > 0) or "remark1" (b = 0)
     lambda_lo: float
     lambda_hi: float
@@ -105,8 +102,7 @@ class DecayCertificate:
         return self.C * e0 * np.exp(-self.lam * np.asarray(times, dtype=float))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     holds: bool
     worst_margin: float
     first_violation: Optional[float]

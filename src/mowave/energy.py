@@ -46,7 +46,7 @@ row, so either form may be used in the endpoint integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ def first_derivative(values: np.ndarray, dy: float) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class SnapshotIntegrals:
+class SnapshotIntegrals(NamedTuple):
     """Everything the checks use at each snapshot, one (nsnap,) array per field.
 
     ut2, ux2, u2, uut and nl are int u_t^2, int u_x^2, int u^2, int u u_t and
@@ -102,7 +101,7 @@ class SnapshotIntegrals:
 
 def table_columns(forced: bool) -> list[str]:
     """The SnapshotIntegrals fields an IntegralPass fills: all, or all but fut and fu when unforced."""
-    return [f.name for f in fields(SnapshotIntegrals) if forced or f.name not in ("fut", "fu")]
+    return [name for name in SnapshotIntegrals._fields if forced or name not in ("fut", "fu")]
 
 
 class IntegralPass:
@@ -167,8 +166,7 @@ def snapshot_integrals(spec: ProblemSpec, grid: Grid, times, V, W) -> SnapshotIn
     return run.table()
 
 
-@dataclass(frozen=True)
-class EnergySeries:
+class EnergySeries(NamedTuple):
     """Energy of a run at its snapshot times, one (nsnap,) array per column.
 
     E = int (1/2 u_t^2 + 1/2 u_x^2 + b/2 u^2 + beta/(rho+2) |u|^(rho+2)) dx
@@ -220,7 +218,7 @@ def write_energy_csv(series: EnergySeries, path, bound=None) -> None:
     formatted and written WRITE_CHUNK at a time, so memory does not grow
     with the series.
     """
-    columns = [getattr(series, f.name) for f in fields(EnergySeries)]
+    columns = list(series)
     end = ",\n"  # the bound column left empty
     if bound is not None:
         columns.append(bound)
@@ -271,15 +269,13 @@ def energy_rate_residual(traj: Trajectory) -> float:
 # multiplier identity
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
+class IdentityTerm(NamedTuple):
     name: str
     group: str
     value: float
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Term-by-term evaluation of the multiplier identity plus the rate defect.
 
     residual_plu is the signed sum of every term; it vanishes for exact

@@ -61,7 +61,6 @@ import pickle
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +180,9 @@ def verify_manifest(manifest_path) -> list[str]:
             problems.append(f"{name}: not a file of the run directory")
         elif not isinstance(entry, dict):
             problems.append(f"{name}: entry is not a JSON object")
-        elif not target.exists():
+        elif not os.path.lexists(target):
             problems.append(f"{name}: missing")
-        elif not target.is_file():
+        elif target.is_symlink() or not target.is_file():  # never read through a link
             problems.append(f"{name}: not a file")
         elif _sha256(target) != entry.get("sha256"):
             problems.append(f"{name}: checksum mismatch")
@@ -464,7 +463,7 @@ def cmd_convergence(args) -> int:
     if len(set(ns)) < len(ns):
         raise ConfigError(f"--grid-n sizes must differ for observed orders, got {args.grid_n!r}")
     if spec.source is None:
-        spec = replace(spec, source=ManufacturedField())
+        spec = spec._replace(source=ManufacturedField())
 
     studies = [
         ("manufactured", spec, exact_reference_fields(spec.source, spec)[0]),
@@ -506,7 +505,7 @@ def cmd_convergence(args) -> int:
 
 def _having(section: str, field: str) -> tuple[str, ...]:
     """The variants of a config section whose class in model.FAMILIES has the field."""
-    return tuple(variant for variant, cls in FAMILIES[section].items() if field in cls.__dataclass_fields__)
+    return tuple(variant for variant, cls in FAMILIES[section].items() if field in cls._fields)
 
 
 # sweep axis -> (config section, field, base variants that have the field; None: any)
@@ -838,5 +837,13 @@ def main(argv=None) -> int:
         return code
 
 
+def entry() -> int:
+    """main for a process that exits next (python -m mowave, the mowave script), then gc.freeze(): its
+    exit runs no cycle collection over the frozen objects. main may run again in-process; it does not."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

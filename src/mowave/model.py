@@ -10,12 +10,12 @@ u_t(x,0) = u1. This module holds the parameter families (damping constants,
 growth weights beta, expansion laws alpha, initial data shapes), the
 admissibility checks, and the strict JSON config parser used by the CLI.
 
-Each family is one frozen dataclass, and that class is its only definition:
+Each family is one frozen Record, and that class is its only definition:
 
   - @config_section gives it its config section and, for the beta, alpha
     and init families, its variant name, under which it enters FAMILIES,
     the {section: {variant: class}} registry;
-  - its dataclass fields are its config keys, and a field without a default
+  - its fields (Record) are its config keys, and a field without a default
     is a required key. The shared __post_init__ checks every field by its
     annotation (float: a finite number, int: an integer, tuple: a list of
     finite numbers); the class adds its own range checks;
@@ -30,7 +30,8 @@ Each family is one frozen dataclass, and that class is its only definition:
     family carries sup_prime() and max_length(T).
 
 spec_from_dict and spec_to_dict walk FAMILIES and the fields, so a new
-family is one new class and nothing else.
+family is one new class and nothing else. Records with no checks, such as
+AssumptionCheck, are typing.NamedTuple classes.
 
 Families are closed-form by construction, so suprema such as sup alpha'
 and sup beta'/beta are exact and every config serializes losslessly.
@@ -53,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,21 +92,65 @@ _FIELD_CHECKS = {"float": _finite, "int": _integer, "tuple[float, ...]": _number
 FAMILIES: dict[str, dict[str, type]] = {"beta": {}, "alpha": {}, "init": {}}
 
 
+class Record:
+    """Base of the frozen records whose fields are checked or converted when made (the families,
+    ProblemSpec, solver.Grid, ReferenceState, Trajectory): the methods of a frozen dataclass, written
+    once, and _replace for dataclasses.replace. The fields are the names annotated in the class body
+    (_fields), a class attribute of that name a default (_field_defaults); a class that annotates none
+    keeps its base's. __post_init__, which __init__ calls, checks them and may reset them in __dict__."""
+
+    _fields: tuple[str, ...] = ()
+    _field_defaults: dict = {}
+
+    def __init_subclass__(cls):
+        if "__annotations__" in cls.__dict__:
+            cls._fields = tuple(cls.__dict__["__annotations__"])
+            cls._field_defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._field_defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or kwargs.keys() - set(names[len(args) :]) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {names}, got {len(args)} by position and {sorted(kwargs)}")
+        self.__dict__.update((name, values[name]) for name in names)
+        self.__post_init__()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._astuple()))})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._astuple())), **changes})
+
+
 def config_section(section: str, variant: str | None = None):
-    """Class decorator: a parameter dataclass of config section `section`.
+    """Class decorator: a parameter record of config section `section`.
 
     Records the section, the variant and the class's field table (config
-    keys, required keys, and each field's check) once, and enters a class
-    with a variant in FAMILIES.
+    keys, required keys, and each field's check by its annotation) once,
+    and enters a class with a variant in FAMILIES.
     """
 
     def register(cls):
-        table = fields(cls)
         cls.section, cls.variant = section, variant
-        cls._checks = tuple((f.name, f"{section}.{f.name}", _FIELD_CHECKS[f.type]) for f in table)
+        types = cls.__dict__.get("__annotations__", {})
+        cls._checks = tuple((name, f"{section}.{name}", _FIELD_CHECKS[types[name]]) for name in cls._fields)
         tag = set() if variant is None else {"variant"}
-        cls._allowed = tag | {f.name for f in table}
-        cls._required = tag | {f.name for f in table if f.default is MISSING}
+        cls._allowed = tag | set(cls._fields)
+        cls._required = tag | (set(cls._fields) - cls._field_defaults.keys())
         if variant is not None:
             FAMILIES[section][variant] = cls
         return cls
@@ -113,25 +158,18 @@ def config_section(section: str, variant: str | None = None):
     return register
 
 
-class _Params:
-    """Base of the parameter dataclasses: checks every field by its annotation.
+class _Params(Record):
+    """Base of the parameter records: checks every field by its annotation.
 
-    @config_section sets the class attributes below.
-    """
-
-    section: str
-    variant: str | None
-    _checks: tuple  # (field, "section.field", check) for each field
-    _allowed: set  # the config keys
-    _required: set  # the config keys without a default
+    @config_section sets section, variant and the field table: _checks, (field, "section.field",
+    check) for each field; _allowed, the config keys; _required, those without a default."""
 
     def __post_init__(self):
         for name, where, check in self._checks:
-            object.__setattr__(self, name, check(getattr(self, name), where))
+            self.__dict__[name] = check(getattr(self, name), where)
 
 
 @config_section("damping")
-@dataclass(frozen=True)
 class DampingParams(_Params):
     """Constant coefficients of the equation: a u_t + b u + beta|u|^rho u."""
 
@@ -140,8 +178,7 @@ class DampingParams(_Params):
     rho: float
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
+class AssumptionCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -178,7 +215,6 @@ class BetaFamily(_Params):
 
 
 @config_section("beta", "constant")
-@dataclass(frozen=True)
 class ConstantBeta(BetaFamily):
     """beta(t) = c."""
 
@@ -197,7 +233,6 @@ class ConstantBeta(BetaFamily):
 
 
 @config_section("beta", "exponential")
-@dataclass(frozen=True)
 class ExponentialBeta(BetaFamily):
     """beta(t) = beta0 * exp(mu t)."""
 
@@ -230,7 +265,6 @@ class ExponentialBeta(BetaFamily):
 
 
 @config_section("beta", "polynomial")
-@dataclass(frozen=True)
 class PolynomialBeta(BetaFamily):
     """beta(t) = coeffs[0] + coeffs[1] t + ... (ascending powers)."""
 
@@ -374,7 +408,6 @@ class AlphaFamily(_Params):
 
 
 @config_section("alpha", "constant")
-@dataclass(frozen=True)
 class ConstantAlpha(AlphaFamily):
     """alpha(t) = 1, the cylindrical baseline."""
 
@@ -389,7 +422,6 @@ class ConstantAlpha(AlphaFamily):
 
 
 @config_section("alpha", "affine")
-@dataclass(frozen=True)
 class AffineAlpha(AlphaFamily):
     """alpha(t) = 1 + k t."""
 
@@ -414,7 +446,6 @@ class AffineAlpha(AlphaFamily):
 
 
 @config_section("alpha", "saturating")
-@dataclass(frozen=True)
 class SaturatingAlpha(AlphaFamily):
     """alpha(t) = 1 + k (1 - exp(-t/tau)), expanding toward 1 + k."""
 
@@ -454,7 +485,6 @@ class InitialData(_Params):
 
 
 @config_section("init", "sine")
-@dataclass(frozen=True)
 class SineMode(InitialData):
     """u0 = amp_u0 sin(m pi y), u1 = amp_u1 sin(m pi y) on the reference interval."""
 
@@ -476,7 +506,6 @@ class SineMode(InitialData):
 
 
 @config_section("init", "bump")
-@dataclass(frozen=True)
 class Bump(InitialData):
     """Compactly supported C-infinity bump, zero velocity.
 
@@ -512,7 +541,6 @@ class Bump(InitialData):
 
 
 @config_section("init", "samples")
-@dataclass(frozen=True)
 class GridSamples(InitialData):
     """Raw nodal values of u0 and u1; lengths must match the grid (N+1)."""
 
@@ -550,7 +578,6 @@ class GridSamples(InitialData):
 
 
 @config_section("manufactured")
-@dataclass(frozen=True)
 class ManufacturedField(_Params):
     """Descriptor of the exact field u(x,t) = amp sin(mode pi x / alpha(t)) e^(-rate t).
 
@@ -573,8 +600,7 @@ class ManufacturedField(_Params):
 # the aggregate problem spec
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """Everything a run needs: coefficients, domain motion, data, horizon.
 
     linear_mode disables the nonlinear term entirely (beta treated as zero).
@@ -592,7 +618,7 @@ class ProblemSpec:
     linear_mode: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", _finite(self.horizon, "horizon"))
+        self.__dict__["horizon"] = _finite(self.horizon, "horizon")
 
     def beta_at(self, t):
         """(beta(t), beta'(t)) as the solver sees it, at a float or an array of times: zero in linear_mode."""
@@ -605,8 +631,7 @@ class ProblemSpec:
 # admissibility checks
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[AssumptionCheck, ...]
 
     @property

@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -92,7 +91,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUpError, ConfigError, ResourceLimitError, ValidationError
-from .model import AlphaFamily, ManufacturedField, ProblemSpec, on_times, validate_assumptions
+from .model import AlphaFamily, ManufacturedField, ProblemSpec, Record, on_times, validate_assumptions
 
 if TYPE_CHECKING:
     from .energy import SnapshotIntegrals
@@ -126,8 +125,7 @@ def simpson_weights(n: int, dy: float) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform reference grid with N intervals (N+1 nodes), N >= 8."""
 
     n: int
@@ -155,8 +153,7 @@ class Grid:
         return w
 
 
-@dataclass(frozen=True)
-class ReferenceState:
+class ReferenceState(Record):
     """One state (t, v, w) on the reference grid, as initialize returns it,
     a Trajectory keeps it at T and energy.boundary_flux takes it; arrays
     are frozen copies."""
@@ -172,13 +169,10 @@ class ReferenceState:
             raise ConfigError("state: v and w must be one-dimensional and equal-length")
         v.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
+        self.__dict__.update(t=float(self.t), v=v, w=w)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """What one run keeps: the step plan it used, its energy.SnapshotIntegrals
     table (every integral the checks read, one entry per snapshot time) and
     its final state at T. The snapshots themselves pass through simulate_batch

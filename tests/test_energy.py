@@ -2,7 +2,6 @@
 
 import csv
 import math
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,7 +50,7 @@ def one_snapshot_energy(state, spec, grid, paper_literal=False):
     """Energy and its addends at one state, as floats: the one-snapshot EnergySeries."""
     table = snapshot_integrals(spec, grid, [state.t], state.v[None], state.w[None])
     series = EnergySeries.from_table(table, spec, paper_literal)
-    return SimpleNamespace(**{f.name: float(getattr(series, f.name)[0]) for f in fields(EnergySeries)})
+    return SimpleNamespace(**{name: float(column[0]) for name, column in zip(EnergySeries._fields, series)})
 
 
 def sine_state(grid, amp=1.0, t=0.0):
@@ -250,10 +249,10 @@ class TestSnapshotIntegrals:
         assert traj.times.size == 145
         table = snapshot_integrals(traj.spec, traj.grid, *snaps)
         assert traj.integrals is traj.integrals
-        for field in fields(SnapshotIntegrals):
-            shared = getattr(traj.integrals, field.name)
-            assert shared.tobytes() == getattr(table, field.name).tobytes(), field.name
-            assert not shared.flags.writeable, field.name  # every check reads this one table
+        for name in SnapshotIntegrals._fields:
+            shared = getattr(traj.integrals, name)
+            assert shared.tobytes() == getattr(table, name).tobytes(), name
+            assert not shared.flags.writeable, name  # every check reads this one table
 
     def test_the_checks_of_a_run_share_one_pass(self, monkeypatch):
         passes = []

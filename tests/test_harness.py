@@ -1,14 +1,16 @@
 """End-to-end CLI behavior: exit codes, outputs, manifests, determinism."""
 
 import csv
-import dataclasses
 import errno
+import gc
 import hashlib
+import importlib
 import itertools
 import json
 import math
 import os
 import re
+import runpy
 import signal
 import subprocess
 import sys
@@ -74,7 +76,7 @@ class TestSimulate:
     def test_violated_bound_exits_4_with_every_output(self, tmp_path, capsys, monkeypatch):
         # a certificate with C = 0.5 < 1 that E(0) itself exceeds
         real = harness.build_certificate
-        monkeypatch.setattr(harness, "build_certificate", lambda *a, **kw: dataclasses.replace(real(*a, **kw), C=0.5))
+        monkeypatch.setattr(harness, "build_certificate", lambda *a, **kw: real(*a, **kw)._replace(C=0.5))
         code, outdir = run_simulate(tmp_path, reference_config())
         assert code == 4
         assert re.fullmatch(r"mowave: decay bound violated: worst margin \S+ first at t = 0\n", capsys.readouterr().err)
@@ -532,7 +534,7 @@ class TestSweep:
             if section == "damping":
                 assert variants is None
                 continue
-            having = [v for v, cls in mowave.FAMILIES[section].items() if field in cls.__dataclass_fields__]
+            having = [v for v, cls in mowave.FAMILIES[section].items() if field in cls._fields]
             assert list(variants) == having
 
     def test_empty_window_cell_recorded(self, tmp_path):
@@ -976,7 +978,7 @@ def test_a_sweep_prints_its_workers_violated_bounds_in_cell_order(tmp_path, caps
     # C = 0.5 < 1 fails every solved cell's bound at t = 0; at --jobs 2, cells 0 and 2 are
     # solved in two workers, and cell 1 fails validation in this process
     real = harness.build_certificate
-    monkeypatch.setattr(harness, "build_certificate", lambda *a, **kw: dataclasses.replace(real(*a, **kw), C=0.5))
+    monkeypatch.setattr(harness, "build_certificate", lambda *a, **kw: real(*a, **kw)._replace(C=0.5))
     cfg = {"base": reference_config(horizon=0.5), "axes": {"a": [1.0, -1.0, 2.0]}}
     outdir = tmp_path / "sweep"
     assert main(["sweep", write_config(tmp_path, cfg), "--grid-n", "16", "--jobs", "2", "--outdir", str(outdir)]) == 0
@@ -1016,6 +1018,49 @@ def test_module_entry_point_prints_what_main_prints(tmp_path, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
 
 
+@pytest.mark.parametrize("entry_point", ["python -m mowave", "console script"])
+def test_a_process_entry_point_freezes_once_after_main_returns(tmp_path, monkeypatch, capsys, entry_point):
+    # the objects are frozen so that the exit runs no cycle collection over them
+    path = write_config(tmp_path, reference_config(horizon=10.0))
+    events, real = [], harness.main
+
+    def recorded_main(argv=None):
+        events.append(("main", real(argv)))
+        return events[-1][1]
+
+    monkeypatch.setattr(harness, "main", recorded_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["mowave", "certify", path])
+    if entry_point == "console script":
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        module, name = re.search(r'^mowave = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        code = getattr(importlib.import_module(module), name)()
+    else:
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("mowave", run_name="__main__")
+        code = exited.value.code
+    assert (code, events) == (0, [("main", 0), "freeze"])
+    assert '"branch": "standard"' in capsys.readouterr().out
+
+
+def test_main_in_process_never_freezes(tmp_path, monkeypatch, capsys):
+    # main may run again in its process (perfbench's screen, these tests); a --jobs 1 sweep forks nothing
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    path = write_config(tmp_path, reference_config(horizon=0.5))
+    sweep = write_config(tmp_path, {"base": reference_config(horizon=0.5), "axes": {"mu": [0.1, 0.2]}}, "sweep.json")
+    codes = [
+        main(argv)
+        for argv in (
+            ["certify", path],
+            ["simulate", path, "--grid-n", "16", "--outdir", str(tmp_path / "run")],
+            ["convergence", path, "--grid-n", "16,32"],  # exits 6: N = 16 is too coarse for order 1.8
+            ["sweep", sweep, "--grid-n", "16", "--outdir", str(tmp_path / "sweep")],
+        )
+    ]
+    assert (codes, frozen) == ([0, 0, 6, 0], [])
+
+
 def test_a_run_whose_energy_and_bound_reach_zero_writes_nothing_on_stderr(tmp_path):
     # E is exactly 0 from t = 75.3 and the certificate curve C E(0) exp(-lambda t) underflows to 0
     # from t = 116.9, so the bound check meets 0/0
@@ -1051,6 +1096,11 @@ def test_cli_paths_do_not_import_sympy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
     )
     assert run_fresh(script)[-1] == "[]"
+
+
+def test_import_generates_no_dataclass_code():
+    # the records are NamedTuples and model.Record subclasses; numpy does not import dataclasses either
+    assert run_fresh("import sys, mowave; print('dataclasses' in sys.modules)")[-1] == "False"
 
 
 def test_import_does_not_load_the_process_pool():
@@ -1161,6 +1211,24 @@ def test_verify_manifest_rejects_an_output_outside_the_run_directory(tmp_path, w
     manifest = {"config": {}, "config_hash": harness.config_hash({}), "outputs": {name: entry}}
     (run / "manifest.json").write_text(json.dumps(manifest))
     assert verify_manifest(run / "manifest.json") == [f"{name}: not a file of the run directory"]
+
+
+@pytest.mark.parametrize("target", ["../outside.txt", "copy.csv", "gone.csv"])
+def test_verify_manifest_reports_a_symlinked_output_and_never_reads_it(tmp_path, monkeypatch, target):
+    # a link whose target matches the manifest entry, outside the run directory or inside it, or a dangling one
+    run = tmp_path / "run"
+    run.mkdir()
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an output of the run\n")
+    (run / "copy.csv").write_bytes(outside.read_bytes())
+    (run / "energy.csv").symlink_to(target)
+    entry = {"sha256": harness._sha256(outside), "bytes": outside.stat().st_size}
+    manifest = {"config": {}, "config_hash": harness.config_hash({}), "outputs": {"energy.csv": entry}}
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    read = []
+    monkeypatch.setattr(harness, "_sha256", read.append)
+    assert verify_manifest(run / "manifest.json") == ["energy.csv: not a file"]
+    assert read == []
 
 
 @pytest.mark.parametrize(

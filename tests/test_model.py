@@ -1,6 +1,6 @@
 import math
+import pickle
 import re
-from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -433,15 +433,16 @@ def _section_of(draw, cls, variant=None):
     """A config section for cls: every field drawn by its type, defaults sometimes left out."""
     n = draw(st.integers(2, 5))  # one length for every list field: GridSamples pairs u0 and u1
     section = {} if variant is None else {"variant": variant}
-    for f in fields(cls):
-        if f.default is not MISSING and draw(st.booleans()):
+    for name in cls._fields:
+        if name in cls._field_defaults and draw(st.booleans()):
             continue
-        if f.type == "float":
-            section[f.name] = draw(st.floats(allow_nan=False, allow_infinity=False))
-        elif f.type == "int":
-            section[f.name] = draw(st.integers(1, 50))
+        kind = cls.__annotations__[name]
+        if kind == "float":
+            section[name] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        elif kind == "int":
+            section[name] = draw(st.integers(1, 50))
         else:
-            section[f.name] = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+            section[name] = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
     return section
 
 
@@ -505,6 +506,54 @@ class TestRegistry:
             section, variant, names = (cell.strip() for cell in line.strip("|").split("|")[:3])
             rows.append((section, variant.strip("`"), tuple(re.findall(r"`(\w+)`", names))))
         assert rows == [
-            (section, variant, tuple(f.name for f in fields(FAMILIES[section][variant])))
+            (section, variant, FAMILIES[section][variant]._fields)
             for section, variant in REGISTERED
         ]
+
+
+# ---------------------------------------------------------------------------
+# records: frozen, compared by class and fields
+
+
+class TestRecords:
+    def test_a_field_cannot_be_assigned_or_deleted(self):
+        spec = make_spec()
+        check = validate_assumptions(spec).checks[0]
+        for record, name in ((spec, "horizon"), (spec.damping, "a"), (spec.alpha, "k"), (check, "passed")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2.0)
+        for record, name in ((spec, "horizon"), (spec.beta, "mu")):
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert (spec.horizon, spec.damping.a, spec.alpha.k, spec.beta.mu) == (10.0, 1.0, 0.5, 0.1)
+
+    def test_families_of_different_classes_with_equal_values_are_unequal(self):
+        class WiderAlpha(AffineAlpha):
+            pass
+
+        assert DampingParams(0.5, 0.25, 1.0) != Bump(0.5, 0.25, 1.0)
+        assert WiderAlpha(k=0.5) != AffineAlpha(k=0.5)
+        assert AffineAlpha(k=0.5) == AffineAlpha(0.5) and hash(AffineAlpha(k=0.5)) == hash(AffineAlpha(0.5))
+        assert ConstantAlpha() == ConstantAlpha() and ConstantAlpha() != ConstantBeta()
+        assert {make_spec(): 1}[make_spec()] == 1
+
+    def test_fields_defaults_and_repr(self):
+        assert SaturatingAlpha._fields == ("k", "tau") and SaturatingAlpha._field_defaults == {"tau": 1.0}
+        assert repr(SaturatingAlpha(k=0.5)) == "SaturatingAlpha(k=0.5, tau=1.0)"
+        assert ProblemSpec._fields[-2:] == ("source", "linear_mode")
+        for args, kwargs in (((0.5,), {"k": 0.5}), ((), {"tau": 2.0}), ((), {"k": 0.5, "width": 1.0}), ((1, 2, 3), {})):
+            with pytest.raises(TypeError):
+                SaturatingAlpha(*args, **kwargs)
+
+    def test_replace_makes_the_record_anew(self):
+        spec = make_spec()
+        assert spec._replace(horizon=3) == make_spec(horizon=3.0)
+        assert type(spec._replace(horizon=3).horizon) is float
+        with pytest.raises(ConfigError, match="horizon: expected a number"):
+            spec._replace(horizon="3")
+        assert spec == make_spec()
+
+    def test_records_pickle(self):
+        spec = make_spec(source=ManufacturedField(), beta=PolynomialBeta(coeffs=(1.0, 0.5)))
+        report = validate_assumptions(spec)
+        assert pickle.loads(pickle.dumps((spec, report))) == (spec, report)

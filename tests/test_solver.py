@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from mowave import (
     exact_reference_fields,
     simulate,
     snapshot_integrals,
+    spec_from_dict,
+    spec_to_dict,
 )
 from mowave.energy import BLOCK
 from mowave.solver import (
@@ -323,6 +324,25 @@ class TestStepPlan:
         plans = [step_plan(spec, g, 10, 1.0) for spec in specs]
         assert [plan.bound for plan in plans] == ["wave", "damping"]
         assert batch_key(specs[0], plans[0]) != batch_key(specs[1], plans[1])
+
+    def test_equal_specs_give_equal_batch_keys(self):
+        # spec.alpha is compared by class and fields: a rebuilt spec finds its batch, an affine alpha
+        # with k = 0, equal to the constant one in value, does not
+        spec, g = readme_spec(horizon=0.5), Grid(100)
+        plan = step_plan(spec, g, 10, 1.0)
+        rebuilt = spec_from_dict(spec_to_dict(spec))
+        assert rebuilt is not spec and rebuilt.alpha is not spec.alpha
+        groups = {batch_key(spec, plan): "spec"}
+        assert groups[batch_key(rebuilt, step_plan(rebuilt, g, 10, 1.0))] == "spec"
+        cylinder, affine = (spec._replace(alpha=alpha) for alpha in (ConstantAlpha(), AffineAlpha(k=0.0)))
+        assert batch_key(cylinder, plan) != batch_key(affine, plan)
+
+    def test_a_grid_computes_its_nodes_and_weights_once(self):
+        g = Grid(16)
+        assert g.y is g.y and g.quad_weights is g.quad_weights
+        assert g == Grid(16) and g != Grid(32)
+        with pytest.raises(AttributeError):
+            g.n = 32
 
 
 class TestTimeRefinement:
@@ -616,9 +636,9 @@ def assert_same_run(batch_row, solo):
     assert ours.dt == theirs.dt
     for mine, other in zip(snaps, solo_snaps):
         assert mine.tobytes() == other.tobytes()
-    for field in fields(SnapshotIntegrals):
-        mine, other = getattr(ours.integrals, field.name), getattr(theirs.integrals, field.name)
-        assert (mine is None and other is None) or mine.tobytes() == other.tobytes(), field.name
+    for name in SnapshotIntegrals._fields:
+        mine, other = getattr(ours.integrals, name), getattr(theirs.integrals, name)
+        assert (mine is None and other is None) or mine.tobytes() == other.tobytes(), name
     assert ours.final.v.tobytes() == theirs.final.v.tobytes() and ours.final.w.tobytes() == theirs.final.w.tobytes()
 
 

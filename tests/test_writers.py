@@ -8,7 +8,6 @@ must not grow with the series.
 
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ ROW_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
 def joined_energy_csv(series, bound=None) -> str:
     rows = ["t,E,kinetic,gradient,restoring,nonlinear,flux,bound"]
-    columns = [getattr(series, f.name) for f in fields(EnergySeries)]
+    columns = [getattr(series, name) for name in EnergySeries._fields]
     for i, cells in enumerate(zip(*columns)):
         text = [repr(float(c)) for c in cells]
         text.append(repr(float(bound[i])) if bound is not None else "")
