@@ -583,14 +583,16 @@ def _fork_map(fn, items: list, workers: int) -> list:
     sends nothing, is a MowaveError. Children still running when this
     process leaves early (an interrupt, a failed fork) are killed.
 
-    The objects that exist at the fork stay frozen (gc.freeze): no cycle
-    collection passes over them again, in a child, where it would copy every
-    page they share, or in this process, whose exit then skips them.
+    The objects that exist at the fork are frozen (gc.freeze), so that no
+    cycle collection in a child passes over them and copies every page they
+    share. Once every child is reaped they are unfrozen again, unless the
+    caller had frozen objects before: its collections go on as before.
     """
     sys.stdout.flush()  # else each child, which flushes before it leaves, would write it again
     sys.stderr.flush()
     children, reaped = [], 0  # (pid, read end of its pipe) in child order; how many are reaped
     results, error = [None] * len(items), None
+    frozen = gc.get_freeze_count()
     gc.freeze()
     try:
         for w in range(workers):
@@ -633,6 +635,8 @@ def _fork_map(fn, items: list, workers: int) -> list:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
+        if not frozen:
+            gc.unfreeze()
     if error is not None:
         raise error
     return results

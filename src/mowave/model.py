@@ -12,9 +12,10 @@ admissibility checks, and the strict JSON config parser used by the CLI.
 
 Each family is one frozen Record, and that class is its only definition:
 
-  - @config_section gives it its config section and, for the beta, alpha
-    and init families, its variant name, under which it enters FAMILIES,
-    the {section: {variant: class}} registry;
+  - its class statement names its config section, or its variant, under
+    which it enters FAMILIES, the {section: {variant: class}} registry:
+    class ConstantBeta(BetaFamily, variant="constant") takes the section
+    of class BetaFamily(_Params, section="beta");
   - its fields (Record) are its config keys, and a field without a default
     is a required key. The shared __post_init__ checks every field by its
     annotation (float: a finite number, int: an integer, tuple: a list of
@@ -85,10 +86,10 @@ def _numbers(values, where: str) -> tuple[float, ...]:
     return tuple(_finite(v, where) for v in values)
 
 
-# field annotation -> its check; a field of any other type is an error at import
+# field annotation -> its check; a field of any other type is an error when its class is made
 _FIELD_CHECKS = {"float": _finite, "int": _integer, "tuple[float, ...]": _numbers}
 
-# section -> {variant: family class}, filled by @config_section in definition order
+# section -> {variant: family class}, filled by _Params.__init_subclass__ in definition order
 FAMILIES: dict[str, dict[str, type]] = {"beta": {}, "alpha": {}, "init": {}}
 
 
@@ -136,41 +137,31 @@ class Record:
         return type(self)(**{**dict(zip(self._fields, self._astuple())), **changes})
 
 
-def config_section(section: str, variant: str | None = None):
-    """Class decorator: a parameter record of config section `section`.
-
-    Records the section, the variant and the class's field table (config
-    keys, required keys, and each field's check by its annotation) once,
-    and enters a class with a variant in FAMILIES.
-    """
-
-    def register(cls):
-        cls.section, cls.variant = section, variant
-        types = cls.__dict__.get("__annotations__", {})
-        cls._checks = tuple((name, f"{section}.{name}", _FIELD_CHECKS[types[name]]) for name in cls._fields)
-        tag = set() if variant is None else {"variant"}
-        cls._allowed = tag | set(cls._fields)
-        cls._required = tag | (set(cls._fields) - cls._field_defaults.keys())
-        if variant is not None:
-            FAMILIES[section][variant] = cls
-        return cls
-
-    return register
-
-
 class _Params(Record):
-    """Base of the parameter records: checks every field by its annotation.
+    """Base of the parameter records, whose class statement names its config section and variant:
+    class BetaFamily(_Params, section="beta"), class ConstantBeta(BetaFamily, variant="constant").
 
-    @config_section sets section, variant and the field table: _checks, (field, "section.field",
-    check) for each field; _allowed, the config keys; _required, those without a default."""
+    A class inherits its base's section; one with a variant enters FAMILIES under it. _checks holds
+    (field, "section.field", check by its annotation) for each field, and __post_init__ runs them."""
+
+    section = variant = None
+    _checks = ()
+
+    def __init_subclass__(cls, section=None, variant=None):
+        super().__init_subclass__()
+        cls.section, cls.variant = section or cls.section, variant
+        if "__annotations__" in cls.__dict__:
+            types = cls.__dict__["__annotations__"]
+            cls._checks = tuple((name, f"{cls.section}.{name}", _FIELD_CHECKS[types[name]]) for name in cls._fields)
+        if variant is not None:
+            FAMILIES[cls.section][variant] = cls
 
     def __post_init__(self):
         for name, where, check in self._checks:
             self.__dict__[name] = check(getattr(self, name), where)
 
 
-@config_section("damping")
-class DampingParams(_Params):
+class DampingParams(_Params, section="damping"):
     """Constant coefficients of the equation: a u_t + b u + beta|u|^rho u."""
 
     a: float
@@ -199,7 +190,7 @@ def on_times(values, times) -> np.ndarray:
     return out
 
 
-class BetaFamily(_Params):
+class BetaFamily(_Params, section="beta"):
     """The weight beta(t) of the nonlinear term; eval(t) = (beta(t), beta'(t))."""
 
     def check_range(self, T: float) -> AssumptionCheck:
@@ -214,8 +205,7 @@ class BetaFamily(_Params):
         return AssumptionCheck("beta(T)", True, detail)
 
 
-@config_section("beta", "constant")
-class ConstantBeta(BetaFamily):
+class ConstantBeta(BetaFamily, variant="constant"):
     """beta(t) = c."""
 
     c: float = 1.0
@@ -232,8 +222,7 @@ class ConstantBeta(BetaFamily):
         return AssumptionCheck("A2", True, f"ConstantBeta: beta = {self.c:g} > 0, beta' = 0")
 
 
-@config_section("beta", "exponential")
-class ExponentialBeta(BetaFamily):
+class ExponentialBeta(BetaFamily, variant="exponential"):
     """beta(t) = beta0 * exp(mu t)."""
 
     beta0: float = 1.0
@@ -264,8 +253,7 @@ class ExponentialBeta(BetaFamily):
         return super().check_range(T)
 
 
-@config_section("beta", "polynomial")
-class PolynomialBeta(BetaFamily):
+class PolynomialBeta(BetaFamily, variant="polynomial"):
     """beta(t) = coeffs[0] + coeffs[1] t + ... (ascending powers)."""
 
     coeffs: tuple[float, ...]
@@ -311,8 +299,8 @@ class PolynomialBeta(BetaFamily):
         # no candidate can exceed the supremum.
         scale = T if math.isfinite(T) else 1.0
         c = (np.asarray(self.coeffs) * scale ** np.arange(len(self.coeffs)))[::-1]
-        d1 = np.polyder(c)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            d1 = np.polyder(c)
             num = np.polysub(np.polymul(np.polyder(d1), c), np.polymul(d1, d1))
         if not np.isfinite(num).all():
             raise UnsupportedConfigError(
@@ -337,8 +325,11 @@ class PolynomialBeta(BetaFamily):
             )
         if all(c >= 0.0 for c in self.coeffs):
             return AssumptionCheck("A2", True, f"{name}: all coefficients >= 0, constant term > 0")
-        d = np.trim_zeros(np.polyder(np.array(self.coeffs[::-1])), "f")  # beta', descending powers
-        if np.abs(d).max() > _SPAN * abs(d[0]):
+        # beta' in descending powers, over a power of two when some |c_k| >= 2^1014 (k >= 1), which keeps
+        # its sign: then each |k c_k| < 2^1018, and no sum of its 16 terms that _negative_at forms overflows
+        c = np.array(self.coeffs[::-1])
+        d = np.trim_zeros(np.polyder(np.ldexp(c, min(0, 1014 - math.frexp(np.abs(c[:-1]).max())[1]))), "f")
+        if np.abs(d).max() / _SPAN > abs(d[0]):
             return AssumptionCheck(
                 "A2", False, f"{name}: the coefficients of beta' span more than {_SPAN:g}, too far apart to find its roots"
             )
@@ -375,7 +366,7 @@ def _negative_at(d: np.ndarray) -> float | None:
         return 0.0
     n = d.size
     runs = (d[i:j] for i in range(n) for j in range(i + 2, n + 1))  # d itself among them
-    roots = np.concatenate([np.roots(run) for run in runs if np.abs(run).max() <= _SPAN * abs(run[0])])
+    roots = np.concatenate([np.roots(run) for run in runs if np.abs(run).max() / _SPAN <= abs(run[0])])
     ends = np.unique(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)])
     rounding = 4 * n * sys.float_info.epsilon
     for t in (0.5 * np.concatenate(([0.0], ends[:-1])) + 0.5 * ends).tolist():
@@ -391,7 +382,7 @@ def _negative_at(d: np.ndarray) -> float | None:
 # alpha families
 
 
-class AlphaFamily(_Params):
+class AlphaFamily(_Params, section="alpha"):
     """The domain length alpha(t); eval(t) = (alpha, alpha', alpha'')."""
 
     def max_length(self, T: float) -> float:
@@ -407,8 +398,7 @@ class AlphaFamily(_Params):
         return AssumptionCheck("A1", True, f"{name}: alpha(0)=1, sup alpha' = {sup:g} < 1")
 
 
-@config_section("alpha", "constant")
-class ConstantAlpha(AlphaFamily):
+class ConstantAlpha(AlphaFamily, variant="constant"):
     """alpha(t) = 1, the cylindrical baseline."""
 
     def eval(self, t):
@@ -421,8 +411,7 @@ class ConstantAlpha(AlphaFamily):
         return AssumptionCheck("A1", True, "alpha = 1 (cylindrical), sup alpha' = 0")
 
 
-@config_section("alpha", "affine")
-class AffineAlpha(AlphaFamily):
+class AffineAlpha(AlphaFamily, variant="affine"):
     """alpha(t) = 1 + k t."""
 
     k: float
@@ -445,8 +434,7 @@ class AffineAlpha(AlphaFamily):
         return self._check_sup(self.k, f"{self.k:g}")
 
 
-@config_section("alpha", "saturating")
-class SaturatingAlpha(AlphaFamily):
+class SaturatingAlpha(AlphaFamily, variant="saturating"):
     """alpha(t) = 1 + k (1 - exp(-t/tau)), expanding toward 1 + k."""
 
     k: float
@@ -480,12 +468,11 @@ class SaturatingAlpha(AlphaFamily):
 # initial data
 
 
-class InitialData(_Params):
+class InitialData(_Params, section="init"):
     """u0 and u1 on the reference interval; sample(y) = (u0, u1) at the nodes y."""
 
 
-@config_section("init", "sine")
-class SineMode(InitialData):
+class SineMode(InitialData, variant="sine"):
     """u0 = amp_u0 sin(m pi y), u1 = amp_u1 sin(m pi y) on the reference interval."""
 
     m: int = 1
@@ -505,8 +492,7 @@ class SineMode(InitialData):
         return AssumptionCheck("init", True, f"SineMode m={self.m} vanishes at both endpoints")
 
 
-@config_section("init", "bump")
-class Bump(InitialData):
+class Bump(InitialData, variant="bump"):
     """Compactly supported C-infinity bump, zero velocity.
 
     u0(y) = amp * exp(1 - 1/(1 - s^2)) with s = (y - center)/width inside
@@ -540,8 +526,7 @@ class Bump(InitialData):
         return AssumptionCheck("init", True, f"Bump supported in [{lo:g}, {hi:g}]")
 
 
-@config_section("init", "samples")
-class GridSamples(InitialData):
+class GridSamples(InitialData, variant="samples"):
     """Raw nodal values of u0 and u1; lengths must match the grid (N+1)."""
 
     u0: tuple[float, ...]
@@ -577,8 +562,7 @@ class GridSamples(InitialData):
 # manufactured forcing descriptor
 
 
-@config_section("manufactured")
-class ManufacturedField(_Params):
+class ManufacturedField(_Params, section="manufactured"):
     """Descriptor of the exact field u(x,t) = amp sin(mode pi x / alpha(t)) e^(-rate t).
 
     The field vanishes on both boundaries of the moving interval for every t,
@@ -713,7 +697,8 @@ def _take(section, allowed, required, where):
 
 def _from_section(cls, section):
     """An instance of cls from its config section: its fields, plus the variant tag."""
-    sec = _take(section, cls._allowed, cls._required, cls.section)
+    keys = cls._fields if cls.variant is None else ("variant", *cls._fields)
+    sec = _take(section, keys, set(keys) - cls._field_defaults.keys(), cls.section)
     return cls(**{key: value for key, value in sec.items() if key != "variant"})
 
 

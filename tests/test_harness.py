@@ -313,6 +313,8 @@ class TestCertify:
         [
             ({"damping": {"a": 1e300, "b": 1.0, "rho": 1.0}}, "a = 1e+300"),
             ({"beta": {"variant": "polynomial", "coeffs": [1.0, 0.0, 1e300]}}, "polynomial beta"),
+            # beta(T) and beta'(T) are finite, but 2e306 T^2 in beta' of t = T s is not
+            ({"beta": {"variant": "polynomial", "coeffs": [1.0, 0.0, 1e306]}}, "polynomial beta"),
         ],
     )
     def test_overflowing_inputs_exit_2_in_one_line(self, tmp_path, capsys, overrides, words):
@@ -324,6 +326,27 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.startswith("mowave: certificate: ") and err.count("\n") == 1
         assert words in err and "overflow" in err
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    @pytest.mark.parametrize(
+        "coeffs, t",
+        [
+            ([1.0, -1e300, 1e300], "0.0"),
+            ([1.0] * 16 + [-1e300], "3.3249515845711534e-20"),
+            ([1.0, 1e308, -1e308], "2.0"),
+        ],
+    )
+    def test_polynomial_a2_near_the_largest_double_fails_with_no_warning(self, tmp_path, capsys, command, coeffs, t):
+        cfg = reference_config(horizon=2.0, beta={"variant": "polynomial", "coeffs": coeffs})
+        outdir = ["--outdir", str(tmp_path / "run")] if command == "simulate" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, write_config(tmp_path, cfg), *outdir])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("mowave: assumption checks failed:\n")
+        assert [line for line in err.splitlines() if "A2" in line] == [f"[FAIL] A2: PolynomialBeta: beta' < 0 at t = {t}"]
+        assert not (tmp_path / "run").exists()
 
     def test_standard_branch_json(self, tmp_path, capsys):
         code = main(["certify", write_config(tmp_path, reference_config())])
@@ -1059,6 +1082,26 @@ def test_main_in_process_never_freezes(tmp_path, monkeypatch, capsys):
         )
     ]
     assert (codes, frozen) == ([0, 0, 6, 0], [])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks its workers")
+def test_a_forked_sweep_in_process_leaves_nothing_frozen(tmp_path, monkeypatch, capsys):
+    # its workers fork from frozen objects, which are unfrozen once they are reaped; a caller
+    # that had frozen objects itself keeps them frozen
+    sweep = write_config(tmp_path, {"base": reference_config(horizon=0.5), "axes": {"mu": [0.1, 0.2]}}, "sweep.json")
+    frozen, real = [], gc.freeze
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(real()))
+    argv = ["sweep", sweep, "--jobs", "2", "--grid-n", "16", "--outdir"]
+    assert gc.get_freeze_count() == 0
+    assert main([*argv, str(tmp_path / "unfrozen")]) == 0
+    assert (len(frozen), gc.get_freeze_count()) == (1, 0)
+    try:
+        real()
+        before = gc.get_freeze_count()
+        assert main([*argv, str(tmp_path / "frozen")]) == 0
+        assert len(frozen) == 2 and gc.get_freeze_count() >= before > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_a_run_whose_energy_and_bound_reach_zero_writes_nothing_on_stderr(tmp_path):

@@ -1,6 +1,9 @@
+from __future__ import annotations  # field annotations are strings, as in mowave.model
+
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from mowave import (
     spec_to_dict,
     validate_assumptions,
 )
-from mowave.model import AssumptionCheck, _negative_at, on_times
+from mowave.model import AlphaFamily, AssumptionCheck, BetaFamily, _negative_at, on_times
 
 
 def make_spec(**overrides):
@@ -147,11 +150,17 @@ class TestBetaFamilies:
             ((1.0, 2.0, -1.0), "4.0"),  # beta' = 2 - 2t leads negative
             ((2.0, -1.0, 1.0), "0.0"),  # beta'(0) = -1
             ((1.0, 0.0, 0.0, -1e-9, 1e-6), "0.00037500000000000006"),  # beta' = t^2 (4e-6 t - 3e-9) < 0 on (0, 7.5e-4)
+            # near the largest double, where 1e300 |d_0| and the coefficient 2 (-1e308) of beta' are not doubles
+            ((1.0, -1e300, 1e300), "0.0"),
+            ((1.0,) * 16 + (-1e300,), "3.3249515845711534e-20"),
+            ((1.0, 1e308, -1e308), "2.0"),  # beta' = 1e308 - 2e308 t
         ],
     )
     def test_polynomial_fail_names_a_t_where_beta_prime_is_negative(self, coeffs, shown):
         beta = PolynomialBeta(coeffs)
-        check = beta.check()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = beta.check()
         assert not check.passed
         assert check.detail == f"PolynomialBeta: beta' < 0 at t = {shown}"
         assert beta_prime_exact(beta, float(shown)) < 0
@@ -489,6 +498,41 @@ class TestRegistry:
             assert spec_from_dict(spec_to_dict(spec)) == spec
 
         roundtrip()
+
+    def test_a_variant_enters_the_registry_under_its_base_section(self):
+        class QuadraticBeta(BetaFamily, variant="quadratic"):
+            c2: float = 1.0
+
+        try:
+            assert FAMILIES["beta"]["quadratic"] is QuadraticBeta
+            assert (QuadraticBeta.section, QuadraticBeta.variant) == ("beta", "quadratic")
+            assert [where for _, where, _ in QuadraticBeta._checks] == ["beta.c2"]
+            spec = spec_from_dict(dict(TestConfigParsing().config(), beta={"variant": "quadratic", "c2": 2}))
+            assert spec.beta == QuadraticBeta(2.0) and spec_to_dict(spec)["beta"] == {"variant": "quadratic", "c2": 2.0}
+            with pytest.raises(ConfigError, match=r"beta: unknown keys \['mu'\]"):
+                spec_from_dict(dict(TestConfigParsing().config(), beta={"variant": "quadratic", "mu": 2.0}))
+        finally:
+            del FAMILIES["beta"]["quadratic"]
+        assert list(FAMILIES["beta"]) == ["constant", "exponential", "polynomial"]
+
+    def test_a_field_of_a_type_without_a_check_fails_when_its_class_is_made(self):
+        with pytest.raises(KeyError, match="complex"):
+
+            class ComplexAlpha(AlphaFamily, variant="complex"):
+                z: complex
+
+        assert list(FAMILIES["alpha"]) == ["constant", "affine", "saturating"]
+
+    def test_a_class_that_annotates_no_fields_keeps_its_base_field_table(self):
+        class SteadyAffine(AffineAlpha):
+            def sup_prime(self) -> float:
+                return self.k
+
+        assert (SteadyAffine.section, SteadyAffine.variant) == ("alpha", None)
+        assert SteadyAffine._fields == ("k",) and SteadyAffine._checks == AffineAlpha._checks
+        assert SteadyAffine not in FAMILIES["alpha"].values()
+        with pytest.raises(ConfigError, match="alpha.k: expected a number"):
+            SteadyAffine(k="0.5")
 
     def test_required_keys_are_the_fields_without_defaults(self):
         cfg = TestConfigParsing().config()
