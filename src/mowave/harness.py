@@ -31,6 +31,11 @@ The output directory is --outdir, else $MOWAVE_OUTDIR, else the working
 directory. Identical configs and flags produce bit-identical energy.csv
 (floats are written with repr and the pipeline is deterministic).
 
+simulate and every sweep cell run one pipeline: plan (solver.step_plan,
+which records --cfl and --sample-every), solve (simulate, or one row of
+simulate_batch), then check and write (run_simulation, which reads all it
+writes from the solved Trajectory: its spec, grid and plan).
+
 sweep admits each cell once, by its solver.step_plan, which validates
 first (a cell that it refuses gets its row alone), and groups the cells by
 their solver.batch_key, which holds the step of that plan. It cuts each
@@ -84,6 +89,7 @@ from .model import (
 )
 from .solver import (
     Grid,
+    Trajectory,
     batch_key,
     exact_reference_fields,
     rows_within_cap,
@@ -112,7 +118,7 @@ EXIT_EMPTY_WINDOW = 5
 EXIT_ORDER = 6
 
 _MIN_ORDER = 1.8
-GRID_N, CFL, SAMPLE_EVERY = 200, 1.0, 10  # the defaults of run_simulation and of the CLI's flags
+GRID_N, CFL, SAMPLE_EVERY = 200, 1.0, 10  # the defaults of the CLI's --grid-n, --cfl and --sample-every
 
 
 def _err(msg: str) -> None:
@@ -227,98 +233,83 @@ class _TrajectoryCsv:
 
 
 def run_simulation(
-    spec: ProblemSpec,
-    outdir: Path,
-    grid_n: int = GRID_N,
-    cfl: float = CFL,
-    sample_every: int = SAMPLE_EVERY,
-    paper_literal: bool = False,
-    write_trajectory: bool = False,
-    solution=None,
-    err=_err,
+    traj: Trajectory, outdir: Path, paper_literal: bool = False, trajectory=None, started=None, err=_err
 ) -> tuple[int, dict]:
-    """Full single-run pipeline; returns (exit_code, checks).
+    """The checks and outputs of one solved run; returns (exit_code, checks).
 
-    Writes energy.csv, identity.csv, decay.svg, manifest.json (and
-    trajectory.csv on request) into outdir. The exit code is EXIT_OK or
+    traj is the run's Trajectory, which simulate (or one row of
+    simulate_batch) returns; everything written comes from it: its spec, its
+    grid and its step plan, whose cfl and sample_every the manifest records.
+    Writes energy.csv, identity.csv, decay.svg and manifest.json into outdir,
+    and moves trajectory.csv in with them when trajectory is the open
+    _TrajectoryCsv that the solve streamed into. The exit code is EXIT_OK or
     EXIT_BOUND; checks is the record written to the manifest: the
     certificate ("ok" or "empty") and its edges, the measured decay and the
     identity residuals. outdir and its parents are created only once the
     outputs are ready to write. A run that cannot finish raises its
-    MowaveError and writes nothing, not even outdir: the solver's error, a
-    ConfigError for fewer than 3 snapshots or for an energy, a certificate
-    bound or an identity residual that overflows a double, or the
-    certificate's error. solution is the spec's solved Trajectory when
-    the caller has already solved it (sweep solves cells in batches); by
-    default the spec is solved here. trajectory.csv is streamed from that
-    solve's snapshot blocks (_TrajectoryCsv), so write_trajectory needs
-    solution None; its temporary file is removed whatever stops the run.
-    A violated decay bound's line goes to err (standard error by default).
+    MowaveError and writes nothing, not even outdir: a ConfigError for
+    fewer than 3 snapshots or for an energy, a certificate bound or an
+    identity residual that overflows a double, or the certificate's error.
+    wall_clock_s counts from started (a time.perf_counter reading; this
+    call's start by default). A violated decay bound's line goes to err
+    (standard error by default).
     """
-    started = time.perf_counter()
-    outdir = Path(outdir)
-    if write_trajectory and solution is not None:
-        raise ConfigError("run_simulation: trajectory.csv is streamed from the solve, so it needs solution None")
-    with _TrajectoryCsv(outdir, Grid(grid_n).y) if write_trajectory else contextlib.nullcontext() as stream:
-        traj = solution
-        if traj is None:
-            traj = simulate(spec, Grid(grid_n), sample_every=sample_every, cfl=cfl, on_block=stream)
-        if len(traj.times) < 3:  # at --sample-every 1, only a finer grid (a smaller h0) or a longer T adds one
-            remedy = "lower --sample-every" if sample_every > 1 else "raise --grid-n (or T)"
-            raise ConfigError(
-                f"the run stored {len(traj.times)} snapshots at --sample-every {sample_every}; "
-                f"the identity checks need at least 3: {remedy}"
-            )
+    started = time.perf_counter() if started is None else started
+    spec, plan, outdir = traj.spec, traj.plan, Path(outdir)
+    if len(traj.times) < 3:  # at --sample-every 1, only a finer grid (a smaller h0) or a longer T adds one
+        remedy = "lower --sample-every" if plan.sample_every > 1 else "raise --grid-n (or T)"
+        raise ConfigError(
+            f"the run stored {len(traj.times)} snapshots at --sample-every {plan.sample_every}; "
+            f"the identity checks need at least 3: {remedy}"
+        )
 
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            series_exact = EnergySeries.from_trajectory(traj)
-            series_out = EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by the two tests below
+        series_exact = EnergySeries.from_trajectory(traj)
+        series_out = EnergySeries.from_trajectory(traj, paper_literal=True) if paper_literal else series_exact
         finite = np.isfinite(series_exact.E) & np.isfinite(series_out.E)
         if not finite.all():  # the solution is finite (simulate checks it), its energy is not
             raise ConfigError(
                 f"the energy overflows a double, first at t = {traj.times[np.argmin(finite)]:.6g}, "
                 "although the solution stays finite; no outputs written"
             )
-
         edges = window_edges(spec.damping, spec.beta, spec.alpha, spec.horizon)
         cert = build_certificate(spec.damping, spec.beta, spec.alpha, spec.horizon, edges=edges)
         lam = cert.lam if cert is not None else 0.1
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
-            bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
-        overflowed = [
-            name
-            for name, values in (
-                ("the certificate bound C E(0) exp(-lambda t)", bound_values),
-                ("the identity residuals", [identity.residual_rate, identity.residual_plu]),
-            )
-            if values is not None and not np.isfinite(values).all()
-        ]
-        if overflowed:
-            raise ConfigError(
-                f"{' and '.join(overflowed)} overflow a double, although the energy stays finite "
-                f"(E(0) = {series_exact.e0:.6g}); no outputs written"
-            )
+        identity = multiplier_identity_residual(traj, lam=lam, phi_rate=lam)
+        bound_values = cert.bound_values(series_out.t, series_exact.e0) if cert is not None else None
+    overflowed = [
+        name
+        for name, values in (
+            ("the certificate bound C E(0) exp(-lambda t)", bound_values),
+            ("the identity residuals", [identity.residual_rate, identity.residual_plu]),
+        )
+        if values is not None and not np.isfinite(values).all()
+    ]
+    if overflowed:
+        raise ConfigError(
+            f"{' and '.join(overflowed)} overflow a double, although the energy stays finite "
+            f"(E(0) = {series_exact.e0:.6g}); no outputs written"
+        )
 
-        bound_report = None
-        if cert is not None:
-            # the allowance 10 dt^2 rate_residual at a step no larger than h0: it may not grow with --cfl
-            bound_report = check_decay_bound(
-                series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
-            )
-        lambda_fit = fit_decay(series_exact)
+    bound_report = None
+    if cert is not None:
+        # the allowance 10 dt^2 rate_residual at a step no larger than h0: it may not grow with --cfl
+        bound_report = check_decay_bound(
+            series_exact, cert, dt=min(traj.dt, step_size(spec, traj.grid)), rate_residual=identity.residual_rate
+        )
+    lambda_fit = fit_decay(series_exact)
 
-        outdir.mkdir(parents=True, exist_ok=True)
-        energy_path = outdir / "energy.csv"
-        write_energy_csv(series_out, energy_path, bound=bound_values)
-        identity_path = outdir / "identity.csv"
-        write_identity_csv(identity, identity_path)
-        svg_path = outdir / "decay.svg"
-        write_decay_svg(svg_path, series_out.t, series_out.E, bound=bound_values)
-        outputs = [energy_path, identity_path, svg_path]
-        if stream is not None:
-            outputs.append(outdir / "trajectory.csv")
-            stream.move_to(outputs[-1])
+    outdir.mkdir(parents=True, exist_ok=True)
+    energy_path = outdir / "energy.csv"
+    write_energy_csv(series_out, energy_path, bound=bound_values)
+    identity_path = outdir / "identity.csv"
+    write_identity_csv(identity, identity_path)
+    svg_path = outdir / "decay.svg"
+    write_decay_svg(svg_path, series_out.t, series_out.E, bound=bound_values)
+    outputs = [energy_path, identity_path, svg_path]
+    if trajectory is not None:
+        outputs.append(outdir / "trajectory.csv")
+        trajectory.move_to(outputs[-1])
 
     exit_code = EXIT_OK
     if bound_report is not None and not bound_report.holds:
@@ -341,13 +332,12 @@ def run_simulation(
         "rate_residual": identity.residual_rate,
         "exit_code": exit_code,
     }
-    plan = traj.plan
     grid_info = {
-        "n": grid_n,
-        "cfl": cfl,
+        "n": traj.grid.n,
+        "cfl": plan.cfl,
         "dt": plan.dt,
         "dt_bound": plan.bound,
-        "sample_every": sample_every,
+        "sample_every": plan.sample_every,
         "steps_per_snapshot": plan.per_snapshot,
         "snapshots": plan.snapshots,
         "steps": plan.steps,
@@ -367,15 +357,14 @@ def run_simulation(
 def cmd_simulate(args) -> int:
     spec = load_config(args.config)
     outdir = _outdir(args.outdir)
-    code, checks = run_simulation(
-        spec,
-        outdir,
-        grid_n=args.grid_n,
-        cfl=args.cfl,
-        sample_every=args.sample_every,
-        paper_literal=args.paper_literal_energy,
-        write_trajectory=args.trajectory,
-    )
+    started = time.perf_counter()  # wall_clock_s covers the solve and the checks
+    grid = Grid(args.grid_n)
+    # the temporary trajectory file is removed whatever stops the run, unless run_simulation moved it in
+    with _TrajectoryCsv(outdir, grid.y) if args.trajectory else contextlib.nullcontext() as stream:
+        traj = simulate(spec, grid, args.sample_every, args.cfl, on_block=stream)
+        code, checks = run_simulation(
+            traj, outdir, paper_literal=args.paper_literal_energy, trajectory=stream, started=started
+        )
     if code == EXIT_OK:
         parts = [f"wrote {outdir / 'energy.csv'}"]
         lo, hi = checks["lambda_lo"], checks["lambda_hi"]
@@ -473,7 +462,7 @@ def cmd_convergence(args) -> int:
     for name, study_spec, v_exact in studies:
         # every grid steps under the tightest cap of any grid's plan at --cfl,
         # so dt shrinks with dy also where a stiffness bound sets it
-        cfl = min(step_plan(study_spec, Grid(n), 1, args.cfl).cfl for n in ns)
+        cfl = min(step_plan(study_spec, Grid(n), 1, args.cfl).cap for n in ns)
         errors, rates, plus = [], [], []
         for n in ns:
             traj = simulate(study_spec, Grid(n), sample_every=1, cfl=cfl)
@@ -537,19 +526,20 @@ def _sweep_row(cfg: dict, code: int, checks: dict | None = None) -> dict:
     return row
 
 
-def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, outdir: str) -> list[tuple]:
+def _sweep_batch(cells: list[dict], grid: Grid, outdir: str) -> list[tuple]:
     """Solve admitted cells with one batch_key as one state, each by its plan, then write each cell.
 
-    Each solved row goes through run_simulation, which writes the cell's
-    files into outdir/cell_XXXX; a row is dropped once written, with its
-    integral table. Returns, in the order of cells, each cell's sweep.csv
-    row and the stderr messages that the sweep prints for it: a violated
-    bound's line, or the row's error or run_simulation's as _diagnosis
-    words it. Runs in this process, or in a child that _fork_map forked,
-    which inherits cells and sends back only what this returns.
+    Each solved row goes through run_simulation, the tail of simulate too,
+    which writes the cell's files into outdir/cell_XXXX and times them from
+    its own start; a row is dropped once written, with its integral table.
+    Returns, in the order of cells, each cell's sweep.csv row and the stderr
+    messages that the sweep prints for it: a violated bound's line, or the
+    row's error or run_simulation's as _diagnosis words it. Runs in this
+    process, or in a child that _fork_map forked, which inherits cells and
+    sends back only what this returns.
     """
     specs, plans = [cell["spec"] for cell in cells], [cell["plan"] for cell in cells]
-    solved = simulate_batch(specs, plans, Grid(grid_n), sample_every)
+    solved = simulate_batch(specs, plans, grid)
     rows = []
     for i, cell in enumerate(cells):
         traj, solved[i] = solved[i], None
@@ -557,15 +547,7 @@ def _sweep_batch(cells: list[dict], grid_n: int, cfl: float, sample_every: int, 
         try:
             if isinstance(traj, MowaveError):
                 raise traj
-            code, checks = run_simulation(
-                cell["spec"],
-                Path(outdir) / f"cell_{cell['index']:04d}",
-                grid_n=grid_n,
-                cfl=cfl,
-                sample_every=sample_every,
-                solution=traj,
-                err=messages.append,
-            )
+            code, checks = run_simulation(traj, Path(outdir) / f"cell_{cell['index']:04d}", err=messages.append)
         except MowaveError as exc:
             code, message = _diagnosis(exc)
             messages.append(message)
@@ -743,13 +725,7 @@ def cmd_sweep(args) -> int:
     for plan, group in groups.values():
         size = min(jobs_rows, rows_within_cap(plan, grid, [cell["spec"] for cell in group]))
         batches.extend(group[i : i + size] for i in range(0, len(group), size))
-    solve = functools.partial(
-        _sweep_batch,
-        grid_n=args.grid_n,
-        cfl=args.cfl,
-        sample_every=args.sample_every,
-        outdir=str(outdir),
-    )
+    solve = functools.partial(_sweep_batch, grid=grid, outdir=str(outdir))
     workers = min(args.jobs, len(batches))
     if workers > 1 and hasattr(os, "fork"):
         solved = _fork_map(solve, batches, workers)

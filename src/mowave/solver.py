@@ -254,13 +254,16 @@ class StepPlan(NamedTuple):
     the steps between two snapshots, the bound that sets dt: "wave"
     (--cfl), "damping" or "reaction", and the cap that bound sets, written
     as a cfl: the smallest of the caller's cfl and the stiffness bounds. A
-    plan made at cfl = plan.cfl takes the same step."""
+    plan made at cfl = plan.cap takes the same step. cfl and sample_every
+    are the flags the plan was made from, exactly as the caller passed them."""
 
     dt: float
     steps: int
     per_snapshot: int
     bound: str
+    cap: float
     cfl: float
+    sample_every: int
 
     @property
     def snapshots(self) -> int:
@@ -316,15 +319,17 @@ def step_plan(
     validate_assumptions admits its spec (else ValidationError, first).
 
     Snapshots are sample_every h0 apart in time, h0 = step_size at cfl 0.5,
-    whatever the step. The step is capped at the cfl c (plan.cfl), the smallest
-    of cfl and the damping and reaction bounds, and divides a snapshot
-    interval into m = ceil(sample_every / (2 c)) whole steps: dt =
+    whatever the step. The step is capped at the cfl c (plan.cap), the
+    smallest of cfl and the damping and reaction bounds, and divides a
+    snapshot interval into m = ceil(sample_every / (2 c)) whole steps: dt =
     step_size(cfl = sample_every / (2 m)). At cfl 0.5 that is m =
-    sample_every and the cfl 0.5 step, bit for bit. Raises ConfigError,
-    naming the binding bound, when dt gives no finite step count or more
-    than 2**53 steps. It alone admits a run's memory: ResourceLimitError when
-    batch_bytes of one row with no snapshots, checked before any array of the
-    grid exists, or with the plan's snapshots exceeds MEMORY_CAP_BYTES.
+    sample_every and the cfl 0.5 step, bit for bit. The plan records cfl
+    and sample_every as given, for the blow-up remedy and the manifest.
+    Raises ConfigError, naming the binding bound, when dt gives no finite
+    step count or more than 2**53 steps. It alone admits a run's memory:
+    ResourceLimitError when batch_bytes of one row with no snapshots,
+    checked before any array of the grid exists, or with the plan's
+    snapshots exceeds MEMORY_CAP_BYTES.
     admit=False skips the validation and the stiffness bounds, checking only
     the flags and the wave plan of a spec that never steps: the sweep's base,
     which its axes may override. Only an admit=True plan shows admission.
@@ -348,7 +353,7 @@ def step_plan(
     num, den = c.as_integer_ratio()
     m = -(-sample_every * den // (2 * num))  # ceil(sample_every / (2 c)), exact for any sample_every
     dt = step_size(spec, grid, sample_every / (2 * m))
-    plan = StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound, c)
+    plan = StepPlan(dt, _steps_to(spec.horizon, dt, who), m, bound, c, cfl, sample_every)
     one = batch_bytes(grid, 1, plan.snapshots, spec.source is not None)
     if one > MEMORY_CAP_BYTES:
         raise ResourceLimitError(
@@ -657,7 +662,7 @@ def simulate(
     when the solution leaves the finite range.
     """
     plan = step_plan(spec, grid, sample_every, cfl)
-    (result,) = simulate_batch([spec], [plan], grid, sample_every, on_block)
+    (result,) = simulate_batch([spec], [plan], grid, on_block)
     if isinstance(result, BlowUpError):
         raise result
     return result
@@ -682,13 +687,13 @@ def _block(k0: int, k1: int, t: float, dt: float, T: float) -> tuple[list[tuple]
     return steps, times
 
 
-def _instability(spec: ProblemSpec, plan: StepPlan, t: float, sample_every: int) -> BlowUpError:
+def _instability(spec: ProblemSpec, plan: StepPlan, t: float) -> BlowUpError:
     """The error of a row whose state left the finite range at t.
 
     The exact solution is finite there: unforced, the energy identity bounds
     its energy by E(0) beta(t)/beta(0) (by E(0) in linear mode); forced, it
     is the manufactured field. So the step is at fault, and any --cfl below
-    the step's own, sample_every / (2 per_snapshot), takes a smaller one.
+    the step's own, plan.sample_every / (2 per_snapshot), takes a smaller one.
     """
     if spec.source is not None:
         exact = "the exact solution is the manufactured field"
@@ -701,30 +706,31 @@ def _instability(spec: ProblemSpec, plan: StepPlan, t: float, sample_every: int)
         t,
         f"numerical instability: the discrete solution left the finite range at t={t:.6g}, although {exact}; "
         f"the step dt = {plan.dt:.6g} was set by the {plan.bound} bound from the data at t = 0: "
-        f"lower --cfl below {sample_every / (2 * plan.per_snapshot):.6g}",
+        f"lower --cfl below {plan.sample_every / (2 * plan.per_snapshot):.6g}",
     )
 
 
 def simulate_batch(
-    specs: list[ProblemSpec], plans: list[StepPlan], grid: Grid, sample_every: int, on_block: Callable | None = None
+    specs: list[ProblemSpec], plans: list[StepPlan], grid: Grid, on_block: Callable | None = None
 ) -> list:
     """Advance several admitted specs from 0 to T as one (rows, N+1) state.
 
     The caller admits and plans every row, and nothing here checks it:
-    plans[i] is step_plan(specs[i], grid, sample_every, ...), which admitted
-    specs[i], there are at least one and at most rows_within_cap rows, and
-    they have one batch_key, and with it one step and one set of stage
-    times; a, b, beta and the source may differ. Classical RK4 at fixed
-    dt; snapshots are taken at t = 0, every sample_every h0 of time (every
-    step_plan per_snapshot steps), and at t = T, into a buffer of
-    energy.BLOCK snapshots per row. Each time it fills, and at T, the block
-    of every live row goes to the row's energy.IntegralPass and then, when
-    given, to on_block(i, times, V, W): i is the spec's index in specs,
-    times the block's snapshot times, and V and W read-only (len(times),
-    N+1) views of v and w there, overwritten by the next block. Blocks are
-    aligned at snapshot 0, as snapshot_integrals cuts a run's arrays, so a
-    row's table is bit for bit the one of its snapshots. Every operation is
-    elementwise per row, so each row is bit-identical to its run alone.
+    plans[i] is step_plan(specs[i], grid, ...), which admitted specs[i] and
+    records the flags it was made from, there are at least one and at most
+    rows_within_cap rows, and they have one batch_key, and with it one step
+    and one set of stage times; a, b, beta and the source may differ.
+    Classical RK4 at fixed dt; snapshots are taken at t = 0, every
+    plan.sample_every h0 of time (every per_snapshot steps), and at t = T,
+    into a buffer of energy.BLOCK snapshots per row. Each time it fills,
+    and at T, the block of every live row goes to the row's
+    energy.IntegralPass and then, when given, to on_block(i, times, V, W):
+    i is the spec's index in specs, times the block's snapshot times, and V
+    and W read-only (len(times), N+1) views of v and w there, overwritten
+    by the next block. Blocks are aligned at snapshot 0, as
+    snapshot_integrals cuts a run's arrays, so a row's table is bit for bit
+    the one of its snapshots. Every operation is elementwise per row, so
+    each row is bit-identical to its run alone.
 
     Returns one Trajectory per spec, carrying its plan, its integral table
     and its state at T, or the row's BlowUpError (see _instability) once
@@ -797,7 +803,7 @@ def simulate_batch(
                 if not all_finite(z1, finite):
                     ok = finite.all(axis=(0, 2))
                     for r in itertools.compress(live, ~ok):
-                        results[r] = _instability(specs[r], plans[r], t, sample_every)
+                        results[r] = _instability(specs[r], plans[r], t)
                     for j, i in enumerate(np.flatnonzero(ok)):  # in place: j <= i reads a row not yet moved
                         block[:, j] = block[:, i]
                     live, passes = list(itertools.compress(live, ok)), list(itertools.compress(passes, ok))

@@ -42,8 +42,9 @@ def _markup(t: np.ndarray, E: np.ndarray, bound):
         yield "</svg>\n"
         return
 
-    # a tenth of the least positive energy is the floor of every curve
-    floor = float(min(np.min(E[s], where=E[s] > 0.0, initial=np.inf) for s in _chunks(E.size))) * 0.1
+    # a tenth of the least positive energy is the floor of every curve; below about 2.5e-323 that
+    # tenth rounds to 0.0, whose log10 is -inf, so the floor is at least the least subnormal
+    floor = max(float(min(np.min(E[s], where=E[s] > 0.0, initial=np.inf) for s in _chunks(E.size))) * 0.1, 5e-324)
     curves = [("energy", E, "#1f77b4", None)]
     if bound is not None:
         curves.append(("certificate C E(0) exp(-lambda t)", np.asarray(bound, dtype=float), "#d62728", "6,4"))

@@ -295,7 +295,7 @@ class TestCriterion9Determinism:
         blobs = []
         for name in ("one", "two"):
             outdir = tmp_path / name
-            code, _ = run_simulation(spec, outdir, grid_n=64, sample_every=5)
+            code, _ = run_simulation(simulate(spec, Grid(64), 5, 1.0), outdir)
             assert code == 0
             blobs.append((outdir / "energy.csv").read_bytes())
         ok_repeat = blobs[0] == blobs[1]

@@ -9,6 +9,7 @@ byte for byte.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -418,6 +419,15 @@ _BOUND_OVERFLOW = dict(
     horizon=2.0,
 )
 
+# E is exactly 0.0 from some t on, and its least positive value is subnormal
+_ENERGY_UNDERFLOW = dict(
+    README_CONFIG,
+    damping={"a": 10.0, "b": 100.0, "rho": 1.0},
+    beta={"variant": "constant", "c": 1.0},
+    alpha={"variant": "constant"},
+    horizon=100.0,
+)
+
 
 def _cfg(**overrides):
     return dict(README_CONFIG, **overrides)
@@ -459,6 +469,12 @@ CLI_FAILURES = {
     "simulate-empty-window": (
         ["simulate", "c.json", "--grid-n", "32", "--outdir", "out"],
         {"c.json": _cfg(beta={"variant": "exponential", "beta0": 1.0, "mu": 2.0}, horizon=4.0)},
+    ),
+    # E leaves the doubles: its least positive value is below 2.5e-323, where decay.svg's floor (a
+    # tenth of it) rounded to 0.0 and the run exited 1 with a traceback
+    "simulate-energy-below-the-plot-floor": (
+        ["simulate", "c.json", "--grid-n", "10", "--outdir", "out"],
+        {"c.json": _ENERGY_UNDERFLOW},
     ),
     "simulate-too-few-snapshots": (
         ["simulate", "c.json", "--grid-n", "16", "--outdir", "out"],
@@ -649,6 +665,10 @@ CLI_FAILURES = {
         ["sweep", "s.json", "--grid-n", "32", "--outdir", "out"],
         {"s.json": _sweep(base=_BOUND_OVERFLOW, axes={"a": [1.0]})},
     ),
+    "sweep-cell-energy-below-the-plot-floor": (
+        ["sweep", "s.json", "--grid-n", "10", "--jobs", "2", "--outdir", "out"],
+        {"s.json": _sweep(base=_ENERGY_UNDERFLOW, axes={"a": [10.0, 1.0]})},
+    ),
 }
 
 # name -> (exit code, stdout, stderr), computed before the CLI commands raised
@@ -682,7 +702,9 @@ CLI_FAILURES = {
 # sweep-cells-fail, sweep-cell-damping-steps-past-2-53 and sweep-cell-certificate-bound-overflow
 # changed when each sweep stderr line came to name its cell (cell_XXXX);
 # simulate-too-few-snapshots-at-sample-every-1 and convergence-too-few-snapshots came in
-# when a run of fewer than 3 snapshots came to name a remedy that can help
+# when a run of fewer than 3 snapshots came to name a remedy that can help;
+# simulate-energy-below-the-plot-floor and sweep-cell-energy-below-the-plot-floor came in
+# (they exited 1 with a traceback before) when decay.svg's floor came to be at least the least subnormal
 CLI_FAILURE_RESULTS = {
     'certify-A2-polynomial-cubic': (5, '', 'mowave: empty window: lambda_lo = 1.5 exceeds lambda_hi = 0.638897; beta grows too fast for any certified rate\n'),
     'certify-A2-polynomial-decreasing': (2, '', "mowave: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[FAIL] A2: PolynomialBeta: beta' < 0 at t = 4.0\n[FAIL] beta(T): beta(T) = -79, beta'(T) = -18 at T = 10: beta(T) is not positive\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[pass] damping: a = 1 > 0, b = 1\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 10\n"),
@@ -732,6 +754,7 @@ CLI_FAILURE_RESULTS = {
     'simulate-sample-every': (2, '', 'mowave: sample_every must be a positive integer, got 0\n'),
     'simulate-snapshot-cap': (2, '', 'mowave: run would keep about 336000080 bytes of snapshot integrals, 337657064 bytes in all (cap 268435456); raise sample_every\n'),
     'simulate-empty-window': (0, 'wrote out/energy.csv; empty lambda window: lambda_lo = 1 exceeds lambda_hi = 0.638897; lambda_fit 0.725207\n', ''),
+    'simulate-energy-below-the-plot-floor': (0, 'wrote out/energy.csv; lambda window [0, 6.38897]\n', ''),
     'simulate-too-few-snapshots': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 10; the identity checks need at least 3: lower --sample-every\n'),
     'simulate-too-few-snapshots-at-sample-every-1': (2, '', 'mowave: the run stored 2 snapshots at --sample-every 1; the identity checks need at least 3: raise --grid-n (or T)\n'),
     'simulate-unknown-key': (2, '', "mowave: config: unknown keys ['extra']\n"),
@@ -744,6 +767,7 @@ CLI_FAILURE_RESULTS = {
     'sweep-cells-fail': (0, 'wrote out/sweep.csv (4 cells)\n', "mowave: cell_0000: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 0.1 >= 0\n[pass] beta(T): beta(T) = 1.05127, beta'(T) = 0.105127 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: cell_0001: assumption checks failed:\n[pass] A1: SaturatingAlpha: alpha(0)=1, sup alpha' = 0.5 < 1\n[pass] A2: ExponentialBeta: beta0 = 1 > 0, mu = 1000 >= 0\n[pass] beta(T): beta(T) = 1.40359e+217, beta'(T) = 1.40359e+220 at T = 0.5\n[pass] A3: rho = 1 > 0 (n = 1, no upper bound)\n[FAIL] damping: a = -1 must be positive\n[pass] init: SineMode m=1 vanishes at both endpoints\n[pass] horizon: T = 0.5\nmowave: cell_0003: numerical instability: the discrete solution left the finite range at t=0.0261976, although the energy identity bounds the exact energy there by E(0) beta(t)/beta(0) = 2.38493e+11 E(0); the step dt = 0.0012475 was set by the damping bound from the data at t = 0: lower --cfl below 0.0299401\n"),
     'sweep-cells-over-snapshot-cap': (2, '', 'mowave: run would keep about 336000080 bytes of snapshot integrals, 337657064 bytes in all (cap 268435456); raise sample_every\n'),
     'sweep-cell-certificate-bound-overflow': (0, 'wrote out/sweep.csv (1 cells)\n', 'mowave: cell_0000: the certificate bound C E(0) exp(-lambda t) and the identity residuals overflow a double, although the energy stays finite (E(0) = 4.95341e+307); no outputs written\n'),
+    'sweep-cell-energy-below-the-plot-floor': (0, 'wrote out/sweep.csv (2 cells)\n', ''),
     'sweep-cfl': (2, '', 'mowave: cfl must be positive and finite, got -1.0\n'),
     'sweep-cfl-step-underflows': (2, '', 'mowave: cfl 5e-324 is too small: dt = 0.0 gives no finite number of steps to T\n'),
     'sweep-cfl-steps-past-2-53': (2, '', 'mowave: cfl 1e-300 is too small: dt = 3.333333333333334e-303 gives about 3e+303 steps to T, more than the 2**53 whose step times stay exact\n'),
@@ -769,6 +793,8 @@ def test_cli_failure_is_frozen(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for fname, content in files.items():
         (tmp_path / fname).write_text(content if isinstance(content, str) else json.dumps(content))
-    code = main(argv)
+    with warnings.catch_warnings():  # a warning fails the row
+        warnings.simplefilter("error")
+        code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == CLI_FAILURE_RESULTS[name]

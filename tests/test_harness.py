@@ -939,7 +939,7 @@ def test_window_edges_computed_once_per_run_and_certify(tmp_path, monkeypatch, c
     monkeypatch.setattr(certify, "window_edges", counted)
     monkeypatch.setattr(harness, "window_edges", counted)
     spec = mowave.spec_from_dict(reference_config(horizon=0.5))
-    assert run_simulation(spec, tmp_path / "run", grid_n=32)[0] == 0
+    assert run_simulation(mowave.simulate(spec, mowave.Grid(32), 10, 1.0), tmp_path / "run")[0] == 0
     assert len(calls) == 1
     for mu, code in ((0.1, 0), (2.0, 5)):  # a certificate, then an empty window
         calls.clear()
@@ -1011,14 +1011,6 @@ def test_a_sweep_prints_its_workers_violated_bounds_in_cell_order(tmp_path, caps
     report = r"assumption checks failed:\n(\[\w+\] [^\n]*\n)+"
     lines = "mowave: cell_0000: " + violated + "mowave: cell_0001: " + report + "mowave: cell_0002: " + violated
     assert re.fullmatch(lines, capsys.readouterr().err)
-
-
-def test_a_streamed_trajectory_needs_its_own_solve(tmp_path):
-    spec = mowave.spec_from_dict(reference_config(horizon=0.5))
-    traj = mowave.simulate(spec, mowave.Grid(16))
-    with pytest.raises(mowave.ConfigError, match="trajectory.csv is streamed from the solve, so it needs solution None"):
-        run_simulation(spec, tmp_path / "out", grid_n=16, write_trajectory=True, solution=traj)
-    assert not (tmp_path / "out").exists()
 
 
 def run_fresh(script: str) -> list[str]:
@@ -1315,7 +1307,8 @@ def test_run_simulation_returns_the_manifest_checks_from_one_pass(tmp_path, monk
 
     monkeypatch.setattr(mowave.energy, "IntegralPass", Counted)
     spec = mowave.spec_from_dict(reference_config(horizon=0.5))
-    code, checks = run_simulation(spec, tmp_path / "run", grid_n=32, paper_literal=True)
+    traj = mowave.simulate(spec, mowave.Grid(32), 10, 1.0)
+    code, checks = run_simulation(traj, tmp_path / "run", paper_literal=True)
     assert code == 0 and len(passes) == 1
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["checks"] == checks
@@ -1337,12 +1330,34 @@ def plan_calls(monkeypatch):
 
 
 def test_a_run_makes_one_step_plan(tmp_path, plan_calls):
+    # simulate makes it; run_simulation plans nothing and writes that plan, with its flags, as the grid record
     spec = mowave.spec_from_dict(reference_config(horizon=10.0))
-    code, _ = run_simulation(spec, tmp_path / "run", grid_n=32)
+    traj = mowave.simulate(spec, mowave.Grid(32), 5, 0.5)
+    code, _ = run_simulation(traj, tmp_path / "run")
     assert code == 0 and len(plan_calls) == 1
     grid = json.loads((tmp_path / "run" / "manifest.json").read_text())["grid"]
+    assert (grid["n"], grid["cfl"], grid["sample_every"]) == (32, 0.5, 5)
+    assert (grid["dt"], grid["steps"], grid["steps_per_snapshot"]) == traj.plan[:3]
     assert grid["rhs_evals"] == 4 * grid["steps"]
     assert grid["snapshots"] == 1 + math.ceil(grid["steps"] / grid["steps_per_snapshot"])
+
+
+@pytest.mark.parametrize(
+    "flags", [(), ("--grid-n", "64", "--cfl", "0.7", "--sample-every", "7")], ids=["defaults", "flags"]
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_cell_and_simulate_write_the_same_files(tmp_path, capsys, flags, jobs):
+    # one pipeline: each cell of the README config (one cell at --jobs 1, one in each of two workers
+    # at --jobs 2) gives simulate's files byte for byte, and its manifest apart from wall_clock_s
+    cfg = reference_config(horizon=10.0)
+    assert main(["simulate", write_config(tmp_path, cfg), *flags, "--outdir", str(tmp_path / "solo")]) == 0
+    sweep = write_config(tmp_path, {"base": cfg, "axes": {"mu": [0.1] * jobs}}, "sweep.json")
+    assert main(["sweep", sweep, *flags, "--jobs", str(jobs), "--outdir", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().err == ""
+    solo = outputs_of(tmp_path / "solo")
+    assert sorted(solo) == ["decay.svg", "energy.csv", "identity.csv", "manifest.json"]
+    for idx in range(jobs):
+        assert outputs_of(tmp_path / "sweep" / f"cell_{idx:04d}") == solo
 
 
 def test_a_sweep_plans_and_validates_each_cell_once(tmp_path, plan_calls, monkeypatch):

@@ -75,7 +75,7 @@ def copies(arrays):
 def planned_batch(specs, grid, sample_every=1, cfl=0.5, on_block=None):
     """simulate_batch of specs, each row by its step_plan at sample_every and cfl, as the sweep plans its cells."""
     plans = [step_plan(spec, grid, sample_every, cfl) for spec in specs]
-    return simulate_batch(specs, plans, grid, sample_every, on_block)
+    return simulate_batch(specs, plans, grid, on_block)
 
 
 def batch_with_snapshots(specs, grid, sample_every=1, cfl=0.5):
@@ -245,7 +245,7 @@ class TestStepPlan:
 
     def test_snapshot_count(self):
         # at t = 0, after every per_snapshot steps and after the last, shortened, interval
-        assert [StepPlan(0.1, steps, 3, "wave", 0.5).snapshots for steps in (0, 1, 3, 9, 10)] == [1, 2, 2, 4, 5]
+        assert [StepPlan(0.1, steps, 3, "wave", 0.5, 0.5, 3).snapshots for steps in (0, 1, 3, 9, 10)] == [1, 2, 2, 4, 5]
         for cfl in (0.5, 1.0, 0.3):  # 0.3 leaves a short last interval (17 steps of cfl 5/17 per snapshot)
             run = simulate(readme_spec(horizon=1.0), Grid(32), sample_every=10, cfl=cfl)
             assert run.times.size == run.plan.snapshots == 1 + math.ceil(run.plan.steps / run.plan.per_snapshot)
@@ -275,12 +275,14 @@ class TestStepPlan:
     @pytest.mark.parametrize("cfl", [0.3, 1.0])
     def test_plan_reports_the_cap_it_stepped_under(self, cfl):
         g = Grid(100)
-        wave = step_plan(readme_spec(), g, 10, cfl)
-        assert wave.bound == "wave" and wave.cfl == cfl
-        damped = step_plan(readme_spec(a=2000.0), g, 10, cfl)
-        assert damped.bound == "damping" and damped.cfl == 2.5 / 2000.0 * (1.5 / g.dy)
+        wave = step_plan(readme_spec(), g, 7, cfl)
+        assert wave.bound == "wave" and wave.cap == cfl
+        damped = step_plan(readme_spec(a=2000.0), g, 7, cfl)
+        assert damped.bound == "damping" and damped.cap == 2.5 / 2000.0 * (1.5 / g.dy) < cfl
+        # and the flags it was made from, as passed, whichever bound sets the cap
+        assert [(plan.sample_every, plan.cfl) for plan in (wave, damped)] == [(7, cfl)] * 2
         # a plan made at its own cap takes the same steps
-        assert step_plan(readme_spec(a=2000.0), g, 10, damped.cfl)[:3] == damped[:3]
+        assert step_plan(readme_spec(a=2000.0), g, 7, damped.cap)[:3] == damped[:3]
 
     def test_inadmissible_coefficients_give_no_bound(self):
         # a plan admits its spec first; admit=False (the sweep's base) plans the wave step alone
@@ -569,11 +571,11 @@ class TestSimulate:
         g = Grid(2000)
         specs = [readme_spec(a=a, horizon=0.05, source=source) for a in a_values]
         plans = [step_plan(spec, g, 2, 1.0) for spec in specs]
-        simulate_batch(specs, plans, g, 2)  # the grid's and numpy's caches, filled before measuring
+        simulate_batch(specs, plans, g)  # the grid's and numpy's caches, filled before measuring
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            (first, *_) = simulate_batch(specs, plans, g, 2)
+            (first, *_) = simulate_batch(specs, plans, g)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1172,7 +1174,7 @@ class TestKernel:
 
 
 class TestTrajectoryInvariants:
-    plan = StepPlan(0.1, 10, 1, "wave", 0.5)
+    plan = StepPlan(0.1, 10, 1, "wave", 0.5, 0.5, 1)
 
     def trajectory(self, times, final_t=None, nodes=9):
         """A Trajectory of zero snapshots at times on Grid(8), T = 1, with its final state at final_t."""

@@ -8,6 +8,7 @@ must not grow with the series.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def joined_decay_svg(times, energies, bound=None) -> str:
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 
-    floor = float(E[positive].min()) * 0.1
+    floor = max(float(E[positive].min()) * 0.1, 5e-324)
     logE = np.log10(np.maximum(E, floor))
     curves = [("energy", logE, "#1f77b4", None)]
     if bound is not None:
@@ -133,14 +134,22 @@ def test_decay_svg_equals_the_joined_writer(tmp_path, rows, with_bound):
     assert (tmp_path / "decay.svg").read_bytes() == joined_decay_svg(series.t, series.E, bound).encode()
 
 
-@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("rows", [*ROW_COUNTS, "subnormal"])
 def test_decay_svg_floor_and_zeros_equal_the_joined_writer(tmp_path, rows):
-    # zeros sit on the floor, a tenth of the least positive energy, found across chunks
-    series = decaying_series(rows, seed=rows)
-    E = series.E.copy()
-    E[::3] = 0.0
-    write_decay_svg(tmp_path / "decay.svg", series.t, E, bound=certificate(series))
-    assert (tmp_path / "decay.svg").read_bytes() == joined_decay_svg(series.t, E, certificate(series)).encode()
+    # zeros sit on the floor, a tenth of the least positive energy, found across chunks; a tenth
+    # of 1e-323 rounds to 0.0, so there the floor is the least subnormal, and nothing warns
+    if rows == "subnormal":
+        t, E = np.array([0.0, 1.0, 2.0]), np.array([1.0, 1e-323, 0.0])
+        bound = 2.0 * np.exp(-t)
+    else:
+        series = decaying_series(rows, seed=rows)
+        t, E, bound = series.t, series.E.copy(), certificate(series)
+        E[::3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_decay_svg(tmp_path / "decay.svg", t, E, bound=bound)
+        expected = joined_decay_svg(t, E, bound)
+    assert (tmp_path / "decay.svg").read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
